@@ -1,8 +1,15 @@
 """Digraph automorphism groups via color refinement and backtracking.
 
-The engine enumerates the full automorphism group with an
-individualize-refine search; a factorial brute-force oracle is provided
-for cross-validation on tiny digraphs.
+The engine returns generators and the exact order of Aut, never its
+elements.  One individualize-refine path fixes a base b_1..b_k; with G_i the
+pointwise stabilizer of b_1..b_i, |Aut| = prod_i |b_i^{G_(i-1)}|, found
+level by level, deepest first, as in nauty: each vertex of b_i's cell not yet
+in b_i's orbit under the known generators is probed, and either yields a new
+generator or rules out its whole orbit.  An m-Cayley digraph's right
+translations are checked and seeded at the top level, so an OmSR costs one
+path plus m - 1 block probes.  A vertex stabilizer's order is |Aut| over the
+vertex's orbit length; orbits come from the generators.  A factorial
+brute-force oracle cross-validates the engine on tiny digraphs.
 """
 
 from __future__ import annotations
@@ -32,12 +39,14 @@ def vertex_cap() -> int:
 
 @dataclass
 class PermutationGroup:
-    """A permutation group with its exact order and materialized elements."""
+    """Generators and exact order; elements are closed only on demand.  For
+    Aut of an m-Cayley digraph, translations_embed says if R(G) embeds."""
 
     degree: int
     generators: List[tuple]
     order: int
     elements: Optional[List[tuple]] = None
+    translations_embed: Optional[bool] = None
 
     def element_set(self) -> set:
         if self.elements is None:
@@ -63,34 +72,25 @@ class PermutationGroup:
 
 def _closure_elements(generators, degree, cap=ELEMENT_CAP):
     ident = permlib.identity(degree)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in generators:
-                q = permlib.compose(p, g)
-                if q not in seen:
-                    if len(seen) >= cap:
-                        raise TooLarge(f"group closure exceeds element cap {cap}")
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
+    seen, queue = {ident}, [ident]
+    for p in queue:
+        for g in generators:
+            q = permlib.compose(p, g)
+            if q not in seen:
+                if len(seen) >= cap:
+                    raise TooLarge(f"group closure exceeds element cap {cap}")
+                seen.add(q)
+                queue.append(q)
     return sorted(seen)
 
 
 def _generating_subset(elements, degree):
     """Greedy small generating set drawn from the sorted element list."""
-    target = len(elements)
-    gens: List[tuple] = []
-    span = {permlib.identity(degree)}
+    gens, span = [], {permlib.identity(degree)}
     for p in sorted(elements):
-        if p in span:
-            continue
-        gens.append(p)
-        span = set(_closure_elements(gens, degree))
-        if len(span) == target:
-            break
+        if p not in span:
+            gens.append(p)
+            span = set(_closure_elements(gens, degree))
     return gens
 
 
@@ -98,12 +98,7 @@ def _generating_subset(elements, degree):
 
 def _normalize_colors(colors):
     mapping = {}
-    out = []
-    for c in colors:
-        if c not in mapping:
-            mapping[c] = len(mapping)
-        out.append(mapping[c])
-    return out
+    return [mapping.setdefault(c, len(mapping)) for c in colors]
 
 
 def _refine(out_adj, in_adj, colors, canonical):
@@ -125,10 +120,7 @@ def _refine(out_adj, in_adj, colors, canonical):
         if canonical:
             mapping = {s: i for i, s in enumerate(sorted(set(sigs)))}
         else:
-            mapping = {}
-            for s in sigs:
-                if s not in mapping:
-                    mapping[s] = len(mapping)
+            mapping = {s: i for i, s in enumerate(dict.fromkeys(sigs))}
         new = [mapping[s] for s in sigs]
         if len(mapping) == ncolors:
             return new
@@ -155,17 +147,11 @@ def _is_automorphism(d: Digraph, p) -> bool:
 
 
 def _profile(colors):
-    counts = {}
+    """Cell sizes by color; refined colorings use colors 0..k-1."""
+    counts = [0] * (max(colors, default=-1) + 1)
     for c in colors:
-        counts[c] = counts.get(c, 0) + 1
-    return tuple(counts[c] for c in sorted(counts))
-
-
-def _cells(colors):
-    cells = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    return cells
+        counts[c] += 1
+    return tuple(counts)
 
 
 def _individualize(out_adj, in_adj, colors, v):
@@ -174,54 +160,76 @@ def _individualize(out_adj, in_adj, colors, v):
     return _refine(out_adj, in_adj, fresh, canonical=True)
 
 
-class _AbortSearch(Exception):
-    """Internal: the caller's abort threshold was crossed."""
+def _orbit(generators, v):
+    seen, queue = {v}, [v]
+    for x in queue:
+        for s in generators:
+            if s[x] not in seen:
+                seen.add(s[x])
+                queue.append(s[x])
+    return seen
 
 
-def _aut_elements(d: Digraph, element_cap=ELEMENT_CAP,
-                  abort_above: Optional[int] = None):
-    """Enumerate all automorphisms; returns (elements, aborted).
+def _aut_elements(d: Digraph):
+    """(generators, |Aut|, translations_embed) by the search in the module
+    docstring; translations_embed is None unless d is an m-Cayley digraph."""
+    out_adj, in_adj, n = d.out_adj, d.in_adj, d.n
+    path = [_refine(out_adj, in_adj, [0] * n, canonical=True)]
+    base: List[int] = []
+    while len(set(path[-1])) < n:
+        # First vertex of the smallest non-singleton cell (colors are 0..k-1).
+        target = min((size, c) for c, size in enumerate(_profile(path[-1])) if size > 1)[1]
+        base.append(path[-1].index(target))
+        path.append(_individualize(out_adj, in_adj, path[-1], base[-1]))
+    profiles = [_profile(c) for c in path]
 
-    With abort_above set, the search stops as soon as more than that many
-    automorphisms exist — enough to decide |Aut| <= abort_above cheaply.
-    """
-    out_adj, in_adj = d.out_adj, d.in_adj
-    base = _refine(out_adj, in_adj, [0] * d.n, canonical=True)
-    found: List[tuple] = []
+    def probe(level, colors, u):
+        """First automorphism fixing base[:level] that maps base[level] to u."""
+        c2 = _individualize(out_adj, in_adj, colors, u)
+        if _profile(c2) != profiles[level + 1]:
+            return None
+        if level + 1 == len(base):
+            where = {c: w for w, c in enumerate(c2)}
+            perm = tuple(where[c] for c in path[-1])
+            return perm if _is_automorphism(d, perm) else None
+        target = path[level + 1][base[level + 1]]
+        for w in range(n):
+            if c2[w] == target:
+                found = probe(level + 1, c2, w)
+                if found is not None:
+                    return found
+        return None
 
-    def descend(c1, c2):
-        cells1 = _cells(c1)
-        cells2 = _cells(c2)
-        target = None
-        for color in sorted(cells1):
-            size = len(cells1[color])
-            if size > 1 and (target is None or size < len(cells1[target])):
-                target = color
-        if target is None:
-            perm = [0] * d.n
-            for color, members in cells1.items():
-                perm[members[0]] = cells2[color][0]
-            perm = tuple(perm)
-            if _is_automorphism(d, perm):
-                if len(found) >= element_cap:
-                    raise TooLarge(f"automorphism count exceeds cap {element_cap}")
-                found.append(perm)
-                if abort_above is not None and len(found) > abort_above:
-                    raise _AbortSearch
-            return
-        v = cells1[target][0]
-        c1v = _individualize(out_adj, in_adj, c1, v)
-        prof = _profile(c1v)
-        for u in cells2[target]:
-            c2u = _individualize(out_adj, in_adj, c2, u)
-            if _profile(c2u) == prof:
-                descend(c1v, c2u)
+    seeds, embed = [], None
+    if isinstance(d, MCayleyDigraph):
+        translations = [right_translation(d.group, d.m, g) for g in d.group.elements()]
+        passed = [t for t in translations if _is_automorphism(d, t)]
+        embed = len(passed) == len(translations)
+        # R(G) acts semiregularly, so a translation that maps vertex 0 into
+        # its orbit under the kept ones already lies in their group.
+        orbit0 = {0}
+        for t in passed:
+            if t[0] not in orbit0:
+                seeds.append(t)
+                orbit0 = _orbit(seeds, 0)
 
-    try:
-        descend(base, base)
-    except _AbortSearch:
-        return found, True
-    return found, False
+    gens, order = [], 1
+    for level in reversed(range(len(base))):
+        known = gens + seeds if level == 0 else list(gens)
+        colors, b = path[level], base[level]
+        orbit, failed = _orbit(known, b), set()
+        for u in range(n):
+            if colors[u] != colors[b] or u in orbit or u in failed:
+                continue
+            g = probe(level, colors, u)
+            if g is None:
+                failed |= _orbit(known, u)
+            else:
+                gens.append(g)
+                known.append(g)
+                orbit = _orbit(known, b)
+        order *= len(orbit)
+    return seeds + gens, order, embed
 
 
 def automorphisms(d: Digraph, cap: Optional[int] = None) -> PermutationGroup:
@@ -229,23 +237,15 @@ def automorphisms(d: Digraph, cap: Optional[int] = None) -> PermutationGroup:
     limit = cap if cap is not None else vertex_cap()
     if d.n > limit:
         raise TooLarge(f"{d.n} vertices exceeds cap {limit}")
-    elements, _ = _aut_elements(d)
-    elements = sorted(elements)
-    gens = _generating_subset(elements, d.n)
-    return PermutationGroup(degree=d.n, generators=gens,
-                            order=len(elements), elements=elements)
+    gens, order, embed = _aut_elements(d)
+    return PermutationGroup(degree=d.n, generators=gens, order=order,
+                            translations_embed=embed)
 
 
 def aut_order_bounded(d: Digraph, threshold: int) -> Optional[int]:
-    """Exact |Aut| when it is <= threshold, else None.
-
-    Short-circuits to 1 when refinement is already discrete.
-    """
-    colors = _refine(d.out_adj, d.in_adj, [0] * d.n, canonical=True)
-    if len(set(colors)) == d.n:
-        return 1
-    found, aborted = _aut_elements(d, abort_above=threshold)
-    return None if aborted else len(found)
+    """Exact |Aut| when it is <= threshold, else None."""
+    order = _aut_elements(d)[1]
+    return order if order <= threshold else None
 
 
 def brute_force_automorphisms(d: Digraph) -> PermutationGroup:
@@ -259,11 +259,20 @@ def brute_force_automorphisms(d: Digraph) -> PermutationGroup:
 
 
 def stabilizer(A: PermutationGroup, v: int) -> PermutationGroup:
-    """Subgroup of A fixing the vertex v."""
-    sub = sorted(p for p in A.element_set() if p[v] == v)
-    gens = _generating_subset(sub, A.degree)
-    return PermutationGroup(degree=A.degree, generators=gens,
-                            order=len(sub), elements=sub)
+    """Subgroup of A fixing the vertex v, by orbit-stabilizer; its
+    generators are the Schreier generators u_x s u_{x^s}^-1."""
+    reps = {v: permlib.identity(A.degree)}
+    queue = [v]
+    for x in queue:
+        for s in A.generators:
+            if s[x] not in reps:
+                reps[s[x]] = permlib.compose(reps[x], s)
+                queue.append(s[x])
+    gens = {permlib.compose(permlib.compose(u, s), permlib.inverse(reps[s[x]]))
+            for x, u in reps.items() for s in A.generators}
+    gens.discard(permlib.identity(A.degree))
+    return PermutationGroup(degree=A.degree, generators=sorted(gens),
+                            order=A.order // len(reps))
 
 
 def orbit_count(A: PermutationGroup) -> int:
@@ -271,12 +280,12 @@ def orbit_count(A: PermutationGroup) -> int:
 
 
 def is_omsr(gamma: MCayleyDigraph, G: Group, m: int, valency: int = 2,
-            construction_kind: str = "custom",
-            aut: Optional[PermutationGroup] = None) -> VerificationReport:
+            construction_kind: str = "custom") -> VerificationReport:
     """Verdict: oriented, regular of the given valency, and |Aut| = |G|.
 
     |Aut| = |G| suffices for Aut = R(G) because the right translations
-    always embed; the report still confirms the embedding explicitly.
+    always embed; the report still confirms the embedding explicitly, from
+    the translations the search checked before seeding them.
     """
     if gamma.n != m * G.order:
         raise BlockMismatch(f"vertex count {gamma.n} != m*|G| = {m * G.order}")
@@ -284,24 +293,13 @@ def is_omsr(gamma: MCayleyDigraph, G: Group, m: int, valency: int = 2,
     oriented = is_oriented(gamma)
     regular = is_k_regular(gamma, valency)
     connected = is_connected(gamma)
-    A = aut if aut is not None else automorphisms(gamma)
-    elems = A.element_set()
-    embeds = all(right_translation(G, m, g) in elems for g in G.elements())
-    stab = stabilizer(A, 0)
+    A = automorphisms(gamma)
     verdict = bool(oriented and regular and A.order == G.order)
     elapsed = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
-        group_label=G.label or f"order-{G.order}",
-        m=m,
-        group_order=G.order,
-        construction_kind=construction_kind,
-        omsr=verdict,
-        oriented=oriented,
-        regular2=regular,
-        connected=connected,
-        aut_order=A.order,
-        stabilizer_order=stab.order,
-        orbit_count=orbit_count(A),
-        translations_embed=embeds,
-        runtime_ms=elapsed,
-    )
+        group_label=G.label or f"order-{G.order}", m=m, group_order=G.order,
+        construction_kind=construction_kind, omsr=verdict,
+        oriented=oriented, regular2=regular, connected=connected,
+        aut_order=A.order, stabilizer_order=A.order // len(_orbit(A.generators, 0)),
+        orbit_count=orbit_count(A), translations_embed=A.translations_embed,
+        runtime_ms=elapsed)

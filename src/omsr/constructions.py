@@ -9,13 +9,15 @@ exhaustive search: either a searched witness or a certified exception.
 from __future__ import annotations
 
 import os
+import tempfile
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from .automorphisms import is_omsr
 from .digraphs import ConnectionTable, MCayleyDigraph, build_mcayley, parse_connection_table
 from .errors import (IsAbelian, NotAbelian, NotGenerating, OrderTooSmall,
-                     SearchBudgetExceeded)
+                     ParseError, SearchBudgetExceeded)
 from .groups import (ALL_INVOLUTIONS, GeneratingPair, Group, GroupElement, _idx,
                      closure, element_order, find_generating_pair, generates,
                      is_abelian, is_cyclic, normalize_generating_pair)
@@ -128,8 +130,12 @@ def _load_cached_witness(G: Group, m: int, valency: int, witness_dir: str):
     path = _witness_path(G, m, valency, witness_dir)
     if not os.path.exists(path):
         return None
-    with open(path) as fh:
-        table = parse_connection_table(fh.read())
+    try:
+        with open(path) as fh:
+            table = parse_connection_table(fh.read())
+    except (OSError, ValueError, ParseError) as exc:
+        warnings.warn(f"skipping unreadable witness cache file {path}: {exc}")
+        return None
     if table.m != m:
         return None
     try:
@@ -141,12 +147,18 @@ def _load_cached_witness(G: Group, m: int, valency: int, witness_dir: str):
 
 def _store_witness(G: Group, m: int, valency: int, witness_dir: str,
                    table: ConnectionTable) -> None:
+    """Write the witness atomically: a temp file in the same directory, then
+    os.replace, so a reader never sees a half-written file."""
+    tmp = None
     try:
         os.makedirs(witness_dir, exist_ok=True)
-        with open(_witness_path(G, m, valency, witness_dir), "w") as fh:
+        fd, tmp = tempfile.mkstemp(dir=witness_dir, suffix=".tmp")
+        with os.fdopen(fd, "w") as fh:
             fh.write(table.to_text())
+        os.replace(tmp, _witness_path(G, m, valency, witness_dir))
     except OSError:
-        pass  # cache is best effort
+        if tmp is not None and os.path.exists(tmp):
+            os.remove(tmp)  # cache is best effort
 
 
 def _searched_witness(G: Group, m: int, valency: int, witness_dir: str, regen: bool):
@@ -159,25 +171,15 @@ def _searched_witness(G: Group, m: int, valency: int, witness_dir: str, regen: b
                 return gamma, report
     table, gamma, stats = sweeplib.find_witness(G, m, valency=valency)
     if table is None:
-        # The search exhausted the whole space: certified non-existence.
-        # When the guard permits, rebuild the certificate from a full sweep
-        # so max_aut_order_seen is exact (find_witness truncates it).
-        if sweeplib.feasibility_guard(G, m):
-            result = sweeplib.exhaustive_sweep(G, m, valency=valency,
-                                               all_witnesses=True)
-            return ExceptionVerdict(
-                group_label=result.group_label,
-                m=m,
-                enumerated_count=result.tables_enumerated,
-                all_failed=not result.witnesses,
-                max_aut_order_seen=result.max_aut_order_seen,
-            )
+        # The search exhausted the whole space: certified non-existence,
+        # with the exact max |Aut| over every oriented table it examined.
         return ExceptionVerdict(
             group_label=G.label or f"order-{G.order}",
             m=m,
             enumerated_count=stats["examined"],
             all_failed=True,
             max_aut_order_seen=stats["max_aut_order_seen"],
+            oriented_count=stats["oriented"],
         )
     report = is_omsr(gamma, G, m, valency=valency, construction_kind=KIND_SEARCH)
     _store_witness(G, m, valency, witness_dir, table)
@@ -214,6 +216,7 @@ def construct_omsr(G: Group, pair: Optional[GeneratingPair], m: int,
                 enumerated_count=result.tables_enumerated,
                 all_failed=True,
                 max_aut_order_seen=result.max_aut_order_seen,
+                oriented_count=result.oriented_count,
             )
         return _searched_witness(G, m, valency, wdir, regen)
 

@@ -16,12 +16,16 @@ class ExceptionVerdict:
     enumerated_count: int
     all_failed: bool = True
     max_aut_order_seen: int = 0
+    # Tables that were oriented and had |Aut| computed; when it is 0,
+    # max_aut_order_seen = 0 means that no digraph was examined.
+    oriented_count: Optional[int] = None
 
     def to_dict(self) -> dict:
         return {
             "group": self.group_label,
             "m": self.m,
             "enumerated_count": self.enumerated_count,
+            "oriented_count": self.oriented_count,
             "all_failed": self.all_failed,
             "max_aut_order_seen": self.max_aut_order_seen,
         }
@@ -91,6 +95,7 @@ class VerificationReport:
         if self.certificate is not None:
             return (f"{self.group_label} m={self.m}: certified exception "
                     f"(no witness among {self.certificate.enumerated_count} tables, "
+                    f"{self.certificate.oriented_count} oriented, "
                     f"max |Aut| seen {self.certificate.max_aut_order_seen})")
         return (f"{self.group_label} m={self.m} [{self.construction_kind}]: "
                 f"omsr={self.omsr} oriented={self.oriented} regular2={self.regular2} "

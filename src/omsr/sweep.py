@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
-from .automorphisms import _refine, aut_order_bounded, automorphisms
+from .automorphisms import aut_order_bounded, automorphisms
 from .digraphs import ConnectionTable, build_mcayley, oriented_table_criterion
 from .errors import InfeasibleSweep, SearchBudgetExceeded
 from .groups import Group
@@ -104,14 +104,6 @@ def enumerate_tables(G: Group, m: int, valency: int,
     yield from fill_row(0)
 
 
-def _aut_order(gamma) -> int:
-    """Exact |Aut|, short-circuiting when refinement is already discrete."""
-    colors = _refine(gamma.out_adj, gamma.in_adj, [0] * gamma.n, canonical=True)
-    if len(set(colors)) == gamma.n:
-        return 1
-    return automorphisms(gamma).order
-
-
 def feasibility_guard(G: Group, m: int,
                       guard_product: int = GUARD_PRODUCT,
                       guard_trivial_m: int = GUARD_TRIVIAL_M) -> bool:
@@ -144,7 +136,7 @@ def exhaustive_sweep(G: Group, m: int, valency: int = 2,
             continue
         oriented += 1
         gamma = build_mcayley(G, table)
-        order = _aut_order(gamma)
+        order = automorphisms(gamma).order
         max_aut = max(max_aut, order)
         if order == G.order:
             witnesses.append(table)
@@ -185,7 +177,6 @@ def _lift_witness(G: Group, m: int, valency: int,
     arcs = [(i, j) for i in range(m) for j in range(m) if base_table.sets[i][j]]
     rng = random.Random(G.order * 1009 + m)
     from .digraphs import is_connected
-    from .automorphisms import aut_order_bounded as _bounded
     for _ in range(attempts):
         volt = {arc: rng.randrange(G.order) for arc in arcs}
         sets = tuple(tuple(frozenset([volt[(i, j)]]) if (i, j) in volt
@@ -195,7 +186,7 @@ def _lift_witness(G: Group, m: int, valency: int,
         gamma = build_mcayley(G, table)
         if not is_connected(gamma):
             continue
-        if _bounded(gamma, G.order) == G.order:
+        if aut_order_bounded(gamma, G.order) == G.order:
             return table, gamma
     return None
 
@@ -206,9 +197,10 @@ def find_witness(G: Group, m: int, valency: int = 2,
 
     Returns (table, digraph, stats).  When the whole space is exhausted
     without a witness, returns (None, None, stats) — the stats then certify
-    non-existence.  When the budget runs out with tables still unexamined,
-    a seeded voltage-lift search (see _lift_witness) is tried before
-    raising SearchBudgetExceeded.
+    non-existence: every table was examined, and ``max_aut_order_seen`` is
+    the exact largest |Aut| over the oriented ones.  When the budget runs
+    out with tables still unexamined, a seeded voltage-lift search (see
+    _lift_witness) is tried before raising SearchBudgetExceeded.
 
     Structured witnesses sit very early in lexicographic order, far earlier
     than under shuffled exploration, so no randomization is used in the
@@ -233,11 +225,7 @@ def find_witness(G: Group, m: int, valency: int = 2,
             continue
         stats["oriented"] += 1
         gamma = build_mcayley(G, table)
-        # Only |Aut| == |G| matters here, so the automorphism search may
-        # abort as soon as it has found |G| + 1 elements.
-        order = aut_order_bounded(gamma, G.order)
-        if order is None:
-            continue
+        order = automorphisms(gamma).order
         stats["max_aut_order_seen"] = max(stats["max_aut_order_seen"], order)
         if order == G.order:
             return table, gamma, stats

@@ -1,5 +1,7 @@
 """Automorphism engine: refinement, search, oracle agreement, OmSR verdicts."""
 
+import importlib
+import itertools
 import random
 
 import pytest
@@ -210,3 +212,132 @@ def test_permutation_group_json_round_trip():
     B = PermutationGroup.from_json(A.to_json())
     assert B.degree == A.degree and B.order == A.order
     assert B.element_set() == A.element_set()
+
+
+# --- orbit-stabilizer search: differential checks and cost guards ------------
+
+def random_valency2_table(G, m, rng):
+    """Every block row and column totals 2: two random block permutations,
+    one random element per arc."""
+    while True:
+        sigmas = (rng.sample(range(m), m), rng.sample(range(m), m))
+        if G.order > 1 or all(a != b for a, b in zip(*sigmas)):
+            break
+    entries = {}
+    for sigma in sigmas:
+        for i in range(m):
+            cell = entries.setdefault((i, sigma[i]), set())
+            cell.add(rng.choice([t for t in range(G.order) if t not in cell]))
+    return ConnectionTable.from_dict(m, entries)
+
+
+def relabel(d, rng):
+    """The digraph under a random vertex permutation, as a plain Digraph."""
+    pi = list(range(d.n))
+    rng.shuffle(pi)
+    out = [[] for _ in range(d.n)]
+    for u in range(d.n):
+        out[pi[u]] = [pi[w] for w in d.out_adj[u]]
+    return Digraph(d.n, out)
+
+
+def test_networkx_agrees_on_aut_order():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import DiGraphMatcher
+    cap = 2000
+    rng = random.Random(6060)
+    pool = [("cyclic", [n]) for n in (1, 2, 3, 5, 6, 12)]
+    pool += [("elementary_abelian_2", [2]), ("symmetric", [3]), ("dihedral", [5])]
+    checked = 0
+    while checked < 40:
+        name, params = rng.choice(pool)
+        G, _ = catalog_group(name, params)
+        m = rng.randint(1, max(1, 60 // G.order))
+        if G.order * m < 2:
+            continue
+        d = build_mcayley(G, random_valency2_table(G, m, rng))
+        plain = relabel(d, rng)
+        g = nx.DiGraph()
+        g.add_nodes_from(range(plain.n))
+        g.add_edges_from(plain.arcs())
+        count = sum(1 for _ in itertools.islice(
+            DiGraphMatcher(g, g).isomorphisms_iter(), cap + 1))
+        seeded, unseeded = automorphisms(d).order, automorphisms(plain).order
+        assert seeded == unseeded
+        if count <= cap:
+            assert seeded == count, (name, params, m)
+        else:
+            assert seeded > cap
+        checked += 1
+
+
+def test_sympy_order_of_returned_generators():
+    pytest.importorskip("sympy")
+    from sympy.combinatorics import Permutation
+    from sympy.combinatorics import PermutationGroup as SymPyGroup
+    rng = random.Random(77)
+    for name, params, m in [("cyclic", [2], 3), ("elementary_abelian_2", [2], 3),
+                            ("cyclic", [4], 2), ("symmetric", [3], 2), ("cyclic", [1], 6)]:
+        G, _ = catalog_group(name, params)
+        for _ in range(8):
+            d = build_mcayley(G, random_valency2_table(G, m, rng))
+            A = automorphisms(d)
+            gens = [Permutation(list(g)) for g in A.generators]
+            gens.append(Permutation(list(range(d.n))))
+            assert SymPyGroup(gens).order() == A.order
+
+
+def test_stabilizer_matches_brute_force_elements():
+    G, _ = catalog_group("cyclic", [2])
+    rng = random.Random(5)
+    for _ in range(10):
+        d = build_mcayley(G, random_valency2_table(G, 3, rng))
+        A = automorphisms(d)
+        for v in (0, 3):
+            want = {p for p in brute_force_automorphisms(d).element_set() if p[v] == v}
+            assert stabilizer(A, v).element_set() == want
+
+
+def test_verify_costs_at_most_2m_individualizations(monkeypatch):
+    engine = importlib.import_module("omsr.automorphisms")
+    calls = []
+    original = engine._individualize
+
+    def counting(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(engine, "_individualize", counting)
+    G, pair = catalog_group("cyclic", [48])
+    d = build_mcayley(G, cyclic_connection_table(G, pair.a, 5))
+    report = is_omsr(d, G, 5)
+    assert report.omsr and report.stabilizer_order == 1 and report.orbit_count == 5
+    assert len(calls) <= 2 * 5
+
+
+def test_z100_m5_near_vertex_cap():
+    G, pair = catalog_group("cyclic", [100])
+    d = build_mcayley(G, cyclic_connection_table(G, pair.a, 5))
+    report = is_omsr(d, G, 5)
+    assert (report.aut_order, report.stabilizer_order, report.orbit_count) == (100, 1, 5)
+    assert report.omsr and report.translations_embed
+
+
+def test_property_relabeling_keeps_order_and_orbits():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    groups = [("cyclic", [2]), ("cyclic", [3]), ("cyclic", [6]),
+              ("elementary_abelian_2", [2]), ("symmetric", [3])]
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.sampled_from(groups), st.integers(1, 5),
+                      st.randoms(use_true_random=False))
+    def check(group, m, rng):
+        G, _ = catalog_group(*group)
+        d = build_mcayley(G, random_valency2_table(G, m, rng))
+        A, B = automorphisms(d), automorphisms(relabel(d, rng))
+        assert A.order == B.order and A.order % G.order == 0
+        assert orbit_count(A) == orbit_count(B)
+        assert stabilizer(A, 0).order * len(orbit_partition(A.generators, d.n)[0]) == A.order
+
+    check()

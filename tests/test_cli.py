@@ -145,3 +145,15 @@ def test_main_budget_exit(capsys):
     # Sweep guard violation maps to the budget exit code.
     assert main(["sweep", "--group", "catalog:cyclic:5", "--m", "5"]) == EXIT_BUDGET
     capsys.readouterr()
+
+
+def test_verify_skips_corrupt_cache_file(tmp_path, monkeypatch, capsys):
+    from omsr.constructions import _witness_path
+    monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
+    G, _ = load_group("catalog:elementary_abelian_2:2")
+    with open(_witness_path(G, 3, 2, str(tmp_path)), "wb") as fh:
+        fh.write(b"\xff\xfe not a table")
+    with pytest.warns(UserWarning, match="unreadable witness cache file"):
+        code = main(["verify", "--group", "catalog:elementary_abelian_2:2", "--m", "3"])
+    assert code == EXIT_OK
+    assert "omsr=True" in capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 
 import pytest
 
@@ -13,7 +14,7 @@ from omsr.constructions import (KIND_ABELIAN, KIND_CYCLIC, KIND_EXCEPTION,
                                 report_from_exception)
 from omsr.digraphs import (ConnectionTable, Vertex, build_mcayley,
                            distance2_out_set, induced_subdigraph, is_k_regular,
-                           is_oriented)
+                           is_oriented, parse_connection_table)
 from omsr.errors import IsAbelian, NotAbelian, NotGenerating, OrderTooSmall
 from omsr.groups import catalog_group, normalize_generating_pair
 from omsr.reports import ExceptionVerdict
@@ -275,3 +276,69 @@ def test_report_from_exception():
     assert not report.omsr
     assert report.construction_kind == KIND_EXCEPTION
     assert report.certificate is not None
+
+
+def test_exhausted_search_certificate_from_one_enumeration(tmp_path, monkeypatch):
+    from omsr import sweep
+    calls = []
+    original = sweep.enumerate_tables
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "enumerate_tables", counting)
+    G, pair = catalog_group("cyclic", [2])
+    verdict = construct_omsr(G, pair, 3, witness_dir=str(tmp_path))
+    assert isinstance(verdict, ExceptionVerdict)
+    assert len(calls) == 1
+    assert (verdict.enumerated_count, verdict.oriented_count,
+            verdict.max_aut_order_seen) == (534, 10, 24)
+    assert verdict.to_dict()["oriented_count"] == 10
+    summary = report_from_exception(G, 3, verdict).summary()
+    assert "534 tables, 10 oriented, max |Aut| seen 24" in summary
+    # No table is oriented at m = 2, so max |Aut| 0 means "no digraph examined".
+    empty = construct_omsr(G, pair, 2, witness_dir=str(tmp_path))
+    assert (empty.oriented_count, empty.max_aut_order_seen) == (0, 0)
+
+
+def test_corrupt_cached_witness_is_skipped(tmp_path):
+    from omsr.constructions import _witness_path
+    G, pair = catalog_group("elementary_abelian_2", [2])
+    path = tmp_path / os.path.basename(_witness_path(G, 3, 2, str(tmp_path)))
+    path.write_text("m: 3\nT 0 0 : 1\nT 0 1")  # cut off mid-write
+    with pytest.warns(UserWarning, match="unreadable witness cache file"):
+        gamma, report = construct_omsr(G, pair, 3, witness_dir=str(tmp_path))
+    assert report.omsr and report.construction_kind == KIND_SEARCH
+    # The search rewrote the file with the witness it found.
+    assert parse_connection_table(path.read_text()) == gamma.table
+
+
+def test_store_witness_replaces_atomically(tmp_path, monkeypatch):
+    from omsr import constructions
+    G, pair = catalog_group("elementary_abelian_2", [2])
+    table = ConnectionTable.from_dict(1, {(0, 0): [1, 2]})
+    replaced = []
+    real_replace = os.replace
+
+    def recording(src, dst):
+        with open(src) as fh:
+            replaced.append((os.path.dirname(src), dst, fh.read()))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(constructions.os, "replace", recording)
+    constructions._store_witness(G, 1, 2, str(tmp_path), table)
+    target = constructions._witness_path(G, 1, 2, str(tmp_path))
+    assert replaced == [(str(tmp_path), target, table.to_text())]
+    assert [str(p) for p in tmp_path.iterdir()] == [target]
+
+    def failing(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(constructions.os, "replace", failing)
+    constructions._store_witness(G, 1, 2, str(tmp_path),
+                                 ConnectionTable.from_dict(1, {(0, 0): [1, 3]}))
+    # The old file is intact and no temporary file is left behind.
+    assert [str(p) for p in tmp_path.iterdir()] == [target]
+    with open(target) as fh:
+        assert fh.read() == table.to_text()

@@ -122,7 +122,15 @@ def default_witness_dir() -> str:
 
 
 def _witness_path(G: Group, m: int, valency: int, witness_dir: str) -> str:
-    label = (G.label or f"order{G.order}").replace("/", "_").replace("^", "e")
+    """Cache file of G's witness.  The search family is named by structure,
+    not by label: every relabelling of Z1, Z2 or the Klein four-group that
+    fixes the identity is a group automorphism, so a cached table fits any
+    presentation of the group (the catalog labels the Klein four-group
+    `Z2^2`; the packaged files say `Z2xZ2`).  The loader re-verifies it."""
+    if _is_search_family(G):
+        label = {1: "Z1", 2: "Z2", 4: "Z2xZ2"}[G.order]
+    else:
+        label = (G.label or f"order{G.order}").replace("/", "_").replace("^", "e")
     return os.path.join(witness_dir, f"{label}_m{m}_v{valency}.table")
 
 

@@ -2,21 +2,27 @@
 
 A table qualifies when every block row and block column has total size
 equal to the requested valency; those are exactly the tables whose
-digraphs are in- and out-regular of that valency.  Backtracking over
-cells with running column budgets prunes the space.
+digraphs are in- and out-regular of that valency.  Cells are filled in
+row-major order, and a cell is rejected as soon as orientation can be
+checked on it, so only oriented tables are walked.  A rejected subtree is
+counted, not walked: how many tables complete a partial one depends only
+on cell sizes, which a memoised recursion counts.  So each yielded table
+keeps its 1-based position among all constrained tables.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from .automorphisms import aut_order_bounded, automorphisms
-from .digraphs import ConnectionTable, build_mcayley, oriented_table_criterion
+from .digraphs import ConnectionTable, build_mcayley, is_connected
 from .errors import InfeasibleSweep, SearchBudgetExceeded
 from .groups import Group
 
@@ -56,52 +62,88 @@ class SweepResult:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def enumerate_tables(G: Group, m: int, valency: int,
-                     rng: Optional[random.Random] = None) -> Iterator[tuple]:
-    """All m x m families of subsets of G with every row and column total
-    equal to the valency.  Yields tuples of tuples of frozensets.
+@functools.lru_cache(maxsize=None)
+def _completions(n: int, valency: int, rows: int, rowrem: int,
+                 done: tuple, todo: tuple) -> int:
+    """Number of ways to finish a partially filled table.
 
-    With an rng, choice order at every branch point is shuffled; the set of
-    yielded tables is unchanged.
+    The current row still has ``rowrem`` elements to place, in the cells
+    whose columns have budgets ``todo``; ``done`` are the budgets of the
+    columns it has passed, and ``rows`` full rows follow.  A cell of size s
+    has C(n, s) fillings.  The count is symmetric in the columns of ``todo``
+    and of ``done``, so both are passed sorted, which keeps the memo small.
+    """
+    if not todo:
+        if rowrem:
+            return 0
+        if not rows:
+            return int(not any(done))
+        return _completions(n, valency, rows - 1, valency, (), done)
+    budget, rest = todo[0], todo[1:]
+    return sum(math.comb(n, s) * _completions(n, valency, rows, rowrem - s,
+                                               tuple(sorted(done + (budget - s,))), rest)
+               for s in range(min(rowrem, budget) + 1))
+
+
+def count_tables(n: int, m: int, valency: int) -> int:
+    """Number of m x m tables over a group of order n whose every row and
+    column total equals the valency."""
+    return _completions(n, valency, m - 1, valency, (), (valency,) * m)
+
+
+def enumerate_tables(G: Group, m: int, valency: int) -> Iterator[Tuple[int, tuple]]:
+    """The oriented m x m families of subsets of G with every row and column
+    total equal to the valency, as ``(position, sets)``.
+
+    ``sets`` is a tuple of tuples of frozensets.  ``position`` is the
+    table's 1-based index, in lexicographic order, among all tables meeting
+    the valency constraint, oriented or not.  A diagonal cell may not hold
+    the identity or meet its own inverse set; a cell (i, j) below the
+    diagonal may not meet T[j][i]^-1.  Each rejected cell advances the
+    position by the number of tables under it, and a cell no table can
+    complete is never entered.
     """
     n = G.order
-    maxcell = min(valency, n)
-    subsets = {s: [frozenset(c) for c in itertools.combinations(range(n), s)]
-               for s in range(maxcell + 1)}
+    # Per size: (subset, its inverse set, allowed on the diagonal).
+    subsets = {}
+    for s in range(min(valency, n) + 1):
+        cells = []
+        for combo in itertools.combinations(range(n), s):
+            sub = frozenset(combo)
+            sub_inv = frozenset(G.inv[t] for t in combo)
+            cells.append((sub, sub_inv, 0 not in sub and not sub & sub_inv))
+        subsets[s] = cells
     colrem = [valency] * m
     current = [[frozenset()] * m for _ in range(m)]
+    position = 0
 
     def fill_cell(i, j, rowrem):
+        nonlocal position
         if j == m:
-            if rowrem == 0:
-                yield from fill_row(i + 1)
+            if i + 1 < m:
+                yield from fill_cell(i + 1, 0, valency)
+            else:
+                position += 1
+                yield position, tuple(tuple(row) for row in current)
             return
-        cap_rest = sum(min(colrem[jj], n) for jj in range(j + 1, m))
-        smax = min(rowrem, colrem[j], n)
-        sizes = [s for s in range(smax + 1) if rowrem - s <= cap_rest]
-        if rng is not None:
-            rng.shuffle(sizes)
-        for s in sizes:
-            choices = subsets[s]
-            if rng is not None and s:
-                choices = list(choices)
-                rng.shuffle(choices)
+        partner = current[j][i] if j < i else None
+        later = tuple(sorted(colrem[j + 1:]))
+        for s in range(min(rowrem, colrem[j], n) + 1):
             colrem[j] -= s
-            for sub in choices:
-                current[i][j] = sub
-                yield from fill_cell(i, j + 1, rowrem - s)
+            below = _completions(n, valency, m - 1 - i, rowrem - s,
+                                 tuple(sorted(colrem[:j + 1])), later)
+            if below:
+                for sub, sub_inv, diagonal_ok in subsets[s]:
+                    if (diagonal_ok if i == j
+                            else partner is None or not sub_inv & partner):
+                        current[i][j] = sub
+                        yield from fill_cell(i, j + 1, rowrem - s)
+                    else:
+                        position += below
             colrem[j] += s
-            current[i][j] = frozenset()
+        current[i][j] = frozenset()
 
-    def fill_row(i):
-        if i == m:
-            yield tuple(tuple(row) for row in current)
-            return
-        if any(colrem[j] > (m - i) * n for j in range(m)):
-            return
-        yield from fill_cell(i, 0, valency)
-
-    yield from fill_row(0)
+    yield from fill_cell(0, 0, valency)
 
 
 def feasibility_guard(G: Group, m: int,
@@ -110,12 +152,48 @@ def feasibility_guard(G: Group, m: int,
     return G.order * m <= guard_product or (G.order == 1 and m <= guard_trivial_m)
 
 
+def _scan(G: Group, m: int, valency: int, first_only: bool,
+          budget: Optional[int] = None):
+    """The one enumeration driver behind `exhaustive_sweep` and `find_witness`.
+
+    Computes |Aut| of the digraph of every oriented table in enumeration
+    order and collects the tables with |Aut| = |G|, stopping at the first
+    one when ``first_only`` is set.  Returns (witness tables, digraph of the
+    first witness or None, stats).  ``stats["examined"]`` is the position
+    of the table the scan stopped at, or the number of constrained tables
+    when it ran to the end, or ``budget + 1`` when it would have passed the
+    budget; ``oriented`` and ``max_aut_order_seen`` cover the same tables.
+    """
+    stats = {"examined": 0, "oriented": 0, "max_aut_order_seen": 0}
+    witnesses: List[ConnectionTable] = []
+    first_gamma = None
+    for position, sets in enumerate_tables(G, m, valency):
+        if budget is not None and position > budget:
+            stats["examined"] = budget + 1
+            return witnesses, first_gamma, stats
+        table = ConnectionTable(m, sets)
+        stats["oriented"] += 1
+        gamma = build_mcayley(G, table)
+        order = automorphisms(gamma).order
+        stats["max_aut_order_seen"] = max(stats["max_aut_order_seen"], order)
+        if order == G.order:
+            witnesses.append(table)
+            if first_gamma is None:
+                first_gamma = gamma
+            if first_only:
+                stats["examined"] = position
+                return witnesses, first_gamma, stats
+    total = count_tables(G.order, m, valency)
+    stats["examined"] = total if budget is None else min(total, budget + 1)
+    return witnesses, first_gamma, stats
+
+
 def exhaustive_sweep(G: Group, m: int, valency: int = 2,
                      all_witnesses: bool = False,
                      guard_product: int = GUARD_PRODUCT,
                      guard_trivial_m: int = GUARD_TRIVIAL_M) -> SweepResult:
-    """Enumerate every constrained table, filter oriented ones, and collect
-    the tables whose digraphs have automorphism group of order exactly |G|.
+    """Enumerate every constrained table and collect the oriented ones whose
+    digraphs have automorphism group of order exactly |G|.
 
     Stops at the first witness unless all_witnesses is set; a NOT_EXISTS
     verdict always reflects the full enumeration.
@@ -125,33 +203,17 @@ def exhaustive_sweep(G: Group, m: int, valency: int = 2,
             f"|G|*m = {G.order * m} exceeds guard {guard_product} "
             f"(trivial-group limit m <= {guard_trivial_m})")
     start = time.perf_counter()
-    enumerated = 0
-    oriented = 0
-    max_aut = 0
-    witnesses: List[ConnectionTable] = []
-    for sets in enumerate_tables(G, m, valency):
-        enumerated += 1
-        table = ConnectionTable(m, sets)
-        if not oriented_table_criterion(G, table):
-            continue
-        oriented += 1
-        gamma = build_mcayley(G, table)
-        order = automorphisms(gamma).order
-        max_aut = max(max_aut, order)
-        if order == G.order:
-            witnesses.append(table)
-            if not all_witnesses:
-                break
+    witnesses, _, stats = _scan(G, m, valency, first_only=not all_witnesses)
     witnesses.sort(key=lambda t: t.to_text())
     return SweepResult(
         group_label=G.label or f"order-{G.order}",
         m=m,
         valency=valency,
-        tables_enumerated=enumerated,
-        oriented_count=oriented,
+        tables_enumerated=stats["examined"],
+        oriented_count=stats["oriented"],
         witnesses=witnesses,
         verdict="EXISTS" if witnesses else "NOT_EXISTS",
-        max_aut_order_seen=max_aut,
+        max_aut_order_seen=stats["max_aut_order_seen"],
         runtime_ms=(time.perf_counter() - start) * 1000.0,
     )
 
@@ -176,7 +238,6 @@ def _lift_witness(G: Group, m: int, valency: int,
         return None
     arcs = [(i, j) for i in range(m) for j in range(m) if base_table.sets[i][j]]
     rng = random.Random(G.order * 1009 + m)
-    from .digraphs import is_connected
     for _ in range(attempts):
         volt = {arc: rng.randrange(G.order) for arc in arcs}
         sets = tuple(tuple(frozenset([volt[(i, j)]]) if (i, j) in volt
@@ -199,34 +260,22 @@ def find_witness(G: Group, m: int, valency: int = 2,
     without a witness, returns (None, None, stats) — the stats then certify
     non-existence: every table was examined, and ``max_aut_order_seen`` is
     the exact largest |Aut| over the oriented ones.  When the budget runs
-    out with tables still unexamined, a seeded voltage-lift search (see
-    _lift_witness) is tried before raising SearchBudgetExceeded.
+    out with tables still unexamined (``examined`` is then budget + 1), a
+    seeded voltage-lift search (see _lift_witness) is tried before raising
+    SearchBudgetExceeded.
 
-    Structured witnesses sit very early in lexicographic order, far earlier
-    than under shuffled exploration, so no randomization is used in the
-    main scan.
+    Structured witnesses sit very early in lexicographic order, so the scan
+    follows that order.
     """
-    rng = None
-    stats = {"examined": 0, "oriented": 0, "max_aut_order_seen": 0}
-    for sets in enumerate_tables(G, m, valency, rng=rng):
-        stats["examined"] += 1
-        if stats["examined"] > budget:
-            lifted = _lift_witness(G, m, valency)
-            if lifted is not None:
-                table, gamma = lifted
-                stats["oriented"] += 1
-                stats["max_aut_order_seen"] = max(
-                    stats["max_aut_order_seen"], G.order)
-                return table, gamma, stats
-            raise SearchBudgetExceeded(
-                f"no witness for {G!r} m={m} within {budget} tables")
-        table = ConnectionTable(m, sets)
-        if not oriented_table_criterion(G, table):
-            continue
-        stats["oriented"] += 1
-        gamma = build_mcayley(G, table)
-        order = automorphisms(gamma).order
-        stats["max_aut_order_seen"] = max(stats["max_aut_order_seen"], order)
-        if order == G.order:
-            return table, gamma, stats
-    return None, None, stats
+    witnesses, gamma, stats = _scan(G, m, valency, first_only=True, budget=budget)
+    if witnesses:
+        return witnesses[0], gamma, stats
+    if stats["examined"] <= budget:
+        return None, None, stats
+    lifted = _lift_witness(G, m, valency)
+    if lifted is None:
+        raise SearchBudgetExceeded(
+            f"no witness for {G!r} m={m} within {budget} tables")
+    stats["oriented"] += 1
+    stats["max_aut_order_seen"] = max(stats["max_aut_order_seen"], G.order)
+    return lifted[0], lifted[1], stats

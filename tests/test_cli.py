@@ -157,3 +157,25 @@ def test_verify_skips_corrupt_cache_file(tmp_path, monkeypatch, capsys):
         code = main(["verify", "--group", "catalog:elementary_abelian_2:2", "--m", "3"])
     assert code == EXIT_OK
     assert "omsr=True" in capsys.readouterr().out
+
+
+def test_verify_klein_four_reads_packaged_cache(tmp_path, monkeypatch, capsys):
+    # The catalog labels the Klein four-group Z2^2; the packaged witnesses are
+    # named Z2xZ2.  Verify must read them, not search and write a new file.
+    import shutil
+    from omsr import sweep
+    from omsr.constructions import default_witness_dir
+    wdir = tmp_path / "witnesses"
+    shutil.copytree(default_witness_dir(), wdir)
+    before = sorted(p.name for p in wdir.iterdir())
+    monkeypatch.setenv("OMSR_WITNESS_DIR", str(wdir))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("find_witness called despite a packaged witness")
+
+    monkeypatch.setattr(sweep, "find_witness", no_search)
+    code = main(["verify", "--group", "catalog:elementary_abelian_2:2", "--m", "3"])
+    assert code == EXIT_OK
+    assert "omsr=True" in capsys.readouterr().out
+    assert sorted(p.name for p in wdir.iterdir()) == before
+    assert not list(wdir.glob("Z2e2_*"))

@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import random
 
 import pytest
 
@@ -10,8 +9,8 @@ from omsr.automorphisms import brute_force_automorphisms, is_omsr
 from omsr.digraphs import ConnectionTable, build_mcayley, oriented_table_criterion
 from omsr.errors import InfeasibleSweep, SearchBudgetExceeded
 from omsr.groups import Group, catalog_group, group_from_cayley_table
-from omsr.sweep import (enumerate_tables, exhaustive_sweep, feasibility_guard,
-                        find_witness)
+from omsr.sweep import (count_tables, enumerate_tables, exhaustive_sweep,
+                        feasibility_guard, find_witness)
 
 Z1 = Group(mult=((0,),), inv=(0,), label="Z1")
 
@@ -31,12 +30,39 @@ def naive_count(n, m, valency):
     return count
 
 
+def naive_tables(n, m, valency):
+    """Every constrained table in lexicographic order, unpruned: all rows with
+    the right total, then every combination of rows, filtered by column
+    totals.  Cells are ordered by size, then as combinations, like the
+    enumerator's."""
+    cells = [frozenset(c) for size in range(min(valency, n) + 1)
+             for c in itertools.combinations(range(n), size)]
+    rows = [r for r in itertools.product(cells, repeat=m)
+            if sum(len(c) for c in r) == valency]
+    for sets in itertools.product(rows, repeat=m):
+        if all(sum(len(sets[i][j]) for i in range(m)) == valency for j in range(m)):
+            yield sets
+
+
+def naive_oriented(G, m, valency):
+    """(position, sets) of the oriented tables among all constrained ones."""
+    return [(pos, sets) for pos, sets in enumerate(naive_tables(G.order, m, valency), 1)
+            if oriented_table_criterion(G, ConnectionTable(m, sets))]
+
+
 def test_trivial_group_counts_match_binary_matrix_series():
     # 0-1 m x m matrices with all row and column sums equal to 2.
-    expected = {2: 1, 3: 6, 4: 90, 5: 2040}
+    expected = {2: 1, 3: 6, 4: 90, 5: 2040, 6: 67950}
     for m, want in expected.items():
-        got = sum(1 for _ in enumerate_tables(Z1, m, 2))
-        assert got == want
+        assert count_tables(1, m, 2) == want
+        result = exhaustive_sweep(Z1, m, all_witnesses=True)
+        assert result.tables_enumerated == want
+        positions = [pos for pos, _ in enumerate_tables(Z1, m, 2)]
+        assert len(positions) == result.oriented_count
+        assert positions == sorted(set(positions))
+        assert all(1 <= pos <= want for pos in positions)
+    K, _ = catalog_group("elementary_abelian_2", [2])
+    assert count_tables(K.order, 3, 2) == 39696
 
 
 def test_enumeration_matches_naive_recount():
@@ -45,25 +71,37 @@ def test_enumeration_matches_naive_recount():
                  (catalog_group("cyclic", [3])[0], 2),
                  (catalog_group("cyclic", [4])[0], 2),
                  (catalog_group("cyclic", [2])[0], 3)]:
-        pruned = sum(1 for _ in enumerate_tables(G, m, 2))
-        assert pruned == naive_count(G.order, m, 2)
+        total = naive_count(G.order, m, 2)
+        assert count_tables(G.order, m, 2) == total
+        assert exhaustive_sweep(G, m, all_witnesses=True).tables_enumerated == total
+        assert sum(1 for _ in naive_tables(G.order, m, 2)) == total
+
+
+def test_enumeration_matches_naive_oriented_tables():
+    # Same oriented tables, in the same order, at the same positions among
+    # all constrained tables, as an unpruned product filtered afterwards.
+    cyclic = lambda k: catalog_group("cyclic", [k])[0]
+    K, _ = catalog_group("elementary_abelian_2", [2])
+    cases = [(Z1, m) for m in range(1, 6)]
+    cases += [(cyclic(2), 2), (cyclic(2), 3), (cyclic(3), 2), (cyclic(4), 2), (K, 2)]
+    for G, m in cases:
+        assert list(enumerate_tables(G, m, 2)) == naive_oriented(G, m, 2), (G, m)
 
 
 def test_enumeration_yields_unique_row_column_constrained_tables():
     G, _ = catalog_group("cyclic", [3])
     seen = set()
-    for sets in enumerate_tables(G, 2, 2):
+    last = 0
+    for pos, sets in enumerate_tables(G, 2, 2):
+        assert pos > last
+        last = pos
         assert sets not in seen
         seen.add(sets)
         assert all(sum(len(sets[i][j]) for j in range(2)) == 2 for i in range(2))
         assert all(sum(len(sets[i][j]) for i in range(2)) == 2 for j in range(2))
-
-
-def test_shuffled_enumeration_same_set():
-    G, _ = catalog_group("cyclic", [2])
-    plain = set(enumerate_tables(G, 2, 2))
-    shuffled = set(enumerate_tables(G, 2, 2, rng=random.Random(4)))
-    assert plain == shuffled
+        assert oriented_table_criterion(G, ConnectionTable(2, sets))
+    assert seen
+    assert last <= count_tables(G.order, 2, 2)
 
 
 def test_feasibility_guard():
@@ -100,11 +138,10 @@ def test_sweep_z2_m3_certified_not_exists():
     assert result.oriented_count > 0
     assert result.max_aut_order_seen > Z2.order
 
-    orders = []
-    for sets in enumerate_tables(Z2, 3, 2):
-        table = ConnectionTable(3, sets)
-        if oriented_table_criterion(Z2, table):
-            orders.append(brute_force_automorphisms(build_mcayley(Z2, table)).order)
+    # The oracle's tables come from the unpruned enumeration, not the sweep's.
+    assert result.tables_enumerated == sum(1 for _ in naive_tables(Z2.order, 3, 2)) == 534
+    orders = [brute_force_automorphisms(build_mcayley(Z2, ConnectionTable(3, sets))).order
+              for _, sets in naive_oriented(Z2, 3, 2)]
     assert len(orders) == result.oriented_count
     assert sorted(orders) == [6] * 8 + [24] * 2
     assert Z2.order not in orders
@@ -168,6 +205,28 @@ def test_find_witness_budget():
     G, _ = catalog_group("cyclic", [3])
     with pytest.raises(SearchBudgetExceeded):
         find_witness(G, 3, budget=2)
+
+
+def test_find_witness_pinned_stats():
+    Z2, _ = catalog_group("cyclic", [2])
+    K, _ = catalog_group("elementary_abelian_2", [2])
+    pins = {(Z1, 7): (800, 4), (Z2, 4): (223, 2), (Z2, 7): (8613, 128),
+            (K, 3): (2199, 218)}
+    for (G, m), want in pins.items():
+        table, gamma, stats = find_witness(G, m)
+        assert (stats["examined"], stats["oriented"]) == want, (G, m)
+        assert is_omsr(gamma, G, m).omsr
+        assert gamma.table == table
+
+
+def test_find_witness_budget_path_lifts():
+    # The first oriented table of Z2^2 at m = 7 lies past the budget, so the
+    # scan stops at once and the voltage lift supplies the witness.
+    K, _ = catalog_group("elementary_abelian_2", [2])
+    table, gamma, stats = find_witness(K, 7)
+    assert stats["examined"] == 500_001
+    assert is_omsr(gamma, K, 7).omsr
+    assert gamma.table == table
 
 
 def test_lift_fallback_produces_witness():

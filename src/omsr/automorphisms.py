@@ -1,19 +1,23 @@
 """Digraph automorphism groups via color refinement and backtracking.
 
-The engine returns generators and the exact order of Aut, never its
-elements.  One individualize-refine path fixes a base b_1..b_k; with G_i the
-pointwise stabilizer of b_1..b_i, |Aut| = prod_i |b_i^{G_(i-1)}|, found
-level by level, deepest first, as in nauty: each vertex of b_i's cell not yet
-in b_i's orbit under the known generators is probed, and either yields a new
-generator or rules out its whole orbit.  An m-Cayley digraph's right
-translations are checked and seeded at the top level, so an OmSR costs one
-path plus m - 1 block probes.  A vertex stabilizer's order is |Aut| over the
-vertex's orbit length; orbits come from the generators.  A factorial
-brute-force oracle cross-validates the engine on tiny digraphs.
+Refinement keeps an ordered partition, each vertex colored by its cell's
+start, and re-splits only the cells a splitter touches, by out- and
+in-neighbour counts, queueing all fragments but the largest (Hopcroft's
+smaller half, as in nauty), so colors are equivariant.  One path of
+individualize-refine steps fixes a base b_1..b_k; with G_i the pointwise
+stabilizer of b_1..b_i, |Aut| = prod_i |b_i^{G_(i-1)}|, found deepest level
+first: each vertex of b_i's cell not yet in b_i's orbit under the known
+generators is probed, and yields a generator or rules out its orbit.  An
+m-Cayley digraph's right translations are checked and seeded, so an OmSR
+costs one path plus m - 1 block probes.  Only generators and |Aut| are
+kept.  A factorial brute-force oracle cross-checks tiny digraphs.
 """
 
 from __future__ import annotations
 
+import bisect
+import collections
+import heapq
 import itertools
 import json
 import os
@@ -33,8 +37,7 @@ ELEMENT_CAP = 10 ** 6
 
 
 def vertex_cap() -> int:
-    override = os.environ.get("OMSR_VERTEX_CAP")
-    return int(override) if override else DEFAULT_VERTEX_CAP
+    return int(os.environ.get("OMSR_VERTEX_CAP") or DEFAULT_VERTEX_CAP)
 
 
 @dataclass
@@ -56,17 +59,14 @@ class PermutationGroup:
         return set(self.elements)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "degree": self.degree,
-            "order": self.order,
-            "generators": [permlib.to_cycle_string(g) for g in self.generators],
-        }, sort_keys=True)
+        gens = [permlib.to_cycle_string(g) for g in self.generators]
+        return json.dumps({"degree": self.degree, "order": self.order, "generators": gens},
+                          sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "PermutationGroup":
         data = json.loads(text)
-        gens = [permlib.from_cycle_string(s, degree=data["degree"])
-                for s in data["generators"]]
+        gens = [permlib.from_cycle_string(s, degree=data["degree"]) for s in data["generators"]]
         return cls(degree=data["degree"], generators=gens, order=data["order"])
 
 
@@ -96,44 +96,57 @@ def _generating_subset(elements, degree):
 
 # --- refinement --------------------------------------------------------------
 
-def _normalize_colors(colors):
-    mapping = {}
-    return [mapping.setdefault(c, len(mapping)) for c in colors]
-
-
-def _refine(out_adj, in_adj, colors, canonical):
-    """Coarsest stable refinement of the input coloring.
-
-    canonical=False numbers new colors by first occurrence in vertex order;
-    canonical=True numbers by sorted signature so that colorings of
-    corresponding search branches stay aligned.
-    """
-    n = len(colors)
-    ncolors = len(set(colors))
-    while True:
-        sigs = [
-            (colors[v],
-             tuple(sorted(colors[w] for w in out_adj[v])),
-             tuple(sorted(colors[w] for w in in_adj[v])))
-            for v in range(n)
-        ]
-        if canonical:
-            mapping = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        else:
-            mapping = {s: i for i, s in enumerate(dict.fromkeys(sigs))}
-        new = [mapping[s] for s in sigs]
-        if len(mapping) == ncolors:
-            return new
-        colors = new
-        ncolors = len(mapping)
+def _refine(out_adj, in_adj, colors, active):
+    """Coarsest equitable refinement of a partition colored by cell starts,
+    by the splitter queue of the module docstring.  Only the cells starting at
+    active are queued at first, so every other cell must be stable."""
+    n, colors, cells = len(colors), list(colors), collections.defaultdict(set)
+    for v, c in enumerate(colors):
+        cells[c].add(v)
+    queue = sorted(set(active))
+    queued = set(queue)
+    while queue and len(cells) < n:
+        s = heapq.heappop(queue)
+        queued.discard(s)
+        weight, counts, touched = len(cells[s]) + 1, {}, collections.defaultdict(dict)
+        for w in cells[s]:
+            for u in in_adj[w]:
+                counts[u] = counts.get(u, 0) + weight
+            for u in out_adj[w]:
+                counts[u] = counts.get(u, 0) + 1
+        for u, k in counts.items():
+            touched[colors[u]].setdefault(k, set()).add(u)
+        for c, groups in touched.items():
+            groups[0] = cells[c].difference(*groups.values())
+            frags = [groups[k] for k in sorted(groups) if groups[k]]
+            if len(frags) == 1:
+                continue
+            # A queued c already stands for the first fragment.  Otherwise
+            # the partition is stable by c, which implies the largest one.
+            skip = frags[0] if c in queued else max(frags, key=len)
+            start = c
+            for f in frags:
+                if start != c:
+                    for v in f:
+                        colors[v] = start
+                cells[start] = f
+                if f is not skip:
+                    queued.add(start)
+                    heapq.heappush(queue, start)
+                start += len(f)
+    return colors
 
 
 def refine(d: Digraph, initial: Optional[Sequence[int]] = None) -> List[int]:
-    """Stable coloring refining the input (uniform by default)."""
-    colors = _normalize_colors(initial) if initial is not None else [0] * d.n
-    if len(colors) != d.n:
+    """Coarsest equitable coloring refining the input (uniform by default),
+    numbered 0..k-1 by first occurrence."""
+    labels = list(initial) if initial is not None else [0] * d.n
+    if len(labels) != d.n:
         raise ValueError("initial coloring length must match vertex count")
-    return _refine(d.out_adj, d.in_adj, colors, canonical=False)
+    ranks = sorted(labels)
+    colors = [bisect.bisect_left(ranks, c) for c in labels]
+    colors, first = _refine(d.out_adj, d.in_adj, colors, colors), {}
+    return [first.setdefault(c, len(first)) for c in colors]
 
 
 # --- search ------------------------------------------------------------------
@@ -146,18 +159,11 @@ def _is_automorphism(d: Digraph, p) -> bool:
     return True
 
 
-def _profile(colors):
-    """Cell sizes by color; refined colorings use colors 0..k-1."""
-    counts = [0] * (max(colors, default=-1) + 1)
-    for c in colors:
-        counts[c] += 1
-    return tuple(counts)
-
-
 def _individualize(out_adj, in_adj, colors, v):
+    """Refine an equitable coloring by v, moved to the end of its cell."""
     fresh = list(colors)
-    fresh[v] = max(colors) + 1
-    return _refine(out_adj, in_adj, fresh, canonical=True)
+    fresh[v] += colors.count(colors[v]) - 1
+    return _refine(out_adj, in_adj, fresh, [fresh[v]])
 
 
 def _orbit(generators, v):
@@ -174,31 +180,26 @@ def _aut_elements(d: Digraph):
     """(generators, |Aut|, translations_embed) by the search in the module
     docstring; translations_embed is None unless d is an m-Cayley digraph."""
     out_adj, in_adj, n = d.out_adj, d.in_adj, d.n
-    path = [_refine(out_adj, in_adj, [0] * n, canonical=True)]
+    path = [_refine(out_adj, in_adj, [0] * n, [0])]
     base: List[int] = []
-    while len(set(path[-1])) < n:
-        # First vertex of the smallest non-singleton cell (colors are 0..k-1).
-        target = min((size, c) for c, size in enumerate(_profile(path[-1])) if size > 1)[1]
+    while len(sizes := collections.Counter(path[-1])) < n:
+        # First vertex of the smallest non-singleton cell.
+        target = min((size, c) for c, size in sizes.items() if size > 1)[1]
         base.append(path[-1].index(target))
         path.append(_individualize(out_adj, in_adj, path[-1], base[-1]))
-    profiles = [_profile(c) for c in path]
+    cell_starts = [set(c) for c in path]
 
     def probe(level, colors, u):
         """First automorphism fixing base[:level] that maps base[level] to u."""
         c2 = _individualize(out_adj, in_adj, colors, u)
-        if _profile(c2) != profiles[level + 1]:
+        if set(c2) != cell_starts[level + 1]:
             return None
         if level + 1 == len(base):
-            where = {c: w for w, c in enumerate(c2)}
-            perm = tuple(where[c] for c in path[-1])
+            perm = permlib.compose(path[-1], permlib.inverse(c2))
             return perm if _is_automorphism(d, perm) else None
         target = path[level + 1][base[level + 1]]
-        for w in range(n):
-            if c2[w] == target:
-                found = probe(level + 1, c2, w)
-                if found is not None:
-                    return found
-        return None
+        found = (probe(level + 1, c2, w) for w in range(n) if c2[w] == target)
+        return next((g for g in found if g is not None), None)
 
     seeds, embed = [], None
     if isinstance(d, MCayleyDigraph):
@@ -229,6 +230,7 @@ def _aut_elements(d: Digraph):
                 known.append(g)
                 orbit = _orbit(known, b)
         order *= len(orbit)
+    del probe  # it refers to itself; unbound, it and the path are freed without the GC
     return seeds + gens, order, embed
 
 
@@ -253,16 +255,14 @@ def brute_force_automorphisms(d: Digraph) -> PermutationGroup:
     if d.n > BRUTE_FORCE_CAP:
         raise TooLarge(f"brute force limited to {BRUTE_FORCE_CAP} vertices")
     elements = [p for p in itertools.permutations(range(d.n)) if _is_automorphism(d, p)]
-    gens = _generating_subset(elements, d.n)
-    return PermutationGroup(degree=d.n, generators=gens,
+    return PermutationGroup(degree=d.n, generators=_generating_subset(elements, d.n),
                             order=len(elements), elements=elements)
 
 
 def stabilizer(A: PermutationGroup, v: int) -> PermutationGroup:
     """Subgroup of A fixing the vertex v, by orbit-stabilizer; its
     generators are the Schreier generators u_x s u_{x^s}^-1."""
-    reps = {v: permlib.identity(A.degree)}
-    queue = [v]
+    reps, queue = {v: permlib.identity(A.degree)}, [v]
     for x in queue:
         for s in A.generators:
             if s[x] not in reps:

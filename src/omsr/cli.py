@@ -152,8 +152,6 @@ def simple_group_check(name: str, m: int) -> VerificationReport:
     """Check a small simple group; Z2 with m <= 3 is the only certified exception."""
     if name not in _SIMPLE_NAMES:
         raise UnknownFamily(f"unknown simple group {name!r}; known: {sorted(_SIMPLE_NAMES)}")
-    if name == "A5" and m > 3:
-        raise TooLarge("A5 is limited to m <= 3 by the vertex cap")
     family, params = _SIMPLE_NAMES[name]
     G, pair = catalog_group(family, params)
     return verify_instance(G, pair, m)

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from omsr.automorphisms import (PermutationGroup, aut_order_bounded, automorphisms,
+from omsr.automorphisms import (PermutationGroup, _individualize, _refine,
+                                aut_order_bounded, automorphisms,
                                 brute_force_automorphisms, is_omsr, orbit_count,
                                 refine, stabilizer)
 from omsr.constructions import cyclic_connection_table, nonabelian_connection_table
@@ -231,14 +232,19 @@ def random_valency2_table(G, m, rng):
     return ConnectionTable.from_dict(m, entries)
 
 
-def relabel(d, rng):
-    """The digraph under a random vertex permutation, as a plain Digraph."""
-    pi = list(range(d.n))
-    rng.shuffle(pi)
+def permuted(d, pi):
+    """The digraph with each vertex u renamed pi[u], as a plain Digraph."""
     out = [[] for _ in range(d.n)]
     for u in range(d.n):
         out[pi[u]] = [pi[w] for w in d.out_adj[u]]
     return Digraph(d.n, out)
+
+
+def relabel(d, rng):
+    """The digraph under a random vertex permutation, as a plain Digraph."""
+    pi = list(range(d.n))
+    rng.shuffle(pi)
+    return permuted(d, pi)
 
 
 def test_networkx_agrees_on_aut_order():
@@ -339,5 +345,102 @@ def test_property_relabeling_keeps_order_and_orbits():
         assert A.order == B.order and A.order % G.order == 0
         assert orbit_count(A) == orbit_count(B)
         assert stabilizer(A, 0).order * len(orbit_partition(A.generators, d.n)[0]) == A.order
+
+    check()
+
+
+# --- splitter-queue refinement: reference rounds and equivariance ------------
+
+def signature_rounds(d, colors):
+    """Reference refinement: recolor every vertex by its color and the sorted
+    colors of its out- and in-neighbours until no class splits; classes are
+    numbered by first occurrence."""
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[w] for w in d.out_adj[v])),
+                 tuple(sorted(colors[w] for w in d.in_adj[v]))) for v in range(d.n)]
+        numbers = {sig: i for i, sig in enumerate(dict.fromkeys(sigs))}
+        if len(numbers) == len(set(colors)):
+            return [numbers[sig] for sig in sigs]
+        colors = [numbers[sig] for sig in sigs]
+
+
+def first_occurrence(colors):
+    numbers = {}
+    return [numbers.setdefault(c, len(numbers)) for c in colors]
+
+
+def random_digraph(n, rng):
+    """Out-degrees 0..3, loops allowed, so in- and out-degrees vary."""
+    return Digraph(n, [rng.sample(range(n), rng.randint(0, min(3, n))) for _ in range(n)])
+
+
+def oracle_cases(rng):
+    for name, params, m in [("cyclic", [1], 7), ("cyclic", [2], 4), ("cyclic", [3], 3),
+                            ("cyclic", [5], 2), ("elementary_abelian_2", [2], 3),
+                            ("symmetric", [3], 2)]:
+        G, _ = catalog_group(name, params)
+        for _ in range(6):
+            yield build_mcayley(G, random_table(G, m, rng))
+            yield build_mcayley(G, random_valency2_table(G, m, rng))
+    for n in (1, 2, 5, 9, 16, 30):
+        for _ in range(6):
+            yield random_digraph(n, rng)
+
+
+def test_refine_matches_signature_rounds():
+    rng = random.Random(2024)
+    for d in oracle_cases(rng):
+        uniform = _refine(d.out_adj, d.in_adj, [0] * d.n, [0])
+        assert first_occurrence(uniform) == signature_rounds(d, [0] * d.n)
+        for v in range(d.n):
+            fresh = list(uniform)
+            fresh[v] = -1
+            assert first_occurrence(_individualize(d.out_adj, d.in_adj, uniform, v)) == \
+                first_occurrence(signature_rounds(d, fresh))
+        for _ in range(3):
+            labels = [rng.choice((-1, 0, 5)) for _ in range(d.n)]
+            assert refine(d, labels) == signature_rounds(d, first_occurrence(labels))
+
+
+def check_equivariant(d, pi, rng):
+    """Colors commute with pi after the top-level refinement and after each
+    individualization along one path, as probe's leaf matching needs."""
+    dp = permuted(d, pi)
+    colors = _refine(d.out_adj, d.in_adj, [0] * d.n, [0])
+    colors_p = _refine(dp.out_adj, dp.in_adj, [0] * d.n, [0])
+    while True:
+        assert all(colors_p[pi[v]] == colors[v] for v in range(d.n))
+        open_cells = [v for v in range(d.n) if colors.count(colors[v]) > 1]
+        if not open_cells:
+            return
+        v = rng.choice(open_cells)
+        colors = _individualize(d.out_adj, d.in_adj, colors, v)
+        colors_p = _individualize(dp.out_adj, dp.in_adj, colors_p, pi[v])
+
+
+def test_refine_equivariant_under_relabelling():
+    rng = random.Random(31)
+    for d in oracle_cases(rng):
+        pi = list(range(d.n))
+        rng.shuffle(pi)
+        check_equivariant(d, pi, rng)
+
+
+def test_property_refine_equivariant():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    groups = [("cyclic", [1]), ("cyclic", [4]), ("cyclic", [6]),
+              ("elementary_abelian_2", [2]), ("dihedral", [4]), ("symmetric", [3])]
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.sampled_from(groups), st.integers(2, 6), st.booleans(),
+                      st.randoms(use_true_random=False))
+    def check(group, m, regular, rng):
+        G, _ = catalog_group(*group)
+        table = random_valency2_table(G, m, rng) if regular else random_table(G, m, rng)
+        d = build_mcayley(G, table)
+        pi = list(range(d.n))
+        rng.shuffle(pi)
+        check_equivariant(d, pi, rng)
 
     check()

@@ -80,8 +80,11 @@ def test_simple_group_check():
     assert report.omsr and report.aut_order == 5
     with pytest.raises(UnknownFamily):
         simple_group_check("M11", 2)
+    for m in (4, 8):  # 240 and 480 vertices, under the 512-vertex cap
+        report = simple_group_check("A5", m)
+        assert report.omsr and report.aut_order == 60
     with pytest.raises(TooLarge):
-        simple_group_check("A5", 4)
+        simple_group_check("A5", 9)  # 540 vertices
 
 
 def test_main_verify_exit_ok(capsys):

@@ -7,10 +7,11 @@ smaller half, as in nauty), so colors are equivariant.  One path of
 individualize-refine steps fixes a base b_1..b_k; with G_i the pointwise
 stabilizer of b_1..b_i, |Aut| = prod_i |b_i^{G_(i-1)}|, found deepest level
 first: each vertex of b_i's cell not yet in b_i's orbit under the known
-generators is probed, and yields a generator or rules out its orbit.  An
-m-Cayley digraph's right translations are checked and seeded, so an OmSR
-costs one path plus m - 1 block probes.  Only generators and |Aut| are
-kept.  A factorial brute-force oracle cross-checks tiny digraphs.
+generators is probed, and yields a generator or rules out its orbit.  On an
+m-Cayley digraph the right translations by a generating set of G are checked
+and seeded, so an OmSR costs one path plus m - 1 block probes.  Only
+generators and |Aut| are kept.  A factorial brute-force oracle cross-checks
+tiny digraphs.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import List, Optional, Sequence
 from . import perms as permlib
 from .digraphs import Digraph, MCayleyDigraph, is_connected, is_k_regular, is_oriented, right_translation
 from .errors import BlockMismatch, TooLarge
-from .groups import Group
+from .groups import Group, generating_set
 from .reports import VerificationReport
 
 DEFAULT_VERTEX_CAP = 512
@@ -203,16 +204,11 @@ def _aut_elements(d: Digraph):
 
     seeds, embed = [], None
     if isinstance(d, MCayleyDigraph):
-        translations = [right_translation(d.group, d.m, g) for g in d.group.elements()]
-        passed = [t for t in translations if _is_automorphism(d, t)]
-        embed = len(passed) == len(translations)
-        # R(G) acts semiregularly, so a translation that maps vertex 0 into
-        # its orbit under the kept ones already lies in their group.
-        orbit0 = {0}
-        for t in passed:
-            if t[0] not in orbit0:
-                seeds.append(t)
-                orbit0 = _orbit(seeds, 0)
+        # R(G) is generated by the translations of a generating set of G, so
+        # it embeds exactly when all of those pass.
+        translations = [right_translation(d.group, d.m, g) for g in generating_set(d.group)]
+        seeds = [t for t in translations if _is_automorphism(d, t)]
+        embed = len(seeds) == len(translations)
 
     gens, order = [], 1
     for level in reversed(range(len(base))):

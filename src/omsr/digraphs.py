@@ -29,6 +29,14 @@ def vertex_at(idx: int, group_order: int) -> Vertex:
     return Vertex(idx % group_order, idx // group_order)
 
 
+def _cell(elements) -> frozenset:
+    """A cell as a frozenset of ints; one that already is one is kept, so
+    tables built from shared cells share them."""
+    if type(elements) is frozenset and all(type(e) is int for e in elements):
+        return elements
+    return frozenset(_idx(e) for e in elements)
+
+
 class ConnectionTable:
     """m x m array of element subsets defining the inter-block arcs."""
 
@@ -38,8 +46,7 @@ class ConnectionTable:
         if m < 1:
             raise ValueError("m must be positive")
         self.m = m
-        self.sets = tuple(tuple(frozenset(_idx(e) for e in sets[i][j])
-                                for j in range(m)) for i in range(m))
+        self.sets = tuple(tuple(_cell(sets[i][j]) for j in range(m)) for i in range(m))
 
     @classmethod
     def from_dict(cls, m: int, entries: dict) -> "ConnectionTable":

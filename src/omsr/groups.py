@@ -5,7 +5,6 @@ Element 0 is always the identity; construction relabels if needed.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -104,10 +103,13 @@ def _check_associativity(table: np.ndarray, label: str) -> str:
                     witness=(x, int(y), int(z)),
                 )
         return "exhaustive"
-    rng = random.Random(0x5EED ^ n)
-    for _ in range(ASSOC_SAMPLE_FACTOR * n * n):
-        x, y, z = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-        if table[table[x, y], z] != table[x, table[y, z]]:
+    # ASSOC_SAMPLE_FACTOR * n^2 seeded triples, n^2 to a vectorised chunk.
+    rng = np.random.default_rng(0x5EED ^ n)
+    for _ in range(ASSOC_SAMPLE_FACTOR):
+        x, y, z = rng.integers(0, n, size=(3, n * n))
+        bad = np.flatnonzero(table[table[x, y], z] != table[x, table[y, z]])
+        if bad.size:
+            x, y, z = (int(v[bad[0]]) for v in (x, y, z))
             raise NotAGroup(f"associativity fails at ({x},{y},{z})", witness=(x, y, z))
     return "sampled"
 
@@ -226,6 +228,17 @@ def closure(G: Group, gens) -> set:
                         nxt.append(y)
         frontier = nxt
     return seen
+
+
+def generating_set(G: Group) -> list:
+    """Greedy generating set: each element, in index order, that is not in
+    the subgroup generated by the ones before it."""
+    gens, span = [], {0}
+    for g in G.elements():
+        if g not in span:
+            gens.append(g)
+            span = closure(G, gens)
+    return gens
 
 
 def generates(G: Group, S) -> bool:

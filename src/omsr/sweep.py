@@ -8,6 +8,12 @@ checked on it, so only oriented tables are walked.  A rejected subtree is
 counted, not walked: how many tables complete a partial one depends only
 on cell sizes, which a memoised recursion counts.  So each yielded table
 keeps its 1-based position among all constrained tables.
+
+|Aut| is the same on every table in an orbit of G^m x| S_m, extended by the
+converse map (see `_table_moves`).  An all-witness scan visits every
+oriented table, so it calls the engine on the first table of each orbit,
+closes that orbit, and reads the other members from a memo.  First-stop
+scans call the engine on every table they reach.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Iterator, List, Optional, Tuple
 from .automorphisms import aut_order_bounded, automorphisms
 from .digraphs import ConnectionTable, build_mcayley, is_connected
 from .errors import InfeasibleSweep, SearchBudgetExceeded
-from .groups import Group
+from .groups import Group, generating_set
 
 GUARD_PRODUCT = 16
 GUARD_TRIVIAL_M = 10
@@ -146,6 +152,95 @@ def enumerate_tables(G: Group, m: int, valency: int) -> Iterator[Tuple[int, tupl
     yield from fill_cell(0, 0, valency)
 
 
+def _table_moves(G: Group, m: int) -> List[Tuple[tuple, tuple, bool]]:
+    """Generators of G^m x| S_m, with the converse, as (h, sigma, converse).
+
+    (h, sigma) relabels vertex (x, i) of ``build_mcayley(G, T)`` as
+    (h_i * x, sigma(i)).  Arcs run (x, i) -> (t * x, j), so the image is the
+    digraph of T'[sigma(i)][sigma(j)] = h_j T[i][j] h_i^-1.  A gauge h_0 = g
+    for each g of a generating set, the transposition (0 1) and the m-cycle
+    generate the group.  The converse T'[j][i] = T[i][j]^-1 reverses every
+    arc under the identity map.  Every move keeps |Aut|, orientation and
+    the row and column totals.
+    """
+    blocks = tuple(range(m))
+    ident = (0,) * m
+    moves = [((g,) + ident[1:], blocks, False) for g in generating_set(G)]
+    if m > 1:
+        swap, cycle = (1, 0) + blocks[2:], blocks[1:] + (0,)
+        moves += [(ident, sigma, False) for sigma in dict.fromkeys((swap, cycle))]
+    return moves + [(ident, blocks, True)]
+
+
+class _MaskImage(dict):
+    """Bit mask of a cell -> bit mask of its image under an element map."""
+
+    def __init__(self, image):
+        super().__init__()
+        self.image = image
+
+    def __missing__(self, mask):
+        out = 0
+        for t, x in enumerate(self.image):
+            if mask >> t & 1:
+                out |= 1 << x
+        self[mask] = out
+        return out
+
+
+class _OrbitMemo:
+    """|Aut| of tables already reached from a measured one by the moves of
+    `_table_moves`.  A table is keyed by one bit mask per cell, row-major.
+    Each table of a scan is popped once, so the memo holds only the members
+    of the orbits still open."""
+
+    def __init__(self, G: Group, m: int):
+        n, images = G.order, {}
+        self._masks = {}
+        self._memo = {}
+        self._moves = []
+        for h, sigma, converse in _table_moves(G, m):
+            move = [None] * (m * m)
+            for i, j in itertools.product(range(m), repeat=2):
+                image = tuple(G.mult[G.mult[h[j]][t]][G.inv[h[i]]] for t in range(n))
+                a, b = sigma[i], sigma[j]
+                if converse:
+                    image, a, b = tuple(G.inv[x] for x in image), b, a
+                move[a * m + b] = (i * m + j, images.setdefault(image, _MaskImage(image)))
+            self._moves.append(move)
+
+    def key(self, sets) -> tuple:
+        masks = self._masks
+        out = []
+        for row in sets:
+            for cell in row:
+                if cell not in masks:
+                    masks[cell] = sum(1 << t for t in cell)
+                out.append(masks[cell])
+        return tuple(out)
+
+    def images(self, key) -> List[tuple]:
+        """The key's image under each move of `_table_moves`, in order."""
+        return [tuple([f[key[src]] for src, f in move]) for move in self._moves]
+
+    def orbit(self, key) -> set:
+        seen, queue = {key}, [key]
+        for current in queue:
+            for image in self.images(current):
+                if image not in seen:
+                    seen.add(image)
+                    queue.append(image)
+        return seen
+
+    def pop(self, sets) -> Optional[int]:
+        return self._memo.pop(self.key(sets), None)
+
+    def record(self, sets, order: int) -> None:
+        """Store order for every other member of the table's orbit."""
+        key = self.key(sets)
+        self._memo.update(dict.fromkeys(self.orbit(key) - {key}, order))
+
+
 def feasibility_guard(G: Group, m: int,
                       guard_product: int = GUARD_PRODUCT,
                       guard_trivial_m: int = GUARD_TRIVIAL_M) -> bool:
@@ -158,8 +253,11 @@ def _scan(G: Group, m: int, valency: int, first_only: bool,
 
     Computes |Aut| of the digraph of every oriented table in enumeration
     order and collects the tables with |Aut| = |G|, stopping at the first
-    one when ``first_only`` is set.  Returns (witness tables, digraph of the
-    first witness or None, stats).  ``stats["examined"]`` is the position
+    one when ``first_only`` is set.  Without ``first_only`` every table is
+    visited, so each orbit's |Aut| is measured once and memoised.  Returns
+    (witness tables, digraph of the first witness or None, stats).  The
+    first witness is always the first table of its orbit, so it has a
+    digraph.  ``stats["examined"]`` is the position
     of the table the scan stopped at, or the number of constrained tables
     when it ran to the end, or ``budget + 1`` when it would have passed the
     budget; ``oriented`` and ``max_aut_order_seen`` cover the same tables.
@@ -167,17 +265,23 @@ def _scan(G: Group, m: int, valency: int, first_only: bool,
     stats = {"examined": 0, "oriented": 0, "max_aut_order_seen": 0}
     witnesses: List[ConnectionTable] = []
     first_gamma = None
+    memo = None if first_only else _OrbitMemo(G, m)
     for position, sets in enumerate_tables(G, m, valency):
         if budget is not None and position > budget:
             stats["examined"] = budget + 1
             return witnesses, first_gamma, stats
-        table = ConnectionTable(m, sets)
         stats["oriented"] += 1
-        gamma = build_mcayley(G, table)
-        order = automorphisms(gamma).order
+        table = gamma = None
+        order = memo.pop(sets) if memo is not None else None
+        if order is None:
+            table = ConnectionTable(m, sets)
+            gamma = build_mcayley(G, table)
+            order = automorphisms(gamma).order
+            if memo is not None:
+                memo.record(sets, order)
         stats["max_aut_order_seen"] = max(stats["max_aut_order_seen"], order)
         if order == G.order:
-            witnesses.append(table)
+            witnesses.append(table or ConnectionTable(m, sets))
             if first_gamma is None:
                 first_gamma = gamma
             if first_only:
@@ -196,7 +300,11 @@ def exhaustive_sweep(G: Group, m: int, valency: int = 2,
     digraphs have automorphism group of order exactly |G|.
 
     Stops at the first witness unless all_witnesses is set; a NOT_EXISTS
-    verdict always reflects the full enumeration.
+    verdict always reflects the full enumeration.  With all_witnesses the
+    engine runs once per orbit of G^m x| S_m with the converse, and every
+    other table of the orbit takes that |Aut| through an explicit
+    isomorphism; the witnesses and counts are those of one engine call per
+    table.
     """
     if not feasibility_guard(G, m, guard_product, guard_trivial_m):
         raise InfeasibleSweep(

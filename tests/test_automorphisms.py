@@ -11,7 +11,8 @@ from omsr.automorphisms import (PermutationGroup, _individualize, _refine,
                                 brute_force_automorphisms, is_omsr, orbit_count,
                                 refine, stabilizer)
 from omsr.constructions import cyclic_connection_table, nonabelian_connection_table
-from omsr.digraphs import ConnectionTable, Digraph, build_mcayley, right_translation
+from omsr.digraphs import (ConnectionTable, Digraph, MCayleyDigraph, build_mcayley,
+                           right_translation)
 from omsr.errors import BlockMismatch, TooLarge
 from omsr.groups import catalog_group, normalize_generating_pair
 from omsr.perms import compose, inverse, orbit_partition
@@ -206,6 +207,26 @@ def test_translations_in_aut_for_recipes():
     elems = automorphisms(d).element_set()
     for g in G.elements():
         assert right_translation(G, 2, g) in elems
+
+
+def test_translation_seed_check_detects_broken_translation():
+    # A hand-built digraph on Z2^2 x Z_2 whose arcs are kept by the
+    # translation by element 1 but not by element 2: only the generators'
+    # translations are checked, and one failing still reports no embedding.
+    K, _ = catalog_group("elementary_abelian_2", [2])
+    out = [[] for _ in range(8)]
+    for x in range(4):
+        out[x].append(4 + x)
+        out[4 + x].append(x ^ 1)
+    out[0].append(6)
+    out[1].append(7)
+    d = MCayleyDigraph(K, ConnectionTable(2, [[[], [0]], [[1], []]]), out)
+    A = automorphisms(d)
+    assert A.translations_embed is False
+    assert A.order == brute_force_automorphisms(d).order
+    elements = brute_force_automorphisms(d).element_set()
+    assert right_translation(K, 2, 1) in elements
+    assert right_translation(K, 2, 2) not in elements
 
 
 def test_permutation_group_json_round_trip():

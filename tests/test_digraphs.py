@@ -14,7 +14,7 @@ from omsr.digraphs import (ConnectionTable, Vertex, build_mcayley,
                            oriented_table_criterion, parse_connection_table,
                            right_translation, vertex_at, vertex_index)
 from omsr.errors import ParseError
-from omsr.groups import catalog_group
+from omsr.groups import GroupElement, catalog_group
 from omsr.perms import compose, cycles, is_bijection
 
 
@@ -29,6 +29,18 @@ def random_table(G, m, rng, max_cell=2):
             k = rng.randrange(max_cell + 1)
             entries[(i, j)] = rng.sample(range(G.order), min(k, G.order))
     return table_of(m, entries)
+
+
+def test_connection_table_keeps_int_frozensets():
+    shared = frozenset({1, 2})
+    T = ConnectionTable(2, [[frozenset(), shared], [shared, frozenset()]])
+    assert T.sets[0][1] is shared and T.sets[1][0] is shared
+    converted = ConnectionTable(1, [[[GroupElement(1), 2]]])
+    assert converted.sets == ((frozenset({1, 2}),),)
+    assert all(type(t) is int for t in ConnectionTable(1, [[frozenset({True})]]).sets[0][0])
+    G, _ = catalog_group("cyclic", [3])
+    with pytest.raises(ValueError):
+        ConnectionTable(1, [[frozenset({5})]]).validate(G)
 
 
 def test_vertex_indexing_round_trip():

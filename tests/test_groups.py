@@ -2,12 +2,14 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from omsr.errors import NotAGroup, NotGenerating, ParseError, TooLarge, UnknownFamily
-from omsr.groups import (ALL_INVOLUTIONS, GeneratingPair, GroupElement,
-                         catalog_group, closure, element_order, find_generating_pair,
-                         generates, group_from_cayley_table,
+from omsr.groups import (ALL_INVOLUTIONS, EXHAUSTIVE_ASSOC_LIMIT, GeneratingPair,
+                         GroupElement, catalog_group, closure, element_order,
+                         find_generating_pair, generates, generating_set,
+                         group_from_cayley_table,
                          group_from_permutation_generators, is_abelian, is_cyclic,
                          normalize_generating_pair, parse_group_spec)
 
@@ -230,6 +232,32 @@ def test_sampled_associativity_mode():
     assert G.assoc_check == "sampled"
     S, _ = catalog_group("cyclic", [12])
     assert S.assoc_check == "exhaustive"
+
+
+def test_sampled_associativity_rejects_large_loop():
+    # Z_n with one intercalate swapped: rows 1 and 1 + n/2 exchange their
+    # entries in columns 1 and 1 + n/2.  Identity, Latin property and
+    # inverses survive; associativity fails on about 16n of the n^3 triples.
+    n = 514
+    assert n > EXHAUSTIVE_ASSOC_LIMIT
+    table = np.add.outer(np.arange(n), np.arange(n)) % n
+    a, b = 1, 1 + n // 2
+    table[[a, a, b, b], [a, b, a, b]] = table[[a, a, b, b], [b, a, b, a]]
+    with pytest.raises(NotAGroup) as info:
+        group_from_cayley_table(table)
+    x, y, z = info.value.witness
+    assert table[table[x, y], z] != table[x, table[y, z]]
+
+
+def test_generating_set():
+    assert generating_set(group_from_cayley_table([[0]])) == []
+    for family, params in [("cyclic", [12]), ("elementary_abelian_2", [2]),
+                           ("dihedral", [5]), ("quaternion", [2]), ("alternating", [5])]:
+        G, _ = catalog_group(family, params)
+        gens = generating_set(G)
+        assert generates(G, gens)
+        for k, g in enumerate(gens):
+            assert g not in closure(G, gens[:k])
 
 
 def test_parse_group_spec_catalog():

@@ -2,15 +2,17 @@
 
 import itertools
 import json
+import random
 
 import pytest
 
-from omsr.automorphisms import brute_force_automorphisms, is_omsr
+import omsr.sweep
+from omsr.automorphisms import automorphisms, brute_force_automorphisms, is_omsr
 from omsr.digraphs import ConnectionTable, build_mcayley, oriented_table_criterion
 from omsr.errors import InfeasibleSweep, SearchBudgetExceeded
 from omsr.groups import Group, catalog_group, group_from_cayley_table
-from omsr.sweep import (count_tables, enumerate_tables, exhaustive_sweep,
-                        feasibility_guard, find_witness)
+from omsr.sweep import (_OrbitMemo, _table_moves, count_tables, enumerate_tables,
+                        exhaustive_sweep, feasibility_guard, find_witness)
 
 Z1 = Group(mult=((0,),), inv=(0,), label="Z1")
 
@@ -236,3 +238,143 @@ def test_lift_fallback_produces_witness():
     assert out is not None
     table, gamma = out
     assert is_omsr(gamma, K, 7).omsr
+
+
+# --- all-witness sweeps: one engine call per orbit ---------------------------
+
+def klein():
+    return catalog_group("elementary_abelian_2", [2])[0]
+
+
+def cyclic(k):
+    return catalog_group("cyclic", [k])[0]
+
+
+def engine_order(G, m, sets):
+    return automorphisms(build_mcayley(G, ConnectionTable(m, sets))).order
+
+
+def random_oriented_table(G, m, rng):
+    """An oriented table with every block row and column totalling 2: two
+    random block permutations, one random element per arc, redrawn until
+    oriented."""
+    for _ in range(10_000):
+        sets = [[set() for _ in range(m)] for _ in range(m)]
+        for sigma in (rng.sample(range(m), m), rng.sample(range(m), m)):
+            for i in range(m):
+                free = [t for t in range(G.order) if t not in sets[i][sigma[i]]]
+                if not free:
+                    break
+                sets[i][sigma[i]].add(rng.choice(free))
+        table = ConnectionTable(m, sets)
+        full = all(sum(map(len, row)) == 2 for row in table.sets)
+        if full and oriented_table_criterion(G, table):
+            return table
+    raise AssertionError(f"no oriented table drawn for {G!r} m={m}")
+
+
+def unkey(key, m):
+    return tuple(tuple(frozenset(t for t in range(key[i * m + j].bit_length())
+                                 if key[i * m + j] >> t & 1)
+                       for j in range(m)) for i in range(m))
+
+
+def test_table_moves_are_isomorphisms():
+    # Each move (h, sigma, converse) relabels (x, i) as (h_i * x, sigma(i));
+    # that vertex map must carry the arcs of T's digraph onto exactly the arcs
+    # of T''s (reversed for the converse).
+    # Oriented tables need m >= 5 over Z1, m >= 3 over Z2 and m >= 2 else.
+    rng = random.Random(6)
+    S3, _ = catalog_group("symmetric", [3])
+    cases = [(Z1, 5), (Z1, 6), (cyclic(2), 3), (cyclic(2), 4)]
+    cases += [(G, m) for G in (cyclic(3), klein(), S3) for m in (2, 3, 4)]
+    for G, m in cases:
+        n = G.order
+        memo = _OrbitMemo(G, m)
+        moves = _table_moves(G, m)
+        for _ in range(5):
+            table = random_oriented_table(G, m, rng)
+            d = build_mcayley(G, table)
+            images = memo.images(memo.key(table.sets))
+            assert len(images) == len(moves)
+            for (h, sigma, converse), image in zip(moves, images):
+                moved = ConnectionTable(m, unkey(image, m))
+                assert oriented_table_criterion(G, moved)
+                d2 = build_mcayley(G, moved)
+                phi = [sigma[i] * n + G.mult[h[i]][x] for i in range(m) for x in range(n)]
+                arcs = {(phi[u], phi[v]) for u, v in d.arcs()}
+                if converse:
+                    arcs = {(v, u) for u, v in arcs}
+                assert arcs == set(d2.arcs()), (G, m, h, sigma, converse)
+
+
+def test_orbit_memo_matches_engine_on_every_table():
+    # The scan's pop/record loop, with a direct engine call beside every
+    # memoised order.
+    for G, m in [(Z1, 6), (klein(), 3), (cyclic(3), 3)]:
+        memo = _OrbitMemo(G, m)
+        for _, sets in enumerate_tables(G, m, 2):
+            direct = engine_order(G, m, sets)
+            order = memo.pop(sets)
+            if order is None:
+                memo.record(sets, direct)
+            else:
+                assert order == direct, (G, m, sets)
+        assert not memo._memo
+
+
+ORBIT_PINS = {
+    # (G, m): (engine calls, tables, oriented, witnesses, max |Aut|)
+    (Z1, 6): (4, 67950, 570, 0, 24),
+    ("klein", 3): (35, 39696, 2160, 1152, 1152),
+    ("Z3", 3): (21, 6723, 1458, 972, 18),
+    ("Z4", 3): (53, 39696, 7216, 5184, 1152),
+}
+
+
+def pinned_cells():
+    groups = {"klein": klein(), "Z3": cyclic(3), "Z4": cyclic(4)}
+    return [(groups.get(G, G), m, pins) for (G, m), pins in ORBIT_PINS.items()]
+
+
+def test_orbit_closure_stays_in_enumerated_set():
+    # The orbits partition the enumerated oriented tables, one per engine call.
+    for G, m, pins in pinned_cells() + [(cyclic(2), 3, (2,)), (klein(), 2, (3,))]:
+        memo = _OrbitMemo(G, m)
+        keys = {memo.key(sets) for _, sets in enumerate_tables(G, m, 2)}
+        covered, orbits = set(), 0
+        for key in keys:
+            if key not in covered:
+                orbit = memo.orbit(key)
+                assert orbit <= keys, (G, m)
+                covered |= orbit
+                orbits += 1
+        assert covered == keys
+        assert orbits == pins[0], (G, m)
+
+
+def test_all_witness_sweep_engine_calls_pinned(monkeypatch):
+    calls = []
+    engine = omsr.sweep.automorphisms
+    monkeypatch.setattr(omsr.sweep, "automorphisms", lambda d: calls.append(d) or engine(d))
+    for G, m, pins in pinned_cells():
+        calls.clear()
+        result = exhaustive_sweep(G, m, all_witnesses=True)
+        got = (len(calls), result.tables_enumerated, result.oriented_count,
+               len(result.witnesses), result.max_aut_order_seen)
+        assert got == pins, (G, m)
+    # First-stop scans keep one engine call per oriented table.
+    calls.clear()
+    assert exhaustive_sweep(Z1, 6).oriented_count == len(calls) == 570
+
+
+def test_all_witness_sweep_matches_unpruned_oracle():
+    # Witnesses and max |Aut| from the memoised sweep against a direct engine
+    # call on every oriented table of the unpruned product enumeration.
+    for G, m in [(cyclic(2), 3), (cyclic(3), 2), (cyclic(4), 2), (klein(), 2), (Z1, 5)]:
+        orders = [(engine_order(G, m, sets), sets) for _, sets in naive_oriented(G, m, 2)]
+        result = exhaustive_sweep(G, m, all_witnesses=True)
+        assert result.oriented_count == len(orders)
+        assert result.max_aut_order_seen == max((o for o, _ in orders), default=0)
+        want = sorted(ConnectionTable(m, sets).to_text() for o, sets in orders if o == G.order)
+        assert [w.to_text() for w in result.witnesses] == want, (G, m)

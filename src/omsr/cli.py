@@ -14,16 +14,11 @@ from typing import List, Optional, Tuple
 
 from . import sweep as sweeplib
 from .automorphisms import is_omsr
-from .constructions import (KIND_ABELIAN, KIND_CYCLIC, KIND_NONABELIAN,
-                            abelian_connection_table, construct_omsr,
-                            cyclic_connection_table, nonabelian_connection_table,
-                            report_from_exception)
+from .constructions import RECIPES, construct_omsr, recipe_table, report_from_exception
 from .digraphs import build_mcayley
 from .errors import (InfeasibleSweep, NotGenerating, OmsrError, ParseError,
                      SearchBudgetExceeded, TooLarge, UnknownFamily)
-from .groups import (ALL_INVOLUTIONS, GeneratingPair, Group, GroupElement,
-                     catalog_group, element_order, find_generating_pair,
-                     normalize_generating_pair, parse_group_spec)
+from .groups import GeneratingPair, Group, catalog_group, parse_group_spec
 from .reports import ExceptionVerdict, VerificationReport
 
 EXIT_OK = 0
@@ -53,38 +48,15 @@ def load_group(spec: str) -> Tuple[Group, Optional[GeneratingPair]]:
 
 def verify_instance(G: Group, pair: Optional[GeneratingPair], m: int,
                     recipe: str = "auto", regen: bool = False) -> VerificationReport:
-    """Full report for one (group, m); recipe override bypasses dispatch."""
+    """Full report for one (group, m).  A recipe other than "auto" verifies
+    that recipe's table alone, with no search behind it."""
     if recipe == "auto":
         result = construct_omsr(G, pair, m, regen=regen)
         if isinstance(result, ExceptionVerdict):
             return report_from_exception(G, m, result)
         return result[1]
-
-    if pair is None:
-        pair = find_generating_pair(G)
-    if recipe == "cyclic":
-        a = pair.a if element_order(G, pair.a) == G.order else next(
-            (GroupElement(g) for g in G.elements()
-             if element_order(G, g) == G.order), pair.a)
-        table = cyclic_connection_table(G, a, m)
-        kind = KIND_CYCLIC
-    elif recipe in ("abelian", "nonabelian"):
-        if pair.b is None:
-            raise NotGenerating("this recipe needs a two-element generating pair")
-        norm = normalize_generating_pair(G, pair.a, pair.b)
-        if norm is ALL_INVOLUTIONS:
-            raise NotGenerating("no generator of order >= 3 exists for this group")
-        a, b = norm
-        if recipe == "abelian":
-            table = abelian_connection_table(G, a, b, m)
-            kind = KIND_ABELIAN
-        else:
-            table = nonabelian_connection_table(G, a, b, m)
-            kind = KIND_NONABELIAN
-    else:
-        raise UnknownFamily(f"unknown recipe {recipe!r}")
-    gamma = build_mcayley(G, table)
-    return is_omsr(gamma, G, m, construction_kind=kind)
+    table, kind = recipe_table(G, pair, m, kind=recipe)
+    return is_omsr(build_mcayley(G, table), G, m, construction_kind=kind)
 
 
 def group_roster(max_order: int) -> List[Tuple[Group, GeneratingPair]]:
@@ -222,8 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify one (group, m) instance")
     p.add_argument("--group", required=True, help="group-spec file or catalog:<family>:<params>")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--recipe", choices=["auto", "cyclic", "abelian", "nonabelian"],
-                   default="auto")
+    p.add_argument("--recipe", choices=RECIPES, default="auto")
     p.add_argument("--regen", action="store_true",
                    help="ignore cached witness files and search afresh")
     p.add_argument("--json", help="write the report as JSON to this path")

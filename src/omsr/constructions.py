@@ -1,9 +1,12 @@
 """Connection-table recipes and the dispatcher that certifies each (G, m).
 
-Three explicit recipes cover cyclic groups of order >= 3, abelian and
-non-abelian two-generated groups.  The handful of small groups those
-recipes cannot reach (trivial group, Z2, Klein four-group) are settled by
-exhaustive search: either a searched witness or a certified exception.
+`recipe_table` is the one place that picks a table: the cyclic recipe for
+cyclic groups of order >= 3, the abelian and non-abelian two-generator
+recipes, a closed table for Z2 x Z2k at m = 2, and for Z2 and the Klein
+four-group at m >= 7 a lift of the rigid trivial-group witness along a
+spanning tree.  `construct_omsr` verifies the recipe digraph.  Where no
+recipe applies or its digraph is not an OmSR, the witness search decides:
+a searched witness, or a NOT_EXISTS certificate from its exhausted scan.
 """
 
 from __future__ import annotations
@@ -11,13 +14,12 @@ from __future__ import annotations
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from .automorphisms import is_omsr
 from .digraphs import ConnectionTable, MCayleyDigraph, build_mcayley, parse_connection_table
 from .errors import (IsAbelian, NotAbelian, NotGenerating, OrderTooSmall,
-                     ParseError, SearchBudgetExceeded)
+                     ParseError, UnknownFamily)
 from .groups import (ALL_INVOLUTIONS, GeneratingPair, Group, GroupElement, _idx,
                      closure, element_order, find_generating_pair, generates,
                      is_abelian, is_cyclic, normalize_generating_pair)
@@ -27,15 +29,14 @@ from . import sweep as sweeplib
 KIND_CYCLIC = "cyclic"
 KIND_ABELIAN = "abelian_2gen"
 KIND_NONABELIAN = "nonabelian_2gen"
+KIND_Z2XZ2K = "abelian_z2xz2k"
+KIND_LIFT = "spanning_tree_lift"
 KIND_SEARCH = "search_witness"
 KIND_EXCEPTION = "exception_certificate"
-
-
-@dataclass(frozen=True)
-class ConstructionRecipe:
-    kind: str
-    pair: GeneratingPair
-    m: int
+RECIPES = ("auto", "cyclic", "abelian", "nonabelian")
+# The smallest m with a rigid trivial-group witness to lift.
+LIFT_MIN_M = 7
+_TRIVIAL = Group(mult=((0,),), inv=(0,), label="Z1")
 
 
 def cyclic_connection_table(G: Group, a, m: int) -> ConnectionTable:
@@ -100,18 +101,110 @@ def nonabelian_connection_table(G: Group, a, b, m: int) -> ConnectionTable:
     return ConnectionTable.from_dict(m, entries)
 
 
+def z2xz2k_connection_table(G: Group, a, b) -> ConnectionTable:
+    """Table for Z2 x Z2k at m = 2, where the abelian recipe fails:
+    T01 = {e, b}, T10 = {b, ab}, with o(b) = |G|/2 >= 3 and a an
+    involution outside <b>."""
+    a, b = _idx(a), _idx(b)
+    if not is_abelian(G):
+        raise NotAbelian(f"{G!r} is not abelian")
+    if G.order <= 4 or 2 * element_order(G, b) != G.order:
+        raise OrderTooSmall("need o(b) = |G|/2 >= 3")
+    if G.mul(a, a) != 0 or a in closure(G, (b,)):
+        raise NotGenerating(f"element {a} is not an involution outside <{b}>")
+    return ConnectionTable.from_dict(2, {(0, 1): {0, b}, (1, 0): {b, G.mul(a, b)}})
+
+
+def _z2xz2k_elements(G: Group) -> Optional[Tuple[int, int]]:
+    """(a, b) for `z2xz2k_connection_table`, or None.  An abelian group of
+    order 4k > 4 with such a pair is Z2 x Z2k; a cyclic one has no
+    involution outside <b>."""
+    if G.order <= 4 or G.order % 4:
+        return None
+    b = next((g for g in G.elements() if 2 * element_order(G, g) == G.order), None)
+    if b is None:
+        return None
+    span = closure(G, (b,))
+    a = next((g for g in G.elements() if g not in span and G.mul(g, g) == 0), None)
+    return None if a is None else (a, b)
+
+
+def spanning_tree_lift_table(G: Group, a, b, base: ConnectionTable) -> ConnectionTable:
+    """Lift of a trivial-group table to G: a on the first arc outside a BFS
+    spanning tree of the base's underlying graph, b on the second, and the
+    identity on every other arc.
+
+    The lift keeps the base's orientation and valency.  The arcs outside
+    the tree carry the voltages of a basis of closed walks, so the lifted
+    digraph is connected when a and b generate G.
+    """
+    m = base.m
+    arcs = [(i, j) for i in range(m) for j in range(m) if base.sets[i][j]]
+    around = [[] for _ in range(m)]
+    for i, j in arcs:
+        around[i].append(((i, j), j))
+        around[j].append(((i, j), i))
+    tree, seen, queue = set(), {0}, [0]
+    for u in queue:
+        for arc, v in around[u]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+                tree.add(arc)
+    volts = dict(zip([arc for arc in arcs if arc not in tree], (_idx(a), _idx(b))))
+    return ConnectionTable.from_dict(m, {arc: {volts.get(arc, 0)} for arc in arcs})
+
+
+def recipe_table(G: Group, pair: Optional[GeneratingPair], m: int, kind: str = "auto",
+                 witness_dir: Optional[str] = None) -> Optional[Tuple[ConnectionTable, str]]:
+    """The table of recipe ``kind`` for (G, m) and its construction kind.
+
+    "auto" picks by structure: the cyclic recipe for cyclic groups; for
+    other abelian groups the Z2 x Z2k table at m = 2 where it applies, else
+    the abelian recipe; the non-abelian recipe otherwise.  Z1, Z2 and the
+    Klein four-group have no element of order >= 3 for those recipes.  Z2
+    and the Klein four-group get the spanning-tree lift of the trivial
+    group's witness (from the cache or the search) at m >= 7; below that,
+    and for Z1, "auto" returns None.  An explicit kind raises when its
+    recipe does not apply to G.
+    """
+    if m < 2:
+        raise ValueError("m must be at least 2")
+    if kind not in RECIPES:
+        raise UnknownFamily(f"unknown recipe {kind!r}")
+    if kind == "auto" and (G.order <= 2 or _is_klein_four(G)):
+        if G.order == 1 or m < LIFT_MIN_M:
+            return None
+        base, _ = construct_omsr(_TRIVIAL, None, m, witness_dir=witness_dir)
+        if pair is None:
+            pair = find_generating_pair(G)
+        b = pair.b if pair.b is not None else 0
+        return spanning_tree_lift_table(G, pair.a, b, base.table), KIND_LIFT
+
+    if pair is None:
+        pair = find_generating_pair(G)
+    if kind == "cyclic" or (kind == "auto" and is_cyclic(G)):
+        a = pair.a
+        if element_order(G, a) != G.order:
+            a = next((GroupElement(g) for g in G.elements()
+                      if element_order(G, g) == G.order), a)
+        return cyclic_connection_table(G, a, m), KIND_CYCLIC
+    if pair.b is None:
+        raise NotGenerating(f"{G!r}: this recipe needs a two-element generating pair")
+    norm = normalize_generating_pair(G, pair.a, pair.b)
+    if norm is ALL_INVOLUTIONS:
+        raise NotGenerating("no generator of order >= 3 exists for this group")
+    a, b = norm
+    if kind == "nonabelian" or (kind == "auto" and not is_abelian(G)):
+        return nonabelian_connection_table(G, a, b, m), KIND_NONABELIAN
+    z2xz2k = _z2xz2k_elements(G) if m == 2 else None
+    if z2xz2k is not None:
+        return z2xz2k_connection_table(G, *z2xz2k), KIND_Z2XZ2K
+    return abelian_connection_table(G, a, b, m), KIND_ABELIAN
+
+
 def _is_klein_four(G: Group) -> bool:
     return G.order == 4 and all(G.mul(x, x) == 0 for x in G.elements())
-
-
-def _is_search_family(G: Group) -> bool:
-    return G.order in (1, 2) or _is_klein_four(G)
-
-
-def _is_exceptional(G: Group, m: int) -> bool:
-    if G.order == 1:
-        return m <= 6
-    return m == 2 and (G.order == 2 or _is_klein_four(G))
 
 
 def default_witness_dir() -> str:
@@ -122,12 +215,12 @@ def default_witness_dir() -> str:
 
 
 def _witness_path(G: Group, m: int, valency: int, witness_dir: str) -> str:
-    """Cache file of G's witness.  The search family is named by structure,
-    not by label: every relabelling of Z1, Z2 or the Klein four-group that
-    fixes the identity is a group automorphism, so a cached table fits any
+    """Cache file of G's witness.  Z1, Z2 and the Klein four-group are named
+    by structure, not by label: every relabelling of them that fixes the
+    identity is a group automorphism, so a cached table fits any
     presentation of the group (the catalog labels the Klein four-group
     `Z2^2`; the packaged files say `Z2xZ2`).  The loader re-verifies it."""
-    if _is_search_family(G):
+    if G.order <= 2 or _is_klein_four(G):
         label = {1: "Z1", 2: "Z2", 4: "Z2xZ2"}[G.order]
     else:
         label = (G.label or f"order{G.order}").replace("/", "_").replace("^", "e")
@@ -200,66 +293,20 @@ def construct_omsr(G: Group, pair: Optional[GeneratingPair], m: int,
                    ) -> Union[Tuple[MCayleyDigraph, VerificationReport], ExceptionVerdict]:
     """Dispatch: a verified witness digraph, or a certified exception.
 
-    The exceptional pairs are the trivial group with m <= 6, Z2 with
-    m <= 3 and the Klein four-group with m = 2; each gets an
-    exhaustive-search certificate.  All of them but (Z2, 3) are on the
-    hard-coded `_is_exceptional` list.  (Z2, 3) is not: its NOT_EXISTS
-    comes from `_searched_witness` exhausting the search.  The same three
-    small groups get searched witnesses when m allows; every other group
-    uses the recipe matching its structure.
+    Verifies the digraph of `recipe_table`.  Where no recipe applies (Z1,
+    and Z2 and the Klein four-group below m = 7) or its digraph is not an
+    OmSR, the witness search decides.  Its exhausted scan certifies the
+    exceptions: the trivial group with m <= 6, Z2 with m <= 3 and the
+    Klein four-group with m = 2.
     """
-    if m < 2:
-        raise ValueError("m must be at least 2")
     wdir = witness_dir or default_witness_dir()
-
-    if _is_search_family(G):
-        if _is_exceptional(G, m):
-            result = sweeplib.exhaustive_sweep(G, m, valency=valency)
-            if result.verdict != "NOT_EXISTS":
-                raise AssertionError(
-                    f"expected certified exception for {G!r} m={m}, found witnesses")
-            return ExceptionVerdict(
-                group_label=G.label or f"order-{G.order}",
-                m=m,
-                enumerated_count=result.tables_enumerated,
-                all_failed=True,
-                max_aut_order_seen=result.max_aut_order_seen,
-                oriented_count=result.oriented_count,
-            )
-        return _searched_witness(G, m, valency, wdir, regen)
-
-    if pair is None:
-        pair = find_generating_pair(G)
-
-    if is_cyclic(G):
-        a = pair.a if element_order(G, pair.a) == G.order else None
-        if a is None:
-            a = next(GroupElement(g) for g in G.elements()
-                     if element_order(G, g) == G.order)
-        table = cyclic_connection_table(G, a, m)
-        kind = KIND_CYCLIC
-    else:
-        if pair.b is None:
-            raise NotGenerating(f"{G!r} is not cyclic; a two-element pair is required")
-        norm = normalize_generating_pair(G, pair.a, pair.b)
-        if norm is ALL_INVOLUTIONS:
-            raise AssertionError("all-involutions pair outside the Klein four-group")
-        a, b = norm
-        if is_abelian(G):
-            table = abelian_connection_table(G, a, b, m)
-            kind = KIND_ABELIAN
-        else:
-            table = nonabelian_connection_table(G, a, b, m)
-            kind = KIND_NONABELIAN
-
-    gamma = build_mcayley(G, table)
-    report = is_omsr(gamma, G, m, valency=valency, construction_kind=kind)
-    if report.omsr:
-        return gamma, report
-    # The recipe digraph failed verification (this happens for a few small
-    # abelian groups at m = 2, where every generating pair leaves the recipe
-    # with either a digon or a block-swapping symmetry).  Fall back to the
-    # search, which still certifies |Aut| = |G| when any witness exists.
+    recipe = recipe_table(G, pair, m, witness_dir=wdir)
+    if recipe is not None:
+        table, kind = recipe
+        gamma = build_mcayley(G, table)
+        report = is_omsr(gamma, G, m, valency=valency, construction_kind=kind)
+        if report.omsr:
+            return gamma, report
     return _searched_witness(G, m, valency, wdir, regen)
 
 

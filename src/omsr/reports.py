@@ -39,8 +39,9 @@ class VerificationReport:
     """Verdict for one (group, m) instance.
 
     When a digraph was checked, omsr must equal
-    oriented and regular2 and (aut_order == group_order);
-    the constructor enforces this.  Exception rows carry a certificate
+    oriented and regular2 and (aut_order == group_order), and |G| divides
+    aut_order when the right translations embed; the constructor enforces
+    both.  Exception rows carry a certificate
     instead of digraph facts.
     """
 
@@ -65,8 +66,9 @@ class VerificationReport:
                             and self.aut_order == self.group_order)
             if self.omsr != expected:
                 raise ValueError("omsr flag inconsistent with its defining conjunction")
-            if self.aut_order % self.group_order != 0:
-                raise ValueError("aut_order must be a multiple of the group order")
+            if self.translations_embed and self.aut_order % self.group_order != 0:
+                raise ValueError("aut_order must be a multiple of the group order "
+                                 "when the translations embed")
 
     def to_dict(self) -> dict:
         out = {

@@ -22,20 +22,18 @@ import functools
 import itertools
 import json
 import math
-import random
 import time
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from .automorphisms import aut_order_bounded, automorphisms
-from .digraphs import ConnectionTable, build_mcayley, is_connected
+from .automorphisms import automorphisms
+from .digraphs import ConnectionTable, build_mcayley
 from .errors import InfeasibleSweep, SearchBudgetExceeded
 from .groups import Group, generating_set
 
 GUARD_PRODUCT = 16
 GUARD_TRIVIAL_M = 10
 WITNESS_BUDGET = 500_000
-LIFT_ATTEMPTS = 5000
 
 
 @dataclass
@@ -326,40 +324,6 @@ def exhaustive_sweep(G: Group, m: int, valency: int = 2,
     )
 
 
-def _lift_witness(G: Group, m: int, valency: int,
-                  attempts: int = LIFT_ATTEMPTS):
-    """Witness by voltage lift of a rigid trivial-group witness digraph.
-
-    A trivial-group witness at the same m is a 2-regular oriented digraph
-    on m vertices with trivial automorphism group.  Placing one group
-    element on each of its arcs yields an m-Cayley table whose digraph is
-    automatically oriented and regular; when the assignment makes it
-    connected, block-preserving automorphisms are exactly the right
-    translations, so most random assignments already have |Aut| = |G|.
-    Returns (table, digraph) or None.
-    """
-    if G.order == 1 or m < 7 or valency != 2:
-        return None
-    trivial = Group(mult=((0,),), inv=(0,), label="Z1")
-    base_table, _, _ = find_witness(trivial, m, valency=valency)
-    if base_table is None:
-        return None
-    arcs = [(i, j) for i in range(m) for j in range(m) if base_table.sets[i][j]]
-    rng = random.Random(G.order * 1009 + m)
-    for _ in range(attempts):
-        volt = {arc: rng.randrange(G.order) for arc in arcs}
-        sets = tuple(tuple(frozenset([volt[(i, j)]]) if (i, j) in volt
-                           else frozenset() for j in range(m))
-                     for i in range(m))
-        table = ConnectionTable(m, sets)
-        gamma = build_mcayley(G, table)
-        if not is_connected(gamma):
-            continue
-        if aut_order_bounded(gamma, G.order) == G.order:
-            return table, gamma
-    return None
-
-
 def find_witness(G: Group, m: int, valency: int = 2,
                  budget: int = WITNESS_BUDGET):
     """First witness table in the deterministic enumeration order.
@@ -367,10 +331,9 @@ def find_witness(G: Group, m: int, valency: int = 2,
     Returns (table, digraph, stats).  When the whole space is exhausted
     without a witness, returns (None, None, stats) — the stats then certify
     non-existence: every table was examined, and ``max_aut_order_seen`` is
-    the exact largest |Aut| over the oriented ones.  When the budget runs
-    out with tables still unexamined (``examined`` is then budget + 1), a
-    seeded voltage-lift search (see _lift_witness) is tried before raising
-    SearchBudgetExceeded.
+    the exact largest |Aut| over the oriented ones.  Raises
+    SearchBudgetExceeded when the budget runs out with tables still
+    unexamined.
 
     Structured witnesses sit very early in lexicographic order, so the scan
     follows that order.
@@ -378,12 +341,7 @@ def find_witness(G: Group, m: int, valency: int = 2,
     witnesses, gamma, stats = _scan(G, m, valency, first_only=True, budget=budget)
     if witnesses:
         return witnesses[0], gamma, stats
-    if stats["examined"] <= budget:
-        return None, None, stats
-    lifted = _lift_witness(G, m, valency)
-    if lifted is None:
+    if stats["examined"] > budget:
         raise SearchBudgetExceeded(
             f"no witness for {G!r} m={m} within {budget} tables")
-    stats["oriented"] += 1
-    stats["max_aut_order_seen"] = max(stats["max_aut_order_seen"], G.order)
-    return lifted[0], lifted[1], stats
+    return None, None, stats

@@ -227,6 +227,9 @@ def test_translation_seed_check_detects_broken_translation():
     elements = brute_force_automorphisms(d).element_set()
     assert right_translation(K, 2, 1) in elements
     assert right_translation(K, 2, 2) not in elements
+    # |Aut| = 2 is not a multiple of |G| = 4; the report says so, not raises.
+    report = is_omsr(d, K, 2)
+    assert (report.omsr, report.translations_embed, report.aut_order) == (False, False, 2)
 
 
 def test_permutation_group_json_round_trip():

@@ -4,10 +4,14 @@ import json
 
 import pytest
 
-from omsr.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK, group_roster, load_group,
-                      main, reproduce_theorem, simple_group_check, verify_instance)
+from omsr.automorphisms import is_omsr
+from omsr.cli import (EXIT_BUDGET, EXIT_FAILED, EXIT_INPUT, EXIT_OK, group_roster,
+                      load_group, main, reproduce_theorem, simple_group_check,
+                      verify_instance)
+from omsr.constructions import cyclic_connection_table, nonabelian_connection_table
+from omsr.digraphs import build_mcayley
 from omsr.errors import TooLarge, UnknownFamily
-from omsr.groups import catalog_group
+from omsr.groups import catalog_group, normalize_generating_pair
 
 
 def test_load_group_catalog_syntax():
@@ -43,6 +47,72 @@ def test_verify_recipe_override():
     G, pair = catalog_group("cyclic_product", [3, 3])
     report = verify_instance(G, pair, 2, recipe="abelian")
     assert report.omsr and report.construction_kind == "abelian_2gen"
+
+
+def test_verify_recipe_override_klein_four_is_input_error(capsys):
+    code = main(["verify", "--group", "catalog:elementary_abelian_2:2", "--m", "3",
+                 "--recipe", "abelian"])
+    assert code == EXIT_INPUT
+    assert "no generator of order >= 3" in capsys.readouterr().err
+
+
+def test_verify_recipe_override_cyclic_and_nonabelian():
+    # An override verifies exactly the named recipe's table: the same report
+    # as building that table by hand, and the same exit codes where it does
+    # not apply.
+    def same(report, G, table, m, kind):
+        want = is_omsr(build_mcayley(G, table), G, m, construction_kind=kind).to_dict()
+        got = report.to_dict()
+        del want["runtime_ms"], got["runtime_ms"]
+        return got == want
+
+    for n in (3, 8):
+        G, pair = catalog_group("cyclic", [n])
+        for m in (2, 3, 7):
+            report = verify_instance(G, pair, m, recipe="cyclic")
+            assert report.omsr
+            assert same(report, G, cyclic_connection_table(G, pair.a, m), m, "cyclic")
+    for name, params in [("symmetric", [3]), ("dihedral", [4]), ("dicyclic", [3]),
+                         ("alternating", [4])]:
+        G, pair = catalog_group(name, params)
+        a, b = normalize_generating_pair(G, pair.a, pair.b)
+        for m in (2, 3, 7):
+            report = verify_instance(G, pair, m, recipe="nonabelian")
+            assert report.omsr
+            assert same(report, G, nonabelian_connection_table(G, a, b, m), m,
+                        "nonabelian_2gen")
+    for spec, recipe, code in [
+            ("catalog:cyclic_product:2:4", "cyclic", EXIT_INPUT),     # NotGenerating
+            ("catalog:symmetric:3", "cyclic", EXIT_INPUT),
+            ("catalog:cyclic:2", "cyclic", EXIT_FAILED),              # OrderTooSmall
+            ("catalog:cyclic:8", "nonabelian", EXIT_INPUT),           # no second generator
+            ("catalog:cyclic_product:3:3", "nonabelian", EXIT_FAILED),  # IsAbelian
+            ("catalog:elementary_abelian_2:2", "nonabelian", EXIT_INPUT)]:
+        assert main(["verify", "--group", spec, "--m", "2", "--recipe", recipe]) == code, spec
+
+
+def test_reproduce_24x10_dispatch_gate(monkeypatch, tmp_path):
+    # Every cell but the exceptions and the small searched witnesses comes
+    # from a recipe.  An empty cache makes every searched cell search.
+    monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
+    rows = reproduce_theorem(24, 10)
+    assert len(rows) == 450
+    assert not [r for r in rows if r["verdict"] == "FAILED"]
+    certificates = {(r["group"], r["m"]): r["certificate"] for r in rows
+                    if r["verdict"] == "NOT_EXISTS"}
+    # (enumerated_count, oriented_count, max_aut_order_seen) from exhaustion.
+    assert {key: (c["enumerated_count"], c["oriented_count"], c["max_aut_order_seen"])
+            for key, c in certificates.items()} == {
+        ("Z1", 2): (1, 0, 0), ("Z1", 3): (6, 0, 0), ("Z1", 4): (90, 0, 0),
+        ("Z1", 5): (2040, 24, 5), ("Z1", 6): (67950, 570, 24),
+        ("Z2", 2): (18, 0, 0), ("Z2", 3): (534, 10, 24), ("Z2xZ2", 2): (328, 6, 64)}
+    assert all(c["all_failed"] for c in certificates.values())
+    searched = {(r["group"], r["m"]) for r in rows
+                if r.get("construction") == "search_witness"}
+    assert searched == ({("Z1", m) for m in range(7, 11)}
+                        | {("Z2", m) for m in range(4, 7)}
+                        | {("Z2xZ2", m) for m in range(3, 7)})
+    assert all(r["aut_order"] == r["order"] for r in rows if r["verdict"] == "EXISTS")
 
 
 def test_group_roster_complete_to_12():

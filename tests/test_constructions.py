@@ -6,17 +6,19 @@ import os
 
 import pytest
 
-from omsr.automorphisms import is_omsr
-from omsr.constructions import (KIND_ABELIAN, KIND_CYCLIC, KIND_EXCEPTION,
-                                KIND_NONABELIAN, KIND_SEARCH,
+from omsr.automorphisms import automorphisms, is_omsr
+from omsr.cli import group_roster
+from omsr.constructions import (KIND_ABELIAN, KIND_CYCLIC, KIND_EXCEPTION, KIND_LIFT,
+                                KIND_NONABELIAN, KIND_SEARCH, KIND_Z2XZ2K,
                                 abelian_connection_table, construct_omsr,
                                 cyclic_connection_table, nonabelian_connection_table,
-                                report_from_exception)
+                                recipe_table, report_from_exception,
+                                spanning_tree_lift_table, z2xz2k_connection_table)
 from omsr.digraphs import (ConnectionTable, Vertex, build_mcayley,
                            distance2_out_set, induced_subdigraph, is_k_regular,
                            is_oriented, parse_connection_table)
 from omsr.errors import IsAbelian, NotAbelian, NotGenerating, OrderTooSmall
-from omsr.groups import catalog_group, normalize_generating_pair
+from omsr.groups import catalog_group, closure, element_order, normalize_generating_pair
 from omsr.reports import ExceptionVerdict
 
 
@@ -114,6 +116,102 @@ def test_nonabelian_table_guards():
     Z6, p = catalog_group("cyclic", [6])
     with pytest.raises(IsAbelian):
         nonabelian_connection_table(Z6, p.a, 1, 2)
+
+
+# --- Z2 x Z2k at m = 2 and the spanning-tree lift ---------------------------
+
+def test_z2xz2k_table_z2xz4():
+    G, pair = catalog_group("cyclic_product", [2, 4])
+    table, kind = recipe_table(G, pair, 2)
+    assert kind == KIND_Z2XZ2K
+    b, = table.sets[0][1] - {0}
+    ab, = table.sets[1][0] - {b}
+    a = G.mul(ab, G.inverse(b))
+    assert (element_order(G, b), element_order(G, a)) == (4, 2)
+    assert a not in closure(G, [b])
+    assert not table.sets[0][0] and not table.sets[1][1]
+    # Above m = 2 the abelian recipe still applies.
+    assert recipe_table(G, pair, 3)[1] == KIND_ABELIAN
+
+
+def test_z2xz2k_table_guards():
+    D4, _ = catalog_group("dihedral", [4])
+    with pytest.raises(NotAbelian):
+        z2xz2k_connection_table(D4, 4, 1)
+    G, _ = catalog_group("cyclic_product", [2, 4])
+    b = next(g for g in G.elements() if element_order(G, g) == 4)
+    with pytest.raises(OrderTooSmall):
+        z2xz2k_connection_table(G, b, G.mul(b, b))
+    with pytest.raises(NotGenerating):
+        z2xz2k_connection_table(G, G.mul(b, b), b)
+
+
+def test_recipe_table_auto_has_no_recipe_for_small_groups():
+    Z1, _ = catalog_group("cyclic", [1])
+    Z2, p2 = catalog_group("cyclic", [2])
+    K, pk = catalog_group("elementary_abelian_2", [2])
+    for m in range(2, 13):
+        assert recipe_table(Z1, None, m) is None
+    for m in range(2, 7):
+        assert recipe_table(Z2, p2, m) is None
+        assert recipe_table(K, pk, m) is None
+
+
+def test_construct_klein_m7_lift(tmp_path):
+    # Past the budget of find_witness (test_find_witness_budget_path_raises)
+    # the dispatcher lifts the trivial group's witness instead.
+    K, pair = catalog_group("elementary_abelian_2", [2])
+    gamma, report = construct_omsr(K, pair, 7, witness_dir=str(tmp_path))
+    assert report.construction_kind == KIND_LIFT
+    assert report.omsr and report.aut_order == 4
+    assert [p.name for p in tmp_path.iterdir()] == ["Z1_m7_v2.table"]
+
+
+@pytest.fixture(scope="module")
+def new_recipe_digraphs(tmp_path_factory):
+    """(G, m, digraph) for the Z2 x Z2k table, k = 2..39, and the lift of the
+    trivial group's witness to every non-trivial group of group_roster(24)
+    at m = 7..10."""
+    wdir = str(tmp_path_factory.mktemp("witnesses"))
+    out = []
+    for k in range(2, 40):
+        G, pair = catalog_group("cyclic_product", [2, 2 * k])
+        table, kind = recipe_table(G, pair, 2)
+        assert kind == KIND_Z2XZ2K
+        out.append((G, 2, build_mcayley(G, table)))
+    Z1, _ = catalog_group("cyclic", [1])
+    roster = [(G, pair) for G, pair in group_roster(24) if G.order > 1]
+    assert len(roster) == 49
+    for m in range(7, 11):
+        base, _ = construct_omsr(Z1, None, m, witness_dir=wdir)
+        for G, pair in roster:
+            b = pair.b if pair.b is not None else 0
+            table = spanning_tree_lift_table(G, pair.a, b, base.table)
+            out.append((G, m, build_mcayley(G, table)))
+    return out
+
+
+def test_new_recipes_are_omsr(new_recipe_digraphs):
+    for G, m, d in new_recipe_digraphs:
+        report = is_omsr(d, G, m)
+        assert report.omsr and report.connected, (G.label, m, report.aut_order)
+
+
+def test_networkx_agrees_on_new_recipes(new_recipe_digraphs):
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import DiGraphMatcher
+    checked = 0
+    for G, m, d in new_recipe_digraphs:
+        if d.n > 60:
+            continue
+        g = nx.DiGraph()
+        g.add_nodes_from(range(d.n))
+        g.add_edges_from(d.arcs())
+        count = sum(1 for _ in itertools.islice(
+            DiGraphMatcher(g, g).isomorphisms_iter(), G.order + 1))
+        assert count == automorphisms(d).order == G.order, (G.label, m)
+        checked += 1
+    assert checked > 0
 
 
 # --- recipe outputs are oriented and 2-regular -------------------------------

@@ -221,23 +221,13 @@ def test_find_witness_pinned_stats():
         assert gamma.table == table
 
 
-def test_find_witness_budget_path_lifts():
+def test_find_witness_budget_path_raises():
     # The first oriented table of Z2^2 at m = 7 lies past the budget, so the
-    # scan stops at once and the voltage lift supplies the witness.
+    # scan stops at once and raises; the dispatcher lifts a recipe instead
+    # (test_construct_klein_m7_lift).
     K, _ = catalog_group("elementary_abelian_2", [2])
-    table, gamma, stats = find_witness(K, 7)
-    assert stats["examined"] == 500_001
-    assert is_omsr(gamma, K, 7).omsr
-    assert gamma.table == table
-
-
-def test_lift_fallback_produces_witness():
-    from omsr.sweep import _lift_witness
-    K, _ = catalog_group("elementary_abelian_2", [2])
-    out = _lift_witness(K, 7, 2)
-    assert out is not None
-    table, gamma = out
-    assert is_omsr(gamma, K, 7).omsr
+    with pytest.raises(SearchBudgetExceeded):
+        find_witness(K, 7)
 
 
 # --- all-witness sweeps: one engine call per orbit ---------------------------

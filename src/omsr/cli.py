@@ -47,11 +47,11 @@ def load_group(spec: str) -> Tuple[Group, Optional[GeneratingPair]]:
 
 
 def verify_instance(G: Group, pair: Optional[GeneratingPair], m: int,
-                    recipe: str = "auto", regen: bool = False) -> VerificationReport:
+                    recipe: str = "auto") -> VerificationReport:
     """Full report for one (group, m).  A recipe other than "auto" verifies
     that recipe's table alone, with no search behind it."""
     if recipe == "auto":
-        result = construct_omsr(G, pair, m, regen=regen)
+        result = construct_omsr(G, pair, m)
         if isinstance(result, ExceptionVerdict):
             return report_from_exception(G, m, result)
         return result[1]
@@ -140,7 +140,7 @@ def _emit_json(path: Optional[str], payload) -> None:
 
 def _cmd_verify(args) -> int:
     G, pair = load_group(args.group)
-    report = verify_instance(G, pair, args.m, recipe=args.recipe, regen=args.regen)
+    report = verify_instance(G, pair, args.m, recipe=args.recipe)
     print(report.summary())
     _emit_json(args.json, report.to_dict())
     if report.certificate is not None or report.omsr:
@@ -195,8 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, help="group-spec file or catalog:<family>:<params>")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--recipe", choices=RECIPES, default="auto")
-    p.add_argument("--regen", action="store_true",
-                   help="ignore cached witness files and search afresh")
     p.add_argument("--json", help="write the report as JSON to this path")
     p.set_defaults(func=_cmd_verify)
 

@@ -2,11 +2,12 @@
 
 `recipe_table` is the one place that picks a table: the cyclic recipe for
 cyclic groups of order >= 3, the abelian and non-abelian two-generator
-recipes, a closed table for Z2 x Z2k at m = 2, and for Z2 and the Klein
-four-group at m >= 7 a lift of the rigid trivial-group witness along a
-spanning tree.  `construct_omsr` verifies the recipe digraph.  Where no
-recipe applies or its digraph is not an OmSR, the witness search decides:
-a searched witness, or a NOT_EXISTS certificate from its exhausted scan.
+recipes, a closed table for Z2 x Z2k at m = 2, and at m >= 7 a closed
+rigid table for the trivial group, lifted along a spanning tree for Z2
+and the Klein four-group.  No recipe searches.  `construct_omsr`
+verifies the recipe digraph.  Where no recipe applies or its digraph is
+not an OmSR, the witness search decides: a searched witness, or a
+NOT_EXISTS certificate from its exhausted scan.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ KIND_CYCLIC = "cyclic"
 KIND_ABELIAN = "abelian_2gen"
 KIND_NONABELIAN = "nonabelian_2gen"
 KIND_Z2XZ2K = "abelian_z2xz2k"
+KIND_RIGID_TRIVIAL = "rigid_trivial"
 KIND_LIFT = "spanning_tree_lift"
 KIND_SEARCH = "search_witness"
 KIND_EXCEPTION = "exception_certificate"
 RECIPES = ("auto", "cyclic", "abelian", "nonabelian")
-# The smallest m with a rigid trivial-group witness to lift.
+# The smallest m with a rigid trivial-group table.
 LIFT_MIN_M = 7
-_TRIVIAL = Group(mult=((0,),), inv=(0,), label="Z1")
 
 
 def cyclic_connection_table(G: Group, a, m: int) -> ConnectionTable:
@@ -129,6 +130,22 @@ def _z2xz2k_elements(G: Group) -> Optional[Tuple[int, int]]:
     return None if a is None else (a, b)
 
 
+def rigid_trivial_table(m: int) -> ConnectionTable:
+    """Oriented 2-regular table of the trivial group whose digraph has no
+    automorphism but the identity, for m >= 7: the circulant i -> i+1, i+2
+    (mod m) with rows 0..3 sent to {2, 3}, {3, 4}, {1, 4} and {2, 5}.
+
+    The engine finds |Aut| = 1 for every m = 7..512 (the vertex cap) and
+    networkx agrees for m = 7..60.  No such table exists for m <= 6.
+    """
+    if m < LIFT_MIN_M:
+        raise ValueError(f"the rigid trivial-group table needs m >= {LIFT_MIN_M}")
+    targets = {i: ((i + 1) % m, (i + 2) % m) for i in range(m)}
+    targets.update({0: (2, 3), 1: (3, 4), 2: (1, 4), 3: (2, 5)})
+    return ConnectionTable.from_dict(m, {(i, j): {0} for i, row in targets.items()
+                                         for j in row})
+
+
 def spanning_tree_lift_table(G: Group, a, b, base: ConnectionTable) -> ConnectionTable:
     """Lift of a trivial-group table to G: a on the first arc outside a BFS
     spanning tree of the base's underlying graph, b on the second, and the
@@ -155,34 +172,31 @@ def spanning_tree_lift_table(G: Group, a, b, base: ConnectionTable) -> Connectio
     return ConnectionTable.from_dict(m, {arc: {volts.get(arc, 0)} for arc in arcs})
 
 
-def recipe_table(G: Group, pair: Optional[GeneratingPair], m: int, kind: str = "auto",
-                 witness_dir: Optional[str] = None) -> Optional[Tuple[ConnectionTable, str]]:
+def recipe_table(G: Group, pair: Optional[GeneratingPair], m: int,
+                 kind: str = "auto") -> Optional[Tuple[ConnectionTable, str]]:
     """The table of recipe ``kind`` for (G, m) and its construction kind.
 
     "auto" picks by structure: the cyclic recipe for cyclic groups; for
     other abelian groups the Z2 x Z2k table at m = 2 where it applies, else
     the abelian recipe; the non-abelian recipe otherwise.  Z1, Z2 and the
-    Klein four-group have no element of order >= 3 for those recipes.  Z2
-    and the Klein four-group get the spanning-tree lift of the trivial
-    group's witness (from the cache or the search) at m >= 7; below that,
-    and for Z1, "auto" returns None.  An explicit kind raises when its
-    recipe does not apply to G.
+    Klein four-group have no element of order >= 3 for those recipes.  At
+    m >= 7 Z1 gets `rigid_trivial_table`, and Z2 and the Klein four-group
+    its spanning-tree lift; below that "auto" returns None for them.  An
+    explicit kind raises when its recipe does not apply to G.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
     if kind not in RECIPES:
         raise UnknownFamily(f"unknown recipe {kind!r}")
-    if kind == "auto" and (G.order <= 2 or _is_klein_four(G)):
-        if G.order == 1 or m < LIFT_MIN_M:
-            return None
-        base, _ = construct_omsr(_TRIVIAL, None, m, witness_dir=witness_dir)
-        if pair is None:
-            pair = find_generating_pair(G)
-        b = pair.b if pair.b is not None else 0
-        return spanning_tree_lift_table(G, pair.a, b, base.table), KIND_LIFT
-
     if pair is None:
         pair = find_generating_pair(G)
+    if kind == "auto" and (G.order <= 2 or _is_klein_four(G)):
+        if m < LIFT_MIN_M:
+            return None
+        if G.order == 1:
+            return rigid_trivial_table(m), KIND_RIGID_TRIVIAL
+        b = pair.b if pair.b is not None else 0
+        return spanning_tree_lift_table(G, pair.a, b, rigid_trivial_table(m)), KIND_LIFT
     if kind == "cyclic" or (kind == "auto" and is_cyclic(G)):
         a = pair.a
         if element_order(G, a) != G.order:
@@ -215,13 +229,13 @@ def default_witness_dir() -> str:
 
 
 def _witness_path(G: Group, m: int, valency: int, witness_dir: str) -> str:
-    """Cache file of G's witness.  Z1, Z2 and the Klein four-group are named
-    by structure, not by label: every relabelling of them that fixes the
+    """Cache file of G's witness.  Z2 and the Klein four-group are named by
+    structure, not by label: every relabelling of them that fixes the
     identity is a group automorphism, so a cached table fits any
     presentation of the group (the catalog labels the Klein four-group
     `Z2^2`; the packaged files say `Z2xZ2`).  The loader re-verifies it."""
-    if G.order <= 2 or _is_klein_four(G):
-        label = {1: "Z1", 2: "Z2", 4: "Z2xZ2"}[G.order]
+    if G.order == 2 or _is_klein_four(G):
+        label = "Z2" if G.order == 2 else "Z2xZ2"
     else:
         label = (G.label or f"order{G.order}").replace("/", "_").replace("^", "e")
     return os.path.join(witness_dir, f"{label}_m{m}_v{valency}.table")
@@ -262,14 +276,13 @@ def _store_witness(G: Group, m: int, valency: int, witness_dir: str,
             os.remove(tmp)  # cache is best effort
 
 
-def _searched_witness(G: Group, m: int, valency: int, witness_dir: str, regen: bool):
-    if not regen:
-        cached = _load_cached_witness(G, m, valency, witness_dir)
-        if cached is not None:
-            gamma = build_mcayley(G, cached)
-            report = is_omsr(gamma, G, m, valency=valency, construction_kind=KIND_SEARCH)
-            if report.omsr:
-                return gamma, report
+def _searched_witness(G: Group, m: int, valency: int, witness_dir: str):
+    cached = _load_cached_witness(G, m, valency, witness_dir)
+    if cached is not None:
+        gamma = build_mcayley(G, cached)
+        report = is_omsr(gamma, G, m, valency=valency, construction_kind=KIND_SEARCH)
+        if report.omsr:
+            return gamma, report
     table, gamma, stats = sweeplib.find_witness(G, m, valency=valency)
     if table is None:
         # The search exhausted the whole space: certified non-existence,
@@ -288,26 +301,25 @@ def _searched_witness(G: Group, m: int, valency: int, witness_dir: str, regen: b
 
 
 def construct_omsr(G: Group, pair: Optional[GeneratingPair], m: int,
-                   valency: int = 2, witness_dir: Optional[str] = None,
-                   regen: bool = False
+                   valency: int = 2, witness_dir: Optional[str] = None
                    ) -> Union[Tuple[MCayleyDigraph, VerificationReport], ExceptionVerdict]:
     """Dispatch: a verified witness digraph, or a certified exception.
 
     Verifies the digraph of `recipe_table`.  Where no recipe applies (Z1,
-    and Z2 and the Klein four-group below m = 7) or its digraph is not an
-    OmSR, the witness search decides.  Its exhausted scan certifies the
+    Z2 and the Klein four-group below m = 7) or its digraph is not an
+    OmSR, the witness search decides, reading and writing the witness
+    cache in ``witness_dir``.  Its exhausted scan certifies the
     exceptions: the trivial group with m <= 6, Z2 with m <= 3 and the
     Klein four-group with m = 2.
     """
-    wdir = witness_dir or default_witness_dir()
-    recipe = recipe_table(G, pair, m, witness_dir=wdir)
+    recipe = recipe_table(G, pair, m)
     if recipe is not None:
         table, kind = recipe
         gamma = build_mcayley(G, table)
         report = is_omsr(gamma, G, m, valency=valency, construction_kind=kind)
         if report.omsr:
             return gamma, report
-    return _searched_witness(G, m, valency, wdir, regen)
+    return _searched_witness(G, m, valency, witness_dir or default_witness_dir())
 
 
 def report_from_exception(G: Group, m: int, verdict: ExceptionVerdict) -> VerificationReport:

@@ -112,7 +112,7 @@ def parse_connection_table(text: str) -> ConnectionTable:
 class Digraph:
     """Immutable digraph with both adjacency directions precomputed."""
 
-    __slots__ = ("n", "out_adj", "in_adj", "out_sets", "in_sets")
+    __slots__ = ("n", "out_adj", "in_adj", "out_sets")
 
     def __init__(self, n: int, out_adj):
         self.n = n
@@ -123,7 +123,6 @@ class Digraph:
                 rev[v].append(u)
         self.in_adj = tuple(tuple(sorted(nbrs)) for nbrs in rev)
         self.out_sets = tuple(frozenset(nbrs) for nbrs in self.out_adj)
-        self.in_sets = tuple(frozenset(nbrs) for nbrs in self.in_adj)
 
     def arcs(self):
         return [(u, v) for u in range(self.n) for v in self.out_adj[u]]

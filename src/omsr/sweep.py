@@ -239,10 +239,8 @@ class _OrbitMemo:
         self._memo.update(dict.fromkeys(self.orbit(key) - {key}, order))
 
 
-def feasibility_guard(G: Group, m: int,
-                      guard_product: int = GUARD_PRODUCT,
-                      guard_trivial_m: int = GUARD_TRIVIAL_M) -> bool:
-    return G.order * m <= guard_product or (G.order == 1 and m <= guard_trivial_m)
+def feasibility_guard(G: Group, m: int) -> bool:
+    return G.order * m <= GUARD_PRODUCT or (G.order == 1 and m <= GUARD_TRIVIAL_M)
 
 
 def _scan(G: Group, m: int, valency: int, first_only: bool,
@@ -291,9 +289,7 @@ def _scan(G: Group, m: int, valency: int, first_only: bool,
 
 
 def exhaustive_sweep(G: Group, m: int, valency: int = 2,
-                     all_witnesses: bool = False,
-                     guard_product: int = GUARD_PRODUCT,
-                     guard_trivial_m: int = GUARD_TRIVIAL_M) -> SweepResult:
+                     all_witnesses: bool = False) -> SweepResult:
     """Enumerate every constrained table and collect the oriented ones whose
     digraphs have automorphism group of order exactly |G|.
 
@@ -304,10 +300,10 @@ def exhaustive_sweep(G: Group, m: int, valency: int = 2,
     isomorphism; the witnesses and counts are those of one engine call per
     table.
     """
-    if not feasibility_guard(G, m, guard_product, guard_trivial_m):
+    if not feasibility_guard(G, m):
         raise InfeasibleSweep(
-            f"|G|*m = {G.order * m} exceeds guard {guard_product} "
-            f"(trivial-group limit m <= {guard_trivial_m})")
+            f"|G|*m = {G.order * m} exceeds guard {GUARD_PRODUCT} "
+            f"(trivial-group limit m <= {GUARD_TRIVIAL_M})")
     start = time.perf_counter()
     witnesses, _, stats = _scan(G, m, valency, first_only=not all_witnesses)
     witnesses.sort(key=lambda t: t.to_text())

@@ -109,9 +109,10 @@ def test_reproduce_24x10_dispatch_gate(monkeypatch, tmp_path):
     assert all(c["all_failed"] for c in certificates.values())
     searched = {(r["group"], r["m"]) for r in rows
                 if r.get("construction") == "search_witness"}
-    assert searched == ({("Z1", m) for m in range(7, 11)}
-                        | {("Z2", m) for m in range(4, 7)}
+    assert searched == ({("Z2", m) for m in range(4, 7)}
                         | {("Z2xZ2", m) for m in range(3, 7)})
+    assert {r["m"] for r in rows if r.get("construction") == "rigid_trivial"} == \
+        set(range(7, 11))
     assert all(r["aut_order"] == r["order"] for r in rows if r["verdict"] == "EXISTS")
 
 
@@ -218,6 +219,16 @@ def test_main_budget_exit(capsys):
     # Sweep guard violation maps to the budget exit code.
     assert main(["sweep", "--group", "catalog:cyclic:5", "--m", "5"]) == EXIT_BUDGET
     capsys.readouterr()
+
+
+def test_verify_klein_four_past_search_budget(tmp_path, monkeypatch, capsys):
+    # The lift of the rigid trivial-group table answers where the search for
+    # a trivial-group witness would pass its budget.
+    monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
+    code = main(["verify", "--group", "catalog:elementary_abelian_2:2", "--m", "16"])
+    assert code == EXIT_OK
+    assert "omsr=True" in capsys.readouterr().out
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_skips_corrupt_cache_file(tmp_path, monkeypatch, capsys):

@@ -9,10 +9,10 @@ import pytest
 from omsr.automorphisms import automorphisms, is_omsr
 from omsr.cli import group_roster
 from omsr.constructions import (KIND_ABELIAN, KIND_CYCLIC, KIND_EXCEPTION, KIND_LIFT,
-                                KIND_NONABELIAN, KIND_SEARCH, KIND_Z2XZ2K,
-                                abelian_connection_table, construct_omsr,
+                                KIND_NONABELIAN, KIND_RIGID_TRIVIAL, KIND_SEARCH,
+                                KIND_Z2XZ2K, abelian_connection_table, construct_omsr,
                                 cyclic_connection_table, nonabelian_connection_table,
-                                recipe_table, report_from_exception,
+                                recipe_table, report_from_exception, rigid_trivial_table,
                                 spanning_tree_lift_table, z2xz2k_connection_table)
 from omsr.digraphs import (ConnectionTable, Vertex, build_mcayley,
                            distance2_out_set, induced_subdigraph, is_k_regular,
@@ -118,7 +118,7 @@ def test_nonabelian_table_guards():
         nonabelian_connection_table(Z6, p.a, 1, 2)
 
 
-# --- Z2 x Z2k at m = 2 and the spanning-tree lift ---------------------------
+# --- Z2 x Z2k at m = 2, the rigid trivial-group table and its lift -----------
 
 def test_z2xz2k_table_z2xz4():
     G, pair = catalog_group("cyclic_product", [2, 4])
@@ -150,29 +150,57 @@ def test_recipe_table_auto_has_no_recipe_for_small_groups():
     Z1, _ = catalog_group("cyclic", [1])
     Z2, p2 = catalog_group("cyclic", [2])
     K, pk = catalog_group("elementary_abelian_2", [2])
-    for m in range(2, 13):
-        assert recipe_table(Z1, None, m) is None
     for m in range(2, 7):
+        assert recipe_table(Z1, None, m) is None
         assert recipe_table(Z2, p2, m) is None
         assert recipe_table(K, pk, m) is None
+    for m in (7, 12):
+        assert recipe_table(Z1, None, m) == (rigid_trivial_table(m), KIND_RIGID_TRIVIAL)
+        assert recipe_table(Z2, p2, m)[1] == recipe_table(K, pk, m)[1] == KIND_LIFT
+
+
+def test_rigid_trivial_table_shape():
+    table = rigid_trivial_table(9)
+    targets = {i: {j for j in range(9) if table.sets[i][j]} for i in range(9)}
+    assert targets == {0: {2, 3}, 1: {3, 4}, 2: {1, 4}, 3: {2, 5}, 4: {5, 6},
+                       5: {6, 7}, 6: {7, 8}, 7: {8, 0}, 8: {0, 1}}
+    assert all(cell == {0} for row in table.sets for cell in row if cell)
+    for m in range(2, 7):
+        with pytest.raises(ValueError):
+            rigid_trivial_table(m)
 
 
 def test_construct_klein_m7_lift(tmp_path):
     # Past the budget of find_witness (test_find_witness_budget_path_raises)
-    # the dispatcher lifts the trivial group's witness instead.
+    # the dispatcher lifts the rigid trivial-group table instead, and
+    # neither searches nor writes the cache.
     K, pair = catalog_group("elementary_abelian_2", [2])
     gamma, report = construct_omsr(K, pair, 7, witness_dir=str(tmp_path))
     assert report.construction_kind == KIND_LIFT
     assert report.omsr and report.aut_order == 4
-    assert [p.name for p in tmp_path.iterdir()] == ["Z1_m7_v2.table"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("m", [16, 20])
+def test_construct_small_groups_past_search_budget(tmp_path, m):
+    # find_witness(Z1, m) raises SearchBudgetExceeded from m = 16 on.  Z1,
+    # Z2 and the Klein four-group take closed tables there: no search, and
+    # so no cache file.
+    for (name, params), kind in [(("cyclic", [1]), KIND_RIGID_TRIVIAL),
+                                 (("cyclic", [2]), KIND_LIFT),
+                                 (("elementary_abelian_2", [2]), KIND_LIFT)]:
+        G, pair = catalog_group(name, params)
+        gamma, report = construct_omsr(G, pair, m, witness_dir=str(tmp_path))
+        assert report.omsr and report.connected and report.aut_order == G.order
+        assert report.construction_kind == kind
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.fixture(scope="module")
-def new_recipe_digraphs(tmp_path_factory):
-    """(G, m, digraph) for the Z2 x Z2k table, k = 2..39, and the lift of the
-    trivial group's witness to every non-trivial group of group_roster(24)
-    at m = 7..10."""
-    wdir = str(tmp_path_factory.mktemp("witnesses"))
+def new_recipe_digraphs():
+    """(G, m, digraph) for the Z2 x Z2k table, k = 2..39, the rigid
+    trivial-group table at m = 7..64, 128, 256 and 512, and its lift to
+    every non-trivial group of group_roster(24) at m = 7..10."""
     out = []
     for k in range(2, 40):
         G, pair = catalog_group("cyclic_product", [2, 2 * k])
@@ -180,13 +208,14 @@ def new_recipe_digraphs(tmp_path_factory):
         assert kind == KIND_Z2XZ2K
         out.append((G, 2, build_mcayley(G, table)))
     Z1, _ = catalog_group("cyclic", [1])
+    for m in list(range(7, 65)) + [128, 256, 512]:
+        out.append((Z1, m, build_mcayley(Z1, rigid_trivial_table(m))))
     roster = [(G, pair) for G, pair in group_roster(24) if G.order > 1]
     assert len(roster) == 49
     for m in range(7, 11):
-        base, _ = construct_omsr(Z1, None, m, witness_dir=wdir)
         for G, pair in roster:
             b = pair.b if pair.b is not None else 0
-            table = spanning_tree_lift_table(G, pair.a, b, base.table)
+            table = spanning_tree_lift_table(G, pair.a, b, rigid_trivial_table(m))
             out.append((G, m, build_mcayley(G, table)))
     return out
 
@@ -303,7 +332,8 @@ def test_construct_trivial_m7_witness(tmp_path):
     G, pair = catalog_group("cyclic", [1])
     gamma, report = construct_omsr(G, pair, 7, witness_dir=str(tmp_path))
     assert report.omsr and report.aut_order == 1
-    assert report.construction_kind == KIND_SEARCH
+    assert report.construction_kind == KIND_RIGID_TRIVIAL
+    assert gamma.table == rigid_trivial_table(7)
 
 
 def test_construct_s3_m4():
@@ -336,10 +366,6 @@ def test_witness_cache_round_trip(tmp_path):
     gamma2, report2 = construct_omsr(G, pair, 3, witness_dir=wdir)
     assert report2.omsr
     assert gamma2.table == gamma1.table
-    # regen ignores the cache but must land on the same deterministic table.
-    gamma3, report3 = construct_omsr(G, pair, 3, witness_dir=wdir, regen=True)
-    assert report3.omsr
-    assert gamma3.table == gamma1.table
 
 
 def test_bundled_witnesses_reverify():
@@ -351,7 +377,7 @@ def test_bundled_witnesses_reverify():
     paths = sorted(glob.glob(os.path.join(default_witness_dir(), "*.table")))
     assert paths, "bundled witness directory should not be empty"
     label_to_group = {
-        "Z1": ("cyclic", [1]), "Z2": ("cyclic", [2]),
+        "Z2": ("cyclic", [2]),
         "Z2xZ2": ("elementary_abelian_2", [2]),
     }
     for path in paths:

@@ -7,7 +7,12 @@ smaller half, as in nauty), so colors are equivariant.  One path of
 individualize-refine steps fixes a base b_1..b_k; with G_i the pointwise
 stabilizer of b_1..b_i, |Aut| = prod_i |b_i^{G_(i-1)}|, found deepest level
 first: each vertex of b_i's cell not yet in b_i's orbit under the known
-generators is probed, and yields a generator or rules out its orbit.  On an
+generators is probed, and yields a generator or rules out its orbit.  Each
+refinement records its trace, one (splitter start, cell count) step per
+splitter popped, and a probe stops at its first step off the trace of the
+path's refinement at its level (nauty's trace comparison; McKay and Piperno,
+Practical graph isomorphism II, 2014): an automorphism mapping the path's
+prefix to the probe's would map one run onto the other step by step.  On an
 m-Cayley digraph the right translations by a generating set of G are checked
 and seeded, so an OmSR costs one path plus m - 1 block probes.  Only
 generators and |Aut| are kept.  A factorial brute-force oracle cross-checks
@@ -97,15 +102,18 @@ def _generating_subset(elements, degree):
 
 # --- refinement --------------------------------------------------------------
 
-def _refine(out_adj, in_adj, colors, active):
+def _refine(out_adj, in_adj, colors, active, reference=None):
     """Coarsest equitable refinement of a partition colored by cell starts,
-    by the splitter queue of the module docstring.  Only the cells starting at
-    active are queued at first, so every other cell must be stable."""
+    by the splitter queue of the module docstring, and its trace: one step
+    (splitter start, cell count after the split) per splitter popped.  Only
+    the cells starting at active are queued at first, so every other cell
+    must be stable.  Given a reference trace, returns None as soon as the run
+    leaves it, else (colors, trace)."""
     n, colors, cells = len(colors), list(colors), collections.defaultdict(set)
     for v, c in enumerate(colors):
         cells[c].add(v)
     queue = sorted(set(active))
-    queued = set(queue)
+    queued, trace = set(queue), []
     while queue and len(cells) < n:
         s = heapq.heappop(queue)
         queued.discard(s)
@@ -135,7 +143,14 @@ def _refine(out_adj, in_adj, colors, active):
                     queued.add(start)
                     heapq.heappush(queue, start)
                 start += len(f)
-    return colors
+        step = (s, len(cells))
+        if reference is not None and (len(trace) == len(reference)
+                                      or reference[len(trace)] != step):
+            return None
+        trace.append(step)
+    if reference is not None and len(trace) != len(reference):
+        return None
+    return colors, trace
 
 
 def refine(d: Digraph, initial: Optional[Sequence[int]] = None) -> List[int]:
@@ -146,7 +161,7 @@ def refine(d: Digraph, initial: Optional[Sequence[int]] = None) -> List[int]:
         raise ValueError("initial coloring length must match vertex count")
     ranks = sorted(labels)
     colors = [bisect.bisect_left(ranks, c) for c in labels]
-    colors, first = _refine(d.out_adj, d.in_adj, colors, colors), {}
+    colors, first = _refine(d.out_adj, d.in_adj, colors, colors)[0], {}
     return [first.setdefault(c, len(first)) for c in colors]
 
 
@@ -160,11 +175,12 @@ def _is_automorphism(d: Digraph, p) -> bool:
     return True
 
 
-def _individualize(out_adj, in_adj, colors, v):
-    """Refine an equitable coloring by v, moved to the end of its cell."""
+def _individualize(out_adj, in_adj, colors, v, reference=None):
+    """Refine an equitable coloring by v, moved to the end of its cell, as
+    _refine does."""
     fresh = list(colors)
     fresh[v] += colors.count(colors[v]) - 1
-    return _refine(out_adj, in_adj, fresh, [fresh[v]])
+    return _refine(out_adj, in_adj, fresh, [fresh[v]], reference)
 
 
 def _orbit(generators, v):
@@ -181,20 +197,25 @@ def _aut_elements(d: Digraph):
     """(generators, |Aut|, translations_embed) by the search in the module
     docstring; translations_embed is None unless d is an m-Cayley digraph."""
     out_adj, in_adj, n = d.out_adj, d.in_adj, d.n
-    path = [_refine(out_adj, in_adj, [0] * n, [0])]
-    base: List[int] = []
+    colors, trace = _refine(out_adj, in_adj, [0] * n, [0])
+    path, traces, base = [colors], [trace], []
     while len(sizes := collections.Counter(path[-1])) < n:
         # First vertex of the smallest non-singleton cell.
         target = min((size, c) for c, size in sizes.items() if size > 1)[1]
         base.append(path[-1].index(target))
-        path.append(_individualize(out_adj, in_adj, path[-1], base[-1]))
+        colors, trace = _individualize(out_adj, in_adj, path[-1], base[-1])
+        path.append(colors)
+        traces.append(trace)
     cell_starts = [set(c) for c in path]
 
     def probe(level, colors, u):
-        """First automorphism fixing base[:level] that maps base[level] to u."""
-        c2 = _individualize(out_adj, in_adj, colors, u)
-        if set(c2) != cell_starts[level + 1]:
+        """First automorphism fixing base[:level] that maps base[level] to u.
+        One that exists maps the path's refinement onto the probe's step by
+        step, so the probe stops where its trace leaves traces[level + 1]."""
+        run = _individualize(out_adj, in_adj, colors, u, traces[level + 1])
+        if run is None or set(run[0]) != cell_starts[level + 1]:
             return None
+        c2 = run[0]
         if level + 1 == len(base):
             perm = permlib.compose(path[-1], permlib.inverse(c2))
             return perm if _is_automorphism(d, perm) else None

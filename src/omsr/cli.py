@@ -133,9 +133,12 @@ def simple_group_check(name: str, m: int) -> VerificationReport:
 
 def _emit_json(path: Optional[str], payload) -> None:
     if path:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(path, "w") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write --json {path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_verify(args) -> int:
@@ -164,6 +167,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    if args.max_order < 1:
+        raise ValueError(f"--max-order must be >= 1, got {args.max_order}")
+    if args.max_m < 2:
+        raise ValueError(f"--max-m must be >= 2, got {args.max_m}")
     rows = reproduce_theorem(args.max_order, args.max_m)
     width = max(len(r["group"]) for r in rows)
     for r in rows:

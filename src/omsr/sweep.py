@@ -257,7 +257,11 @@ def _scan(G: Group, m: int, valency: int, first_only: bool,
     of the table the scan stopped at, or the number of constrained tables
     when it ran to the end, or ``budget + 1`` when it would have passed the
     budget; ``oriented`` and ``max_aut_order_seen`` cover the same tables.
+    A negative valency raises ValueError: no table meets it, and an empty
+    scan would read as a certified NOT_EXISTS.
     """
+    if valency < 0:
+        raise ValueError(f"valency must be >= 0, got {valency}")
     stats = {"examined": 0, "oriented": 0, "max_aut_order_seen": 0}
     witnesses: List[ConnectionTable] = []
     first_gamma = None

@@ -330,12 +330,14 @@ def test_stabilizer_matches_brute_force_elements():
 
 def test_verify_costs_at_most_2m_individualizations(monkeypatch):
     engine = importlib.import_module("omsr.automorphisms")
-    calls = []
+    calls, aborted = [], []
     original = engine._individualize
 
-    def counting(*args):
-        calls.append(args[-1])
-        return original(*args)
+    def counting(out_adj, in_adj, colors, v, reference=None):
+        calls.append(v)
+        run = original(out_adj, in_adj, colors, v, reference)
+        aborted.append(run is None)
+        return run
 
     monkeypatch.setattr(engine, "_individualize", counting)
     G, pair = catalog_group("cyclic", [48])
@@ -343,6 +345,9 @@ def test_verify_costs_at_most_2m_individualizations(monkeypatch):
     report = is_omsr(d, G, 5)
     assert report.omsr and report.stabilizer_order == 1 and report.orbit_count == 5
     assert len(calls) <= 2 * 5
+    # Each of the m - 1 block probes stops where its refinement trace
+    # leaves the base path's.
+    assert sum(aborted) == 5 - 1
 
 
 def test_z100_m5_near_vertex_cap():
@@ -414,32 +419,51 @@ def oracle_cases(rng):
 def test_refine_matches_signature_rounds():
     rng = random.Random(2024)
     for d in oracle_cases(rng):
-        uniform = _refine(d.out_adj, d.in_adj, [0] * d.n, [0])
+        uniform = _refine(d.out_adj, d.in_adj, [0] * d.n, [0])[0]
         assert first_occurrence(uniform) == signature_rounds(d, [0] * d.n)
         for v in range(d.n):
             fresh = list(uniform)
             fresh[v] = -1
-            assert first_occurrence(_individualize(d.out_adj, d.in_adj, uniform, v)) == \
+            assert first_occurrence(_individualize(d.out_adj, d.in_adj, uniform, v)[0]) == \
                 first_occurrence(signature_rounds(d, fresh))
         for _ in range(3):
             labels = [rng.choice((-1, 0, 5)) for _ in range(d.n)]
             assert refine(d, labels) == signature_rounds(d, first_occurrence(labels))
 
 
+def test_refine_follows_or_leaves_reference_trace():
+    rng = random.Random(7)
+    for d in oracle_cases(rng):
+        uniform, top = _refine(d.out_adj, d.in_adj, [0] * d.n, [0])
+        assert _refine(d.out_adj, d.in_adj, [0] * d.n, [0], top) == (uniform, top)
+        for v in range(d.n):
+            colors, trace = _individualize(d.out_adj, d.in_adj, uniform, v)
+            assert _individualize(d.out_adj, d.in_adj, uniform, v, trace) == (colors, trace)
+            assert _individualize(d.out_adj, d.in_adj, uniform, v, trace + [(0, 1)]) is None
+            if trace:
+                assert _individualize(d.out_adj, d.in_adj, uniform, v, trace[:-1]) is None
+                i = rng.randrange(len(trace))
+                bad = list(trace)
+                bad[i] = (bad[i][0], bad[i][1] + 1)
+                assert _individualize(d.out_adj, d.in_adj, uniform, v, bad) is None
+
+
 def check_equivariant(d, pi, rng):
-    """Colors commute with pi after the top-level refinement and after each
-    individualization along one path, as probe's leaf matching needs."""
+    """Colors commute with pi, and the traces are equal, after the top-level
+    refinement and after each individualization along one path, as probe's
+    leaf matching and trace pruning need."""
     dp = permuted(d, pi)
-    colors = _refine(d.out_adj, d.in_adj, [0] * d.n, [0])
-    colors_p = _refine(dp.out_adj, dp.in_adj, [0] * d.n, [0])
+    colors, trace = _refine(d.out_adj, d.in_adj, [0] * d.n, [0])
+    colors_p, trace_p = _refine(dp.out_adj, dp.in_adj, [0] * d.n, [0])
     while True:
         assert all(colors_p[pi[v]] == colors[v] for v in range(d.n))
+        assert trace_p == trace
         open_cells = [v for v in range(d.n) if colors.count(colors[v]) > 1]
         if not open_cells:
             return
         v = rng.choice(open_cells)
-        colors = _individualize(d.out_adj, d.in_adj, colors, v)
-        colors_p = _individualize(dp.out_adj, dp.in_adj, colors_p, pi[v])
+        colors, trace = _individualize(d.out_adj, d.in_adj, colors, v)
+        colors_p, trace_p = _individualize(dp.out_adj, dp.in_adj, colors_p, pi[v])
 
 
 def test_refine_equivariant_under_relabelling():

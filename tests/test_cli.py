@@ -215,6 +215,28 @@ def test_main_input_errors(capsys):
     capsys.readouterr()
 
 
+def test_main_sweep_negative_valency_is_input_error(capsys):
+    code = main(["sweep", "--group", "catalog:cyclic:2", "--m", "3", "--valency", "-1"])
+    assert code == EXIT_INPUT
+    assert "valency" in capsys.readouterr().err
+
+
+def test_main_reproduce_rejects_empty_ranges(capsys):
+    for argv, flag in [(["--max-order", "0", "--max-m", "3"], "--max-order"),
+                       (["--max-order", "3", "--max-m", "1"], "--max-m")]:
+        assert main(["reproduce"] + argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and flag in err, err
+
+
+def test_main_unwritable_json_is_input_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code = main(["verify", "--group", "catalog:cyclic:5", "--m", "3", "--json", str(path)])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error: cannot write --json")
+    assert not path.exists()
+
+
 def test_main_budget_exit(capsys):
     # Sweep guard violation maps to the budget exit code.
     assert main(["sweep", "--group", "catalog:cyclic:5", "--m", "5"]) == EXIT_BUDGET

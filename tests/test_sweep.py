@@ -203,6 +203,16 @@ def test_find_witness_exhaustion_returns_none():
     assert stats["examined"] > 0
 
 
+def test_negative_valency_is_rejected():
+    # No table has a negative row total, so an empty scan would read as a
+    # certified NOT_EXISTS.
+    Z2, _ = catalog_group("cyclic", [2])
+    with pytest.raises(ValueError, match="valency"):
+        exhaustive_sweep(Z2, 3, valency=-1)
+    with pytest.raises(ValueError, match="valency"):
+        find_witness(Z2, 3, valency=-1)
+
+
 def test_find_witness_budget():
     G, _ = catalog_group("cyclic", [3])
     with pytest.raises(SearchBudgetExceeded):

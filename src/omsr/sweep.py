@@ -12,8 +12,11 @@ keeps its 1-based position among all constrained tables.
 |Aut| is the same on every table in an orbit of G^m x| S_m, extended by the
 converse map (see `_table_moves`).  An all-witness scan visits every
 oriented table, so it calls the engine on the first table of each orbit,
-closes that orbit, and reads the other members from a memo.  First-stop
-scans call the engine on every table they reach.
+closes that orbit, and reads the other members from a memo.  A first-stop
+scan calls the engine only on a table that no single move sends to an
+earlier one, since an earlier table of the same orbit was already reached
+and was no witness: the cheap local test of isomorph-free generation
+(McKay, *Isomorph-free exhaustive generation*, J. Algorithms 1998).
 """
 
 from __future__ import annotations
@@ -95,6 +98,13 @@ def count_tables(n: int, m: int, valency: int) -> int:
     return _completions(n, valency, m - 1, valency, (), (valency,) * m)
 
 
+def _cell_order(n: int, valency: int) -> List[frozenset]:
+    """Every cell value in the order `enumerate_tables` tries them: by size,
+    then as ``itertools.combinations``."""
+    return [frozenset(combo) for s in range(min(valency, n) + 1)
+            for combo in itertools.combinations(range(n), s)]
+
+
 def enumerate_tables(G: Group, m: int, valency: int) -> Iterator[Tuple[int, tuple]]:
     """The oriented m x m families of subsets of G with every row and column
     total equal to the valency, as ``(position, sets)``.
@@ -109,14 +119,10 @@ def enumerate_tables(G: Group, m: int, valency: int) -> Iterator[Tuple[int, tupl
     """
     n = G.order
     # Per size: (subset, its inverse set, allowed on the diagonal).
-    subsets = {}
-    for s in range(min(valency, n) + 1):
-        cells = []
-        for combo in itertools.combinations(range(n), s):
-            sub = frozenset(combo)
-            sub_inv = frozenset(G.inv[t] for t in combo)
-            cells.append((sub, sub_inv, 0 not in sub and not sub & sub_inv))
-        subsets[s] = cells
+    subsets = {s: [] for s in range(min(valency, n) + 1)}
+    for sub in _cell_order(n, valency):
+        sub_inv = frozenset(G.inv[t] for t in sub)
+        subsets[len(sub)].append((sub, sub_inv, 0 not in sub and not sub & sub_inv))
     colrem = [valency] * m
     current = [[frozenset()] * m for _ in range(m)]
     position = 0
@@ -150,92 +156,118 @@ def enumerate_tables(G: Group, m: int, valency: int) -> Iterator[Tuple[int, tupl
     yield from fill_cell(0, 0, valency)
 
 
-def _table_moves(G: Group, m: int) -> List[Tuple[tuple, tuple, bool]]:
-    """Generators of G^m x| S_m, with the converse, as (h, sigma, converse).
+def _table_moves(G: Group, m: int) -> Tuple[list, list]:
+    """Moves of G^m x| S_m, with the converse, as (h, sigma, converse).
 
     (h, sigma) relabels vertex (x, i) of ``build_mcayley(G, T)`` as
     (h_i * x, sigma(i)).  Arcs run (x, i) -> (t * x, j), so the image is the
-    digraph of T'[sigma(i)][sigma(j)] = h_j T[i][j] h_i^-1.  A gauge h_0 = g
-    for each g of a generating set, the transposition (0 1) and the m-cycle
-    generate the group.  The converse T'[j][i] = T[i][j]^-1 reverses every
-    arc under the identity map.  Every move keeps |Aut|, orientation and
-    the row and column totals.
+    digraph of T'[sigma(i)][sigma(j)] = h_j T[i][j] h_i^-1.  The converse
+    T'[j][i] = T[i][j]^-1 reverses every arc under the identity map, and a
+    move with ``converse`` set applies it after (h, sigma).  Every move
+    keeps |Aut|, orientation and the row and column totals.
+
+    Returns (generators, moves).  ``moves`` holds the gauge h_i = g for
+    every block i and every g of a generating set, every block
+    transposition and the m-cycle, each alone and followed by the converse,
+    and the converse alone.  ``generators`` is the part of it that
+    generates the group: the gauges on block 0, the transposition (0 1),
+    the m-cycle and the converse.
     """
     blocks = tuple(range(m))
     ident = (0,) * m
-    moves = [((g,) + ident[1:], blocks, False) for g in generating_set(G)]
-    if m > 1:
-        swap, cycle = (1, 0) + blocks[2:], blocks[1:] + (0,)
-        moves += [(ident, sigma, False) for sigma in dict.fromkeys((swap, cycle))]
-    return moves + [(ident, blocks, True)]
+    gens = generating_set(G)
+    gauges = [(ident[:i] + (g,) + ident[i + 1:], blocks) for i in blocks for g in gens]
+    swaps = [(ident, tuple(j if b == i else i if b == j else b for b in blocks))
+             for i, j in itertools.combinations(blocks, 2)]
+    cycle = [(ident, blocks[1:] + blocks[:1])] if m > 2 else []
+    converse = (ident, blocks, True)
+    moves = [(h, sigma, c) for c in (False, True) for h, sigma in gauges + swaps + cycle]
+    generators = [(h, sigma, False) for h, sigma in gauges[:len(gens)] + swaps[:1] + cycle]
+    return generators + [converse], moves + [converse]
 
 
-class _MaskImage(dict):
-    """Bit mask of a cell -> bit mask of its image under an element map."""
+class _RankedMoves:
+    """The moves of `_table_moves` on rank-coded tables.
 
-    def __init__(self, image):
-        super().__init__()
-        self.image = image
+    A cell's rank is its subset's index in the order `enumerate_tables`
+    tries cells: by size, then as ``itertools.combinations``.  A table's key
+    is the row-major tuple of its cell ranks, so keys compare exactly as
+    enumeration positions do.  A coded move lists, for each target cell in
+    row-major order, its source cell and the rank map of the element map
+    between them.
+    """
 
-    def __missing__(self, mask):
-        out = 0
-        for t, x in enumerate(self.image):
-            if mask >> t & 1:
-                out |= 1 << x
-        self[mask] = out
-        return out
+    def __init__(self, G: Group, m: int, valency: int):
+        n = G.order
+        cells = _cell_order(n, valency)
+        self._rank = {sub: r for r, sub in enumerate(cells)}
+        rank_maps = {}
+        coded = {}
+        generators, moves = _table_moves(G, m)
+        for move in moves:
+            h, sigma, converse = move
+            code = [None] * (m * m)
+            for i, j in itertools.product(range(m), repeat=2):
+                f = (h[i], h[j], converse)
+                if f not in rank_maps:
+                    image = [G.mult[G.mult[h[j]][t]][G.inv[h[i]]] for t in range(n)]
+                    if converse:
+                        image = [G.inv[x] for x in image]
+                    rank_maps[f] = tuple(self._rank[frozenset(image[t] for t in sub)]
+                                         for sub in cells)
+                a, b = (sigma[j], sigma[i]) if converse else (sigma[i], sigma[j])
+                code[a * m + b] = (i * m + j, rank_maps[f])
+            coded[move] = tuple(code)
+        self.moves = [coded[move] for move in moves]
+        self.generators = [coded[move] for move in generators]
+
+    def key(self, sets) -> tuple:
+        rank = self._rank
+        return tuple([rank[cell] for row in sets for cell in row])
+
+    @staticmethod
+    def images(key, moves) -> List[tuple]:
+        """The key's image under each coded move, in order."""
+        return [tuple([f[key[src]] for src, f in move]) for move in moves]
+
+    def has_earlier_image(self, key) -> bool:
+        """Whether some move maps the table to one earlier in enumeration
+        order.  Each image is compared cell by cell, up to the first cell
+        that differs."""
+        for move in self.moves:
+            for target, (src, f) in zip(key, move):
+                r = f[key[src]]
+                if r < target:
+                    return True
+                if r > target:
+                    break
+        return False
 
 
 class _OrbitMemo:
-    """|Aut| of tables already reached from a measured one by the moves of
-    `_table_moves`.  A table is keyed by one bit mask per cell, row-major.
-    Each table of a scan is popped once, so the memo holds only the members
-    of the orbits still open."""
+    """|Aut| of tables already reached from a measured one by the generating
+    moves.  Each table of a scan is popped once, so the memo holds only the
+    members of the orbits still open."""
 
-    def __init__(self, G: Group, m: int):
-        n, images = G.order, {}
-        self._masks = {}
+    def __init__(self, moves: _RankedMoves):
+        self._moves = moves
         self._memo = {}
-        self._moves = []
-        for h, sigma, converse in _table_moves(G, m):
-            move = [None] * (m * m)
-            for i, j in itertools.product(range(m), repeat=2):
-                image = tuple(G.mult[G.mult[h[j]][t]][G.inv[h[i]]] for t in range(n))
-                a, b = sigma[i], sigma[j]
-                if converse:
-                    image, a, b = tuple(G.inv[x] for x in image), b, a
-                move[a * m + b] = (i * m + j, images.setdefault(image, _MaskImage(image)))
-            self._moves.append(move)
-
-    def key(self, sets) -> tuple:
-        masks = self._masks
-        out = []
-        for row in sets:
-            for cell in row:
-                if cell not in masks:
-                    masks[cell] = sum(1 << t for t in cell)
-                out.append(masks[cell])
-        return tuple(out)
-
-    def images(self, key) -> List[tuple]:
-        """The key's image under each move of `_table_moves`, in order."""
-        return [tuple([f[key[src]] for src, f in move]) for move in self._moves]
 
     def orbit(self, key) -> set:
+        generators = self._moves.generators
         seen, queue = {key}, [key]
         for current in queue:
-            for image in self.images(current):
+            for image in self._moves.images(current, generators):
                 if image not in seen:
                     seen.add(image)
                     queue.append(image)
         return seen
 
-    def pop(self, sets) -> Optional[int]:
-        return self._memo.pop(self.key(sets), None)
+    def pop(self, key) -> Optional[int]:
+        return self._memo.pop(key, None)
 
-    def record(self, sets, order: int) -> None:
+    def record(self, key, order: int) -> None:
         """Store order for every other member of the table's orbit."""
-        key = self.key(sets)
         self._memo.update(dict.fromkeys(self.orbit(key) - {key}, order))
 
 
@@ -243,42 +275,64 @@ def feasibility_guard(G: Group, m: int) -> bool:
     return G.order * m <= GUARD_PRODUCT or (G.order == 1 and m <= GUARD_TRIVIAL_M)
 
 
+def _check_scan_inputs(m: int, valency: int) -> None:
+    """Reject an m below 1 or a negative valency: no table has that shape,
+    and an empty scan would read as a certified NOT_EXISTS."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if valency < 0:
+        raise ValueError(f"valency must be >= 0, got {valency}")
+
+
 def _scan(G: Group, m: int, valency: int, first_only: bool,
           budget: Optional[int] = None):
     """The one enumeration driver behind `exhaustive_sweep` and `find_witness`.
 
-    Computes |Aut| of the digraph of every oriented table in enumeration
-    order and collects the tables with |Aut| = |G|, stopping at the first
-    one when ``first_only`` is set.  Without ``first_only`` every table is
-    visited, so each orbit's |Aut| is measured once and memoised.  Returns
-    (witness tables, digraph of the first witness or None, stats).  The
-    first witness is always the first table of its orbit, so it has a
-    digraph.  ``stats["examined"]`` is the position
-    of the table the scan stopped at, or the number of constrained tables
-    when it ran to the end, or ``budget + 1`` when it would have passed the
-    budget; ``oriented`` and ``max_aut_order_seen`` cover the same tables.
-    A negative valency raises ValueError: no table meets it, and an empty
-    scan would read as a certified NOT_EXISTS.
+    Walks the oriented tables in enumeration order and collects those whose
+    digraphs have |Aut| = |G|, stopping at the first one when
+    ``first_only`` is set.  Returns (witness tables, digraph of the first
+    witness or None, stats).
+
+    A first-stop scan calls the engine only on a table that no move of
+    `_table_moves` sends to an earlier table.  A table with an earlier
+    image is skipped: that image is oriented and meets the valency, so the
+    scan reached it, found it no witness, and measured its |Aut|, or the
+    |Aut| of an earlier member of the same orbit.  The first witness is the
+    first table of its orbit, so it is always measured.  Without
+    ``first_only`` every table is visited, so each orbit's |Aut| is measured
+    once, on its first table, and memoised for the rest.  Either way the
+    witnesses, ``oriented`` and ``max_aut_order_seen`` are those of one
+    engine call per table.  The rank-coded moves are built at the first
+    oriented table, so a scan that reaches none pays nothing for them.
+
+    ``stats["examined"]`` is the position of the table the scan stopped at,
+    or the number of constrained tables when it ran to the end, or
+    ``budget + 1`` when it would have passed the budget; ``oriented`` and
+    ``max_aut_order_seen`` cover the same tables.
     """
-    if valency < 0:
-        raise ValueError(f"valency must be >= 0, got {valency}")
     stats = {"examined": 0, "oriented": 0, "max_aut_order_seen": 0}
     witnesses: List[ConnectionTable] = []
     first_gamma = None
-    memo = None if first_only else _OrbitMemo(G, m)
+    moves = memo = None
     for position, sets in enumerate_tables(G, m, valency):
         if budget is not None and position > budget:
             stats["examined"] = budget + 1
             return witnesses, first_gamma, stats
         stats["oriented"] += 1
+        if moves is None:
+            moves = _RankedMoves(G, m, valency)
+            memo = None if first_only else _OrbitMemo(moves)
+        key = moves.key(sets)
+        if first_only and moves.has_earlier_image(key):
+            continue
         table = gamma = None
-        order = memo.pop(sets) if memo is not None else None
+        order = memo.pop(key) if memo is not None else None
         if order is None:
             table = ConnectionTable(m, sets)
             gamma = build_mcayley(G, table)
             order = automorphisms(gamma).order
             if memo is not None:
-                memo.record(sets, order)
+                memo.record(key, order)
         stats["max_aut_order_seen"] = max(stats["max_aut_order_seen"], order)
         if order == G.order:
             witnesses.append(table or ConnectionTable(m, sets))
@@ -298,12 +352,15 @@ def exhaustive_sweep(G: Group, m: int, valency: int = 2,
     digraphs have automorphism group of order exactly |G|.
 
     Stops at the first witness unless all_witnesses is set; a NOT_EXISTS
-    verdict always reflects the full enumeration.  With all_witnesses the
-    engine runs once per orbit of G^m x| S_m with the converse, and every
-    other table of the orbit takes that |Aut| through an explicit
-    isomorphism; the witnesses and counts are those of one engine call per
-    table.
+    verdict always reflects the full enumeration.  The engine runs only on
+    tables that are first in their orbit of G^m x| S_m with the converse,
+    or, without all_witnesses, first among their images under single
+    moves; every other table's |Aut| equals that of an earlier one through
+    an explicit isomorphism.  The witnesses and counts are those of one
+    engine call per table.  Raises ValueError for m < 1 or a negative
+    valency, before the guard is applied.
     """
+    _check_scan_inputs(m, valency)
     if not feasibility_guard(G, m):
         raise InfeasibleSweep(
             f"|G|*m = {G.order * m} exceeds guard {GUARD_PRODUCT} "
@@ -338,6 +395,7 @@ def find_witness(G: Group, m: int, valency: int = 2,
     Structured witnesses sit very early in lexicographic order, so the scan
     follows that order.
     """
+    _check_scan_inputs(m, valency)
     witnesses, gamma, stats = _scan(G, m, valency, first_only=True, budget=budget)
     if witnesses:
         return witnesses[0], gamma, stats

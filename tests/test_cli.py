@@ -221,6 +221,21 @@ def test_main_sweep_negative_valency_is_input_error(capsys):
     assert "valency" in capsys.readouterr().err
 
 
+def test_main_sweep_negative_m_is_input_error(capsys):
+    code = main(["sweep", "--group", "catalog:cyclic:3", "--m", "-1"])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "m must be" in err, err
+
+
+def test_main_sweep_negative_valency_past_guard_is_input_error(capsys):
+    # Z5 at m = 5 is past the sweep guard; the valency is checked first.
+    code = main(["sweep", "--group", "catalog:cyclic:5", "--m", "5", "--valency", "-1"])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "valency" in err, err
+
+
 def test_main_reproduce_rejects_empty_ranges(capsys):
     for argv, flag in [(["--max-order", "0", "--max-m", "3"], "--max-order"),
                        (["--max-order", "3", "--max-m", "1"], "--max-m")]:

@@ -10,9 +10,10 @@ import omsr.sweep
 from omsr.automorphisms import automorphisms, brute_force_automorphisms, is_omsr
 from omsr.digraphs import ConnectionTable, build_mcayley, oriented_table_criterion
 from omsr.errors import InfeasibleSweep, SearchBudgetExceeded
-from omsr.groups import Group, catalog_group, group_from_cayley_table
-from omsr.sweep import (_OrbitMemo, _table_moves, count_tables, enumerate_tables,
-                        exhaustive_sweep, feasibility_guard, find_witness)
+from omsr.groups import Group, catalog_group, generating_set, group_from_cayley_table
+from omsr.sweep import (_OrbitMemo, _RankedMoves, _cell_order, _scan, _table_moves,
+                        count_tables, enumerate_tables, exhaustive_sweep,
+                        feasibility_guard, find_witness)
 
 Z1 = Group(mult=((0,),), inv=(0,), label="Z1")
 
@@ -213,6 +214,22 @@ def test_negative_valency_is_rejected():
         find_witness(Z2, 3, valency=-1)
 
 
+def test_negative_valency_is_rejected_before_guard():
+    # Z5 at m = 5 is past the guard, which must not answer first.
+    Z5, _ = catalog_group("cyclic", [5])
+    with pytest.raises(ValueError, match="valency"):
+        exhaustive_sweep(Z5, 5, valency=-1)
+
+
+def test_m_below_one_is_rejected():
+    Z3, _ = catalog_group("cyclic", [3])
+    for m in (-1, 0):
+        with pytest.raises(ValueError, match="m must be"):
+            exhaustive_sweep(Z3, m)
+        with pytest.raises(ValueError, match="m must be"):
+            find_witness(Z3, m)
+
+
 def test_find_witness_budget():
     G, _ = catalog_group("cyclic", [3])
     with pytest.raises(SearchBudgetExceeded):
@@ -273,16 +290,15 @@ def random_oriented_table(G, m, rng):
     raise AssertionError(f"no oriented table drawn for {G!r} m={m}")
 
 
-def unkey(key, m):
-    return tuple(tuple(frozenset(t for t in range(key[i * m + j].bit_length())
-                                 if key[i * m + j] >> t & 1)
-                       for j in range(m)) for i in range(m))
+def unkey(G, m, key):
+    cells = _cell_order(G.order, 2)
+    return tuple(tuple(cells[key[i * m + j]] for j in range(m)) for i in range(m))
 
 
 def test_table_moves_are_isomorphisms():
     # Each move (h, sigma, converse) relabels (x, i) as (h_i * x, sigma(i));
     # that vertex map must carry the arcs of T's digraph onto exactly the arcs
-    # of T''s (reversed for the converse).
+    # of T''s (reversed for the converse, which follows (h, sigma)).
     # Oriented tables need m >= 5 over Z1, m >= 3 over Z2 and m >= 2 else.
     rng = random.Random(6)
     S3, _ = catalog_group("symmetric", [3])
@@ -290,15 +306,23 @@ def test_table_moves_are_isomorphisms():
     cases += [(G, m) for G in (cyclic(3), klein(), S3) for m in (2, 3, 4)]
     for G, m in cases:
         n = G.order
-        memo = _OrbitMemo(G, m)
-        moves = _table_moves(G, m)
+        ranked = _RankedMoves(G, m, 2)
+        generators, moves = _table_moves(G, m)
+        # Gauges on every block, transpositions and the m-cycle, each with and
+        # without the converse, then the converse alone.
+        base = m * len(generating_set(G)) + m * (m - 1) // 2 + (m > 2)
+        assert len(moves) == len(set(moves)) == 2 * base + 1
+        assert set(generators) <= set(moves)
         for _ in range(5):
             table = random_oriented_table(G, m, rng)
             d = build_mcayley(G, table)
-            images = memo.images(memo.key(table.sets))
+            key = ranked.key(table.sets)
+            images = ranked.images(key, ranked.moves)
             assert len(images) == len(moves)
+            assert ranked.images(key, ranked.generators) == [
+                images[moves.index(move)] for move in generators]
             for (h, sigma, converse), image in zip(moves, images):
-                moved = ConnectionTable(m, unkey(image, m))
+                moved = ConnectionTable(m, unkey(G, m, image))
                 assert oriented_table_criterion(G, moved)
                 d2 = build_mcayley(G, moved)
                 phi = [sigma[i] * n + G.mult[h[i]][x] for i in range(m) for x in range(n)]
@@ -312,12 +336,14 @@ def test_orbit_memo_matches_engine_on_every_table():
     # The scan's pop/record loop, with a direct engine call beside every
     # memoised order.
     for G, m in [(Z1, 6), (klein(), 3), (cyclic(3), 3)]:
-        memo = _OrbitMemo(G, m)
+        ranked = _RankedMoves(G, m, 2)
+        memo = _OrbitMemo(ranked)
         for _, sets in enumerate_tables(G, m, 2):
             direct = engine_order(G, m, sets)
-            order = memo.pop(sets)
+            key = ranked.key(sets)
+            order = memo.pop(key)
             if order is None:
-                memo.record(sets, direct)
+                memo.record(key, direct)
             else:
                 assert order == direct, (G, m, sets)
         assert not memo._memo
@@ -340,8 +366,9 @@ def pinned_cells():
 def test_orbit_closure_stays_in_enumerated_set():
     # The orbits partition the enumerated oriented tables, one per engine call.
     for G, m, pins in pinned_cells() + [(cyclic(2), 3, (2,)), (klein(), 2, (3,))]:
-        memo = _OrbitMemo(G, m)
-        keys = {memo.key(sets) for _, sets in enumerate_tables(G, m, 2)}
+        ranked = _RankedMoves(G, m, 2)
+        memo = _OrbitMemo(ranked)
+        keys = {ranked.key(sets) for _, sets in enumerate_tables(G, m, 2)}
         covered, orbits = set(), 0
         for key in keys:
             if key not in covered:
@@ -363,9 +390,11 @@ def test_all_witness_sweep_engine_calls_pinned(monkeypatch):
         got = (len(calls), result.tables_enumerated, result.oriented_count,
                len(result.witnesses), result.max_aut_order_seen)
         assert got == pins, (G, m)
-    # First-stop scans keep one engine call per oriented table.
+    # A first-stop scan calls the engine only on tables with no earlier move
+    # image: 6 of the 570 oriented ones here.
     calls.clear()
-    assert exhaustive_sweep(Z1, 6).oriented_count == len(calls) == 570
+    assert exhaustive_sweep(Z1, 6).oriented_count == 570
+    assert len(calls) == 6
 
 
 def test_all_witness_sweep_matches_unpruned_oracle():
@@ -378,3 +407,76 @@ def test_all_witness_sweep_matches_unpruned_oracle():
         assert result.max_aut_order_seen == max((o for o, _ in orders), default=0)
         want = sorted(ConnectionTable(m, sets).to_text() for o, sets in orders if o == G.order)
         assert [w.to_text() for w in result.witnesses] == want, (G, m)
+
+
+# --- first-stop scans: the engine only on tables with no earlier image --------
+
+def first_stop_oracle(G, m, budget=None):
+    """(examined, oriented, max |Aut|, first witness text or None) of a
+    first-stop scan, from a direct engine call on every oriented table of the
+    unpruned enumeration, in order."""
+    oriented = top = pos = 0
+    for pos, sets in enumerate(naive_tables(G.order, m, 2), 1):
+        if budget is not None and pos > budget:
+            return budget + 1, oriented, top, None
+        if not oriented_table_criterion(G, ConnectionTable(m, sets)):
+            continue
+        oriented += 1
+        order = engine_order(G, m, sets)
+        top = max(top, order)
+        if order == G.order:
+            return pos, oriented, top, ConnectionTable(m, sets).to_text()
+    return pos, oriented, top, None
+
+
+def test_first_stop_scan_matches_unpruned_oracle():
+    cells = [(Z1, 5), (cyclic(2), 3), (cyclic(2), 4), (cyclic(3), 2), (cyclic(3), 3),
+             (cyclic(4), 2), (klein(), 2), (klein(), 3)]
+    for G, m in cells:
+        want = first_stop_oracle(G, m)
+        result = exhaustive_sweep(G, m)
+        got = (result.tables_enumerated, result.oriented_count, result.max_aut_order_seen,
+               result.witnesses[0].to_text() if result.witnesses else None)
+        assert got == want, (G, m)
+        table, gamma, stats = find_witness(G, m)
+        assert (stats["examined"], stats["oriented"], stats["max_aut_order_seen"]) == want[:3]
+        assert (table.to_text() if table else None) == want[3], (G, m)
+        if table is not None:
+            assert gamma.table == table
+    # The budget path: Z2^2 at m = 3 has its first witness at position 2,199.
+    for budget in (1000, 2198, 2199):
+        want = first_stop_oracle(klein(), 3, budget)
+        witnesses, _, stats = _scan(klein(), 3, 2, first_only=True, budget=budget)
+        got = (stats["examined"], stats["oriented"], stats["max_aut_order_seen"],
+               witnesses[0].to_text() if witnesses else None)
+        assert got == want, budget
+    with pytest.raises(SearchBudgetExceeded):
+        find_witness(klein(), 3, budget=2198)
+
+
+def test_skipped_tables_have_earlier_images_of_equal_order():
+    # Keys compare as positions do, and every table the first-stop test skips
+    # has a smaller image that is an enumerated table at an earlier position
+    # with the same engine |Aut|.
+    for G, m in [(Z1, 6), (klein(), 3), (cyclic(3), 3)]:
+        ranked = _RankedMoves(G, m, 2)
+        enumerated = [(ranked.key(sets), pos, sets) for pos, sets in enumerate_tables(G, m, 2)]
+        keys = [key for key, _, _ in enumerated]
+        assert keys == sorted(set(keys))
+        where = {key: (pos, sets) for key, pos, sets in enumerated}
+        orders = {}
+
+        def order(key):
+            if key not in orders:
+                orders[key] = engine_order(G, m, where[key][1])
+            return orders[key]
+
+        skipped = 0
+        for key, pos, _ in enumerated:
+            earlier = [image for image in ranked.images(key, ranked.moves) if image < key]
+            assert ranked.has_earlier_image(key) == bool(earlier), (G, m, pos)
+            skipped += bool(earlier)
+            for image in earlier:
+                assert where[image][0] < pos
+                assert order(image) == order(key), (G, m, pos)
+        assert 0 < skipped < len(enumerated)

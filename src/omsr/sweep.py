@@ -16,7 +16,13 @@ closes that orbit, and reads the other members from a memo.  A first-stop
 scan calls the engine only on a table that no single move sends to an
 earlier one, since an earlier table of the same orbit was already reached
 and was no witness: the cheap local test of isomorph-free generation
-(McKay, *Isomorph-free exhaustive generation*, J. Algorithms 1998).
+(McKay, *Isomorph-free exhaustive generation*, J. Algorithms 1998).  The
+walk of a first-stop scan also applies that test to each finished row
+prefix, under the moves that keep its rows in place.  Such a move maps the
+subtree of the prefix one-to-one onto that of an earlier prefix, so the
+subtree is counted, not walked: it holds no witness, no new |Aut| and as
+many oriented tables as the earlier one, read from a memo.  A subtree that
+reaches past a search budget is walked, so the scan stops where it did.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from .errors import InfeasibleSweep, SearchBudgetExceeded
 from .groups import Group, generating_set
 
 GUARD_PRODUCT = 16
-GUARD_TRIVIAL_M = 10
 WITNESS_BUDGET = 500_000
 
 
@@ -79,17 +84,33 @@ def _completions(n: int, valency: int, rows: int, rowrem: int,
     columns it has passed, and ``rows`` full rows follow.  A cell of size s
     has C(n, s) fillings.  The count is symmetric in the columns of ``todo``
     and of ``done``, so both are passed sorted, which keeps the memo small.
+    The next row is read from `_row_starts`, so the depth is O(m), not one
+    frame per cell of the table.
     """
     if not todo:
         if rowrem:
             return 0
         if not rows:
             return int(not any(done))
-        return _completions(n, valency, rows - 1, valency, (), done)
+        return _row_starts(n, valency, rows - 1, len(done)).get(done, 0)
     budget, rest = todo[0], todo[1:]
     return sum(math.comb(n, s) * _completions(n, valency, rows, rowrem - s,
                                                tuple(sorted(done + (budget - s,))), rest)
                for s in range(min(rowrem, budget) + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _row_starts(n: int, valency: int, rows: int, m: int) -> dict:
+    """`_completions` at the start of a row with ``rows`` full rows after
+    it, for every sorted tuple of m column budgets, each at most the
+    valency, that these rows can fill exactly; any other budgets have no
+    completion.  The next row's table is built first, so each entry
+    recurses along one row only."""
+    if rows:
+        _row_starts(n, valency, rows - 1, m)
+    return {budgets: _completions(n, valency, rows, valency, (), budgets)
+            for budgets in itertools.combinations_with_replacement(range(valency + 1), m)
+            if sum(budgets) == valency * (rows + 1)}
 
 
 def count_tables(n: int, m: int, valency: int) -> int:
@@ -105,7 +126,8 @@ def _cell_order(n: int, valency: int) -> List[frozenset]:
             for combo in itertools.combinations(range(n), s)]
 
 
-def enumerate_tables(G: Group, m: int, valency: int) -> Iterator[Tuple[int, tuple]]:
+def enumerate_tables(G: Group, m: int, valency: int,
+                     prefixes: Optional["_PrefixMemo"] = None) -> Iterator[Tuple[int, tuple]]:
     """The oriented m x m families of subsets of G with every row and column
     total equal to the valency, as ``(position, sets)``.
 
@@ -116,6 +138,11 @@ def enumerate_tables(G: Group, m: int, valency: int) -> Iterator[Tuple[int, tupl
     diagonal may not meet T[j][i]^-1.  Each rejected cell advances the
     position by the number of tables under it, and a cell no table can
     complete is never entered.
+
+    A first-stop `_scan` passes ``prefixes``.  Once it holds moves, each
+    finished row prefix that `_PrefixMemo.skip` accepts is counted, not
+    walked: the position advances past its subtree, whose oriented tables
+    are then never yielded.  Without it every oriented table is yielded.
     """
     n = G.order
     # Per size: (subset, its inverse set, allowed on the diagonal).
@@ -125,16 +152,29 @@ def enumerate_tables(G: Group, m: int, valency: int) -> Iterator[Tuple[int, tupl
         subsets[len(sub)].append((sub, sub_inv, 0 not in sub and not sub & sub_inv))
     colrem = [valency] * m
     current = [[frozenset()] * m for _ in range(m)]
-    position = 0
+    position = reached = 0  # reached: oriented tables yielded or counted
 
     def fill_cell(i, j, rowrem):
-        nonlocal position
+        nonlocal position, reached
         if j == m:
-            if i + 1 < m:
-                yield from fill_cell(i + 1, 0, valency)
-            else:
+            if i + 1 == m:
                 position += 1
+                reached += 1
                 yield position, tuple(tuple(row) for row in current)
+                return
+            key = None
+            if prefixes is not None and prefixes.moves is not None:
+                key = prefixes.moves.key(current[:i + 1])
+                below = _completions(n, valency, m - 2 - i, valency, (), tuple(sorted(colrem)))
+                count = prefixes.skip(key, i, position + below)
+                if count is not None:
+                    position += below
+                    reached += count
+                    return
+            start = reached
+            yield from fill_cell(i + 1, 0, valency)
+            if prefixes is not None and prefixes.moves is not None:
+                prefixes.counts[key or prefixes.moves.key(current[:i + 1])] = reached - start
             return
         partner = current[j][i] if j < i else None
         later = tuple(sorted(colrem[j + 1:]))
@@ -218,10 +258,14 @@ class _RankedMoves:
                 a, b = (sigma[j], sigma[i]) if converse else (sigma[i], sigma[j])
                 code[a * m + b] = (i * m + j, rank_maps[f])
             coded[move] = tuple(code)
+        self._m = m
+        self._coded = list(coded.items())
+        self._prefix_moves = {}
         self.moves = [coded[move] for move in moves]
         self.generators = [coded[move] for move in generators]
 
     def key(self, sets) -> tuple:
+        """The rank tuple of a table, or of a prefix of its rows."""
         rank = self._rank
         return tuple([rank[cell] for row in sets for cell in row])
 
@@ -230,18 +274,70 @@ class _RankedMoves:
         """The key's image under each coded move, in order."""
         return [tuple([f[key[src]] for src, f in move]) for move in moves]
 
-    def has_earlier_image(self, key) -> bool:
-        """Whether some move maps the table to one earlier in enumeration
-        order.  Each image is compared cell by cell, up to the first cell
-        that differs."""
-        for move in self.moves:
-            for target, (src, f) in zip(key, move):
+    def earlier_image(self, key, row: Optional[int] = None) -> Optional[tuple]:
+        """The first image of the key that is earlier in enumeration order,
+        or None.  Each image is compared cell by cell, up to the first cell
+        that differs.
+
+        Given ``row``, the key codes rows 0..row, and only the moves that
+        keep those rows in place are tried: every gauge, and each
+        transposition of two blocks that are both at most ``row`` or both
+        above it.  An image counts only when it first differs in row
+        ``row``, so that it shares the key's rows 0..row-1."""
+        if row is None:
+            moves, fixed = self.moves, 0
+        else:
+            if row not in self._prefix_moves:
+                self._prefix_moves[row] = [code for (h, sigma, converse), code in self._coded
+                                           if not converse and max(sigma[:row + 1]) == row]
+            moves, fixed = self._prefix_moves[row], row * self._m
+        for move in moves:
+            for cell, (target, (src, f)) in enumerate(zip(key, move)):
                 r = f[key[src]]
-                if r < target:
-                    return True
-                if r > target:
+                if r != target:
+                    if r < target and cell >= fixed:
+                        return tuple([f[key[src]] for src, f in move[:len(key)]])
                     break
-        return False
+        return None
+
+
+class _PrefixMemo:
+    """The oriented-table count under each finished row prefix of a
+    first-stop scan, shared by `_scan` and its walk.
+
+    The scan sets ``moves`` and ``start``, the key of the first oriented
+    table, when it reaches that table; until then the walk neither tests
+    nor records prefixes.  ``skipped`` sums the counts of skipped prefixes.
+    """
+
+    def __init__(self, budget: Optional[int]):
+        self.budget = budget
+        self.moves: Optional[_RankedMoves] = None
+        self.start: tuple = ()
+        self.counts = {}
+        self.skipped = 0
+
+    def skip(self, key, row: int, end: int) -> Optional[int]:
+        """The oriented count of the subtree under the prefix ``key`` of
+        rows 0..row, whose last position is ``end``, when it may be skipped;
+        else None.  It may when a move sends the prefix to an earlier one
+        and the subtree lies within the budget."""
+        if self.budget is not None and end > self.budget:
+            return None
+        image = self.moves.earlier_image(key, row)
+        if image is None:
+            return None
+        count = self.counts.get(image)
+        if count is None:
+            # The image shares the key's parent prefix, so the walk visited
+            # it; only one finished before the first oriented table has no
+            # entry, and its subtree holds no oriented table.
+            if image >= self.start[:len(image)]:
+                raise RuntimeError(f"no count for the earlier prefix {image} of {key}")
+            count = 0
+        self.counts[key] = count
+        self.skipped += count
+        return count
 
 
 class _OrbitMemo:
@@ -272,7 +368,7 @@ class _OrbitMemo:
 
 
 def feasibility_guard(G: Group, m: int) -> bool:
-    return G.order * m <= GUARD_PRODUCT or (G.order == 1 and m <= GUARD_TRIVIAL_M)
+    return G.order * m <= GUARD_PRODUCT
 
 
 def _check_scan_inputs(m: int, valency: int) -> None:
@@ -298,11 +394,18 @@ def _scan(G: Group, m: int, valency: int, first_only: bool,
     image is skipped: that image is oriented and meets the valency, so the
     scan reached it, found it no witness, and measured its |Aut|, or the
     |Aut| of an earlier member of the same orbit.  The first witness is the
-    first table of its orbit, so it is always measured.  Without
-    ``first_only`` every table is visited, so each orbit's |Aut| is measured
-    once, on its first table, and memoised for the rest.  Either way the
-    witnesses, ``oriented`` and ``max_aut_order_seen`` are those of one
-    engine call per table.  The rank-coded moves are built at the first
+    first table of its orbit, so it is always measured.  The same test runs
+    on each finished row prefix, under the moves that keep its rows in
+    place: when one sends the prefix to an earlier one, it maps the subtree
+    one-to-one onto the earlier prefix's subtree, which was scanned without
+    a witness, so the walk skips it and adds the oriented count recorded
+    under the earlier prefix (`_PrefixMemo`).  A subtree that reaches past
+    the budget is walked, so the scan still stops at ``budget + 1``.
+
+    Without ``first_only`` every table is visited, so each orbit's |Aut| is
+    measured once, on its first table, and memoised for the rest.  Either
+    way the witnesses, ``oriented`` and ``max_aut_order_seen`` are those of
+    one engine call per table.  The rank-coded moves are built at the first
     oriented table, so a scan that reaches none pays nothing for them.
 
     ``stats["examined"]`` is the position of the table the scan stopped at,
@@ -314,17 +417,21 @@ def _scan(G: Group, m: int, valency: int, first_only: bool,
     witnesses: List[ConnectionTable] = []
     first_gamma = None
     moves = memo = None
-    for position, sets in enumerate_tables(G, m, valency):
+    prefixes = _PrefixMemo(budget) if first_only else None
+    for position, sets in enumerate_tables(G, m, valency, prefixes):
         if budget is not None and position > budget:
             stats["examined"] = budget + 1
-            return witnesses, first_gamma, stats
+            break
         stats["oriented"] += 1
         if moves is None:
             moves = _RankedMoves(G, m, valency)
             memo = None if first_only else _OrbitMemo(moves)
         key = moves.key(sets)
-        if first_only and moves.has_earlier_image(key):
-            continue
+        if first_only:
+            if prefixes.moves is None:
+                prefixes.moves, prefixes.start = moves, key
+            if moves.earlier_image(key) is not None:
+                continue
         table = gamma = None
         order = memo.pop(key) if memo is not None else None
         if order is None:
@@ -340,9 +447,12 @@ def _scan(G: Group, m: int, valency: int, first_only: bool,
                 first_gamma = gamma
             if first_only:
                 stats["examined"] = position
-                return witnesses, first_gamma, stats
-    total = count_tables(G.order, m, valency)
-    stats["examined"] = total if budget is None else min(total, budget + 1)
+                break
+    else:
+        total = count_tables(G.order, m, valency)
+        stats["examined"] = total if budget is None else min(total, budget + 1)
+    if prefixes is not None:
+        stats["oriented"] += prefixes.skipped
     return witnesses, first_gamma, stats
 
 
@@ -356,15 +466,15 @@ def exhaustive_sweep(G: Group, m: int, valency: int = 2,
     tables that are first in their orbit of G^m x| S_m with the converse,
     or, without all_witnesses, first among their images under single
     moves; every other table's |Aut| equals that of an earlier one through
-    an explicit isomorphism.  The witnesses and counts are those of one
-    engine call per table.  Raises ValueError for m < 1 or a negative
-    valency, before the guard is applied.
+    an explicit isomorphism.  Without all_witnesses the walk also skips
+    each row prefix that a move keeping its rows sends to an earlier one,
+    and counts its subtree from the earlier prefix's.  The witnesses and
+    counts are those of one engine call per table.  Raises ValueError for
+    m < 1 or a negative valency, before the guard is applied.
     """
     _check_scan_inputs(m, valency)
     if not feasibility_guard(G, m):
-        raise InfeasibleSweep(
-            f"|G|*m = {G.order * m} exceeds guard {GUARD_PRODUCT} "
-            f"(trivial-group limit m <= {GUARD_TRIVIAL_M})")
+        raise InfeasibleSweep(f"|G|*m = {G.order * m} exceeds guard {GUARD_PRODUCT}")
     start = time.perf_counter()
     witnesses, _, stats = _scan(G, m, valency, first_only=not all_witnesses)
     witnesses.sort(key=lambda t: t.to_text())

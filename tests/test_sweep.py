@@ -11,8 +11,8 @@ from omsr.automorphisms import automorphisms, brute_force_automorphisms, is_omsr
 from omsr.digraphs import ConnectionTable, build_mcayley, oriented_table_criterion
 from omsr.errors import InfeasibleSweep, SearchBudgetExceeded
 from omsr.groups import Group, catalog_group, generating_set, group_from_cayley_table
-from omsr.sweep import (_OrbitMemo, _RankedMoves, _cell_order, _scan, _table_moves,
-                        count_tables, enumerate_tables, exhaustive_sweep,
+from omsr.sweep import (_OrbitMemo, _PrefixMemo, _RankedMoves, _cell_order, _scan,
+                        _table_moves, count_tables, enumerate_tables, exhaustive_sweep,
                         feasibility_guard, find_witness)
 
 Z1 = Group(mult=((0,),), inv=(0,), label="Z1")
@@ -54,7 +54,14 @@ def naive_oriented(G, m, valency):
 
 
 def test_trivial_group_counts_match_binary_matrix_series():
-    # 0-1 m x m matrices with all row and column sums equal to 2.
+    # 0-1 m x m matrices with all row and column sums equal to 2: OEIS A001499,
+    # a(m) = m(m-1)/2 * (2 a(m-1) + (m-1) a(m-2)), a(0) = 1, a(1) = 0.  Far
+    # past m = 18, where a recursion one frame per cell overflowed the stack.
+    series = [1, 0]
+    for m in range(2, 41):
+        series.append(m * (m - 1) // 2 * (2 * series[m - 1] + (m - 1) * series[m - 2]))
+    for m in range(1, 41):
+        assert count_tables(1, m, 2) == series[m], m
     expected = {2: 1, 3: 6, 4: 90, 5: 2040, 6: 67950}
     for m, want in expected.items():
         assert count_tables(1, m, 2) == want
@@ -109,7 +116,11 @@ def test_enumeration_yields_unique_row_column_constrained_tables():
 
 def test_feasibility_guard():
     assert feasibility_guard(Z1, 10)
+    assert feasibility_guard(Z1, 16)
     assert not feasibility_guard(Z1, 17)
+    with pytest.raises(InfeasibleSweep) as refused:
+        exhaustive_sweep(Z1, 17)
+    assert str(refused.value) == "|G|*m = 17 exceeds guard 16"
     G, _ = catalog_group("cyclic", [4])
     assert feasibility_guard(G, 4)
     assert not feasibility_guard(G, 5)
@@ -474,9 +485,125 @@ def test_skipped_tables_have_earlier_images_of_equal_order():
         skipped = 0
         for key, pos, _ in enumerated:
             earlier = [image for image in ranked.images(key, ranked.moves) if image < key]
-            assert ranked.has_earlier_image(key) == bool(earlier), (G, m, pos)
+            assert ranked.earlier_image(key) == (earlier[0] if earlier else None), (G, m, pos)
             skipped += bool(earlier)
             for image in earlier:
                 assert where[image][0] < pos
                 assert order(image) == order(key), (G, m, pos)
         assert 0 < skipped < len(enumerated)
+
+
+# --- first-stop scans: skipped row prefixes ----------------------------------
+
+def full_walk_reference(G, m, budget=None):
+    """(examined, oriented, max |Aut|, first witness text or None) of a
+    first-stop scan, from a direct engine call on every table of the full
+    `enumerate_tables` walk, in order, with no prefix skipped."""
+    oriented = top = 0
+    for pos, sets in enumerate_tables(G, m, 2):
+        if budget is not None and pos > budget:
+            return budget + 1, oriented, top, None
+        oriented += 1
+        order = engine_order(G, m, sets)
+        top = max(top, order)
+        if order == G.order:
+            return pos, oriented, top, ConnectionTable(m, sets).to_text()
+    total = count_tables(G.order, m, 2)
+    return (total if budget is None else min(total, budget + 1)), oriented, top, None
+
+
+def test_prefix_skip_matches_full_walk():
+    # Cells where row prefixes are skipped, and Z2 at m = 4 and 5, whose
+    # witness is the second oriented table, before any prefix can be.
+    S3 = catalog_group("dihedral", [3])[0]
+    Q8 = catalog_group("dicyclic", [2])[0]
+    for G, m in [(Z1, 6), (cyclic(2), 4), (cyclic(2), 5), (S3, 2), (Q8, 2)]:
+        want = full_walk_reference(G, m)
+        result = exhaustive_sweep(G, m)
+        got = (result.tables_enumerated, result.oriented_count, result.max_aut_order_seen,
+               result.witnesses[0].to_text() if result.witnesses else None)
+        assert got == want, (G, m)
+        table, gamma, stats = find_witness(G, m)
+        assert (stats["examined"], stats["oriented"], stats["max_aut_order_seen"]) == want[:3]
+        assert (table.to_text() if table else None) == want[3], (G, m)
+        if table is not None:
+            assert gamma.table == table
+
+
+def test_prefix_skip_walks_a_subtree_that_crosses_the_budget():
+    # Each budget falls inside a subtree that a scan without a budget skips
+    # (positions 311-316 of Z2^2 at m = 3, 295-498 and 1,177-1,212 of Z1 at
+    # m = 6, 57-84 of Q8 at m = 2), so the scan walks it and stops at
+    # budget + 1 with only the tables up to the budget counted.
+    Q8 = catalog_group("dicyclic", [2])[0]
+    for G, m, budget in [(klein(), 3, 313), (Z1, 6, 400), (Z1, 6, 1200), (Q8, 2, 70)]:
+        want = full_walk_reference(G, m, budget)
+        witnesses, _, stats = _scan(G, m, 2, first_only=True, budget=budget)
+        got = (stats["examined"], stats["oriented"], stats["max_aut_order_seen"],
+               witnesses[0].to_text() if witnesses else None)
+        assert got == want, (G, m, budget)
+        assert got[0] == budget + 1
+        with pytest.raises(SearchBudgetExceeded):
+            find_witness(G, m, budget=budget)
+
+
+def test_prefix_skip_walked_tables_pinned(monkeypatch):
+    # The walk yields only the tables of prefixes it did not skip; a wrapper
+    # that forwards next() alone, as a tracer does, sees the same scan.
+    walked, calls = [], []
+    walk, engine = omsr.sweep.enumerate_tables, omsr.sweep.automorphisms
+
+    def forwarding(*args):
+        for item in walk(*args):
+            walked.append(item[0])
+            yield item
+
+    monkeypatch.setattr(omsr.sweep, "enumerate_tables", forwarding)
+    monkeypatch.setattr(omsr.sweep, "automorphisms", lambda d: calls.append(d) or engine(d))
+    pins = {(Z1, 5): (2, 24, 1), (Z1, 6): (20, 570, 6), (cyclic(2), 3): (3, 10, 2),
+            (klein(), 2): (3, 6, 3)}
+    for (G, m), want in pins.items():
+        walked.clear()
+        calls.clear()
+        result = exhaustive_sweep(G, m)
+        assert result.verdict == "NOT_EXISTS"
+        assert (len(walked), result.oriented_count, len(calls)) == want, (G, m)
+
+
+def test_prefix_memo_records_every_earlier_prefix():
+    # A first-stop Z1 m=6 scan runs to the end; every prefix it skipped has an
+    # earlier image under a move that keeps its rows, sharing its earlier
+    # rows, and holding as many oriented tables.
+    prefixes = _PrefixMemo(None)
+    for _, sets in enumerate_tables(Z1, 6, 2, prefixes):
+        if prefixes.moves is None:
+            prefixes.moves = _RankedMoves(Z1, 6, 2)
+            prefixes.start = prefixes.moves.key(sets)
+    oriented = {}
+    for _, sets in enumerate_tables(Z1, 6, 2):
+        key = prefixes.moves.key(sets)
+        for row in range(5):
+            oriented[key[:6 * (row + 1)]] = oriented.get(key[:6 * (row + 1)], 0) + 1
+    skipped = 0
+    for key, count in prefixes.counts.items():
+        assert count == oriented.get(key, 0), key
+        image = prefixes.moves.earlier_image(key, len(key) // 6 - 1)
+        if image is not None:
+            skipped += 1
+            assert image < key and image[:len(key) - 6] == key[:-6]
+            assert prefixes.counts[image] == count
+    assert skipped and prefixes.skipped == 570 - 20
+    # An earlier prefix with no entry finished before the first oriented
+    # table, so its subtree holds none; past that table a miss is a fault.
+    key, image = next((key, image) for key in prefixes.counts
+                      for image in [prefixes.moves.earlier_image(key, len(key) // 6 - 1)]
+                      if image is not None)
+    for start in (key, image):
+        memo = _PrefixMemo(None)
+        memo.moves, memo.start = prefixes.moves, start
+        if start == key:
+            assert memo.skip(key, len(key) // 6 - 1, 0) == 0
+            assert memo.counts == {key: 0}
+        else:
+            with pytest.raises(RuntimeError, match="no count"):
+                memo.skip(key, len(key) // 6 - 1, 0)

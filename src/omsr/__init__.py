@@ -4,7 +4,7 @@ oriented m-semiregular representations (OmSR) of valency two."""
 from .automorphisms import (PermutationGroup, automorphisms,
                             brute_force_automorphisms, is_omsr, refine,
                             stabilizer)
-from .constructions import (abelian_connection_table, construct_omsr,
+from .constructions import (abelian_connection_table, circulant_table, construct_omsr,
                             cyclic_connection_table, nonabelian_connection_table,
                             recipe_table, rigid_trivial_table,
                             spanning_tree_lift_table, z2xz2k_connection_table)
@@ -22,9 +22,9 @@ from .sweep import SweepResult, exhaustive_sweep, find_witness
 __all__ = [
     "PermutationGroup", "automorphisms", "brute_force_automorphisms", "is_omsr",
     "refine", "stabilizer",
-    "abelian_connection_table", "construct_omsr", "cyclic_connection_table",
-    "nonabelian_connection_table", "recipe_table", "rigid_trivial_table",
-    "spanning_tree_lift_table", "z2xz2k_connection_table",
+    "abelian_connection_table", "circulant_table", "construct_omsr",
+    "cyclic_connection_table", "nonabelian_connection_table", "recipe_table",
+    "rigid_trivial_table", "spanning_tree_lift_table", "z2xz2k_connection_table",
     "ConnectionTable", "Digraph", "MCayleyDigraph", "Vertex", "build_mcayley",
     "distance2_out_set", "induced_subdigraph", "in_neighbors", "is_connected",
     "is_k_regular", "is_oriented", "out_neighbors", "parse_connection_table",

@@ -2,13 +2,15 @@
 classification table for groups generated by at most two elements.
 
 Exit codes: 0 verified (either direction, certified); 1 verification
-failed; 2 input error; 3 budget or feasibility cap exceeded.
+failed, or stdout closed early (`| head`), which ends quietly; 2 input
+error; 3 size or feasibility cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional, Tuple
 
@@ -16,15 +18,15 @@ from . import sweep as sweeplib
 from .automorphisms import is_omsr
 from .constructions import RECIPES, construct_omsr, recipe_table, report_from_exception
 from .digraphs import build_mcayley
-from .errors import (InfeasibleSweep, NotGenerating, OmsrError, ParseError,
-                     SearchBudgetExceeded, TooLarge, UnknownFamily)
+from .errors import (InfeasibleSweep, NotGenerating, OmsrError, ParseError, TooLarge,
+                     UnknownFamily)
 from .groups import GeneratingPair, Group, catalog_group, parse_group_spec
 from .reports import ExceptionVerdict, VerificationReport
 
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_INPUT = 2
-EXIT_BUDGET = 3
+EXIT_CAP = 3
 
 
 def load_group(spec: str) -> Tuple[Group, Optional[GeneratingPair]]:
@@ -231,13 +233,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left.  Point stdout at devnull, so that the flush at
+        # interpreter exit has nowhere to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAILED
     except (ParseError, UnknownFamily, NotGenerating, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (TooLarge, InfeasibleSweep, SearchBudgetExceeded) as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    except (TooLarge, InfeasibleSweep) as exc:
+        print(f"cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAP
     except OmsrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED

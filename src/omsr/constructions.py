@@ -2,12 +2,12 @@
 
 `recipe_table` is the one place that picks a table: the cyclic recipe for
 cyclic groups of order >= 3, the abelian and non-abelian two-generator
-recipes, a closed table for Z2 x Z2k at m = 2, and at m >= 7 a closed
-rigid table for the trivial group, lifted along a spanning tree for Z2
-and the Klein four-group.  No recipe searches.  `construct_omsr`
-verifies the recipe digraph.  Where no recipe applies or its digraph is
-not an OmSR, the witness search decides: a searched witness, or a
-NOT_EXISTS certificate from its exhausted scan.
+recipes, a closed table for Z2 x Z2k at m = 2, a closed rigid table for
+Z1 at m >= 7, and at m >= 5 the circulant C_m(1, 2) lifted to Z2 and the
+Klein four-group.  No recipe searches.  `construct_omsr` verifies the
+recipe digraph.  Where no recipe applies (inside the sweep's feasibility
+guard) or its digraph is not an OmSR, the witness search decides: a
+searched witness, or a NOT_EXISTS certificate from its exhausted scan.
 """
 
 from __future__ import annotations
@@ -36,8 +36,10 @@ KIND_LIFT = "spanning_tree_lift"
 KIND_SEARCH = "search_witness"
 KIND_EXCEPTION = "exception_certificate"
 RECIPES = ("auto", "cyclic", "abelian", "nonabelian")
+# The smallest m at which the circulant C_m(1, 2) is oriented.
+LIFT_MIN_M = 5
 # The smallest m with a rigid trivial-group table.
-LIFT_MIN_M = 7
+RIGID_MIN_M = 7
 
 
 def cyclic_connection_table(G: Group, a, m: int) -> ConnectionTable:
@@ -130,20 +132,29 @@ def _z2xz2k_elements(G: Group) -> Optional[Tuple[int, int]]:
     return None if a is None else (a, b)
 
 
+def circulant_table(m: int) -> ConnectionTable:
+    """The trivial group's table of the circulant C_m(1, 2), i -> i+1, i+2
+    (mod m): oriented and 2-regular for m >= 5, the base that
+    `spanning_tree_lift_table` lifts to Z2 and the Klein four-group."""
+    if m < LIFT_MIN_M:
+        raise ValueError(f"the circulant C_m(1, 2) is oriented only for m >= {LIFT_MIN_M}")
+    return ConnectionTable.from_dict(m, {(i, (i + d) % m): {0} for i in range(m) for d in (1, 2)})
+
+
 def rigid_trivial_table(m: int) -> ConnectionTable:
     """Oriented 2-regular table of the trivial group whose digraph has no
-    automorphism but the identity, for m >= 7: the circulant i -> i+1, i+2
-    (mod m) with rows 0..3 sent to {2, 3}, {3, 4}, {1, 4} and {2, 5}.
+    automorphism but the identity, for m >= 7: `circulant_table` with rows
+    0..3 sent to {2, 3}, {3, 4}, {1, 4} and {2, 5}.
 
     The engine finds |Aut| = 1 for every m = 7..512 (the vertex cap) and
     networkx agrees for m = 7..60.  No such table exists for m <= 6.
     """
-    if m < LIFT_MIN_M:
-        raise ValueError(f"the rigid trivial-group table needs m >= {LIFT_MIN_M}")
-    targets = {i: ((i + 1) % m, (i + 2) % m) for i in range(m)}
-    targets.update({0: (2, 3), 1: (3, 4), 2: (1, 4), 3: (2, 5)})
-    return ConnectionTable.from_dict(m, {(i, j): {0} for i, row in targets.items()
-                                         for j in row})
+    if m < RIGID_MIN_M:
+        raise ValueError(f"the rigid trivial-group table needs m >= {RIGID_MIN_M}")
+    sets = list(circulant_table(m).sets)
+    for i, row in {0: (2, 3), 1: (3, 4), 2: (1, 4), 3: (2, 5)}.items():
+        sets[i] = [{0} if j in row else () for j in range(m)]
+    return ConnectionTable(m, sets)
 
 
 def spanning_tree_lift_table(G: Group, a, b, base: ConnectionTable) -> ConnectionTable:
@@ -179,10 +190,11 @@ def recipe_table(G: Group, pair: Optional[GeneratingPair], m: int,
     "auto" picks by structure: the cyclic recipe for cyclic groups; for
     other abelian groups the Z2 x Z2k table at m = 2 where it applies, else
     the abelian recipe; the non-abelian recipe otherwise.  Z1, Z2 and the
-    Klein four-group have no element of order >= 3 for those recipes.  At
-    m >= 7 Z1 gets `rigid_trivial_table`, and Z2 and the Klein four-group
-    its spanning-tree lift; below that "auto" returns None for them.  An
-    explicit kind raises when its recipe does not apply to G.
+    Klein four-group have no element of order >= 3 for those recipes.  Z1
+    gets `rigid_trivial_table` at m >= 7, and Z2 and the Klein four-group
+    the spanning-tree lift of `circulant_table` at m >= 5; below that
+    "auto" returns None for them.  An explicit kind raises when its recipe
+    does not apply to G.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
@@ -191,12 +203,12 @@ def recipe_table(G: Group, pair: Optional[GeneratingPair], m: int,
     if pair is None:
         pair = find_generating_pair(G)
     if kind == "auto" and (G.order <= 2 or _is_klein_four(G)):
+        if G.order == 1:
+            return (rigid_trivial_table(m), KIND_RIGID_TRIVIAL) if m >= RIGID_MIN_M else None
         if m < LIFT_MIN_M:
             return None
-        if G.order == 1:
-            return rigid_trivial_table(m), KIND_RIGID_TRIVIAL
         b = pair.b if pair.b is not None else 0
-        return spanning_tree_lift_table(G, pair.a, b, rigid_trivial_table(m)), KIND_LIFT
+        return spanning_tree_lift_table(G, pair.a, b, circulant_table(m)), KIND_LIFT
     if kind == "cyclic" or (kind == "auto" and is_cyclic(G)):
         a = pair.a
         if element_order(G, a) != G.order:
@@ -305,12 +317,13 @@ def construct_omsr(G: Group, pair: Optional[GeneratingPair], m: int,
                    ) -> Union[Tuple[MCayleyDigraph, VerificationReport], ExceptionVerdict]:
     """Dispatch: a verified witness digraph, or a certified exception.
 
-    Verifies the digraph of `recipe_table`.  Where no recipe applies (Z1,
-    Z2 and the Klein four-group below m = 7) or its digraph is not an
-    OmSR, the witness search decides, reading and writing the witness
-    cache in ``witness_dir``.  Its exhausted scan certifies the
+    Verifies the digraph of `recipe_table`.  Where no recipe applies (Z1
+    below m = 7, Z2 and the Klein four-group below m = 5) or its digraph is
+    not an OmSR, the witness search decides, reading and writing the
+    witness cache in ``witness_dir``.  Its exhausted scan certifies the
     exceptions: the trivial group with m <= 6, Z2 with m <= 3 and the
-    Klein four-group with m = 2.
+    Klein four-group with m = 2.  The search runs only inside the sweep's
+    feasibility guard and raises InfeasibleSweep outside it.
     """
     recipe = recipe_table(G, pair, m)
     if recipe is not None:

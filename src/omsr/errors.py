@@ -45,10 +45,6 @@ class InfeasibleSweep(OmsrError):
     """The requested exhaustive sweep exceeds the feasibility guard."""
 
 
-class SearchBudgetExceeded(OmsrError):
-    """A witness search ran out of budget before finding a witness."""
-
-
 class ParseError(OmsrError):
     """Input text could not be parsed; carries line and column."""
 

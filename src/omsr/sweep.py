@@ -21,8 +21,8 @@ walk of a first-stop scan also applies that test to each finished row
 prefix, under the moves that keep its rows in place.  Such a move maps the
 subtree of the prefix one-to-one onto that of an earlier prefix, so the
 subtree is counted, not walked: it holds no witness, no new |Aut| and as
-many oriented tables as the earlier one, read from a memo.  A subtree that
-reaches past a search budget is walked, so the scan stops where it did.
+many oriented tables as the earlier one, read from a memo.  Every scan
+runs inside the feasibility guard, so it always ends.
 """
 
 from __future__ import annotations
@@ -37,11 +37,10 @@ from typing import Iterator, List, Optional, Tuple
 
 from .automorphisms import automorphisms
 from .digraphs import ConnectionTable, build_mcayley
-from .errors import InfeasibleSweep, SearchBudgetExceeded
+from .errors import InfeasibleSweep
 from .groups import Group, generating_set
 
 GUARD_PRODUCT = 16
-WITNESS_BUDGET = 500_000
 
 
 @dataclass
@@ -165,10 +164,10 @@ def enumerate_tables(G: Group, m: int, valency: int,
             key = None
             if prefixes is not None and prefixes.moves is not None:
                 key = prefixes.moves.key(current[:i + 1])
-                below = _completions(n, valency, m - 2 - i, valency, (), tuple(sorted(colrem)))
-                count = prefixes.skip(key, i, position + below)
+                count = prefixes.skip(key, i)
                 if count is not None:
-                    position += below
+                    cols = tuple(sorted(colrem))
+                    position += _completions(n, valency, m - 2 - i, valency, (), cols)
                     reached += count
                     return
             start = reached
@@ -310,20 +309,16 @@ class _PrefixMemo:
     nor records prefixes.  ``skipped`` sums the counts of skipped prefixes.
     """
 
-    def __init__(self, budget: Optional[int]):
-        self.budget = budget
+    def __init__(self):
         self.moves: Optional[_RankedMoves] = None
         self.start: tuple = ()
         self.counts = {}
         self.skipped = 0
 
-    def skip(self, key, row: int, end: int) -> Optional[int]:
+    def skip(self, key, row: int) -> Optional[int]:
         """The oriented count of the subtree under the prefix ``key`` of
-        rows 0..row, whose last position is ``end``, when it may be skipped;
-        else None.  It may when a move sends the prefix to an earlier one
-        and the subtree lies within the budget."""
-        if self.budget is not None and end > self.budget:
-            return None
+        rows 0..row when a move sends the prefix to an earlier one, so the
+        subtree may be skipped; else None."""
         image = self.moves.earlier_image(key, row)
         if image is None:
             return None
@@ -371,20 +366,12 @@ def feasibility_guard(G: Group, m: int) -> bool:
     return G.order * m <= GUARD_PRODUCT
 
 
-def _check_scan_inputs(m: int, valency: int) -> None:
-    """Reject an m below 1 or a negative valency: no table has that shape,
-    and an empty scan would read as a certified NOT_EXISTS."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if valency < 0:
-        raise ValueError(f"valency must be >= 0, got {valency}")
-
-
-def _scan(G: Group, m: int, valency: int, first_only: bool,
-          budget: Optional[int] = None):
+def _scan(G: Group, m: int, valency: int, first_only: bool):
     """The one enumeration driver behind `exhaustive_sweep` and `find_witness`.
 
-    Walks the oriented tables in enumeration order and collects those whose
+    Raises ValueError for m < 1 or a negative valency (no table has that
+    shape, so an empty scan would read as NOT_EXISTS), then InfeasibleSweep
+    past `feasibility_guard`.  Walks the oriented tables in enumeration order and collects those whose
     digraphs have |Aut| = |G|, stopping at the first one when
     ``first_only`` is set.  Returns (witness tables, digraph of the first
     witness or None, stats).
@@ -399,8 +386,7 @@ def _scan(G: Group, m: int, valency: int, first_only: bool,
     place: when one sends the prefix to an earlier one, it maps the subtree
     one-to-one onto the earlier prefix's subtree, which was scanned without
     a witness, so the walk skips it and adds the oriented count recorded
-    under the earlier prefix (`_PrefixMemo`).  A subtree that reaches past
-    the budget is walked, so the scan still stops at ``budget + 1``.
+    under the earlier prefix (`_PrefixMemo`).
 
     Without ``first_only`` every table is visited, so each orbit's |Aut| is
     measured once, on its first table, and memoised for the rest.  Either
@@ -409,19 +395,21 @@ def _scan(G: Group, m: int, valency: int, first_only: bool,
     oriented table, so a scan that reaches none pays nothing for them.
 
     ``stats["examined"]`` is the position of the table the scan stopped at,
-    or the number of constrained tables when it ran to the end, or
-    ``budget + 1`` when it would have passed the budget; ``oriented`` and
-    ``max_aut_order_seen`` cover the same tables.
+    or the number of constrained tables when it ran to the end;
+    ``oriented`` and ``max_aut_order_seen`` cover the same tables.
     """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if valency < 0:
+        raise ValueError(f"valency must be >= 0, got {valency}")
+    if not feasibility_guard(G, m):
+        raise InfeasibleSweep(f"|G|*m = {G.order * m} exceeds guard {GUARD_PRODUCT}")
     stats = {"examined": 0, "oriented": 0, "max_aut_order_seen": 0}
     witnesses: List[ConnectionTable] = []
     first_gamma = None
     moves = memo = None
-    prefixes = _PrefixMemo(budget) if first_only else None
+    prefixes = _PrefixMemo() if first_only else None
     for position, sets in enumerate_tables(G, m, valency, prefixes):
-        if budget is not None and position > budget:
-            stats["examined"] = budget + 1
-            break
         stats["oriented"] += 1
         if moves is None:
             moves = _RankedMoves(G, m, valency)
@@ -449,8 +437,7 @@ def _scan(G: Group, m: int, valency: int, first_only: bool,
                 stats["examined"] = position
                 break
     else:
-        total = count_tables(G.order, m, valency)
-        stats["examined"] = total if budget is None else min(total, budget + 1)
+        stats["examined"] = count_tables(G.order, m, valency)
     if prefixes is not None:
         stats["oriented"] += prefixes.skipped
     return witnesses, first_gamma, stats
@@ -470,11 +457,8 @@ def exhaustive_sweep(G: Group, m: int, valency: int = 2,
     each row prefix that a move keeping its rows sends to an earlier one,
     and counts its subtree from the earlier prefix's.  The witnesses and
     counts are those of one engine call per table.  Raises ValueError for
-    m < 1 or a negative valency, before the guard is applied.
+    m < 1 or a negative valency, and then InfeasibleSweep past the guard.
     """
-    _check_scan_inputs(m, valency)
-    if not feasibility_guard(G, m):
-        raise InfeasibleSweep(f"|G|*m = {G.order * m} exceeds guard {GUARD_PRODUCT}")
     start = time.perf_counter()
     witnesses, _, stats = _scan(G, m, valency, first_only=not all_witnesses)
     witnesses.sort(key=lambda t: t.to_text())
@@ -491,25 +475,21 @@ def exhaustive_sweep(G: Group, m: int, valency: int = 2,
     )
 
 
-def find_witness(G: Group, m: int, valency: int = 2,
-                 budget: int = WITNESS_BUDGET):
+def find_witness(G: Group, m: int, valency: int = 2):
     """First witness table in the deterministic enumeration order.
 
     Returns (table, digraph, stats).  When the whole space is exhausted
     without a witness, returns (None, None, stats) — the stats then certify
     non-existence: every table was examined, and ``max_aut_order_seen`` is
-    the exact largest |Aut| over the oriented ones.  Raises
-    SearchBudgetExceeded when the budget runs out with tables still
-    unexamined.
+    the exact largest |Aut| over the oriented ones.  Like
+    `exhaustive_sweep`, raises ValueError for m < 1 or a negative valency,
+    and InfeasibleSweep past the feasibility guard, so every search it
+    starts runs to a witness or to the end.
 
     Structured witnesses sit very early in lexicographic order, so the scan
     follows that order.
     """
-    _check_scan_inputs(m, valency)
-    witnesses, gamma, stats = _scan(G, m, valency, first_only=True, budget=budget)
+    witnesses, gamma, stats = _scan(G, m, valency, first_only=True)
     if witnesses:
         return witnesses[0], gamma, stats
-    if stats["examined"] > budget:
-        raise SearchBudgetExceeded(
-            f"no witness for {G!r} m={m} within {budget} tables")
     return None, None, stats

@@ -1,17 +1,22 @@
 """CLI commands, exit codes, JSON outputs, roster coverage."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import omsr
 from omsr.automorphisms import is_omsr
-from omsr.cli import (EXIT_BUDGET, EXIT_FAILED, EXIT_INPUT, EXIT_OK, group_roster,
+from omsr.cli import (EXIT_CAP, EXIT_FAILED, EXIT_INPUT, EXIT_OK, group_roster,
                       load_group, main, reproduce_theorem, simple_group_check,
                       verify_instance)
 from omsr.constructions import cyclic_connection_table, nonabelian_connection_table
 from omsr.digraphs import build_mcayley
 from omsr.errors import TooLarge, UnknownFamily
 from omsr.groups import catalog_group, normalize_generating_pair
+from omsr.sweep import GUARD_PRODUCT
 
 
 def test_load_group_catalog_syntax():
@@ -93,7 +98,8 @@ def test_verify_recipe_override_cyclic_and_nonabelian():
 
 def test_reproduce_24x10_dispatch_gate(monkeypatch, tmp_path):
     # Every cell but the exceptions and the small searched witnesses comes
-    # from a recipe.  An empty cache makes every searched cell search.
+    # from a recipe.  An empty cache makes every searched cell search, and
+    # each search lies inside the sweep's guard.
     monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
     rows = reproduce_theorem(24, 10)
     assert len(rows) == 450
@@ -109,8 +115,13 @@ def test_reproduce_24x10_dispatch_gate(monkeypatch, tmp_path):
     assert all(c["all_failed"] for c in certificates.values())
     searched = {(r["group"], r["m"]) for r in rows
                 if r.get("construction") == "search_witness"}
-    assert searched == ({("Z2", m) for m in range(4, 7)}
-                        | {("Z2xZ2", m) for m in range(3, 7)})
+    assert searched == {("Z2", 4), ("Z2xZ2", 3), ("Z2xZ2", 4)}
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "Z2_m4_v2.table", "Z2xZ2_m3_v2.table", "Z2xZ2_m4_v2.table"]
+    assert all(r["order"] * r["m"] <= GUARD_PRODUCT for r in rows
+               if r["verdict"] == "NOT_EXISTS" or r.get("construction") == "search_witness")
+    assert {(r["group"], r["m"]) for r in rows if r.get("construction") == "spanning_tree_lift"} \
+        == {(g, m) for g in ("Z2", "Z2xZ2") for m in range(5, 11)}
     assert {r["m"] for r in rows if r.get("construction") == "rigid_trivial"} == \
         set(range(7, 11))
     assert all(r["aut_order"] == r["order"] for r in rows if r["verdict"] == "EXISTS")
@@ -253,14 +264,31 @@ def test_main_unwritable_json_is_input_error(tmp_path, capsys):
 
 
 def test_main_budget_exit(capsys):
-    # Sweep guard violation maps to the budget exit code.
-    assert main(["sweep", "--group", "catalog:cyclic:5", "--m", "5"]) == EXIT_BUDGET
-    capsys.readouterr()
+    # Sweep guard violation maps to the cap exit code.
+    assert main(["sweep", "--group", "catalog:cyclic:5", "--m", "5"]) == EXIT_CAP
+    assert capsys.readouterr().err == "cap exceeded: |G|*m = 25 exceeds guard 16\n"
+
+
+def test_main_exits_quietly_when_stdout_closes():
+    # Like `| head -n 1`: the reader closes the pipe after the first line.
+    # The sweep prints 78 KB of witnesses, more than a pipe holds, so it is
+    # still writing when the pipe closes.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(omsr.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "omsr.cli", "sweep", "--group",
+         "catalog:elementary_abelian_2:2", "--m", "3", "--all-witnesses"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == EXIT_FAILED
+    assert first.startswith(b"Z2^2 m=3 valency=2: EXISTS")
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_verify_klein_four_past_search_budget(tmp_path, monkeypatch, capsys):
-    # The lift of the rigid trivial-group table answers where the search for
-    # a trivial-group witness would pass its budget.
+    # The lift of the circulant table answers past the sweep's guard, where
+    # the witness search would refuse the cell.
     monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
     code = main(["verify", "--group", "catalog:elementary_abelian_2:2", "--m", "16"])
     assert code == EXIT_OK

@@ -10,8 +10,8 @@ from omsr.automorphisms import automorphisms, is_omsr
 from omsr.cli import group_roster
 from omsr.constructions import (KIND_ABELIAN, KIND_CYCLIC, KIND_EXCEPTION, KIND_LIFT,
                                 KIND_NONABELIAN, KIND_RIGID_TRIVIAL, KIND_SEARCH,
-                                KIND_Z2XZ2K, abelian_connection_table, construct_omsr,
-                                cyclic_connection_table, nonabelian_connection_table,
+                                KIND_Z2XZ2K, abelian_connection_table, circulant_table,
+                                construct_omsr, cyclic_connection_table, nonabelian_connection_table,
                                 recipe_table, report_from_exception, rigid_trivial_table,
                                 spanning_tree_lift_table, z2xz2k_connection_table)
 from omsr.digraphs import (ConnectionTable, Vertex, build_mcayley,
@@ -152,11 +152,18 @@ def test_recipe_table_auto_has_no_recipe_for_small_groups():
     K, pk = catalog_group("elementary_abelian_2", [2])
     for m in range(2, 7):
         assert recipe_table(Z1, None, m) is None
+    for m in range(2, 5):
         assert recipe_table(Z2, p2, m) is None
         assert recipe_table(K, pk, m) is None
+        with pytest.raises(ValueError):
+            circulant_table(m)
+    for m in (5, 6, 7, 12):
+        assert recipe_table(Z2, p2, m) == (
+            spanning_tree_lift_table(Z2, p2.a, 0, circulant_table(m)), KIND_LIFT)
+        assert recipe_table(K, pk, m) == (
+            spanning_tree_lift_table(K, pk.a, pk.b, circulant_table(m)), KIND_LIFT)
     for m in (7, 12):
         assert recipe_table(Z1, None, m) == (rigid_trivial_table(m), KIND_RIGID_TRIVIAL)
-        assert recipe_table(Z2, p2, m)[1] == recipe_table(K, pk, m)[1] == KIND_LIFT
 
 
 def test_rigid_trivial_table_shape():
@@ -171,9 +178,9 @@ def test_rigid_trivial_table_shape():
 
 
 def test_construct_klein_m7_lift(tmp_path):
-    # Past the budget of find_witness (test_find_witness_budget_path_raises)
-    # the dispatcher lifts the rigid trivial-group table instead, and
-    # neither searches nor writes the cache.
+    # Past the guard of find_witness (test_find_witness_past_guard_raises)
+    # the dispatcher lifts the circulant table instead, and neither
+    # searches nor writes the cache.
     K, pair = catalog_group("elementary_abelian_2", [2])
     gamma, report = construct_omsr(K, pair, 7, witness_dir=str(tmp_path))
     assert report.construction_kind == KIND_LIFT
@@ -183,9 +190,9 @@ def test_construct_klein_m7_lift(tmp_path):
 
 @pytest.mark.parametrize("m", [16, 20])
 def test_construct_small_groups_past_search_budget(tmp_path, m):
-    # find_witness(Z1, m) raises SearchBudgetExceeded from m = 16 on.  Z1,
-    # Z2 and the Klein four-group take closed tables there: no search, and
-    # so no cache file.
+    # find_witness raises InfeasibleSweep for Z2 from m = 9 and for the
+    # Klein four-group from m = 5 on.  Z1, Z2 and the Klein four-group take
+    # closed tables there: no search, and so no cache file.
     for (name, params), kind in [(("cyclic", [1]), KIND_RIGID_TRIVIAL),
                                  (("cyclic", [2]), KIND_LIFT),
                                  (("elementary_abelian_2", [2]), KIND_LIFT)]:
@@ -199,8 +206,10 @@ def test_construct_small_groups_past_search_budget(tmp_path, m):
 @pytest.fixture(scope="module")
 def new_recipe_digraphs():
     """(G, m, digraph) for the Z2 x Z2k table, k = 2..39, the rigid
-    trivial-group table at m = 7..64, 128, 256 and 512, and its lift to
-    every non-trivial group of group_roster(24) at m = 7..10."""
+    trivial-group table at m = 7..64, 128, 256 and 512, the lift of the
+    circulant C_m(1, 2) to every non-trivial group of group_roster(24) at
+    m = 5..10, and the recipe tables of Z2 and the Klein four-group, which
+    are such lifts, at m = 5..64."""
     out = []
     for k in range(2, 40):
         G, pair = catalog_group("cyclic_product", [2, 2 * k])
@@ -212,10 +221,15 @@ def new_recipe_digraphs():
         out.append((Z1, m, build_mcayley(Z1, rigid_trivial_table(m))))
     roster = [(G, pair) for G, pair in group_roster(24) if G.order > 1]
     assert len(roster) == 49
-    for m in range(7, 11):
+    for m in range(5, 11):
         for G, pair in roster:
             b = pair.b if pair.b is not None else 0
-            table = spanning_tree_lift_table(G, pair.a, b, rigid_trivial_table(m))
+            table = spanning_tree_lift_table(G, pair.a, b, circulant_table(m))
+            out.append((G, m, build_mcayley(G, table)))
+    for G, pair in [catalog_group("cyclic", [2]), catalog_group("elementary_abelian_2", [2])]:
+        for m in range(5, 65):
+            table, kind = recipe_table(G, pair, m)
+            assert kind == KIND_LIFT
             out.append((G, m, build_mcayley(G, table)))
     return out
 

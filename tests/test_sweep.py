@@ -9,9 +9,9 @@ import pytest
 import omsr.sweep
 from omsr.automorphisms import automorphisms, brute_force_automorphisms, is_omsr
 from omsr.digraphs import ConnectionTable, build_mcayley, oriented_table_criterion
-from omsr.errors import InfeasibleSweep, SearchBudgetExceeded
+from omsr.errors import InfeasibleSweep
 from omsr.groups import Group, catalog_group, generating_set, group_from_cayley_table
-from omsr.sweep import (_OrbitMemo, _PrefixMemo, _RankedMoves, _cell_order, _scan,
+from omsr.sweep import (_OrbitMemo, _PrefixMemo, _RankedMoves, _cell_order,
                         _table_moves, count_tables, enumerate_tables, exhaustive_sweep,
                         feasibility_guard, find_witness)
 
@@ -230,6 +230,8 @@ def test_negative_valency_is_rejected_before_guard():
     Z5, _ = catalog_group("cyclic", [5])
     with pytest.raises(ValueError, match="valency"):
         exhaustive_sweep(Z5, 5, valency=-1)
+    with pytest.raises(ValueError, match="valency"):
+        find_witness(Z5, 5, valency=-1)
 
 
 def test_m_below_one_is_rejected():
@@ -239,12 +241,6 @@ def test_m_below_one_is_rejected():
             exhaustive_sweep(Z3, m)
         with pytest.raises(ValueError, match="m must be"):
             find_witness(Z3, m)
-
-
-def test_find_witness_budget():
-    G, _ = catalog_group("cyclic", [3])
-    with pytest.raises(SearchBudgetExceeded):
-        find_witness(G, 3, budget=2)
 
 
 def test_find_witness_pinned_stats():
@@ -259,12 +255,16 @@ def test_find_witness_pinned_stats():
         assert gamma.table == table
 
 
-def test_find_witness_budget_path_raises():
-    # The first oriented table of Z2^2 at m = 7 lies past the budget, so the
-    # scan stops at once and raises; the dispatcher lifts a recipe instead
+def test_find_witness_past_guard_raises(monkeypatch):
+    # Z2^2 at m = 7 is past the sweep's guard, so find_witness raises before
+    # it enumerates a table; the dispatcher lifts a recipe there instead
     # (test_construct_klein_m7_lift).
+    def no_walk(*args):
+        raise AssertionError("enumerate_tables called past the guard")
+
+    monkeypatch.setattr(omsr.sweep, "enumerate_tables", no_walk)
     K, _ = catalog_group("elementary_abelian_2", [2])
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(InfeasibleSweep, match="exceeds guard 16"):
         find_witness(K, 7)
 
 
@@ -422,14 +422,12 @@ def test_all_witness_sweep_matches_unpruned_oracle():
 
 # --- first-stop scans: the engine only on tables with no earlier image --------
 
-def first_stop_oracle(G, m, budget=None):
+def first_stop_oracle(G, m):
     """(examined, oriented, max |Aut|, first witness text or None) of a
     first-stop scan, from a direct engine call on every oriented table of the
     unpruned enumeration, in order."""
     oriented = top = pos = 0
     for pos, sets in enumerate(naive_tables(G.order, m, 2), 1):
-        if budget is not None and pos > budget:
-            return budget + 1, oriented, top, None
         if not oriented_table_criterion(G, ConnectionTable(m, sets)):
             continue
         oriented += 1
@@ -454,15 +452,6 @@ def test_first_stop_scan_matches_unpruned_oracle():
         assert (table.to_text() if table else None) == want[3], (G, m)
         if table is not None:
             assert gamma.table == table
-    # The budget path: Z2^2 at m = 3 has its first witness at position 2,199.
-    for budget in (1000, 2198, 2199):
-        want = first_stop_oracle(klein(), 3, budget)
-        witnesses, _, stats = _scan(klein(), 3, 2, first_only=True, budget=budget)
-        got = (stats["examined"], stats["oriented"], stats["max_aut_order_seen"],
-               witnesses[0].to_text() if witnesses else None)
-        assert got == want, budget
-    with pytest.raises(SearchBudgetExceeded):
-        find_witness(klein(), 3, budget=2198)
 
 
 def test_skipped_tables_have_earlier_images_of_equal_order():
@@ -495,21 +484,18 @@ def test_skipped_tables_have_earlier_images_of_equal_order():
 
 # --- first-stop scans: skipped row prefixes ----------------------------------
 
-def full_walk_reference(G, m, budget=None):
+def full_walk_reference(G, m):
     """(examined, oriented, max |Aut|, first witness text or None) of a
     first-stop scan, from a direct engine call on every table of the full
     `enumerate_tables` walk, in order, with no prefix skipped."""
     oriented = top = 0
     for pos, sets in enumerate_tables(G, m, 2):
-        if budget is not None and pos > budget:
-            return budget + 1, oriented, top, None
         oriented += 1
         order = engine_order(G, m, sets)
         top = max(top, order)
         if order == G.order:
             return pos, oriented, top, ConnectionTable(m, sets).to_text()
-    total = count_tables(G.order, m, 2)
-    return (total if budget is None else min(total, budget + 1)), oriented, top, None
+    return count_tables(G.order, m, 2), oriented, top, None
 
 
 def test_prefix_skip_matches_full_walk():
@@ -528,23 +514,6 @@ def test_prefix_skip_matches_full_walk():
         assert (table.to_text() if table else None) == want[3], (G, m)
         if table is not None:
             assert gamma.table == table
-
-
-def test_prefix_skip_walks_a_subtree_that_crosses_the_budget():
-    # Each budget falls inside a subtree that a scan without a budget skips
-    # (positions 311-316 of Z2^2 at m = 3, 295-498 and 1,177-1,212 of Z1 at
-    # m = 6, 57-84 of Q8 at m = 2), so the scan walks it and stops at
-    # budget + 1 with only the tables up to the budget counted.
-    Q8 = catalog_group("dicyclic", [2])[0]
-    for G, m, budget in [(klein(), 3, 313), (Z1, 6, 400), (Z1, 6, 1200), (Q8, 2, 70)]:
-        want = full_walk_reference(G, m, budget)
-        witnesses, _, stats = _scan(G, m, 2, first_only=True, budget=budget)
-        got = (stats["examined"], stats["oriented"], stats["max_aut_order_seen"],
-               witnesses[0].to_text() if witnesses else None)
-        assert got == want, (G, m, budget)
-        assert got[0] == budget + 1
-        with pytest.raises(SearchBudgetExceeded):
-            find_witness(G, m, budget=budget)
 
 
 def test_prefix_skip_walked_tables_pinned(monkeypatch):
@@ -574,7 +543,7 @@ def test_prefix_memo_records_every_earlier_prefix():
     # A first-stop Z1 m=6 scan runs to the end; every prefix it skipped has an
     # earlier image under a move that keeps its rows, sharing its earlier
     # rows, and holding as many oriented tables.
-    prefixes = _PrefixMemo(None)
+    prefixes = _PrefixMemo()
     for _, sets in enumerate_tables(Z1, 6, 2, prefixes):
         if prefixes.moves is None:
             prefixes.moves = _RankedMoves(Z1, 6, 2)
@@ -599,11 +568,11 @@ def test_prefix_memo_records_every_earlier_prefix():
                       for image in [prefixes.moves.earlier_image(key, len(key) // 6 - 1)]
                       if image is not None)
     for start in (key, image):
-        memo = _PrefixMemo(None)
+        memo = _PrefixMemo()
         memo.moves, memo.start = prefixes.moves, start
         if start == key:
-            assert memo.skip(key, len(key) // 6 - 1, 0) == 0
+            assert memo.skip(key, len(key) // 6 - 1) == 0
             assert memo.counts == {key: 0}
         else:
             with pytest.raises(RuntimeError, match="no count"):
-                memo.skip(key, len(key) // 6 - 1, 0)
+                memo.skip(key, len(key) // 6 - 1)

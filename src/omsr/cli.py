@@ -1,5 +1,9 @@
-"""Command-line verifier: verify instances, run sweeps, reproduce the
-classification table for groups generated by at most two elements.
+"""Command-line verifier of oriented m-semiregular representations of
+valency two: verify instances, run sweeps, reproduce the classification
+table for groups generated by at most two elements.  The caps are fixed
+in code: 512 vertices per digraph (`automorphisms.VERTEX_CAP`), group
+order 2,000 (`groups.ORDER_CAP`) and |G| * m <= 16 for a sweep
+(`sweep.GUARD_PRODUCT`).
 
 Exit codes: 0 verified (either direction, certified); 1 verification
 failed, or stdout closed early (`| head`), which ends quietly; 2 input
@@ -15,7 +19,7 @@ import sys
 from typing import List, Optional, Tuple
 
 from . import sweep as sweeplib
-from .automorphisms import is_omsr
+from .automorphisms import VALENCY, is_omsr
 from .constructions import RECIPES, construct_omsr, recipe_table, report_from_exception
 from .digraphs import build_mcayley
 from .errors import (InfeasibleSweep, NotGenerating, OmsrError, ParseError, TooLarge,
@@ -155,9 +159,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     G, _ = load_group(args.group)
-    result = sweeplib.exhaustive_sweep(G, args.m, valency=args.valency,
-                                       all_witnesses=args.all_witnesses)
-    print(f"{result.group_label} m={result.m} valency={result.valency}: "
+    result = sweeplib.exhaustive_sweep(G, args.m, all_witnesses=args.all_witnesses)
+    print(f"{result.group_label} m={result.m} valency={VALENCY}: "
           f"{result.verdict} ({result.tables_enumerated} tables, "
           f"{result.oriented_count} oriented, {len(result.witnesses)} witnesses, "
           f"max |Aut| {result.max_aut_order_seen})")
@@ -210,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="exhaustively enumerate connection tables")
     p.add_argument("--group", required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--valency", type=int, default=2)
     p.add_argument("--all-witnesses", action="store_true")
     p.add_argument("--json")
     p.set_defaults(func=_cmd_sweep)

@@ -17,11 +17,11 @@ import tempfile
 import warnings
 from typing import Optional, Tuple, Union
 
-from .automorphisms import is_omsr
+from .automorphisms import VALENCY, is_omsr
 from .digraphs import ConnectionTable, MCayleyDigraph, build_mcayley, parse_connection_table
 from .errors import (IsAbelian, NotAbelian, NotGenerating, OrderTooSmall,
                      ParseError, UnknownFamily)
-from .groups import (ALL_INVOLUTIONS, GeneratingPair, Group, GroupElement, _idx,
+from .groups import (GeneratingPair, Group, GroupElement, _idx,
                      closure, element_order, find_generating_pair, generates,
                      is_abelian, is_cyclic, normalize_generating_pair)
 from .reports import ExceptionVerdict, VerificationReport
@@ -217,10 +217,7 @@ def recipe_table(G: Group, pair: Optional[GeneratingPair], m: int,
         return cyclic_connection_table(G, a, m), KIND_CYCLIC
     if pair.b is None:
         raise NotGenerating(f"{G!r}: this recipe needs a two-element generating pair")
-    norm = normalize_generating_pair(G, pair.a, pair.b)
-    if norm is ALL_INVOLUTIONS:
-        raise NotGenerating("no generator of order >= 3 exists for this group")
-    a, b = norm
+    a, b = normalize_generating_pair(G, pair.a, pair.b)
     if kind == "nonabelian" or (kind == "auto" and not is_abelian(G)):
         return nonabelian_connection_table(G, a, b, m), KIND_NONABELIAN
     z2xz2k = _z2xz2k_elements(G) if m == 2 else None
@@ -240,7 +237,7 @@ def default_witness_dir() -> str:
     )
 
 
-def _witness_path(G: Group, m: int, valency: int, witness_dir: str) -> str:
+def _witness_path(G: Group, m: int, witness_dir: str) -> str:
     """Cache file of G's witness.  Z2 and the Klein four-group are named by
     structure, not by label: every relabelling of them that fixes the
     identity is a group automorphism, so a cached table fits any
@@ -250,11 +247,11 @@ def _witness_path(G: Group, m: int, valency: int, witness_dir: str) -> str:
         label = "Z2" if G.order == 2 else "Z2xZ2"
     else:
         label = (G.label or f"order{G.order}").replace("/", "_").replace("^", "e")
-    return os.path.join(witness_dir, f"{label}_m{m}_v{valency}.table")
+    return os.path.join(witness_dir, f"{label}_m{m}_v{VALENCY}.table")
 
 
-def _load_cached_witness(G: Group, m: int, valency: int, witness_dir: str):
-    path = _witness_path(G, m, valency, witness_dir)
+def _load_cached_witness(G: Group, m: int, witness_dir: str):
+    path = _witness_path(G, m, witness_dir)
     if not os.path.exists(path):
         return None
     try:
@@ -272,8 +269,7 @@ def _load_cached_witness(G: Group, m: int, valency: int, witness_dir: str):
     return table
 
 
-def _store_witness(G: Group, m: int, valency: int, witness_dir: str,
-                   table: ConnectionTable) -> None:
+def _store_witness(G: Group, m: int, witness_dir: str, table: ConnectionTable) -> None:
     """Write the witness atomically: a temp file in the same directory, then
     os.replace, so a reader never sees a half-written file."""
     tmp = None
@@ -282,20 +278,20 @@ def _store_witness(G: Group, m: int, valency: int, witness_dir: str,
         fd, tmp = tempfile.mkstemp(dir=witness_dir, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(table.to_text())
-        os.replace(tmp, _witness_path(G, m, valency, witness_dir))
+        os.replace(tmp, _witness_path(G, m, witness_dir))
     except OSError:
         if tmp is not None and os.path.exists(tmp):
             os.remove(tmp)  # cache is best effort
 
 
-def _searched_witness(G: Group, m: int, valency: int, witness_dir: str):
-    cached = _load_cached_witness(G, m, valency, witness_dir)
+def _searched_witness(G: Group, m: int, witness_dir: str):
+    cached = _load_cached_witness(G, m, witness_dir)
     if cached is not None:
         gamma = build_mcayley(G, cached)
-        report = is_omsr(gamma, G, m, valency=valency, construction_kind=KIND_SEARCH)
+        report = is_omsr(gamma, G, m, construction_kind=KIND_SEARCH)
         if report.omsr:
             return gamma, report
-    table, gamma, stats = sweeplib.find_witness(G, m, valency=valency)
+    table, gamma, stats = sweeplib.find_witness(G, m)
     if table is None:
         # The search exhausted the whole space: certified non-existence,
         # with the exact max |Aut| over every oriented table it examined.
@@ -307,13 +303,13 @@ def _searched_witness(G: Group, m: int, valency: int, witness_dir: str):
             max_aut_order_seen=stats["max_aut_order_seen"],
             oriented_count=stats["oriented"],
         )
-    report = is_omsr(gamma, G, m, valency=valency, construction_kind=KIND_SEARCH)
-    _store_witness(G, m, valency, witness_dir, table)
+    report = is_omsr(gamma, G, m, construction_kind=KIND_SEARCH)
+    _store_witness(G, m, witness_dir, table)
     return gamma, report
 
 
 def construct_omsr(G: Group, pair: Optional[GeneratingPair], m: int,
-                   valency: int = 2, witness_dir: Optional[str] = None
+                   witness_dir: Optional[str] = None
                    ) -> Union[Tuple[MCayleyDigraph, VerificationReport], ExceptionVerdict]:
     """Dispatch: a verified witness digraph, or a certified exception.
 
@@ -329,10 +325,10 @@ def construct_omsr(G: Group, pair: Optional[GeneratingPair], m: int,
     if recipe is not None:
         table, kind = recipe
         gamma = build_mcayley(G, table)
-        report = is_omsr(gamma, G, m, valency=valency, construction_kind=kind)
+        report = is_omsr(gamma, G, m, construction_kind=kind)
         if report.omsr:
             return gamma, report
-    return _searched_witness(G, m, valency, witness_dir or default_witness_dir())
+    return _searched_witness(G, m, witness_dir or default_witness_dir())
 
 
 def report_from_exception(G: Group, m: int, verdict: ExceptionVerdict) -> VerificationReport:

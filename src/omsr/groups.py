@@ -29,19 +29,6 @@ class GeneratingPair:
     b: Optional[GroupElement] = None
 
 
-class AllInvolutions:
-    """Verdict: every candidate first coordinate is an involution.
-
-    Only reachable when the group is the Klein four-group.
-    """
-
-    def __repr__(self):
-        return "AllInvolutions"
-
-
-ALL_INVOLUTIONS = AllInvolutions()
-
-
 def _idx(x) -> int:
     return x.index if isinstance(x, GroupElement) else int(x)
 
@@ -157,10 +144,12 @@ def group_from_cayley_table(table, label: str = "") -> Group:
     return Group(arr.tolist(), inv.tolist(), label=label, assoc_check=mode)
 
 
-def group_from_permutation_generators(perms, cap: int = ORDER_CAP, label: str = ""):
+def group_from_permutation_generators(perms, label: str = ""):
     """Materialize the group generated by permutations as a Cayley table.
 
     Returns the group and the images of the input generators as elements.
+    Raises TooLarge as soon as the closure passes ORDER_CAP elements, before
+    any table is built.
     """
     if not perms:
         raise NotAGroup("need at least one generator permutation")
@@ -180,8 +169,8 @@ def group_from_permutation_generators(perms, cap: int = ORDER_CAP, label: str = 
             for g in gens:
                 q = permlib.compose(p, g)
                 if q not in index:
-                    if len(elements) >= cap:
-                        raise TooLarge(f"closure exceeds order cap {cap}")
+                    if len(elements) >= ORDER_CAP:
+                        raise TooLarge(f"closure exceeds order cap {ORDER_CAP}")
                     index[q] = len(elements)
                     elements.append(q)
                     nxt.append(q)
@@ -248,10 +237,9 @@ def generates(G: Group, S) -> bool:
 def normalize_generating_pair(G: Group, a, b):
     """Pick a generating pair whose first element has order at least 3.
 
-    Tries, in order: (a,b), (b,a), (ab,b), (ab,a), (ba,b), (ba,a).  If every
-    candidate first coordinate is an involution, returns ALL_INVOLUTIONS
-    (which forces the Klein four-group).  Raises NotGenerating if {a,b}
-    does not generate.
+    Tries, in order: (a,b), (b,a), (ab,b), (ab,a), (ba,b), (ba,a).  Raises
+    NotGenerating if {a,b} does not generate, or if every candidate first
+    coordinate is an involution (which forces the Klein four-group).
     """
     a, b = _idx(a), _idx(b)
     if not generates(G, (a, b)):
@@ -261,7 +249,7 @@ def normalize_generating_pair(G: Group, a, b):
     for x, y in ((a, b), (b, a), (ab, b), (ab, a), (ba, b), (ba, a)):
         if element_order(G, x) >= 3:
             return GroupElement(x), GroupElement(y)
-    return ALL_INVOLUTIONS
+    raise NotGenerating("no generator of order >= 3 exists for this group")
 
 
 def find_generating_pair(G: Group) -> GeneratingPair:
@@ -279,6 +267,10 @@ def find_generating_pair(G: Group) -> GeneratingPair:
 # --- catalog families -------------------------------------------------------
 
 def _table_from_mul(n, mul):
+    """The n x n multiplication table, refused past ORDER_CAP before any
+    entry is computed."""
+    if n > ORDER_CAP:
+        raise TooLarge(f"group order {n} exceeds cap {ORDER_CAP}")
     return [[mul(x, y) for y in range(n)] for x in range(n)]
 
 
@@ -380,8 +372,14 @@ _FAMILIES = {
 }
 
 
-def catalog_group(name: str, params, cap: int = ORDER_CAP):
-    """Look up a named family; returns (Group, GeneratingPair)."""
+def catalog_group(name: str, params):
+    """Look up a named family; returns (Group, GeneratingPair).
+
+    A group of order above ORDER_CAP is refused with TooLarge, by its
+    family's exact order, before any table is built: every table family
+    builds through `_table_from_mul`, and the permutation families stop
+    their closure at the cap.
+    """
     if name not in _FAMILIES:
         raise UnknownFamily(f"unknown family {name!r}; known: {sorted(_FAMILIES)}")
     builder, arity = _FAMILIES[name]
@@ -390,13 +388,7 @@ def catalog_group(name: str, params, cap: int = ORDER_CAP):
         raise UnknownFamily(f"family {name!r} takes {arity} parameter(s), got {len(params)}")
     if any(p < 1 for p in params):
         raise UnknownFamily(f"family {name!r} parameters must be positive")
-    est = params[0] * (params[1] if arity == 2 else 1)
-    if est > cap:
-        raise TooLarge(f"requested order exceeds cap {cap}")
-    G, pair = builder(*params)
-    if G.order > cap:
-        raise TooLarge(f"group order {G.order} exceeds cap {cap}")
-    return G, pair
+    return builder(*params)
 
 
 # --- group-spec text format --------------------------------------------------

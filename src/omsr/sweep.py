@@ -1,10 +1,10 @@
-"""Exhaustive enumeration of connection tables with valency constraints.
+"""Exhaustive enumeration of the connection tables of valency two.
 
 A table qualifies when every block row and block column has total size
-equal to the requested valency; those are exactly the tables whose
-digraphs are in- and out-regular of that valency.  Cells are filled in
-row-major order, and a cell is rejected as soon as orientation can be
-checked on it, so only oriented tables are walked.  A rejected subtree is
+`VALENCY` = 2; those are exactly the tables whose digraphs are in- and
+out-regular of valency two.  Cells are filled in row-major order, and a
+cell is rejected as soon as orientation can be checked on it, so only
+oriented tables are walked.  A rejected subtree is
 counted, not walked: how many tables complete a partial one depends only
 on cell sizes, which a memoised recursion counts.  So each yielded table
 keeps its 1-based position among all constrained tables.
@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from .automorphisms import automorphisms
+from .automorphisms import VALENCY, automorphisms
 from .digraphs import ConnectionTable, build_mcayley
 from .errors import InfeasibleSweep
 from .groups import Group, generating_set
@@ -47,7 +47,6 @@ GUARD_PRODUCT = 16
 class SweepResult:
     group_label: str
     m: int
-    valency: int
     tables_enumerated: int
     oriented_count: int
     witnesses: List[ConnectionTable]
@@ -59,7 +58,7 @@ class SweepResult:
         return {
             "group": self.group_label,
             "m": self.m,
-            "valency": self.valency,
+            "valency": VALENCY,
             "tables_enumerated": self.tables_enumerated,
             "oriented_count": self.oriented_count,
             "witness_count": len(self.witnesses),
@@ -74,8 +73,7 @@ class SweepResult:
 
 
 @functools.lru_cache(maxsize=None)
-def _completions(n: int, valency: int, rows: int, rowrem: int,
-                 done: tuple, todo: tuple) -> int:
+def _completions(n: int, rows: int, rowrem: int, done: tuple, todo: tuple) -> int:
     """Number of ways to finish a partially filled table.
 
     The current row still has ``rowrem`` elements to place, in the cells
@@ -91,41 +89,41 @@ def _completions(n: int, valency: int, rows: int, rowrem: int,
             return 0
         if not rows:
             return int(not any(done))
-        return _row_starts(n, valency, rows - 1, len(done)).get(done, 0)
+        return _row_starts(n, rows - 1, len(done)).get(done, 0)
     budget, rest = todo[0], todo[1:]
-    return sum(math.comb(n, s) * _completions(n, valency, rows, rowrem - s,
+    return sum(math.comb(n, s) * _completions(n, rows, rowrem - s,
                                                tuple(sorted(done + (budget - s,))), rest)
                for s in range(min(rowrem, budget) + 1))
 
 
 @functools.lru_cache(maxsize=None)
-def _row_starts(n: int, valency: int, rows: int, m: int) -> dict:
+def _row_starts(n: int, rows: int, m: int) -> dict:
     """`_completions` at the start of a row with ``rows`` full rows after
     it, for every sorted tuple of m column budgets, each at most the
     valency, that these rows can fill exactly; any other budgets have no
     completion.  The next row's table is built first, so each entry
     recurses along one row only."""
     if rows:
-        _row_starts(n, valency, rows - 1, m)
-    return {budgets: _completions(n, valency, rows, valency, (), budgets)
-            for budgets in itertools.combinations_with_replacement(range(valency + 1), m)
-            if sum(budgets) == valency * (rows + 1)}
+        _row_starts(n, rows - 1, m)
+    return {budgets: _completions(n, rows, VALENCY, (), budgets)
+            for budgets in itertools.combinations_with_replacement(range(VALENCY + 1), m)
+            if sum(budgets) == VALENCY * (rows + 1)}
 
 
-def count_tables(n: int, m: int, valency: int) -> int:
+def count_tables(n: int, m: int) -> int:
     """Number of m x m tables over a group of order n whose every row and
     column total equals the valency."""
-    return _completions(n, valency, m - 1, valency, (), (valency,) * m)
+    return _completions(n, m - 1, VALENCY, (), (VALENCY,) * m)
 
 
-def _cell_order(n: int, valency: int) -> List[frozenset]:
+def _cell_order(n: int) -> List[frozenset]:
     """Every cell value in the order `enumerate_tables` tries them: by size,
     then as ``itertools.combinations``."""
-    return [frozenset(combo) for s in range(min(valency, n) + 1)
+    return [frozenset(combo) for s in range(min(VALENCY, n) + 1)
             for combo in itertools.combinations(range(n), s)]
 
 
-def enumerate_tables(G: Group, m: int, valency: int,
+def enumerate_tables(G: Group, m: int,
                      prefixes: Optional["_PrefixMemo"] = None) -> Iterator[Tuple[int, tuple]]:
     """The oriented m x m families of subsets of G with every row and column
     total equal to the valency, as ``(position, sets)``.
@@ -145,11 +143,11 @@ def enumerate_tables(G: Group, m: int, valency: int,
     """
     n = G.order
     # Per size: (subset, its inverse set, allowed on the diagonal).
-    subsets = {s: [] for s in range(min(valency, n) + 1)}
-    for sub in _cell_order(n, valency):
+    subsets = {s: [] for s in range(min(VALENCY, n) + 1)}
+    for sub in _cell_order(n):
         sub_inv = frozenset(G.inv[t] for t in sub)
         subsets[len(sub)].append((sub, sub_inv, 0 not in sub and not sub & sub_inv))
-    colrem = [valency] * m
+    colrem = [VALENCY] * m
     current = [[frozenset()] * m for _ in range(m)]
     position = reached = 0  # reached: oriented tables yielded or counted
 
@@ -167,11 +165,11 @@ def enumerate_tables(G: Group, m: int, valency: int,
                 count = prefixes.skip(key, i)
                 if count is not None:
                     cols = tuple(sorted(colrem))
-                    position += _completions(n, valency, m - 2 - i, valency, (), cols)
+                    position += _completions(n, m - 2 - i, VALENCY, (), cols)
                     reached += count
                     return
             start = reached
-            yield from fill_cell(i + 1, 0, valency)
+            yield from fill_cell(i + 1, 0, VALENCY)
             if prefixes is not None and prefixes.moves is not None:
                 prefixes.counts[key or prefixes.moves.key(current[:i + 1])] = reached - start
             return
@@ -179,7 +177,7 @@ def enumerate_tables(G: Group, m: int, valency: int,
         later = tuple(sorted(colrem[j + 1:]))
         for s in range(min(rowrem, colrem[j], n) + 1):
             colrem[j] -= s
-            below = _completions(n, valency, m - 1 - i, rowrem - s,
+            below = _completions(n, m - 1 - i, rowrem - s,
                                  tuple(sorted(colrem[:j + 1])), later)
             if below:
                 for sub, sub_inv, diagonal_ok in subsets[s]:
@@ -192,7 +190,7 @@ def enumerate_tables(G: Group, m: int, valency: int,
             colrem[j] += s
         current[i][j] = frozenset()
 
-    yield from fill_cell(0, 0, valency)
+    yield from fill_cell(0, 0, VALENCY)
 
 
 def _table_moves(G: Group, m: int) -> Tuple[list, list]:
@@ -236,9 +234,9 @@ class _RankedMoves:
     between them.
     """
 
-    def __init__(self, G: Group, m: int, valency: int):
+    def __init__(self, G: Group, m: int):
         n = G.order
-        cells = _cell_order(n, valency)
+        cells = _cell_order(n)
         self._rank = {sub: r for r, sub in enumerate(cells)}
         rank_maps = {}
         coded = {}
@@ -366,14 +364,14 @@ def feasibility_guard(G: Group, m: int) -> bool:
     return G.order * m <= GUARD_PRODUCT
 
 
-def _scan(G: Group, m: int, valency: int, first_only: bool):
+def _scan(G: Group, m: int, first_only: bool):
     """The one enumeration driver behind `exhaustive_sweep` and `find_witness`.
 
-    Raises ValueError for m < 1 or a negative valency (no table has that
-    shape, so an empty scan would read as NOT_EXISTS), then InfeasibleSweep
-    past `feasibility_guard`.  Walks the oriented tables in enumeration order and collects those whose
-    digraphs have |Aut| = |G|, stopping at the first one when
-    ``first_only`` is set.  Returns (witness tables, digraph of the first
+    Raises ValueError for m < 1 (no table has that shape, so an empty scan
+    would read as NOT_EXISTS), then InfeasibleSweep past
+    `feasibility_guard`.  Walks the oriented tables of valency two in
+    enumeration order and collects those whose digraphs have |Aut| = |G|,
+    stopping at the first one when ``first_only`` is set.  Returns (witness tables, digraph of the first
     witness or None, stats).
 
     A first-stop scan calls the engine only on a table that no move of
@@ -400,8 +398,6 @@ def _scan(G: Group, m: int, valency: int, first_only: bool):
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if valency < 0:
-        raise ValueError(f"valency must be >= 0, got {valency}")
     if not feasibility_guard(G, m):
         raise InfeasibleSweep(f"|G|*m = {G.order * m} exceeds guard {GUARD_PRODUCT}")
     stats = {"examined": 0, "oriented": 0, "max_aut_order_seen": 0}
@@ -409,10 +405,10 @@ def _scan(G: Group, m: int, valency: int, first_only: bool):
     first_gamma = None
     moves = memo = None
     prefixes = _PrefixMemo() if first_only else None
-    for position, sets in enumerate_tables(G, m, valency, prefixes):
+    for position, sets in enumerate_tables(G, m, prefixes):
         stats["oriented"] += 1
         if moves is None:
-            moves = _RankedMoves(G, m, valency)
+            moves = _RankedMoves(G, m)
             memo = None if first_only else _OrbitMemo(moves)
         key = moves.key(sets)
         if first_only:
@@ -437,16 +433,15 @@ def _scan(G: Group, m: int, valency: int, first_only: bool):
                 stats["examined"] = position
                 break
     else:
-        stats["examined"] = count_tables(G.order, m, valency)
+        stats["examined"] = count_tables(G.order, m)
     if prefixes is not None:
         stats["oriented"] += prefixes.skipped
     return witnesses, first_gamma, stats
 
 
-def exhaustive_sweep(G: Group, m: int, valency: int = 2,
-                     all_witnesses: bool = False) -> SweepResult:
-    """Enumerate every constrained table and collect the oriented ones whose
-    digraphs have automorphism group of order exactly |G|.
+def exhaustive_sweep(G: Group, m: int, all_witnesses: bool = False) -> SweepResult:
+    """Enumerate every table of valency two and collect the oriented ones
+    whose digraphs have automorphism group of order exactly |G|.
 
     Stops at the first witness unless all_witnesses is set; a NOT_EXISTS
     verdict always reflects the full enumeration.  The engine runs only on
@@ -457,15 +452,14 @@ def exhaustive_sweep(G: Group, m: int, valency: int = 2,
     each row prefix that a move keeping its rows sends to an earlier one,
     and counts its subtree from the earlier prefix's.  The witnesses and
     counts are those of one engine call per table.  Raises ValueError for
-    m < 1 or a negative valency, and then InfeasibleSweep past the guard.
+    m < 1, and then InfeasibleSweep past the guard.
     """
     start = time.perf_counter()
-    witnesses, _, stats = _scan(G, m, valency, first_only=not all_witnesses)
+    witnesses, _, stats = _scan(G, m, first_only=not all_witnesses)
     witnesses.sort(key=lambda t: t.to_text())
     return SweepResult(
         group_label=G.label or f"order-{G.order}",
         m=m,
-        valency=valency,
         tables_enumerated=stats["examined"],
         oriented_count=stats["oriented"],
         witnesses=witnesses,
@@ -475,21 +469,21 @@ def exhaustive_sweep(G: Group, m: int, valency: int = 2,
     )
 
 
-def find_witness(G: Group, m: int, valency: int = 2):
+def find_witness(G: Group, m: int):
     """First witness table in the deterministic enumeration order.
 
     Returns (table, digraph, stats).  When the whole space is exhausted
     without a witness, returns (None, None, stats) — the stats then certify
     non-existence: every table was examined, and ``max_aut_order_seen`` is
     the exact largest |Aut| over the oriented ones.  Like
-    `exhaustive_sweep`, raises ValueError for m < 1 or a negative valency,
-    and InfeasibleSweep past the feasibility guard, so every search it
-    starts runs to a witness or to the end.
+    `exhaustive_sweep`, raises ValueError for m < 1, and InfeasibleSweep
+    past the feasibility guard, so every search it starts runs to a
+    witness or to the end.
 
     Structured witnesses sit very early in lexicographic order, so the scan
     follows that order.
     """
-    witnesses, gamma, stats = _scan(G, m, valency, first_only=True)
+    witnesses, gamma, stats = _scan(G, m, first_only=True)
     if witnesses:
         return witnesses[0], gamma, stats
     return None, None, stats

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from omsr.automorphisms import (PermutationGroup, _individualize, _refine,
+from omsr.automorphisms import (VERTEX_CAP, PermutationGroup, _individualize, _refine,
                                 aut_order_bounded, automorphisms,
                                 brute_force_automorphisms, is_omsr, orbit_count,
                                 refine, stabilizer)
@@ -86,8 +86,9 @@ def test_automorphisms_cyclic_recipe():
 
 
 def test_vertex_cap():
-    with pytest.raises(TooLarge):
-        automorphisms(directed_cycle(20), cap=10)
+    assert automorphisms(directed_cycle(VERTEX_CAP)).order == VERTEX_CAP == 512
+    with pytest.raises(TooLarge, match="513 vertices exceeds cap 512"):
+        automorphisms(directed_cycle(VERTEX_CAP + 1))
 
 
 def test_brute_force_examples():

@@ -443,7 +443,7 @@ def test_exhausted_search_certificate_from_one_enumeration(tmp_path, monkeypatch
 def test_corrupt_cached_witness_is_skipped(tmp_path):
     from omsr.constructions import _witness_path
     G, pair = catalog_group("elementary_abelian_2", [2])
-    path = tmp_path / os.path.basename(_witness_path(G, 3, 2, str(tmp_path)))
+    path = tmp_path / os.path.basename(_witness_path(G, 3, str(tmp_path)))
     path.write_text("m: 3\nT 0 0 : 1\nT 0 1")  # cut off mid-write
     with pytest.warns(UserWarning, match="unreadable witness cache file"):
         gamma, report = construct_omsr(G, pair, 3, witness_dir=str(tmp_path))
@@ -465,8 +465,8 @@ def test_store_witness_replaces_atomically(tmp_path, monkeypatch):
         real_replace(src, dst)
 
     monkeypatch.setattr(constructions.os, "replace", recording)
-    constructions._store_witness(G, 1, 2, str(tmp_path), table)
-    target = constructions._witness_path(G, 1, 2, str(tmp_path))
+    constructions._store_witness(G, 1, str(tmp_path), table)
+    target = constructions._witness_path(G, 1, str(tmp_path))
     assert replaced == [(str(tmp_path), target, table.to_text())]
     assert [str(p) for p in tmp_path.iterdir()] == [target]
 
@@ -474,7 +474,7 @@ def test_store_witness_replaces_atomically(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(constructions.os, "replace", failing)
-    constructions._store_witness(G, 1, 2, str(tmp_path),
+    constructions._store_witness(G, 1, str(tmp_path),
                                  ConnectionTable.from_dict(1, {(0, 0): [1, 3]}))
     # The old file is intact and no temporary file is left behind.
     assert [str(p) for p in tmp_path.iterdir()] == [target]

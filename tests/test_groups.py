@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from omsr.errors import NotAGroup, NotGenerating, ParseError, TooLarge, UnknownFamily
-from omsr.groups import (ALL_INVOLUTIONS, EXHAUSTIVE_ASSOC_LIMIT, GeneratingPair,
+from omsr.groups import (EXHAUSTIVE_ASSOC_LIMIT, ORDER_CAP, GeneratingPair,
                          GroupElement, catalog_group, closure, element_order,
                          find_generating_pair, generates, generating_set,
                          group_from_cayley_table,
@@ -88,9 +88,10 @@ def test_perm_generators_klein():
 
 
 def test_perm_generators_cap():
-    cyc = tuple(list(range(1, 40)) + [0])
-    with pytest.raises(TooLarge):
-        group_from_permutation_generators([cyc], cap=10)
+    # S7 has 5,040 elements, past the order cap of 2,000.
+    assert ORDER_CAP == 2000
+    with pytest.raises(TooLarge, match="closure exceeds order cap 2000"):
+        group_from_permutation_generators([(1, 2, 3, 4, 5, 6, 0), (1, 0)])
 
 
 def test_catalog_cyclic():
@@ -130,6 +131,18 @@ def test_catalog_unknown():
         catalog_group("sporadic", [1])
     with pytest.raises(TooLarge):
         catalog_group("cyclic", [5000])
+
+
+def test_catalog_refuses_by_exact_order_before_building(monkeypatch):
+    # Dihedral k has order 2k and dicyclic k order 4k: D1001 (2,002) and
+    # Q2004 (2,004) pass a check on the parameter alone.
+    def no_table(*args, **kwargs):
+        raise AssertionError("a Cayley table was built past the order cap")
+
+    monkeypatch.setattr("omsr.groups.group_from_cayley_table", no_table)
+    for name, param, order in [("dihedral", 1001, 2002), ("dicyclic", 501, 2004)]:
+        with pytest.raises(TooLarge, match=f"group order {order} exceeds cap 2000"):
+            catalog_group(name, [param])
 
 
 def test_element_order_examples():
@@ -172,7 +185,8 @@ def test_closure_is_subgroup():
 
 def test_normalize_pair_klein():
     K, kp = catalog_group("elementary_abelian_2", [2])
-    assert normalize_generating_pair(K, kp.a, kp.b) is ALL_INVOLUTIONS
+    with pytest.raises(NotGenerating, match="no generator of order >= 3"):
+        normalize_generating_pair(K, kp.a, kp.b)
 
 
 def test_normalize_pair_swaps():
@@ -204,9 +218,7 @@ def test_normalize_pair_always_generates():
     for name, params in [("symmetric", [3]), ("dihedral", [4]),
                          ("cyclic_product", [3, 3]), ("dicyclic", [2])]:
         G, p = catalog_group(name, params)
-        out = normalize_generating_pair(G, p.a, p.b)
-        assert out is not ALL_INVOLUTIONS
-        a, b = out
+        a, b = normalize_generating_pair(G, p.a, p.b)
         assert element_order(G, a) >= 3
         assert generates(G, (a, b))
 

@@ -61,18 +61,18 @@ def test_trivial_group_counts_match_binary_matrix_series():
     for m in range(2, 41):
         series.append(m * (m - 1) // 2 * (2 * series[m - 1] + (m - 1) * series[m - 2]))
     for m in range(1, 41):
-        assert count_tables(1, m, 2) == series[m], m
+        assert count_tables(1, m) == series[m], m
     expected = {2: 1, 3: 6, 4: 90, 5: 2040, 6: 67950}
     for m, want in expected.items():
-        assert count_tables(1, m, 2) == want
+        assert count_tables(1, m) == want
         result = exhaustive_sweep(Z1, m, all_witnesses=True)
         assert result.tables_enumerated == want
-        positions = [pos for pos, _ in enumerate_tables(Z1, m, 2)]
+        positions = [pos for pos, _ in enumerate_tables(Z1, m)]
         assert len(positions) == result.oriented_count
         assert positions == sorted(set(positions))
         assert all(1 <= pos <= want for pos in positions)
     K, _ = catalog_group("elementary_abelian_2", [2])
-    assert count_tables(K.order, 3, 2) == 39696
+    assert count_tables(K.order, 3) == 39696
 
 
 def test_enumeration_matches_naive_recount():
@@ -82,7 +82,7 @@ def test_enumeration_matches_naive_recount():
                  (catalog_group("cyclic", [4])[0], 2),
                  (catalog_group("cyclic", [2])[0], 3)]:
         total = naive_count(G.order, m, 2)
-        assert count_tables(G.order, m, 2) == total
+        assert count_tables(G.order, m) == total
         assert exhaustive_sweep(G, m, all_witnesses=True).tables_enumerated == total
         assert sum(1 for _ in naive_tables(G.order, m, 2)) == total
 
@@ -95,14 +95,14 @@ def test_enumeration_matches_naive_oriented_tables():
     cases = [(Z1, m) for m in range(1, 6)]
     cases += [(cyclic(2), 2), (cyclic(2), 3), (cyclic(3), 2), (cyclic(4), 2), (K, 2)]
     for G, m in cases:
-        assert list(enumerate_tables(G, m, 2)) == naive_oriented(G, m, 2), (G, m)
+        assert list(enumerate_tables(G, m)) == naive_oriented(G, m, 2), (G, m)
 
 
 def test_enumeration_yields_unique_row_column_constrained_tables():
     G, _ = catalog_group("cyclic", [3])
     seen = set()
     last = 0
-    for pos, sets in enumerate_tables(G, 2, 2):
+    for pos, sets in enumerate_tables(G, 2):
         assert pos > last
         last = pos
         assert sets not in seen
@@ -111,7 +111,7 @@ def test_enumeration_yields_unique_row_column_constrained_tables():
         assert all(sum(len(sets[i][j]) for i in range(2)) == 2 for j in range(2))
         assert oriented_table_criterion(G, ConnectionTable(2, sets))
     assert seen
-    assert last <= count_tables(G.order, 2, 2)
+    assert last <= count_tables(G.order, 2)
 
 
 def test_feasibility_guard():
@@ -215,25 +215,6 @@ def test_find_witness_exhaustion_returns_none():
     assert stats["examined"] > 0
 
 
-def test_negative_valency_is_rejected():
-    # No table has a negative row total, so an empty scan would read as a
-    # certified NOT_EXISTS.
-    Z2, _ = catalog_group("cyclic", [2])
-    with pytest.raises(ValueError, match="valency"):
-        exhaustive_sweep(Z2, 3, valency=-1)
-    with pytest.raises(ValueError, match="valency"):
-        find_witness(Z2, 3, valency=-1)
-
-
-def test_negative_valency_is_rejected_before_guard():
-    # Z5 at m = 5 is past the guard, which must not answer first.
-    Z5, _ = catalog_group("cyclic", [5])
-    with pytest.raises(ValueError, match="valency"):
-        exhaustive_sweep(Z5, 5, valency=-1)
-    with pytest.raises(ValueError, match="valency"):
-        find_witness(Z5, 5, valency=-1)
-
-
 def test_m_below_one_is_rejected():
     Z3, _ = catalog_group("cyclic", [3])
     for m in (-1, 0):
@@ -302,7 +283,7 @@ def random_oriented_table(G, m, rng):
 
 
 def unkey(G, m, key):
-    cells = _cell_order(G.order, 2)
+    cells = _cell_order(G.order)
     return tuple(tuple(cells[key[i * m + j]] for j in range(m)) for i in range(m))
 
 
@@ -317,7 +298,7 @@ def test_table_moves_are_isomorphisms():
     cases += [(G, m) for G in (cyclic(3), klein(), S3) for m in (2, 3, 4)]
     for G, m in cases:
         n = G.order
-        ranked = _RankedMoves(G, m, 2)
+        ranked = _RankedMoves(G, m)
         generators, moves = _table_moves(G, m)
         # Gauges on every block, transpositions and the m-cycle, each with and
         # without the converse, then the converse alone.
@@ -347,9 +328,9 @@ def test_orbit_memo_matches_engine_on_every_table():
     # The scan's pop/record loop, with a direct engine call beside every
     # memoised order.
     for G, m in [(Z1, 6), (klein(), 3), (cyclic(3), 3)]:
-        ranked = _RankedMoves(G, m, 2)
+        ranked = _RankedMoves(G, m)
         memo = _OrbitMemo(ranked)
-        for _, sets in enumerate_tables(G, m, 2):
+        for _, sets in enumerate_tables(G, m):
             direct = engine_order(G, m, sets)
             key = ranked.key(sets)
             order = memo.pop(key)
@@ -377,9 +358,9 @@ def pinned_cells():
 def test_orbit_closure_stays_in_enumerated_set():
     # The orbits partition the enumerated oriented tables, one per engine call.
     for G, m, pins in pinned_cells() + [(cyclic(2), 3, (2,)), (klein(), 2, (3,))]:
-        ranked = _RankedMoves(G, m, 2)
+        ranked = _RankedMoves(G, m)
         memo = _OrbitMemo(ranked)
-        keys = {ranked.key(sets) for _, sets in enumerate_tables(G, m, 2)}
+        keys = {ranked.key(sets) for _, sets in enumerate_tables(G, m)}
         covered, orbits = set(), 0
         for key in keys:
             if key not in covered:
@@ -459,8 +440,8 @@ def test_skipped_tables_have_earlier_images_of_equal_order():
     # has a smaller image that is an enumerated table at an earlier position
     # with the same engine |Aut|.
     for G, m in [(Z1, 6), (klein(), 3), (cyclic(3), 3)]:
-        ranked = _RankedMoves(G, m, 2)
-        enumerated = [(ranked.key(sets), pos, sets) for pos, sets in enumerate_tables(G, m, 2)]
+        ranked = _RankedMoves(G, m)
+        enumerated = [(ranked.key(sets), pos, sets) for pos, sets in enumerate_tables(G, m)]
         keys = [key for key, _, _ in enumerated]
         assert keys == sorted(set(keys))
         where = {key: (pos, sets) for key, pos, sets in enumerated}
@@ -489,13 +470,13 @@ def full_walk_reference(G, m):
     first-stop scan, from a direct engine call on every table of the full
     `enumerate_tables` walk, in order, with no prefix skipped."""
     oriented = top = 0
-    for pos, sets in enumerate_tables(G, m, 2):
+    for pos, sets in enumerate_tables(G, m):
         oriented += 1
         order = engine_order(G, m, sets)
         top = max(top, order)
         if order == G.order:
             return pos, oriented, top, ConnectionTable(m, sets).to_text()
-    return count_tables(G.order, m, 2), oriented, top, None
+    return count_tables(G.order, m), oriented, top, None
 
 
 def test_prefix_skip_matches_full_walk():
@@ -544,12 +525,12 @@ def test_prefix_memo_records_every_earlier_prefix():
     # earlier image under a move that keeps its rows, sharing its earlier
     # rows, and holding as many oriented tables.
     prefixes = _PrefixMemo()
-    for _, sets in enumerate_tables(Z1, 6, 2, prefixes):
+    for _, sets in enumerate_tables(Z1, 6, prefixes):
         if prefixes.moves is None:
-            prefixes.moves = _RankedMoves(Z1, 6, 2)
+            prefixes.moves = _RankedMoves(Z1, 6)
             prefixes.start = prefixes.moves.key(sets)
     oriented = {}
-    for _, sets in enumerate_tables(Z1, 6, 2):
+    for _, sets in enumerate_tables(Z1, 6):
         key = prefixes.moves.key(sets)
         for row in range(5):
             oriented[key[:6 * (row + 1)]] = oriented.get(key[:6 * (row + 1)], 0) + 1

@@ -99,21 +99,15 @@ def reproduce_theorem(max_group_order: int, max_m: int) -> List[dict]:
     rows = []
     for G, pair in group_roster(max_group_order):
         for m in range(2, max_m + 1):
-            result = construct_omsr(G, pair, m)
-            if isinstance(result, ExceptionVerdict):
-                rows.append({
-                    "group": G.label, "order": G.order, "m": m,
-                    "verdict": "NOT_EXISTS",
-                    "certificate": result.to_dict(),
-                })
+            report = verify_instance(G, pair, m)
+            row = {"group": G.label, "order": G.order, "m": m}
+            if report.certificate is not None:
+                row.update(verdict="NOT_EXISTS", certificate=report.certificate.to_dict())
             else:
-                _, report = result
-                rows.append({
-                    "group": G.label, "order": G.order, "m": m,
-                    "verdict": "EXISTS" if report.omsr else "FAILED",
-                    "construction": report.construction_kind,
-                    "aut_order": report.aut_order,
-                })
+                row.update(verdict="EXISTS" if report.omsr else "FAILED",
+                           construction=report.construction_kind,
+                           aut_order=report.aut_order)
+            rows.append(row)
     return rows
 
 
@@ -147,14 +141,18 @@ def _emit_json(path: Optional[str], payload) -> None:
             raise ValueError(f"cannot write --json {path}: {exc.strerror or exc}") from exc
 
 
-def _cmd_verify(args) -> int:
-    G, pair = load_group(args.group)
-    report = verify_instance(G, pair, args.m, recipe=args.recipe)
+def _report_exit(report: VerificationReport, json_path: Optional[str]) -> int:
+    """Print and emit one report; a certified exception verifies too."""
     print(report.summary())
-    _emit_json(args.json, report.to_dict())
+    _emit_json(json_path, report.to_dict())
     if report.certificate is not None or report.omsr:
         return EXIT_OK
     return EXIT_FAILED
+
+
+def _cmd_verify(args) -> int:
+    G, pair = load_group(args.group)
+    return _report_exit(verify_instance(G, pair, args.m, recipe=args.recipe), args.json)
 
 
 def _cmd_sweep(args) -> int:
@@ -189,12 +187,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_simple(args) -> int:
-    report = simple_group_check(args.name, args.m)
-    print(report.summary())
-    _emit_json(args.json, report.to_dict())
-    if report.certificate is not None or report.omsr:
-        return EXIT_OK
-    return EXIT_FAILED
+    return _report_exit(simple_group_check(args.name, args.m), args.json)
 
 
 def build_parser() -> argparse.ArgumentParser:

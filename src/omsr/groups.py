@@ -298,7 +298,7 @@ def _cyclic_product(n: int, m: int):
         return ((x // m + y // m) % n) * m + (x % m + y % m) % m
 
     G = group_from_cayley_table(_table_from_mul(size, mul), label=f"Z{n}xZ{m}")
-    return G, GeneratingPair(G.element(m), G.element(1))
+    return G, GeneratingPair(G.element(m % size), G.element(1 % size))
 
 
 def _dihedral(k: int):

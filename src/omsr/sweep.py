@@ -136,10 +136,12 @@ def enumerate_tables(G: Group, m: int,
     position by the number of tables under it, and a cell no table can
     complete is never entered.
 
-    A first-stop `_scan` passes ``prefixes``.  Once it holds moves, each
-    finished row prefix that `_PrefixMemo.skip` accepts is counted, not
-    walked: the position advances past its subtree, whose oriented tables
-    are then never yielded.  Without it every oriented table is yielded.
+    A first-stop `_scan` passes ``prefixes``, and the walk records the
+    oriented count under every finished row prefix.  Once an oriented table
+    is reached, each finished prefix that `_PrefixMemo.skip` accepts is
+    counted, not walked: the position advances past its subtree, whose
+    oriented tables are then never yielded; before it, no subtree holds
+    one.  Without ``prefixes`` every oriented table is yielded.
     """
     n = G.order
     # Per size: (subset, its inverse set, allowed on the diagonal).
@@ -159,10 +161,9 @@ def enumerate_tables(G: Group, m: int,
                 reached += 1
                 yield position, tuple(tuple(row) for row in current)
                 return
-            key = None
-            if prefixes is not None and prefixes.moves is not None:
+            if prefixes is not None:
                 key = prefixes.moves.key(current[:i + 1])
-                count = prefixes.skip(key, i)
+                count = prefixes.skip(key, i) if reached else None
                 if count is not None:
                     cols = tuple(sorted(colrem))
                     position += _completions(n, m - 2 - i, VALENCY, (), cols)
@@ -170,8 +171,8 @@ def enumerate_tables(G: Group, m: int,
                     return
             start = reached
             yield from fill_cell(i + 1, 0, VALENCY)
-            if prefixes is not None and prefixes.moves is not None:
-                prefixes.counts[key or prefixes.moves.key(current[:i + 1])] = reached - start
+            if prefixes is not None:
+                prefixes.counts[key] = reached - start
             return
         partner = current[j][i] if j < i else None
         later = tuple(sorted(colrem[j + 1:]))
@@ -256,10 +257,12 @@ class _RankedMoves:
                 code[a * m + b] = (i * m + j, rank_maps[f])
             coded[move] = tuple(code)
         self._m = m
-        self._coded = list(coded.items())
-        self._prefix_moves = {}
         self.moves = [coded[move] for move in moves]
         self.generators = [coded[move] for move in generators]
+        # Per row: the moves that keep rows 0..row in place.
+        self._row_moves = [[coded[h, sigma, converse] for h, sigma, converse in moves
+                            if not converse and max(sigma[:row + 1]) == row]
+                           for row in range(m - 1)]
 
     def key(self, sets) -> tuple:
         """The rank tuple of a table, or of a prefix of its rows."""
@@ -270,6 +273,16 @@ class _RankedMoves:
     def images(key, moves) -> List[tuple]:
         """The key's image under each coded move, in order."""
         return [tuple([f[key[src]] for src, f in move]) for move in moves]
+
+    def orbit(self, key) -> set:
+        """Every key that the generating moves reach from ``key``."""
+        seen, queue = {key}, [key]
+        for current in queue:
+            for image in self.images(current, self.generators):
+                if image not in seen:
+                    seen.add(image)
+                    queue.append(image)
+        return seen
 
     def earlier_image(self, key, row: Optional[int] = None) -> Optional[tuple]:
         """The first image of the key that is earlier in enumeration order,
@@ -284,10 +297,7 @@ class _RankedMoves:
         if row is None:
             moves, fixed = self.moves, 0
         else:
-            if row not in self._prefix_moves:
-                self._prefix_moves[row] = [code for (h, sigma, converse), code in self._coded
-                                           if not converse and max(sigma[:row + 1]) == row]
-            moves, fixed = self._prefix_moves[row], row * self._m
+            moves, fixed = self._row_moves[row], row * self._m
         for move in moves:
             for cell, (target, (src, f)) in enumerate(zip(key, move)):
                 r = f[key[src]]
@@ -300,16 +310,11 @@ class _RankedMoves:
 
 class _PrefixMemo:
     """The oriented-table count under each finished row prefix of a
-    first-stop scan, shared by `_scan` and its walk.
+    first-stop scan, shared by `_scan` and its walk.  ``skipped`` sums the
+    counts of skipped prefixes."""
 
-    The scan sets ``moves`` and ``start``, the key of the first oriented
-    table, when it reaches that table; until then the walk neither tests
-    nor records prefixes.  ``skipped`` sums the counts of skipped prefixes.
-    """
-
-    def __init__(self):
-        self.moves: Optional[_RankedMoves] = None
-        self.start: tuple = ()
+    def __init__(self, moves: _RankedMoves):
+        self.moves = moves
         self.counts = {}
         self.skipped = 0
 
@@ -320,44 +325,13 @@ class _PrefixMemo:
         image = self.moves.earlier_image(key, row)
         if image is None:
             return None
+        # The image shares the key's parent prefix, so the walk finished it.
         count = self.counts.get(image)
         if count is None:
-            # The image shares the key's parent prefix, so the walk visited
-            # it; only one finished before the first oriented table has no
-            # entry, and its subtree holds no oriented table.
-            if image >= self.start[:len(image)]:
-                raise RuntimeError(f"no count for the earlier prefix {image} of {key}")
-            count = 0
+            raise RuntimeError(f"no count for the earlier prefix {image} of {key}")
         self.counts[key] = count
         self.skipped += count
         return count
-
-
-class _OrbitMemo:
-    """|Aut| of tables already reached from a measured one by the generating
-    moves.  Each table of a scan is popped once, so the memo holds only the
-    members of the orbits still open."""
-
-    def __init__(self, moves: _RankedMoves):
-        self._moves = moves
-        self._memo = {}
-
-    def orbit(self, key) -> set:
-        generators = self._moves.generators
-        seen, queue = {key}, [key]
-        for current in queue:
-            for image in self._moves.images(current, generators):
-                if image not in seen:
-                    seen.add(image)
-                    queue.append(image)
-        return seen
-
-    def pop(self, key) -> Optional[int]:
-        return self._memo.pop(key, None)
-
-    def record(self, key, order: int) -> None:
-        """Store order for every other member of the table's orbit."""
-        self._memo.update(dict.fromkeys(self.orbit(key) - {key}, order))
 
 
 def feasibility_guard(G: Group, m: int) -> bool:
@@ -371,8 +345,8 @@ def _scan(G: Group, m: int, first_only: bool):
     would read as NOT_EXISTS), then InfeasibleSweep past
     `feasibility_guard`.  Walks the oriented tables of valency two in
     enumeration order and collects those whose digraphs have |Aut| = |G|,
-    stopping at the first one when ``first_only`` is set.  Returns (witness tables, digraph of the first
-    witness or None, stats).
+    stopping at the first one when ``first_only`` is set.  Returns (witness
+    tables, stats).  One `_RankedMoves` serves the whole scan.
 
     A first-stop scan calls the engine only on a table that no move of
     `_table_moves` sends to an earlier table.  A table with an earlier
@@ -387,10 +361,9 @@ def _scan(G: Group, m: int, first_only: bool):
     under the earlier prefix (`_PrefixMemo`).
 
     Without ``first_only`` every table is visited, so each orbit's |Aut| is
-    measured once, on its first table, and memoised for the rest.  Either
-    way the witnesses, ``oriented`` and ``max_aut_order_seen`` are those of
-    one engine call per table.  The rank-coded moves are built at the first
-    oriented table, so a scan that reaches none pays nothing for them.
+    measured once, on its first table, and kept in ``orders`` for the
+    rest.  Either way the witnesses, ``oriented`` and
+    ``max_aut_order_seen`` are those of one engine call per table.
 
     ``stats["examined"]`` is the position of the table the scan stopped at,
     or the number of constrained tables when it ran to the end;
@@ -400,35 +373,24 @@ def _scan(G: Group, m: int, first_only: bool):
         raise ValueError(f"m must be >= 1, got {m}")
     if not feasibility_guard(G, m):
         raise InfeasibleSweep(f"|G|*m = {G.order * m} exceeds guard {GUARD_PRODUCT}")
+    moves = _RankedMoves(G, m)
+    prefixes = _PrefixMemo(moves) if first_only else None
+    orders = {}  # |Aut| of the tables not yet reached in the orbits measured so far
     stats = {"examined": 0, "oriented": 0, "max_aut_order_seen": 0}
     witnesses: List[ConnectionTable] = []
-    first_gamma = None
-    moves = memo = None
-    prefixes = _PrefixMemo() if first_only else None
     for position, sets in enumerate_tables(G, m, prefixes):
         stats["oriented"] += 1
-        if moves is None:
-            moves = _RankedMoves(G, m)
-            memo = None if first_only else _OrbitMemo(moves)
         key = moves.key(sets)
-        if first_only:
-            if prefixes.moves is None:
-                prefixes.moves, prefixes.start = moves, key
-            if moves.earlier_image(key) is not None:
-                continue
-        table = gamma = None
-        order = memo.pop(key) if memo is not None else None
+        if first_only and moves.earlier_image(key) is not None:
+            continue
+        order = orders.pop(key, None)
         if order is None:
-            table = ConnectionTable(m, sets)
-            gamma = build_mcayley(G, table)
-            order = automorphisms(gamma).order
-            if memo is not None:
-                memo.record(key, order)
+            order = automorphisms(build_mcayley(G, ConnectionTable(m, sets))).order
+            if not first_only:
+                orders.update(dict.fromkeys(moves.orbit(key) - {key}, order))
         stats["max_aut_order_seen"] = max(stats["max_aut_order_seen"], order)
         if order == G.order:
-            witnesses.append(table or ConnectionTable(m, sets))
-            if first_gamma is None:
-                first_gamma = gamma
+            witnesses.append(ConnectionTable(m, sets))
             if first_only:
                 stats["examined"] = position
                 break
@@ -436,7 +398,7 @@ def _scan(G: Group, m: int, first_only: bool):
         stats["examined"] = count_tables(G.order, m)
     if prefixes is not None:
         stats["oriented"] += prefixes.skipped
-    return witnesses, first_gamma, stats
+    return witnesses, stats
 
 
 def exhaustive_sweep(G: Group, m: int, all_witnesses: bool = False) -> SweepResult:
@@ -455,7 +417,7 @@ def exhaustive_sweep(G: Group, m: int, all_witnesses: bool = False) -> SweepResu
     m < 1, and then InfeasibleSweep past the guard.
     """
     start = time.perf_counter()
-    witnesses, _, stats = _scan(G, m, first_only=not all_witnesses)
+    witnesses, stats = _scan(G, m, first_only=not all_witnesses)
     witnesses.sort(key=lambda t: t.to_text())
     return SweepResult(
         group_label=G.label or f"order-{G.order}",
@@ -483,7 +445,7 @@ def find_witness(G: Group, m: int):
     Structured witnesses sit very early in lexicographic order, so the scan
     follows that order.
     """
-    witnesses, gamma, stats = _scan(G, m, first_only=True)
-    if witnesses:
-        return witnesses[0], gamma, stats
-    return None, None, stats
+    witnesses, stats = _scan(G, m, first_only=True)
+    if not witnesses:
+        return None, None, stats
+    return witnesses[0], build_mcayley(G, witnesses[0]), stats

@@ -206,6 +206,19 @@ def test_main_sweep(tmp_path, capsys):
     assert data["witness_count"] == 0
 
 
+def test_main_verify_cyclic_product_with_a_trivial_factor(capsys):
+    # Z1 x Z4: the catalog pair's element indices wrap at the group order.
+    for argv in (["--m", "2"], ["--m", "2", "--recipe", "cyclic"]):
+        assert main(["verify", "--group", "catalog:cyclic_product:1:4", *argv]) == EXIT_OK
+        assert "[cyclic]: omsr=True" in capsys.readouterr().out
+
+
+def test_main_sweep_cyclic_product_of_trivial_groups(capsys):
+    assert main(["sweep", "--group", "catalog:cyclic_product:1:1", "--m", "3"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "Z1xZ1 m=3 valency=2: NOT_EXISTS (6 tables, 0 oriented, 0 witnesses, max |Aut| 0)\n")
+
+
 def test_main_reproduce(tmp_path, capsys):
     path = tmp_path / "rows.json"
     code = main(["reproduce", "--max-order", "2", "--max-m", "2",

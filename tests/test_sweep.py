@@ -11,7 +11,7 @@ from omsr.automorphisms import automorphisms, brute_force_automorphisms, is_omsr
 from omsr.digraphs import ConnectionTable, build_mcayley, oriented_table_criterion
 from omsr.errors import InfeasibleSweep
 from omsr.groups import Group, catalog_group, generating_set, group_from_cayley_table
-from omsr.sweep import (_OrbitMemo, _PrefixMemo, _RankedMoves, _cell_order,
+from omsr.sweep import (_PrefixMemo, _RankedMoves, _cell_order,
                         _table_moves, count_tables, enumerate_tables, exhaustive_sweep,
                         feasibility_guard, find_witness)
 
@@ -325,20 +325,20 @@ def test_table_moves_are_isomorphisms():
 
 
 def test_orbit_memo_matches_engine_on_every_table():
-    # The scan's pop/record loop, with a direct engine call beside every
-    # memoised order.
+    # The scan's pop/update loop over its ``orders`` dict, with a direct
+    # engine call beside every memoised order.
     for G, m in [(Z1, 6), (klein(), 3), (cyclic(3), 3)]:
         ranked = _RankedMoves(G, m)
-        memo = _OrbitMemo(ranked)
+        orders = {}
         for _, sets in enumerate_tables(G, m):
             direct = engine_order(G, m, sets)
             key = ranked.key(sets)
-            order = memo.pop(key)
+            order = orders.pop(key, None)
             if order is None:
-                memo.record(key, direct)
+                orders.update(dict.fromkeys(ranked.orbit(key) - {key}, direct))
             else:
                 assert order == direct, (G, m, sets)
-        assert not memo._memo
+        assert not orders
 
 
 ORBIT_PINS = {
@@ -359,12 +359,11 @@ def test_orbit_closure_stays_in_enumerated_set():
     # The orbits partition the enumerated oriented tables, one per engine call.
     for G, m, pins in pinned_cells() + [(cyclic(2), 3, (2,)), (klein(), 2, (3,))]:
         ranked = _RankedMoves(G, m)
-        memo = _OrbitMemo(ranked)
         keys = {ranked.key(sets) for _, sets in enumerate_tables(G, m)}
         covered, orbits = set(), 0
         for key in keys:
             if key not in covered:
-                orbit = memo.orbit(key)
+                orbit = ranked.orbit(key)
                 assert orbit <= keys, (G, m)
                 covered |= orbit
                 orbits += 1
@@ -480,11 +479,13 @@ def full_walk_reference(G, m):
 
 
 def test_prefix_skip_matches_full_walk():
-    # Cells where row prefixes are skipped, and Z2 at m = 4 and 5, whose
-    # witness is the second oriented table, before any prefix can be.
+    # Cells where row prefixes are skipped; Z2 at m = 4 and 5, whose witness
+    # is the second oriented table, before any prefix can be; and cells with
+    # no oriented table, whose walk records prefixes but never tests one.
     S3 = catalog_group("dihedral", [3])[0]
     Q8 = catalog_group("dicyclic", [2])[0]
-    for G, m in [(Z1, 6), (cyclic(2), 4), (cyclic(2), 5), (S3, 2), (Q8, 2)]:
+    empty = [(Z1, m) for m in range(1, 5)] + [(cyclic(2), 1), (cyclic(2), 2)]
+    for G, m in [(Z1, 6), (cyclic(2), 4), (cyclic(2), 5), (S3, 2), (Q8, 2)] + empty:
         want = full_walk_reference(G, m)
         result = exhaustive_sweep(G, m)
         got = (result.tables_enumerated, result.oriented_count, result.max_aut_order_seen,
@@ -524,36 +525,27 @@ def test_prefix_memo_records_every_earlier_prefix():
     # A first-stop Z1 m=6 scan runs to the end; every prefix it skipped has an
     # earlier image under a move that keeps its rows, sharing its earlier
     # rows, and holding as many oriented tables.
-    prefixes = _PrefixMemo()
-    for _, sets in enumerate_tables(Z1, 6, prefixes):
-        if prefixes.moves is None:
-            prefixes.moves = _RankedMoves(Z1, 6)
-            prefixes.start = prefixes.moves.key(sets)
+    ranked = _RankedMoves(Z1, 6)
+    prefixes = _PrefixMemo(ranked)
+    for _ in enumerate_tables(Z1, 6, prefixes):
+        pass
     oriented = {}
     for _, sets in enumerate_tables(Z1, 6):
-        key = prefixes.moves.key(sets)
+        key = ranked.key(sets)
         for row in range(5):
             oriented[key[:6 * (row + 1)]] = oriented.get(key[:6 * (row + 1)], 0) + 1
     skipped = 0
     for key, count in prefixes.counts.items():
         assert count == oriented.get(key, 0), key
-        image = prefixes.moves.earlier_image(key, len(key) // 6 - 1)
+        image = ranked.earlier_image(key, len(key) // 6 - 1)
         if image is not None:
             skipped += 1
             assert image < key and image[:len(key) - 6] == key[:-6]
             assert prefixes.counts[image] == count
     assert skipped and prefixes.skipped == 570 - 20
-    # An earlier prefix with no entry finished before the first oriented
-    # table, so its subtree holds none; past that table a miss is a fault.
-    key, image = next((key, image) for key in prefixes.counts
-                      for image in [prefixes.moves.earlier_image(key, len(key) // 6 - 1)]
-                      if image is not None)
-    for start in (key, image):
-        memo = _PrefixMemo()
-        memo.moves, memo.start = prefixes.moves, start
-        if start == key:
-            assert memo.skip(key, len(key) // 6 - 1) == 0
-            assert memo.counts == {key: 0}
-        else:
-            with pytest.raises(RuntimeError, match="no count"):
-                memo.skip(key, len(key) // 6 - 1)
+    # The walk finishes every earlier prefix before it tests a later one, so
+    # a miss is a fault.
+    key = next(key for key in prefixes.counts
+               if ranked.earlier_image(key, len(key) // 6 - 1) is not None)
+    with pytest.raises(RuntimeError, match="no count"):
+        _PrefixMemo(ranked).skip(key, len(key) // 6 - 1)

@@ -3,7 +3,11 @@
 Refinement keeps an ordered partition, each vertex colored by its cell's
 start, and re-splits only the cells a splitter touches, by out- and
 in-neighbour counts, queueing all fragments but the largest (Hopcroft's
-smaller half, as in nauty), so colors are equivariant.  One path of
+smaller half, as in nauty), so colors are equivariant.  A splitter costs
+time in proportion to the vertices it hits, not to the cells they lie in:
+singleton cells and cells hit uniformly are passed over, only the hits are
+grouped by count, and the untouched fragment keeps its cell's set and start,
+the hits removed from it.  One path of
 individualize-refine steps fixes a base b_1..b_k; with G_i the pointwise
 stabilizer of b_1..b_i, |Aut| = prod_i |b_i^{G_(i-1)}|, found deepest level
 first: each vertex of b_i's cell not yet in b_i's orbit under the known
@@ -107,7 +111,11 @@ def _refine(out_adj, in_adj, colors, active, reference=None):
     (splitter start, cell count after the split) per splitter popped.  Only
     the cells starting at active are queued at first, so every other cell
     must be stable.  Given a reference trace, returns None as soon as the run
-    leaves it, else (colors, trace)."""
+    leaves it, else (colors, trace).
+
+    Work per splitter is proportional to the vertices it hits: singleton and
+    uniformly hit cells are passed over, and the untouched fragment is the
+    cell's own set with the hits removed, neither copied nor recolored."""
     n, colors, cells = len(colors), list(colors), collections.defaultdict(set)
     for v, c in enumerate(colors):
         cells[c].add(v)
@@ -116,19 +124,32 @@ def _refine(out_adj, in_adj, colors, active, reference=None):
     while queue and len(cells) < n:
         s = heapq.heappop(queue)
         queued.discard(s)
-        weight, counts, touched = len(cells[s]) + 1, {}, collections.defaultdict(dict)
+        weight, counts, touched = len(cells[s]) + 1, {}, {}
         for w in cells[s]:
             for u in in_adj[w]:
                 counts[u] = counts.get(u, 0) + weight
             for u in out_adj[w]:
                 counts[u] = counts.get(u, 0) + 1
-        for u, k in counts.items():
-            touched[colors[u]].setdefault(k, set()).add(u)
-        for c, groups in touched.items():
-            groups[0] = cells[c].difference(*groups.values())
-            frags = [groups[k] for k in sorted(groups) if groups[k]]
-            if len(frags) == 1:
+        for u in counts:
+            c = colors[u]
+            if c in touched:
+                touched[c].append(u)
+            elif len(cells[c]) > 1:
+                touched[c] = [u]
+        for c, hits in touched.items():
+            cell, groups = cells[c], {}
+            for u in hits:
+                k = counts[u]
+                if k in groups:
+                    groups[k].append(u)
+                else:
+                    groups[k] = [u]
+            if len(groups) == 1 and len(hits) == len(cell):
                 continue
+            # The untouched fragment comes first: it keeps the cell's set and start.
+            cell.difference_update(hits)
+            frags = [cell] if cell else []
+            frags += [set(groups[k]) for k in sorted(groups)]
             # A queued c already stands for the first fragment.  Otherwise
             # the partition is stable by c, which implies the largest one.
             skip = frags[0] if c in queued else max(frags, key=len)

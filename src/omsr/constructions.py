@@ -128,7 +128,7 @@ def _z2xz2k_elements(G: Group) -> Optional[Tuple[int, int]]:
     if b is None:
         return None
     span = closure(G, (b,))
-    a = next((g for g in G.elements() if g not in span and G.mul(g, g) == 0), None)
+    a = next((g for g in G.elements() if g not in span and G.mult[g][g] == 0), None)
     return None if a is None else (a, b)
 
 
@@ -227,7 +227,7 @@ def recipe_table(G: Group, pair: Optional[GeneratingPair], m: int,
 
 
 def _is_klein_four(G: Group) -> bool:
-    return G.order == 4 and all(G.mul(x, x) == 0 for x in G.elements())
+    return G.order == 4 and all(G.mult[x][x] == 0 for x in G.elements())
 
 
 def default_witness_dir() -> str:

@@ -185,10 +185,10 @@ def group_from_permutation_generators(perms, label: str = ""):
 
 
 def element_order(G: Group, g) -> int:
-    g = _idx(g)
+    g, mult = _idx(g), G.mult
     k, x = 1, g
     while x != 0:
-        x = G.mul(x, g)
+        x = mult[x][g]
         k += 1
     return k
 
@@ -203,19 +203,17 @@ def is_cyclic(G: Group) -> bool:
 
 
 def closure(G: Group, gens) -> set:
-    """Subgroup generated by the elements (inverses included implicitly)."""
-    seed = {_idx(g) for g in gens} | {0}
-    seen = set(seed)
-    frontier = list(seed)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in seed:
-                for y in (G.mul(x, g), G.mul(x, G.inverse(g))):
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-        frontier = nxt
+    """Subgroup generated by the elements.  In a finite group it is the set
+    of products of the generators alone, so no inverse is needed."""
+    steps = {_idx(g) for g in gens}
+    seen, queue = {0}, [0]
+    for x in queue:
+        row = G.mult[x]
+        for g in steps:
+            y = row[g]
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
     return seen
 
 

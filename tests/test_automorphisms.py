@@ -1,5 +1,6 @@
 """Automorphism engine: refinement, search, oracle agreement, OmSR verdicts."""
 
+import hashlib
 import importlib
 import itertools
 import random
@@ -10,12 +11,14 @@ from omsr.automorphisms import (VERTEX_CAP, PermutationGroup, _individualize, _r
                                 aut_order_bounded, automorphisms,
                                 brute_force_automorphisms, is_omsr, orbit_count,
                                 refine, stabilizer)
-from omsr.constructions import cyclic_connection_table, nonabelian_connection_table
+from omsr.constructions import (cyclic_connection_table, nonabelian_connection_table,
+                                recipe_table)
 from omsr.digraphs import (ConnectionTable, Digraph, MCayleyDigraph, build_mcayley,
                            right_translation)
 from omsr.errors import BlockMismatch, TooLarge
 from omsr.groups import catalog_group, normalize_generating_pair
 from omsr.perms import compose, inverse, orbit_partition
+from omsr.sweep import enumerate_tables
 
 
 def directed_cycle(n):
@@ -493,3 +496,33 @@ def test_property_refine_equivariant():
         check_equivariant(d, pi, rng)
 
     check()
+
+
+# SHA-256 of engine_output_digest(), computed on the kernel before
+# refinement split cells in place.  A kernel change that moves a colour, and
+# so a generator, changes it.
+ENGINE_OUTPUT_SHA256 = "f64f8a4662243c245c36f066e286ae37356d42405268bb039cb19268c42e18e1"
+
+
+def engine_output_digest():
+    """Hash of (order, generators, translations_embed) from `automorphisms`
+    on every oriented table of Z2 at m = 3 and of the Klein four-group at
+    m = 2, and on the recipe digraphs of Z48 m=5, Z6xZ8 m=5 and A5 m=4."""
+    digraphs = []
+    for family, params, m in (("cyclic", [2], 3), ("elementary_abelian_2", [2], 2)):
+        G, _ = catalog_group(family, params)
+        digraphs += [build_mcayley(G, ConnectionTable(m, sets))
+                     for _, sets in enumerate_tables(G, m)]
+    for family, params, m in (("cyclic", [48], 5), ("cyclic_product", [6, 8], 5),
+                              ("alternating", [5], 4)):
+        G, pair = catalog_group(family, params)
+        digraphs.append(build_mcayley(G, recipe_table(G, pair, m)[0]))
+    h = hashlib.sha256()
+    for d in digraphs:
+        A = automorphisms(d)
+        h.update(repr((A.order, A.generators, A.translations_embed)).encode())
+    return len(digraphs), h.hexdigest()
+
+
+def test_engine_output_pinned():
+    assert engine_output_digest() == (19, ENGINE_OUTPUT_SHA256)

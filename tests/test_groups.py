@@ -5,6 +5,8 @@ import random
 import numpy as np
 import pytest
 
+from omsr.cli import group_roster
+from omsr.constructions import _is_klein_four
 from omsr.errors import NotAGroup, NotGenerating, ParseError, TooLarge, UnknownFamily
 from omsr.groups import (EXHAUSTIVE_ASSOC_LIMIT, ORDER_CAP, GeneratingPair,
                          GroupElement, catalog_group, closure, element_order,
@@ -297,3 +299,46 @@ def test_parse_group_spec_errors_have_location():
         parse_group_spec("nonsense\n")
     with pytest.raises(ParseError):
         parse_group_spec("")
+
+
+def naive_closure(G, gens):
+    """Products of the set with itself, added until nothing new appears."""
+    span = {0} | {int(g) for g in gens}
+    while True:
+        grown = span | {G.mult[x][y] for x in span for y in span}
+        if grown == span:
+            return span
+        span = grown
+
+
+def naive_order(G, g):
+    """Left powers g, g^2, ... counted up to the identity."""
+    k, power = 1, g
+    while power != 0:
+        power, k = G.mult[g][power], k + 1
+    return k
+
+
+def roster_with_relabellings(max_order, seed):
+    rng = random.Random(seed)
+    for G, _ in group_roster(max_order):
+        yield G
+        sigma = [0] + rng.sample(range(1, G.order), G.order - 1)
+        table = [[0] * G.order for _ in range(G.order)]
+        for x in G.elements():
+            for y in G.elements():
+                table[sigma[x]][sigma[y]] = sigma[G.mult[x][y]]
+        yield group_from_cayley_table(table, label=G.label)
+
+
+def test_primitives_match_naive_products_on_roster():
+    rng = random.Random(24)
+    for G in roster_with_relabellings(24, seed=17):
+        orders = [naive_order(G, g) for g in G.elements()]
+        assert [element_order(G, g) for g in G.elements()] == orders, G
+        for size in (1, 1, 2, 2, 3):
+            gens = rng.sample(range(G.order), min(size, G.order))
+            assert closure(G, gens) == naive_closure(G, gens), (G, gens)
+            assert closure(G, [GroupElement(g) for g in gens]) == naive_closure(G, gens)
+        assert is_cyclic(G) == (G.order in orders), G
+        assert _is_klein_four(G) == (G.order == 4 and max(orders) == 2), G

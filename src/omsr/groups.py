@@ -1,12 +1,15 @@
 """Finite groups as explicit multiplication tables over 0-based indices.
 
-Element 0 is always the identity; construction relabels if needed.
+Element 0 is always the identity; construction relabels if needed. Every
+table is built once, as a numpy array, and checked exactly by whole-array
+operations: the Latin property, the two-sided inverses, and associativity
+by Light's test, at every order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -14,8 +17,6 @@ from . import perms as permlib
 from .errors import NotAGroup, NotGenerating, ParseError, TooLarge, UnknownFamily
 
 ORDER_CAP = 2000
-EXHAUSTIVE_ASSOC_LIMIT = 512
-ASSOC_SAMPLE_FACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -34,20 +35,16 @@ def _idx(x) -> int:
 
 
 class Group:
-    """Immutable finite group given by its full multiplication table.
+    """Immutable finite group given by its full multiplication table, as
+    tuples of the Python ints it is given; the constructor checks nothing."""
 
-    ``assoc_check`` records whether associativity was verified exhaustively
-    or by random sampling (orders above EXHAUSTIVE_ASSOC_LIMIT).
-    """
+    __slots__ = ("order", "mult", "inv", "label")
 
-    __slots__ = ("order", "mult", "inv", "label", "assoc_check")
-
-    def __init__(self, mult, inv, label="", assoc_check="exhaustive"):
+    def __init__(self, mult, inv, label=""):
         self.order = len(mult)
-        self.mult = tuple(tuple(int(v) for v in row) for row in mult)
-        self.inv = tuple(int(v) for v in inv)
+        self.mult = tuple(map(tuple, mult))
+        self.inv = tuple(inv)
         self.label = label
-        self.assoc_check = assoc_check
 
     def mul(self, x, y) -> int:
         return self.mult[_idx(x)][_idx(y)]
@@ -68,80 +65,95 @@ class Group:
         return f"Group({tag}, order={self.order})"
 
 
-def _find_identity(table: np.ndarray) -> int:
-    n = table.shape[0]
-    idx = np.arange(n)
-    for e in range(n):
-        if np.array_equal(table[e], idx) and np.array_equal(table[:, e], idx):
-            return e
-    raise NotAGroup("no identity element")
+def _first_bad(ok: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise NotAGroup(what.format(int(bad[0])))
 
 
-def _check_associativity(table: np.ndarray, label: str) -> str:
-    n = table.shape[0]
-    if n <= EXHAUSTIVE_ASSOC_LIMIT:
-        for x in range(n):
-            left = table[table[x]]          # left[y, z] = (x*y)*z
-            right = table[x][table]         # right[y, z] = x*(y*z)
-            if not np.array_equal(left, right):
-                y, z = np.argwhere(left != right)[0]
-                raise NotAGroup(
-                    f"associativity fails at ({x},{y},{z}) in {label or 'table'}",
-                    witness=(x, int(y), int(z)),
-                )
-        return "exhaustive"
-    # ASSOC_SAMPLE_FACTOR * n^2 seeded triples, n^2 to a vectorised chunk.
-    rng = np.random.default_rng(0x5EED ^ n)
-    for _ in range(ASSOC_SAMPLE_FACTOR):
-        x, y, z = rng.integers(0, n, size=(3, n * n))
-        bad = np.flatnonzero(table[table[x, y], z] != table[x, table[y, z]])
-        if bad.size:
-            x, y, z = (int(v[bad[0]]) for v in (x, y, z))
-            raise NotAGroup(f"associativity fails at ({x},{y},{z})", witness=(x, y, z))
-    return "sampled"
+def _span(rows, steps) -> set:
+    """The elements that right multiplication by the steps reaches from 0."""
+    seen, queue = {0}, [0]
+    for x in queue:
+        row = rows[x]
+        for g in steps:
+            y = row[g]
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
+def _greedy_generators(rows):
+    """Each element, in index order, that is not in the span of the ones
+    before it, yielded before the span grows."""
+    gens, span = [], {0}
+    for a in range(1, len(rows)):
+        if a not in span:
+            yield a
+            gens.append(a)
+            span = _span(rows, gens)
+
+
+def _check_associativity(table: np.ndarray, rows, label: str) -> None:
+    """Light's test (Clifford and Preston, *The Algebraic Theory of
+    Semigroups*, vol. 1, 1961), exact at every order: the a with
+    (x*a)*y = x*(a*y) for all x, y are closed under products, so it suffices
+    to check each a of the greedy generating set as it is found.  While the
+    checks pass, the span is a subgroup that at least doubles with each new
+    a, so at most log2(n) + 1 whole-array checks run."""
+    for a in _greedy_generators(rows):
+        left = table[table[:, a]]         # left[x, y] = (x*a)*y
+        right = table[:, table[a]]        # right[x, y] = x*(a*y)
+        if not np.array_equal(left, right):
+            x, y = (int(v) for v in np.argwhere(left != right)[0])
+            raise NotAGroup(f"associativity fails at ({x},{a},{y}) in {label or 'table'}",
+                            witness=(x, a, y))
 
 
 def group_from_cayley_table(table, label: str = "") -> Group:
     """Validate a multiplication table and return the group.
 
-    The identity is relabeled to index 0 if the input puts it elsewhere.
-    Raises NotAGroup on any axiom violation, carrying the first witness.
+    The table must be a square array of integers in [0, n).  The identity
+    is relabeled to index 0 if the input puts it elsewhere.  Raises NotAGroup
+    on a malformed table (ragged, non-integer, out of range) and on any axiom
+    violation; a failed associativity carries its witness (x, a, y), in the
+    relabeled indices.
     """
-    arr = np.asarray(table, dtype=np.int64)
+    try:
+        arr = np.asarray(table)
+    except ValueError:
+        raise NotAGroup("table rows must all have the same length") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise NotAGroup(f"table must be square and non-empty, got shape {arr.shape}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise NotAGroup(f"table entries must be integers, got dtype {arr.dtype}")
     n = arr.shape[0]
     if arr.min() < 0 or arr.max() >= n:
         raise NotAGroup(f"table entries must lie in [0,{n})")
 
-    e = _find_identity(arr)
+    idx = np.arange(n)
+    ids = np.flatnonzero((arr == idx).all(axis=1) & (arr == idx[:, None]).all(axis=0))
+    if not ids.size:
+        raise NotAGroup("no identity element")
+    e = int(ids[0])
     if e != 0:
-        relabel = np.empty(n, dtype=np.int64)
-        order = [e] + [x for x in range(n) if x != e]
-        for new, old in enumerate(order):
-            relabel[old] = new
-        new_arr = np.empty_like(arr)
-        for x in range(n):
-            for y in range(n):
-                new_arr[relabel[x], relabel[y]] = relabel[arr[x, y]]
-        arr = new_arr
+        order = np.concatenate(([e], np.delete(idx, e)))   # new index -> old
+        relabel = np.argsort(order)                        # old index -> new
+        arr = relabel[arr[np.ix_(order, order)]]
 
-    full = np.arange(n)
-    for x in range(n):
-        if not np.array_equal(np.sort(arr[x]), full):
-            raise NotAGroup(f"row {x} is not a permutation (Latin square violated)")
-        if not np.array_equal(np.sort(arr[:, x]), full):
-            raise NotAGroup(f"column {x} is not a permutation (Latin square violated)")
+    _first_bad((np.sort(arr, axis=1) == idx).all(axis=1),
+               "row {} is not a permutation (Latin square violated)")
+    _first_bad((np.sort(arr, axis=0) == idx[:, None]).all(axis=0),
+               "column {} is not a permutation (Latin square violated)")
 
-    inv = np.empty(n, dtype=np.int64)
-    for x in range(n):
-        hits = np.flatnonzero(arr[x] == 0)
-        if len(hits) != 1 or arr[hits[0], x] != 0:
-            raise NotAGroup(f"element {x} has no two-sided inverse")
-        inv[x] = hits[0]
+    inv = np.argmin(arr, axis=1)                           # the 0 in each row
+    _first_bad(arr[inv, idx] == 0, "element {} has no two-sided inverse")
 
-    mode = _check_associativity(arr, label)
-    return Group(arr.tolist(), inv.tolist(), label=label, assoc_check=mode)
+    ints = np.array(range(n), dtype=object)     # one Python int per element, shared
+    mult = tuple(map(tuple, ints[arr].tolist()))
+    _check_associativity(arr, mult, label)
+    return Group(mult, tuple(ints[inv]), label=label)
 
 
 def group_from_permutation_generators(perms, label: str = ""):
@@ -149,7 +161,9 @@ def group_from_permutation_generators(perms, label: str = ""):
 
     Returns the group and the images of the input generators as elements.
     Raises TooLarge as soon as the closure passes ORDER_CAP elements, before
-    any table is built.
+    any table is built.  Element i is the i-th one the breadth-first closure
+    finds, as p*g for an earlier p and a generator g; as x*(p*g) = (x*p)*g,
+    column p*g of the table is column p under right multiplication by g.
     """
     if not perms:
         raise NotAGroup("need at least one generator permutation")
@@ -160,28 +174,27 @@ def group_from_permutation_generators(perms, label: str = ""):
             raise NotAGroup(f"generator {g} is not a bijection of [0,{degree})")
 
     ident = permlib.identity(degree)
-    index = {ident: 0}
-    elements = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = permlib.compose(p, g)
-                if q not in index:
-                    if len(elements) >= ORDER_CAP:
-                        raise TooLarge(f"closure exceeds order cap {ORDER_CAP}")
-                    index[q] = len(elements)
-                    elements.append(q)
-                    nxt.append(q)
-        frontier = nxt
+    index, elements, parents = {ident: 0}, [ident], [(0, 0)]
+    right = [[] for _ in gens]            # right[k][i] = element i * gens[k]
+    for i, p in enumerate(elements):      # grows while it is walked: BFS order
+        for k, g in enumerate(gens):
+            q = permlib.compose(p, g)
+            if q not in index:
+                if len(elements) >= ORDER_CAP:
+                    raise TooLarge(f"closure exceeds order cap {ORDER_CAP}")
+                index[q] = len(elements)
+                elements.append(q)
+                parents.append((i, k))
+            right[k].append(index[q])
 
     n = len(elements)
-    mult = [[index[permlib.compose(elements[i], elements[j])] for j in range(n)]
-            for i in range(n)]
-    group = group_from_cayley_table(mult, label=label)
-    gen_elements = [group.element(index[g]) for g in gens]
-    return group, gen_elements
+    right = np.array(right)
+    columns = np.empty((n, n), dtype=np.int64)           # columns[y][x] = x*y
+    columns[0] = np.arange(n)
+    for y, (p, k) in enumerate(parents[1:], 1):
+        columns[y] = right[k][columns[p]]
+    group = group_from_cayley_table(columns.T, label=label)
+    return group, [group.element(index[g]) for g in gens]
 
 
 def element_order(G: Group, g) -> int:
@@ -194,8 +207,7 @@ def element_order(G: Group, g) -> int:
 
 
 def is_abelian(G: Group) -> bool:
-    n = G.order
-    return all(G.mult[x][y] == G.mult[y][x] for x in range(n) for y in range(x + 1, n))
+    return G.mult == tuple(zip(*G.mult))
 
 
 def is_cyclic(G: Group) -> bool:
@@ -205,27 +217,13 @@ def is_cyclic(G: Group) -> bool:
 def closure(G: Group, gens) -> set:
     """Subgroup generated by the elements.  In a finite group it is the set
     of products of the generators alone, so no inverse is needed."""
-    steps = {_idx(g) for g in gens}
-    seen, queue = {0}, [0]
-    for x in queue:
-        row = G.mult[x]
-        for g in steps:
-            y = row[g]
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
+    return _span(G.mult, {_idx(g) for g in gens})
 
 
 def generating_set(G: Group) -> list:
     """Greedy generating set: each element, in index order, that is not in
     the subgroup generated by the ones before it."""
-    gens, span = [], {0}
-    for g in G.elements():
-        if g not in span:
-            gens.append(g)
-            span = closure(G, gens)
-    return gens
+    return list(_greedy_generators(G.mult))
 
 
 def generates(G: Group, S) -> bool:
@@ -266,23 +264,23 @@ def find_generating_pair(G: Group) -> GeneratingPair:
 
 def _table_from_mul(n, mul):
     """The n x n multiplication table, refused past ORDER_CAP before any
-    entry is computed."""
+    entry is computed; ``mul`` gets the row and column indices as numpy
+    arrays that broadcast to the table."""
     if n > ORDER_CAP:
         raise TooLarge(f"group order {n} exceeds cap {ORDER_CAP}")
-    return [[mul(x, y) for y in range(n)] for x in range(n)]
+    x = np.arange(n, dtype=np.int32)
+    return mul(x[:, None], x)
 
 
 def _cyclic(n: int):
-    table = _table_from_mul(n, lambda x, y: (x + y) % n)
-    G = group_from_cayley_table(table, label=f"Z{n}")
+    G = group_from_cayley_table(_table_from_mul(n, lambda x, y: (x + y) % n), label=f"Z{n}")
     return G, GeneratingPair(G.element(1 % n))
 
 
 def _elementary_abelian_2(t: int):
     if t not in (1, 2):
         raise UnknownFamily("elementary_abelian_2 supports t in {1, 2}")
-    n = 2 ** t
-    table = _table_from_mul(n, lambda x, y: x ^ y)
+    table = _table_from_mul(2 ** t, lambda x, y: x ^ y)
     G = group_from_cayley_table(table, label=f"Z2^{t}" if t > 1 else "Z2")
     if t == 1:
         return G, GeneratingPair(G.element(1))
@@ -306,9 +304,9 @@ def _dihedral(k: int):
 
     # element e*k + r means rotation^r * reflection^e
     def mul(x, y):
-        e1, r1 = divmod(x, k)
-        e2, r2 = divmod(y, k)
-        r = (r1 + r2) % k if e1 == 0 else (r1 - r2) % k
+        e1, r1 = np.divmod(x, k)
+        e2, r2 = np.divmod(y, k)
+        r = np.where(e1 == 0, (r1 + r2) % k, (r1 - r2) % k)
         return ((e1 + e2) % 2) * k + r
 
     G = group_from_cayley_table(_table_from_mul(n, mul), label=f"D{k}")
@@ -323,13 +321,11 @@ def _dicyclic(k: int):
 
     # element e*2k + j means a^j * b^e with a^(2k)=1, b^2=a^k, b a b^-1 = a^-1
     def mul(x, y):
-        e1, j1 = divmod(x, two_k)
-        e2, j2 = divmod(y, two_k)
-        if e1 == 0:
-            return e2 * two_k + (j1 + j2) % two_k
-        if e2 == 0:
-            return two_k + (j1 - j2) % two_k
-        return (j1 - j2 + k) % two_k
+        e1, j1 = np.divmod(x, two_k)
+        e2, j2 = np.divmod(y, two_k)
+        return np.where(e1 == 0, e2 * two_k + (j1 + j2) % two_k,
+                        np.where(e2 == 0, two_k + (j1 - j2) % two_k,
+                                 (j1 - j2 + k) % two_k))
 
     G = group_from_cayley_table(_table_from_mul(n, mul), label=f"Q{n}")
     return G, GeneratingPair(G.element(1), G.element(two_k))

@@ -129,6 +129,28 @@ def test_reproduce_24x10_dispatch_gate(monkeypatch, tmp_path):
     assert all(r["aut_order"] == r["order"] for r in rows if r["verdict"] == "EXISTS")
 
 
+CORPUS_24X10 = Path(__file__).parent / "data" / "reproduce_24x10.json"
+
+
+def corpus_text(rows):
+    """The corpus layout: a JSON list with one row per line, keys sorted."""
+    return "[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n]\n"
+
+
+def test_reproduce_24x10_matches_corpus(monkeypatch, tmp_path, capsys):
+    # The verdict corpus is `omsr reproduce --max-order 24 --max-m 10 --json`
+    # on an empty witness cache, rewritten by `corpus_text`.  A change that
+    # moves a row updates the file and names the row and the reason.
+    witnesses = tmp_path / "witnesses"
+    witnesses.mkdir()
+    monkeypatch.setenv("OMSR_WITNESS_DIR", str(witnesses))
+    path = tmp_path / "rows.json"
+    code = main(["reproduce", "--max-order", "24", "--max-m", "10", "--json", str(path)])
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert corpus_text(json.loads(path.read_text())) == CORPUS_24X10.read_text()
+
+
 def test_group_roster_complete_to_12():
     roster = group_roster(12)
     labels = [G.label for G, _ in roster]

@@ -1,5 +1,7 @@
 """Finite group construction, validation, catalog families, generation."""
 
+import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from omsr.cli import group_roster
 from omsr.constructions import _is_klein_four
 from omsr.errors import NotAGroup, NotGenerating, ParseError, TooLarge, UnknownFamily
-from omsr.groups import (EXHAUSTIVE_ASSOC_LIMIT, ORDER_CAP, GeneratingPair,
+from omsr.groups import (ORDER_CAP, GeneratingPair,
                          GroupElement, catalog_group, closure, element_order,
                          find_generating_pair, generates, generating_set,
                          group_from_cayley_table,
@@ -241,19 +243,11 @@ def test_round_trip_table():
     assert H.inv == G.inv
 
 
-def test_sampled_associativity_mode():
-    G, _ = catalog_group("cyclic", [600])
-    assert G.assoc_check == "sampled"
-    S, _ = catalog_group("cyclic", [12])
-    assert S.assoc_check == "exhaustive"
-
-
-def test_sampled_associativity_rejects_large_loop():
+def test_associativity_rejects_large_loop():
     # Z_n with one intercalate swapped: rows 1 and 1 + n/2 exchange their
     # entries in columns 1 and 1 + n/2.  Identity, Latin property and
     # inverses survive; associativity fails on about 16n of the n^3 triples.
     n = 514
-    assert n > EXHAUSTIVE_ASSOC_LIMIT
     table = np.add.outer(np.arange(n), np.arange(n)) % n
     a, b = 1, 1 + n // 2
     table[[a, a, b, b], [a, b, a, b]] = table[[a, a, b, b], [b, a, b, a]]
@@ -261,6 +255,88 @@ def test_sampled_associativity_rejects_large_loop():
         group_from_cayley_table(table)
     x, y, z = info.value.witness
     assert table[table[x, y], z] != table[x, table[y, z]]
+
+
+def random_loop(n, rng, two_sided):
+    """A random Latin square with identity row and column 0, filled cell by
+    cell in row-major order with backtracking.  With ``two_sided`` every
+    right inverse is also a left inverse, so only associativity can fail."""
+    table = [[(i if j == 0 else j if i == 0 else None) for j in range(n)] for i in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(table[i]) | {table[r][j] for r in range(n)}
+        choices = [v for v in range(n) if v not in used
+                   and not (two_sided and j < i and (v == 0) != (table[j][i] == 0))]
+        rng.shuffle(choices)
+        for v in choices:
+            table[i][j] = v
+            if fill(k + 1):
+                return True
+        table[i][j] = None
+        return False
+
+    assert fill(0)
+    return table
+
+
+def associative(table):
+    n = len(table)
+    return all(table[table[x][a]][y] == table[x][table[a][y]]
+               for x, a, y in itertools.product(range(n), repeat=3))
+
+
+def test_light_associativity_matches_brute_force_on_random_loops():
+    rng = random.Random(1961)
+    outcomes = {"group": 0, "witness": 0, "inverse": 0}
+    for k in range(1000):
+        table = random_loop(rng.randint(1, 8), rng, two_sided=k % 2 == 0)
+        if associative(table):
+            outcomes["group"] += 1
+            assert group_from_cayley_table(table).mult == tuple(map(tuple, table))
+            continue
+        with pytest.raises(NotAGroup) as info:
+            group_from_cayley_table(table)
+        if info.value.witness is None:
+            # Rejected before the associativity check: some element has a
+            # right inverse that is not a left inverse.
+            outcomes["inverse"] += 1
+            assert any(table[row.index(0)][x] != 0 for x, row in enumerate(table))
+            continue
+        outcomes["witness"] += 1
+        x, a, y = info.value.witness
+        assert table[table[x][a]][y] != table[x][table[a][y]]
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+@pytest.mark.parametrize("table", [
+    [[0, 1.9], [1, 0]],        # a float, which would truncate to 1
+    [["0", "1"], ["1", "0"]],  # strings, which would be coerced
+    [[0, 1], [1]],             # ragged rows
+], ids=["float", "string", "ragged"])
+def test_malformed_table_is_not_a_group(table):
+    with pytest.raises(NotAGroup):
+        group_from_cayley_table(table)
+
+
+# SHA-256 over (mult, inv, generating pair) of every catalog group below.
+# Computed at the commit before the tables were built in numpy; it pins the
+# element numbering that the packaged witness files and every `reproduce`
+# row rely on.
+CATALOG_TABLES_SHA256 = "c9c15c831036f17c16da5f573017632713f2dd1e837f94e43e09366d6e11fd8d"
+
+
+def test_catalog_tables_pinned():
+    groups = group_roster(24) + [catalog_group(name, params) for name, params in [
+        ("cyclic", [500]), ("dihedral", [250]), ("dicyclic", [50]), ("symmetric", [5])]]
+    digest = hashlib.sha256()
+    for G, pair in groups:
+        b = None if pair.b is None else pair.b.index
+        digest.update(repr((G.mult, G.inv, (pair.a.index, b))).encode())
+    assert digest.hexdigest() == CATALOG_TABLES_SHA256
 
 
 def test_generating_set():

@@ -22,8 +22,8 @@ from . import sweep as sweeplib
 from .automorphisms import VALENCY, is_omsr
 from .constructions import RECIPES, construct_omsr, recipe_table, report_from_exception
 from .digraphs import build_mcayley
-from .errors import (InfeasibleSweep, NotGenerating, OmsrError, ParseError, TooLarge,
-                     UnknownFamily)
+from .errors import (InfeasibleSweep, NotAGroup, NotGenerating, OmsrError, ParseError,
+                     TooLarge, UnknownFamily)
 from .groups import GeneratingPair, Group, catalog_group, parse_group_spec
 from .reports import ExceptionVerdict, VerificationReport
 
@@ -236,7 +236,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # interpreter exit has nowhere to fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAILED
-    except (ParseError, UnknownFamily, NotGenerating, ValueError) as exc:
+    except (ParseError, UnknownFamily, NotGenerating, NotAGroup, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (TooLarge, InfeasibleSweep) as exc:

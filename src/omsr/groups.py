@@ -65,10 +65,12 @@ class Group:
         return f"Group({tag}, order={self.order})"
 
 
-def _first_bad(ok: np.ndarray, what: str) -> None:
+def _first_bad(ok: np.ndarray, what: str, order: np.ndarray) -> None:
+    """Raise NotAGroup naming the first index where ``ok`` fails, mapped
+    through ``order`` (new index -> input index)."""
     bad = np.flatnonzero(~ok)
     if bad.size:
-        raise NotAGroup(what.format(int(bad[0])))
+        raise NotAGroup(what.format(int(order[bad[0]])))
 
 
 def _span(rows, steps) -> set:
@@ -95,18 +97,20 @@ def _greedy_generators(rows):
             span = _span(rows, gens)
 
 
-def _check_associativity(table: np.ndarray, rows, label: str) -> None:
+def _check_associativity(table: np.ndarray, rows, label: str, order: np.ndarray) -> None:
     """Light's test (Clifford and Preston, *The Algebraic Theory of
     Semigroups*, vol. 1, 1961), exact at every order: the a with
     (x*a)*y = x*(a*y) for all x, y are closed under products, so it suffices
     to check each a of the greedy generating set as it is found.  While the
     checks pass, the span is a subgroup that at least doubles with each new
-    a, so at most log2(n) + 1 whole-array checks run."""
+    a, so at most log2(n) + 1 whole-array checks run.  A failing triple is
+    reported mapped through ``order`` (new index -> input index)."""
     for a in _greedy_generators(rows):
         left = table[table[:, a]]         # left[x, y] = (x*a)*y
         right = table[:, table[a]]        # right[x, y] = x*(a*y)
         if not np.array_equal(left, right):
-            x, y = (int(v) for v in np.argwhere(left != right)[0])
+            x, y = np.argwhere(left != right)[0]
+            x, a, y = (int(order[v]) for v in (x, a, y))
             raise NotAGroup(f"associativity fails at ({x},{a},{y}) in {label or 'table'}",
                             witness=(x, a, y))
 
@@ -117,8 +121,8 @@ def group_from_cayley_table(table, label: str = "") -> Group:
     The table must be a square array of integers in [0, n).  The identity
     is relabeled to index 0 if the input puts it elsewhere.  Raises NotAGroup
     on a malformed table (ragged, non-integer, out of range) and on any axiom
-    violation; a failed associativity carries its witness (x, a, y), in the
-    relabeled indices.
+    violation; a failed associativity carries its witness (x, a, y).  Every
+    index in a message or witness is that of the input table.
     """
     try:
         arr = np.asarray(table)
@@ -137,22 +141,23 @@ def group_from_cayley_table(table, label: str = "") -> Group:
     if not ids.size:
         raise NotAGroup("no identity element")
     e = int(ids[0])
+    order = idx                                            # new index -> old
     if e != 0:
-        order = np.concatenate(([e], np.delete(idx, e)))   # new index -> old
+        order = np.concatenate(([e], np.delete(idx, e)))
         relabel = np.argsort(order)                        # old index -> new
         arr = relabel[arr[np.ix_(order, order)]]
 
     _first_bad((np.sort(arr, axis=1) == idx).all(axis=1),
-               "row {} is not a permutation (Latin square violated)")
+               "row {} is not a permutation (Latin square violated)", order)
     _first_bad((np.sort(arr, axis=0) == idx[:, None]).all(axis=0),
-               "column {} is not a permutation (Latin square violated)")
+               "column {} is not a permutation (Latin square violated)", order)
 
     inv = np.argmin(arr, axis=1)                           # the 0 in each row
-    _first_bad(arr[inv, idx] == 0, "element {} has no two-sided inverse")
+    _first_bad(arr[inv, idx] == 0, "element {} has no two-sided inverse", order)
 
     ints = np.array(range(n), dtype=object)     # one Python int per element, shared
     mult = tuple(map(tuple, ints[arr].tolist()))
-    _check_associativity(arr, mult, label)
+    _check_associativity(arr, mult, label, order)
     return Group(mult, tuple(ints[inv]), label=label)
 
 

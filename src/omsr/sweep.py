@@ -10,19 +10,19 @@ on cell sizes, which a memoised recursion counts.  So each yielded table
 keeps its 1-based position among all constrained tables.
 
 |Aut| is the same on every table in an orbit of G^m x| S_m, extended by the
-converse map (see `_table_moves`).  An all-witness scan visits every
-oriented table, so it calls the engine on the first table of each orbit,
-closes that orbit, and reads the other members from a memo.  A first-stop
-scan calls the engine only on a table that no single move sends to an
-earlier one, since an earlier table of the same orbit was already reached
-and was no witness: the cheap local test of isomorph-free generation
-(McKay, *Isomorph-free exhaustive generation*, J. Algorithms 1998).  The
-walk of a first-stop scan also applies that test to each finished row
-prefix, under the moves that keep its rows in place.  Such a move maps the
-subtree of the prefix one-to-one onto that of an earlier prefix, so the
-subtree is counted, not walked: it holds no witness, no new |Aut| and as
-many oriented tables as the earlier one, read from a memo.  Every scan
-runs inside the feasibility guard, so it always ends.
+converse map (see `_table_moves`).  Every scan applies one rule, the cheap
+local test of isomorph-free generation (McKay, *Isomorph-free exhaustive
+generation*, J. Algorithms 1998): the engine runs only on a table that no
+single move sends to an earlier one.  Any other table has the |Aut| of its
+earlier image, which the scan already reached: a first-stop scan skips it,
+since that image was no witness, and an all-witness scan reads the order
+it recorded for the image.  The walk of a first-stop scan also applies that
+test to each finished row prefix, under the moves that keep its rows in
+place.  Such a move maps the subtree of the prefix one-to-one onto that of
+an earlier prefix, so the subtree is counted, not walked: it holds no
+witness, no new |Aut| and as many oriented tables as the earlier one, read
+from a memo.  Every scan runs inside the feasibility guard, so it always
+ends.
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ def enumerate_tables(G: Group, m: int,
     yield from fill_cell(0, 0, VALENCY)
 
 
-def _table_moves(G: Group, m: int) -> Tuple[list, list]:
+def _table_moves(G: Group, m: int) -> list:
     """Moves of G^m x| S_m, with the converse, as (h, sigma, converse).
 
     (h, sigma) relabels vertex (x, i) of ``build_mcayley(G, T)`` as
@@ -204,24 +204,19 @@ def _table_moves(G: Group, m: int) -> Tuple[list, list]:
     move with ``converse`` set applies it after (h, sigma).  Every move
     keeps |Aut|, orientation and the row and column totals.
 
-    Returns (generators, moves).  ``moves`` holds the gauge h_i = g for
-    every block i and every g of a generating set, every block
-    transposition and the m-cycle, each alone and followed by the converse,
-    and the converse alone.  ``generators`` is the part of it that
-    generates the group: the gauges on block 0, the transposition (0 1),
-    the m-cycle and the converse.
+    The list holds the gauge h_i = g for every block i and every g of a
+    generating set, every block transposition and the m-cycle, each alone
+    and followed by the converse, and then the converse alone.
     """
     blocks = tuple(range(m))
     ident = (0,) * m
-    gens = generating_set(G)
-    gauges = [(ident[:i] + (g,) + ident[i + 1:], blocks) for i in blocks for g in gens]
+    gauges = [(ident[:i] + (g,) + ident[i + 1:], blocks)
+              for i in blocks for g in generating_set(G)]
     swaps = [(ident, tuple(j if b == i else i if b == j else b for b in blocks))
              for i, j in itertools.combinations(blocks, 2)]
     cycle = [(ident, blocks[1:] + blocks[:1])] if m > 2 else []
-    converse = (ident, blocks, True)
     moves = [(h, sigma, c) for c in (False, True) for h, sigma in gauges + swaps + cycle]
-    generators = [(h, sigma, False) for h, sigma in gauges[:len(gens)] + swaps[:1] + cycle]
-    return generators + [converse], moves + [converse]
+    return moves + [(ident, blocks, True)]
 
 
 class _RankedMoves:
@@ -241,7 +236,7 @@ class _RankedMoves:
         self._rank = {sub: r for r, sub in enumerate(cells)}
         rank_maps = {}
         coded = {}
-        generators, moves = _table_moves(G, m)
+        moves = _table_moves(G, m)
         for move in moves:
             h, sigma, converse = move
             code = [None] * (m * m)
@@ -258,7 +253,6 @@ class _RankedMoves:
             coded[move] = tuple(code)
         self._m = m
         self.moves = [coded[move] for move in moves]
-        self.generators = [coded[move] for move in generators]
         # Per row: the moves that keep rows 0..row in place.
         self._row_moves = [[coded[h, sigma, converse] for h, sigma, converse in moves
                             if not converse and max(sigma[:row + 1]) == row]
@@ -268,21 +262,6 @@ class _RankedMoves:
         """The rank tuple of a table, or of a prefix of its rows."""
         rank = self._rank
         return tuple([rank[cell] for row in sets for cell in row])
-
-    @staticmethod
-    def images(key, moves) -> List[tuple]:
-        """The key's image under each coded move, in order."""
-        return [tuple([f[key[src]] for src, f in move]) for move in moves]
-
-    def orbit(self, key) -> set:
-        """Every key that the generating moves reach from ``key``."""
-        seen, queue = {key}, [key]
-        for current in queue:
-            for image in self.images(current, self.generators):
-                if image not in seen:
-                    seen.add(image)
-                    queue.append(image)
-        return seen
 
     def earlier_image(self, key, row: Optional[int] = None) -> Optional[tuple]:
         """The first image of the key that is earlier in enumeration order,
@@ -348,22 +327,21 @@ def _scan(G: Group, m: int, first_only: bool):
     stopping at the first one when ``first_only`` is set.  Returns (witness
     tables, stats).  One `_RankedMoves` serves the whole scan.
 
-    A first-stop scan calls the engine only on a table that no move of
-    `_table_moves` sends to an earlier table.  A table with an earlier
-    image is skipped: that image is oriented and meets the valency, so the
-    scan reached it, found it no witness, and measured its |Aut|, or the
-    |Aut| of an earlier member of the same orbit.  The first witness is the
-    first table of its orbit, so it is always measured.  The same test runs
-    on each finished row prefix, under the moves that keep its rows in
-    place: when one sends the prefix to an earlier one, it maps the subtree
-    one-to-one onto the earlier prefix's subtree, which was scanned without
-    a witness, so the walk skips it and adds the oriented count recorded
-    under the earlier prefix (`_PrefixMemo`).
-
-    Without ``first_only`` every table is visited, so each orbit's |Aut| is
-    measured once, on its first table, and kept in ``orders`` for the
-    rest.  Either way the witnesses, ``oriented`` and
-    ``max_aut_order_seen`` are those of one engine call per table.
+    Every scan calls the engine only on a table that no move of
+    `_table_moves` sends to an earlier table, and records each table's
+    |Aut| in ``orders``.  An earlier image is oriented and meets the
+    valency, so the scan reached it and recorded its |Aut|, which the table
+    shares.  A first-stop scan skips such a table, since its image was no
+    witness; the first witness has no earlier image, so it is always
+    measured.  An all-witness scan reaches every oriented table, so it
+    reads the order recorded for the image.  A first-stop scan also runs
+    the test on each finished row prefix, under the moves that keep its
+    rows in place: when one sends the prefix to an earlier one, it maps the
+    subtree one-to-one onto the earlier prefix's subtree, which was scanned
+    without a witness, so the walk skips it and adds the oriented count
+    recorded under the earlier prefix (`_PrefixMemo`).  Either way the
+    witnesses, ``oriented`` and ``max_aut_order_seen`` are those of one
+    engine call per table.
 
     ``stats["examined"]`` is the position of the table the scan stopped at,
     or the number of constrained tables when it ran to the end;
@@ -375,19 +353,20 @@ def _scan(G: Group, m: int, first_only: bool):
         raise InfeasibleSweep(f"|G|*m = {G.order * m} exceeds guard {GUARD_PRODUCT}")
     moves = _RankedMoves(G, m)
     prefixes = _PrefixMemo(moves) if first_only else None
-    orders = {}  # |Aut| of the tables not yet reached in the orbits measured so far
+    orders = {}  # |Aut| of each table reached that was not skipped
     stats = {"examined": 0, "oriented": 0, "max_aut_order_seen": 0}
     witnesses: List[ConnectionTable] = []
     for position, sets in enumerate_tables(G, m, prefixes):
         stats["oriented"] += 1
         key = moves.key(sets)
-        if first_only and moves.earlier_image(key) is not None:
-            continue
-        order = orders.pop(key, None)
-        if order is None:
+        image = moves.earlier_image(key)
+        if image is None:
             order = automorphisms(build_mcayley(G, ConnectionTable(m, sets))).order
-            if not first_only:
-                orders.update(dict.fromkeys(moves.orbit(key) - {key}, order))
+        elif first_only:
+            continue
+        else:
+            order = orders[image]
+        orders[key] = order
         stats["max_aut_order_seen"] = max(stats["max_aut_order_seen"], order)
         if order == G.order:
             witnesses.append(ConnectionTable(m, sets))
@@ -407,14 +386,14 @@ def exhaustive_sweep(G: Group, m: int, all_witnesses: bool = False) -> SweepResu
 
     Stops at the first witness unless all_witnesses is set; a NOT_EXISTS
     verdict always reflects the full enumeration.  The engine runs only on
-    tables that are first in their orbit of G^m x| S_m with the converse,
-    or, without all_witnesses, first among their images under single
-    moves; every other table's |Aut| equals that of an earlier one through
-    an explicit isomorphism.  Without all_witnesses the walk also skips
-    each row prefix that a move keeping its rows sends to an earlier one,
-    and counts its subtree from the earlier prefix's.  The witnesses and
-    counts are those of one engine call per table.  Raises ValueError for
-    m < 1, and then InfeasibleSweep past the guard.
+    tables that no single move of G^m x| S_m with the converse sends to an
+    earlier table; every other table's |Aut| equals that of its earlier
+    image through an explicit isomorphism, so the table is skipped, or
+    with all_witnesses read from the image.  Without all_witnesses the walk
+    also skips each row prefix that a move keeping its rows sends to an
+    earlier one, and counts its subtree from the earlier prefix's.  The
+    witnesses and counts are those of one engine call per table.  Raises
+    ValueError for m < 1, and then InfeasibleSweep past the guard.
     """
     start = time.perf_counter()
     witnesses, stats = _scan(G, m, first_only=not all_witnesses)

@@ -284,6 +284,14 @@ def test_main_input_errors(capsys):
     capsys.readouterr()
 
 
+def test_main_spec_that_is_not_a_group_is_input_error(tmp_path, capsys):
+    spec = tmp_path / "loop.txt"
+    spec.write_text("kind: table\nn: 3\n0 1 2\n1 0 2\n2 2 0\n")
+    assert main(["verify", "--group", str(spec), "--m", "2"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == "input error: row 2 is not a permutation (Latin square violated)\n", err
+
+
 def test_main_sweep_negative_m_is_input_error(capsys):
     code = main(["sweep", "--group", "catalog:cyclic:3", "--m", "-1"])
     assert code == EXIT_INPUT

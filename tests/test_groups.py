@@ -312,6 +312,54 @@ def test_light_associativity_matches_brute_force_on_random_loops():
     assert min(outcomes.values()) >= 100, outcomes
 
 
+def relabel(table, f):
+    """The table with each element x renamed f[x]."""
+    n = len(table)
+    out = [[None] * n for _ in range(n)]
+    for x, y in itertools.product(range(n), repeat=2):
+        out[f[x]][f[y]] = f[table[x][y]]
+    return out
+
+
+def test_failure_witnesses_use_input_indices():
+    # An order-5 loop renamed 0->2, 1->0, 2->1, so its identity is not at
+    # index 0: the witness must fail associativity in the table as given.
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    table = relabel(loop, [2, 0, 1, 3, 4])
+    with pytest.raises(NotAGroup) as info:
+        group_from_cayley_table(table)
+    x, a, y = info.value.witness
+    assert table[table[x][a]][y] != table[x][table[a][y]]
+    assert f"({x},{a},{y})" in str(info.value)
+    # Identity at index 1, so input element 0 is relabeled 1: the first
+    # broken row, and then column, is the input's 0.
+    with pytest.raises(NotAGroup, match=r"^row 0 "):
+        group_from_cayley_table([[1, 0, 0], [0, 1, 2], [0, 2, 1]])
+    with pytest.raises(NotAGroup, match=r"^column 0 "):
+        group_from_cayley_table([[1, 0, 2], [0, 1, 2], [0, 2, 1]])
+
+
+def test_failure_witnesses_use_input_indices_on_random_loops():
+    rng = random.Random(2022)
+    for k in range(300):
+        n = rng.randint(2, 7)
+        loop = random_loop(n, rng, two_sided=k % 2 == 0)
+        f = rng.sample(range(n), n)
+        table = relabel(loop, f)
+        e = f[0]
+        try:
+            group_from_cayley_table(table)
+        except NotAGroup as exc:
+            if exc.witness is not None:
+                x, a, y = exc.witness
+                assert table[table[x][a]][y] != table[x][table[a][y]]
+            else:
+                x = int(str(exc).split()[1])
+                assert not any(table[x][y] == table[y][x] == e for y in range(n))
+        else:
+            assert associative(table)
+
+
 @pytest.mark.parametrize("table", [
     [[0, 1.9], [1, 0]],        # a float, which would truncate to 1
     [["0", "1"], ["1", "0"]],  # strings, which would be coerced

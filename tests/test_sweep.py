@@ -1,5 +1,6 @@
 """Exhaustive table enumeration, sweep verdicts, witness search."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -249,7 +250,7 @@ def test_find_witness_past_guard_raises(monkeypatch):
         find_witness(K, 7)
 
 
-# --- all-witness sweeps: one engine call per orbit ---------------------------
+# --- table moves and all-witness sweeps -------------------------------------
 
 def klein():
     return catalog_group("elementary_abelian_2", [2])[0]
@@ -287,6 +288,22 @@ def unkey(G, m, key):
     return tuple(tuple(cells[key[i * m + j]] for j in range(m)) for i in range(m))
 
 
+def move_images(ranked, key):
+    """The key's image under each move of ``ranked``, in order."""
+    return [tuple([f[key[src]] for src, f in move]) for move in ranked.moves]
+
+
+def orbit(ranked, key):
+    """Every key that the moves of ``ranked`` reach from ``key``."""
+    seen, queue = {key}, [key]
+    for current in queue:
+        for image in move_images(ranked, current):
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+    return seen
+
+
 def test_table_moves_are_isomorphisms():
     # Each move (h, sigma, converse) relabels (x, i) as (h_i * x, sigma(i));
     # that vertex map must carry the arcs of T's digraph onto exactly the arcs
@@ -299,20 +316,16 @@ def test_table_moves_are_isomorphisms():
     for G, m in cases:
         n = G.order
         ranked = _RankedMoves(G, m)
-        generators, moves = _table_moves(G, m)
+        moves = _table_moves(G, m)
         # Gauges on every block, transpositions and the m-cycle, each with and
         # without the converse, then the converse alone.
         base = m * len(generating_set(G)) + m * (m - 1) // 2 + (m > 2)
         assert len(moves) == len(set(moves)) == 2 * base + 1
-        assert set(generators) <= set(moves)
         for _ in range(5):
             table = random_oriented_table(G, m, rng)
             d = build_mcayley(G, table)
-            key = ranked.key(table.sets)
-            images = ranked.images(key, ranked.moves)
+            images = move_images(ranked, ranked.key(table.sets))
             assert len(images) == len(moves)
-            assert ranked.images(key, ranked.generators) == [
-                images[moves.index(move)] for move in generators]
             for (h, sigma, converse), image in zip(moves, images):
                 moved = ConnectionTable(m, unkey(G, m, image))
                 assert oriented_table_criterion(G, moved)
@@ -324,73 +337,66 @@ def test_table_moves_are_isomorphisms():
                 assert arcs == set(d2.arcs()), (G, m, h, sigma, converse)
 
 
-def test_orbit_memo_matches_engine_on_every_table():
-    # The scan's pop/update loop over its ``orders`` dict, with a direct
-    # engine call beside every memoised order.
-    for G, m in [(Z1, 6), (klein(), 3), (cyclic(3), 3)]:
-        ranked = _RankedMoves(G, m)
-        orders = {}
-        for _, sets in enumerate_tables(G, m):
-            direct = engine_order(G, m, sets)
-            key = ranked.key(sets)
-            order = orders.pop(key, None)
-            if order is None:
-                orders.update(dict.fromkeys(ranked.orbit(key) - {key}, direct))
-            else:
-                assert order == direct, (G, m, sets)
-        assert not orders
+ORBIT_COUNTS = {
+    # (G, m): orbits of the moves on the oriented tables
+    (Z1, 6): 4, ("klein", 3): 35, ("Z3", 3): 21, ("Z4", 3): 53,
+    ("Z2", 3): 2, ("klein", 2): 3,
+}
 
-
-ORBIT_PINS = {
+ALL_WITNESS_PINS = {
     # (G, m): (engine calls, tables, oriented, witnesses, max |Aut|)
-    (Z1, 6): (4, 67950, 570, 0, 24),
-    ("klein", 3): (35, 39696, 2160, 1152, 1152),
-    ("Z3", 3): (21, 6723, 1458, 972, 18),
-    ("Z4", 3): (53, 39696, 7216, 5184, 1152),
+    (Z1, 6): (6, 67950, 570, 0, 24),
+    ("klein", 3): (66, 39696, 2160, 1152, 1152),
+    ("Z3", 3): (47, 6723, 1458, 972, 18),
+    ("Z4", 3): (232, 39696, 7216, 5184, 1152),
 }
 
 
-def pinned_cells():
-    groups = {"klein": klein(), "Z3": cyclic(3), "Z4": cyclic(4)}
-    return [(groups.get(G, G), m, pins) for (G, m), pins in ORBIT_PINS.items()]
+def cells_of(pins):
+    groups = {"klein": klein(), "Z2": cyclic(2), "Z3": cyclic(3), "Z4": cyclic(4)}
+    return [(groups.get(G, G), m, pin) for (G, m), pin in pins.items()]
 
 
 def test_orbit_closure_stays_in_enumerated_set():
-    # The orbits partition the enumerated oriented tables, one per engine call.
-    for G, m, pins in pinned_cells() + [(cyclic(2), 3, (2,)), (klein(), 2, (3,))]:
+    # The orbits of the moves partition the enumerated oriented tables, so an
+    # earlier image of an enumerated table is always enumerated too.
+    for G, m, count in cells_of(ORBIT_COUNTS):
         ranked = _RankedMoves(G, m)
         keys = {ranked.key(sets) for _, sets in enumerate_tables(G, m)}
         covered, orbits = set(), 0
         for key in keys:
             if key not in covered:
-                orbit = ranked.orbit(key)
-                assert orbit <= keys, (G, m)
-                covered |= orbit
+                closed = orbit(ranked, key)
+                assert closed <= keys, (G, m)
+                covered |= closed
                 orbits += 1
         assert covered == keys
-        assert orbits == pins[0], (G, m)
+        assert orbits == count, (G, m)
 
 
 def test_all_witness_sweep_engine_calls_pinned(monkeypatch):
+    # The engine runs once on each table with no earlier move image: at
+    # least once per orbit, as pinned in ORBIT_COUNTS.
     calls = []
     engine = omsr.sweep.automorphisms
     monkeypatch.setattr(omsr.sweep, "automorphisms", lambda d: calls.append(d) or engine(d))
-    for G, m, pins in pinned_cells():
+    for G, m, pins in cells_of(ALL_WITNESS_PINS):
         calls.clear()
         result = exhaustive_sweep(G, m, all_witnesses=True)
         got = (len(calls), result.tables_enumerated, result.oriented_count,
                len(result.witnesses), result.max_aut_order_seen)
         assert got == pins, (G, m)
-    # A first-stop scan calls the engine only on tables with no earlier move
-    # image: 6 of the 570 oriented ones here.
+    # A first-stop scan calls the engine on the same tables up to its first
+    # witness: here, with no witness, the same 6 of the 570 oriented ones.
     calls.clear()
     assert exhaustive_sweep(Z1, 6).oriented_count == 570
     assert len(calls) == 6
 
 
 def test_all_witness_sweep_matches_unpruned_oracle():
-    # Witnesses and max |Aut| from the memoised sweep against a direct engine
-    # call on every oriented table of the unpruned product enumeration.
+    # Witnesses and max |Aut| from the sweep, which reads |Aut| from earlier
+    # images, against a direct engine call on every oriented table of the
+    # unpruned product enumeration.
     for G, m in [(cyclic(2), 3), (cyclic(3), 2), (cyclic(4), 2), (klein(), 2), (Z1, 5)]:
         orders = [(engine_order(G, m, sets), sets) for _, sets in naive_oriented(G, m, 2)]
         result = exhaustive_sweep(G, m, all_witnesses=True)
@@ -398,6 +404,22 @@ def test_all_witness_sweep_matches_unpruned_oracle():
         assert result.max_aut_order_seen == max((o for o, _ in orders), default=0)
         want = sorted(ConnectionTable(m, sets).to_text() for o, sets in orders if o == G.order)
         assert [w.to_text() for w in result.witnesses] == want, (G, m)
+
+
+def test_all_witness_sweeps_match_pinned_digest():
+    # SHA-256 over verdict, tables, oriented count, max |Aut| and sorted
+    # witness texts, taken from the scan that closed each orbit of the moves
+    # by breadth-first search and read |Aut| for the rest from the closure.
+    cells = [(klein(), 3), (cyclic(3), 3), (cyclic(4), 3), (cyclic(5), 3), (cyclic(2), 4),
+             (catalog_group("dihedral", [3])[0], 2), (cyclic(6), 2)]
+    digest = hashlib.sha256()
+    for G, m in cells:
+        r = exhaustive_sweep(G, m, all_witnesses=True)
+        digest.update(json.dumps([r.verdict, r.tables_enumerated, r.oriented_count,
+                                  r.max_aut_order_seen,
+                                  sorted(w.to_text() for w in r.witnesses)]).encode())
+    assert digest.hexdigest() == (
+        "983ddcc574487236716272e424c494a9ecd64f2b0e1863aa07b0a6de1a06b92f")
 
 
 # --- first-stop scans: the engine only on tables with no earlier image --------
@@ -453,7 +475,7 @@ def test_skipped_tables_have_earlier_images_of_equal_order():
 
         skipped = 0
         for key, pos, _ in enumerated:
-            earlier = [image for image in ranked.images(key, ranked.moves) if image < key]
+            earlier = [image for image in move_images(ranked, key) if image < key]
             assert ranked.earlier_image(key) == (earlier[0] if earlier else None), (G, m, pos)
             skipped += bool(earlier)
             for image in earlier:

@@ -203,16 +203,6 @@ def _individualize(out_adj, in_adj, colors, v, reference=None):
     return _refine(out_adj, in_adj, fresh, [fresh[v]], reference)
 
 
-def _orbit(generators, v):
-    seen, queue = {v}, [v]
-    for x in queue:
-        for s in generators:
-            if s[x] not in seen:
-                seen.add(s[x])
-                queue.append(s[x])
-    return seen
-
-
 def _aut_elements(d: Digraph):
     """(generators, |Aut|, translations_embed) by the search in the module
     docstring; translations_embed is None unless d is an m-Cayley digraph."""
@@ -255,17 +245,17 @@ def _aut_elements(d: Digraph):
     for level in reversed(range(len(base))):
         known = gens + seeds if level == 0 else list(gens)
         colors, b = path[level], base[level]
-        orbit, failed = _orbit(known, b), set()
+        orbit, failed = permlib.orbit(known, b), set()
         for u in range(n):
             if colors[u] != colors[b] or u in orbit or u in failed:
                 continue
             g = probe(level, colors, u)
             if g is None:
-                failed |= _orbit(known, u)
+                failed |= permlib.orbit(known, u)
             else:
                 gens.append(g)
                 known.append(g)
-                orbit = _orbit(known, b)
+                orbit = permlib.orbit(known, b)
         order *= len(orbit)
     del probe  # it refers to itself; unbound, it and the path are freed without the GC
     return seeds + gens, order, embed
@@ -337,6 +327,6 @@ def is_omsr(gamma: MCayleyDigraph, G: Group, m: int,
         group_label=G.label or f"order-{G.order}", m=m, group_order=G.order,
         construction_kind=construction_kind, omsr=verdict,
         oriented=oriented, regular2=regular, connected=connected,
-        aut_order=A.order, stabilizer_order=A.order // len(_orbit(A.generators, 0)),
+        aut_order=A.order, stabilizer_order=A.order // len(permlib.orbit(A.generators, 0)),
         orbit_count=orbit_count(A), translations_embed=A.translations_embed,
         runtime_ms=elapsed)

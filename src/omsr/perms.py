@@ -113,22 +113,26 @@ def pad(p: Sequence[int], n: int) -> Perm:
     return tuple(p) + tuple(range(len(p), n))
 
 
+def orbit(generators: Sequence[Sequence[int]], v: int) -> set:
+    """Orbit of the point v under the group generated by the permutations,
+    by breadth-first search."""
+    seen, queue = {v}, [v]
+    for x in queue:
+        for g in generators:
+            if g[x] not in seen:
+                seen.add(g[x])
+                queue.append(g[x])
+    return seen
+
+
 def orbit_partition(generators: Iterable[Sequence[int]], n: int) -> list:
-    """Orbits of the group generated by the permutations, as sorted lists."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in generators:
-        for x in range(n):
-            a, b = find(x), find(g[x])
-            if a != b:
-                parent[a] = b
-    groups = {}
-    for x in range(n):
-        groups.setdefault(find(x), []).append(x)
-    return sorted(groups.values())
+    """Orbits of the group generated by the permutations, as sorted lists,
+    in order of least point."""
+    generators = list(generators)
+    parts, covered = [], set()
+    for v in range(n):
+        if v not in covered:
+            part = orbit(generators, v)
+            covered |= part
+            parts.append(sorted(part))
+    return parts

@@ -4,10 +4,12 @@ A table qualifies when every block row and block column has total size
 `VALENCY` = 2; those are exactly the tables whose digraphs are in- and
 out-regular of valency two.  Cells are filled in row-major order, and a
 cell is rejected as soon as orientation can be checked on it, so only
-oriented tables are walked.  A rejected subtree is
-counted, not walked: how many tables complete a partial one depends only
-on cell sizes, which a memoised recursion counts.  So each yielded table
-keeps its 1-based position among all constrained tables.
+oriented tables are walked.  A rejected subtree is counted, not walked:
+how many tables complete a partial one depends only on how many columns
+still take 2 elements and how many take 1, over the whole table and over
+the current row's later columns, and a memoised recurrence on those four
+counts gives it.  So each yielded table keeps its 1-based position among
+all constrained tables.
 
 |Aut| is the same on every table in an orbit of G^m x| S_m, extended by the
 converse map (see `_table_moves`).  Every scan applies one rule, the cheap
@@ -21,8 +23,13 @@ test to each finished row prefix, under the moves that keep its rows in
 place.  Such a move maps the subtree of the prefix one-to-one onto that of
 an earlier prefix, so the subtree is counted, not walked: it holds no
 witness, no new |Aut| and as many oriented tables as the earlier one, read
-from a memo.  Every scan runs inside the feasibility guard, so it always
-ends.
+from a memo.
+
+Every scan runs inside the feasibility guard, |G|*m <= `GUARD_PRODUCT`,
+which bounds neither the number of tables nor the walk.  The first-stop
+scans it admits end within seconds, up to Z1 at m = 16, but an
+all-witness scan walks every oriented table: Z1 at m = 8, Z2 at m = 6 and
+Z4 at m = 4 pass the guard and run for more than a minute.
 """
 
 from __future__ import annotations
@@ -73,47 +80,35 @@ class SweepResult:
 
 
 @functools.lru_cache(maxsize=None)
-def _completions(n: int, rows: int, rowrem: int, done: tuple, todo: tuple) -> int:
-    """Number of ways to finish a partially filled table.
+def _completions(n: int, rowrem: int, a: int, b: int, a2: int, b1: int) -> int:
+    """Number of ways to finish a partially filled table of valency two.
 
-    The current row still has ``rowrem`` elements to place, in the cells
-    whose columns have budgets ``todo``; ``done`` are the budgets of the
-    columns it has passed, and ``rows`` full rows follow.  A cell of size s
-    has C(n, s) fillings.  The count is symmetric in the columns of ``todo``
-    and of ``done``, so both are passed sorted, which keeps the memo small.
-    The next row is read from `_row_starts`, so the depth is O(m), not one
-    frame per cell of the table.
+    Of all columns, ``a`` still take 2 elements and ``b`` take 1.  The
+    current row places its last ``rowrem`` elements in its later columns,
+    of which ``a2`` take 2 and ``b1`` take 1; a finished row passes 0 for
+    both, and the next row starts on every column.  A cell of size s has
+    C(n, s) fillings.  A row's 2 elements form one cell of size 2 or two
+    cells of size 1, so each step has at most four terms.
     """
-    if not todo:
-        if rowrem:
-            return 0
-        if not rows:
-            return int(not any(done))
-        return _row_starts(n, rows - 1, len(done)).get(done, 0)
-    budget, rest = todo[0], todo[1:]
-    return sum(math.comb(n, s) * _completions(n, rows, rowrem - s,
-                                               tuple(sorted(done + (budget - s,))), rest)
-               for s in range(min(rowrem, budget) + 1))
-
-
-@functools.lru_cache(maxsize=None)
-def _row_starts(n: int, rows: int, m: int) -> dict:
-    """`_completions` at the start of a row with ``rows`` full rows after
-    it, for every sorted tuple of m column budgets, each at most the
-    valency, that these rows can fill exactly; any other budgets have no
-    completion.  The next row's table is built first, so each entry
-    recurses along one row only."""
-    if rows:
-        _row_starts(n, rows - 1, m)
-    return {budgets: _completions(n, rows, VALENCY, (), budgets)
-            for budgets in itertools.combinations_with_replacement(range(VALENCY + 1), m)
-            if sum(budgets) == VALENCY * (rows + 1)}
+    if not rowrem:
+        if not a and not b:
+            return 1
+        rowrem, a2, b1 = VALENCY, a, b
+    if rowrem == 1:
+        terms = [(n * a2, a - 1, b + 1), (n * b1, a, b - 1)]
+    else:
+        terms = [(math.comb(n, 2) * a2, a - 1, b),
+                 (n * n * math.comb(a2, 2), a - 2, b + 2),
+                 (n * n * a2 * b1, a - 1, b),
+                 (n * n * math.comb(b1, 2), a, b - 2)]
+    return sum(ways * _completions(n, 0, a_left, b_left, 0, 0)
+               for ways, a_left, b_left in terms if ways)
 
 
 def count_tables(n: int, m: int) -> int:
     """Number of m x m tables over a group of order n whose every row and
     column total equals the valency."""
-    return _completions(n, m - 1, VALENCY, (), (VALENCY,) * m)
+    return _completions(n, 0, m, 0, 0, 0)
 
 
 def _cell_order(n: int) -> List[frozenset]:
@@ -165,8 +160,7 @@ def enumerate_tables(G: Group, m: int,
                 key = prefixes.moves.key(current[:i + 1])
                 count = prefixes.skip(key, i) if reached else None
                 if count is not None:
-                    cols = tuple(sorted(colrem))
-                    position += _completions(n, m - 2 - i, VALENCY, (), cols)
+                    position += _completions(n, 0, colrem.count(2), colrem.count(1), 0, 0)
                     reached += count
                     return
             start = reached
@@ -175,11 +169,11 @@ def enumerate_tables(G: Group, m: int,
                 prefixes.counts[key] = reached - start
             return
         partner = current[j][i] if j < i else None
-        later = tuple(sorted(colrem[j + 1:]))
+        later = colrem[j + 1:]
+        a2, b1 = later.count(2), later.count(1)
         for s in range(min(rowrem, colrem[j], n) + 1):
             colrem[j] -= s
-            below = _completions(n, m - 1 - i, rowrem - s,
-                                 tuple(sorted(colrem[:j + 1])), later)
+            below = _completions(n, rowrem - s, colrem.count(2), colrem.count(1), a2, b1)
             if below:
                 for sub, sub_inv, diagonal_ok in subsets[s]:
                     if (diagonal_ok if i == j
@@ -393,7 +387,9 @@ def exhaustive_sweep(G: Group, m: int, all_witnesses: bool = False) -> SweepResu
     also skips each row prefix that a move keeping its rows sends to an
     earlier one, and counts its subtree from the earlier prefix's.  The
     witnesses and counts are those of one engine call per table.  Raises
-    ValueError for m < 1, and then InfeasibleSweep past the guard.
+    ValueError for m < 1, and then InfeasibleSweep past the guard.  The
+    guard does not bound the walk: with all_witnesses, some admitted
+    cells, such as Z1 at m = 8, run for more than a minute.
     """
     start = time.perf_counter()
     witnesses, stats = _scan(G, m, first_only=not all_witnesses)

@@ -56,12 +56,11 @@ def naive_oriented(G, m, valency):
 
 def test_trivial_group_counts_match_binary_matrix_series():
     # 0-1 m x m matrices with all row and column sums equal to 2: OEIS A001499,
-    # a(m) = m(m-1)/2 * (2 a(m-1) + (m-1) a(m-2)), a(0) = 1, a(1) = 0.  Far
-    # past m = 18, where a recursion one frame per cell overflowed the stack.
+    # a(m) = m(m-1)/2 * (2 a(m-1) + (m-1) a(m-2)), a(0) = 1, a(1) = 0.
     series = [1, 0]
-    for m in range(2, 41):
+    for m in range(2, 81):
         series.append(m * (m - 1) // 2 * (2 * series[m - 1] + (m - 1) * series[m - 2]))
-    for m in range(1, 41):
+    for m in range(81):
         assert count_tables(1, m) == series[m], m
     expected = {2: 1, 3: 6, 4: 90, 5: 2040, 6: 67950}
     for m, want in expected.items():
@@ -74,6 +73,32 @@ def test_trivial_group_counts_match_binary_matrix_series():
         assert all(1 <= pos <= want for pos in positions)
     K, _ = catalog_group("elementary_abelian_2", [2])
     assert count_tables(K.order, 3) == 39696
+
+
+def test_table_counts_pinned():
+    # SHA-256 of every count over n = 1..16 and m = 1..24, computed by the
+    # sorted-budget recursion that the two-count recurrence replaced.
+    counts = json.dumps([[n, m, count_tables(n, m)] for n in range(1, 17) for m in range(1, 25)])
+    assert hashlib.sha256(counts.encode()).hexdigest() == (
+        "3ecb909e73708ab16ed8482d743cba6092c67427d3ab7891fa29ec55e1b877d3")
+
+
+def test_enumeration_positions_pinned():
+    # SHA-256 of the positions of every oriented table, one JSON list per
+    # cell, 15,032 positions in all, computed before the two-count recurrence.
+    cells = [("cyclic", [2], 4), ("cyclic", [3], 3), ("cyclic", [4], 3),
+             ("elementary_abelian_2", [2], 3), ("dihedral", [3], 2), ("cyclic", [6], 2),
+             ("dicyclic", [2], 2)]
+    digest = hashlib.sha256()
+    total = 0
+    for family, args, m in cells:
+        G, _ = catalog_group(family, args)
+        positions = [pos for pos, _ in enumerate_tables(G, m)]
+        total += len(positions)
+        digest.update(json.dumps([G.label, m, positions]).encode())
+    assert total == 15032
+    assert digest.hexdigest() == (
+        "b921842abddef6094e0252352862e152162b188f829d75e70b5f3890ba0ae205")
 
 
 def test_enumeration_matches_naive_recount():

@@ -6,8 +6,10 @@ recipes, a closed table for Z2 x Z2k at m = 2, a closed rigid table for
 Z1 at m >= 7, and at m >= 5 the circulant C_m(1, 2) lifted to Z2 and the
 Klein four-group.  No recipe searches.  `construct_omsr` verifies the
 recipe digraph.  Where no recipe applies (inside the sweep's feasibility
-guard) or its digraph is not an OmSR, the witness search decides: a
-searched witness, or a NOT_EXISTS certificate from its exhausted scan.
+guard), or inside the guard its digraph is not an OmSR, the witness search
+decides: a searched witness, or a NOT_EXISTS certificate from its exhausted
+scan.  Past the guard a recipe digraph that is not an OmSR is the answer,
+and it fails verification.
 """
 
 from __future__ import annotations
@@ -42,6 +44,17 @@ LIFT_MIN_M = 5
 RIGID_MIN_M = 7
 
 
+def _block_cycle_table(m: int, d0: int, d: int, c: int) -> ConnectionTable:
+    """The shape of the three two-generator recipes: d0 in the first
+    diagonal cell and d in the others, the identity on the superdiagonal,
+    and c in the corner (m - 1, 0) that closes the cycle of blocks."""
+    entries = {(i, i): {d} for i in range(m)}
+    entries[(0, 0)] = {d0}
+    entries[(m - 1, 0)] = {c}
+    entries.update(((i, i + 1), {0}) for i in range(m - 1))
+    return ConnectionTable.from_dict(m, entries)
+
+
 def cyclic_connection_table(G: Group, a, m: int) -> ConnectionTable:
     """Table for a cyclic group: generator on the diagonal corners, identity
     arcs chaining the blocks, the generator closing the cycle of blocks."""
@@ -52,13 +65,7 @@ def cyclic_connection_table(G: Group, a, m: int) -> ConnectionTable:
         raise NotGenerating(f"element {a} does not generate {G!r}")
     if element_order(G, a) < 3:
         raise OrderTooSmall("need a generator of order at least 3")
-    a_inv = G.inverse(a)
-    entries = {(0, 0): {a}, (m - 1, 0): {a}}
-    for i in range(1, m):
-        entries[(i, i)] = {a_inv}
-    for i in range(m - 1):
-        entries[(i, i + 1)] = {0}
-    return ConnectionTable.from_dict(m, entries)
+    return _block_cycle_table(m, a, G.inverse(a), a)
 
 
 def abelian_connection_table(G: Group, a, b, m: int) -> ConnectionTable:
@@ -75,13 +82,7 @@ def abelian_connection_table(G: Group, a, b, m: int) -> ConnectionTable:
         raise OrderTooSmall("need o(a) >= 3")
     if b == 0:
         raise OrderTooSmall("need o(b) >= 2")
-    ab = G.mul(a, b)
-    entries = {(0, 0): {a}, (m - 1, 0): {b}}
-    for i in range(1, m):
-        entries[(i, i)] = {ab}
-    for i in range(m - 1):
-        entries[(i, i + 1)] = {0}
-    return ConnectionTable.from_dict(m, entries)
+    return _block_cycle_table(m, a, G.mul(a, b), b)
 
 
 def nonabelian_connection_table(G: Group, a, b, m: int) -> ConnectionTable:
@@ -96,12 +97,7 @@ def nonabelian_connection_table(G: Group, a, b, m: int) -> ConnectionTable:
         raise NotGenerating(f"elements {a},{b} do not generate {G!r}")
     if element_order(G, a) < 3:
         raise OrderTooSmall("need o(a) >= 3")
-    entries = {(m - 1, 0): {b}}
-    for i in range(m):
-        entries.setdefault((i, i), set()).add(a)
-    for i in range(m - 1):
-        entries[(i, i + 1)] = {0}
-    return ConnectionTable.from_dict(m, entries)
+    return _block_cycle_table(m, a, a, b)
 
 
 def z2xz2k_connection_table(G: Group, a, b) -> ConnectionTable:
@@ -314,19 +310,20 @@ def construct_omsr(G: Group, pair: Optional[GeneratingPair], m: int,
     """Dispatch: a verified witness digraph, or a certified exception.
 
     Verifies the digraph of `recipe_table`.  Where no recipe applies (Z1
-    below m = 7, Z2 and the Klein four-group below m = 5) or its digraph is
-    not an OmSR, the witness search decides, reading and writing the
-    witness cache in ``witness_dir``.  Its exhausted scan certifies the
-    exceptions: the trivial group with m <= 6, Z2 with m <= 3 and the
-    Klein four-group with m = 2.  The search runs only inside the sweep's
-    feasibility guard and raises InfeasibleSweep outside it.
+    below m = 7, Z2 and the Klein four-group below m = 5) or, inside the
+    sweep's feasibility guard, its digraph is not an OmSR, the witness
+    search decides, reading and writing the witness cache in
+    ``witness_dir``.  Its exhausted scan certifies the exceptions: the
+    trivial group with m <= 6, Z2 with m <= 3 and the Klein four-group
+    with m = 2.  Past the guard, where the search cannot run, a recipe
+    digraph that is not an OmSR comes back with its failed report.
     """
     recipe = recipe_table(G, pair, m)
     if recipe is not None:
         table, kind = recipe
         gamma = build_mcayley(G, table)
         report = is_omsr(gamma, G, m, construction_kind=kind)
-        if report.omsr:
+        if report.omsr or not sweeplib.feasibility_guard(G, m):
             return gamma, report
     return _searched_witness(G, m, witness_dir or default_witness_dir())
 

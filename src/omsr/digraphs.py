@@ -45,6 +45,8 @@ class ConnectionTable:
     def __init__(self, m: int, sets):
         if m < 1:
             raise ValueError("m must be positive")
+        if len(sets) != m or any(len(row) != m for row in sets):
+            raise ValueError(f"a table with m = {m} needs {m} rows of {m} cells")
         self.m = m
         self.sets = tuple(tuple(_cell(sets[i][j]) for j in range(m)) for i in range(m))
 

@@ -11,19 +11,24 @@ the current row's later columns, and a memoised recurrence on those four
 counts gives it.  So each yielded table keeps its 1-based position among
 all constrained tables.
 
-|Aut| is the same on every table in an orbit of G^m x| S_m, extended by the
-converse map (see `_table_moves`).  Every scan applies one rule, the cheap
-local test of isomorph-free generation (McKay, *Isomorph-free exhaustive
+`exhaustive_sweep` is the one scan, and its witnesses come back in
+enumeration order; `find_witness` is its first-stop form.  |Aut| is the
+same on every table in an orbit of G^m x| S_m, extended by the converse
+map (see `_table_moves`).  Every scan applies one rule, the cheap local
+test of isomorph-free generation (McKay, *Isomorph-free exhaustive
 generation*, J. Algorithms 1998): the engine runs only on a table that no
 single move sends to an earlier one.  Any other table has the |Aut| of its
-earlier image, which the scan already reached: a first-stop scan skips it,
-since that image was no witness, and an all-witness scan reads the order
-it recorded for the image.  The walk of a first-stop scan also applies that
-test to each finished row prefix, under the moves that keep its rows in
-place.  Such a move maps the subtree of the prefix one-to-one onto that of
-an earlier prefix, so the subtree is counted, not walked: it holds no
-witness, no new |Aut| and as many oriented tables as the earlier one, read
-from a memo.
+earlier image, which is oriented, meets the valency and comes earlier, so
+the scan already reached it: a first-stop scan skips the table, since that
+image was no witness (so the first witness is always measured), and an
+all-witness scan reads the order it recorded for the image.  The walk of a
+first-stop scan also applies that test to each finished row prefix, under
+the moves that keep its rows in place.  Such a move maps the subtree of
+the prefix one-to-one onto that of an earlier prefix, so the subtree is
+counted, not walked: it holds no witness, no new |Aut| and as many
+oriented tables as the earlier one, read from a memo (`_PrefixMemo`).
+Either way the witnesses, the oriented count and the largest |Aut| are
+those of one engine call per table.
 
 Every scan runs inside the feasibility guard, |G|*m <= `GUARD_PRODUCT`,
 which bounds neither the number of tables nor the walk.  The first-stop
@@ -131,12 +136,13 @@ def enumerate_tables(G: Group, m: int,
     position by the number of tables under it, and a cell no table can
     complete is never entered.
 
-    A first-stop `_scan` passes ``prefixes``, and the walk records the
-    oriented count under every finished row prefix.  Once an oriented table
-    is reached, each finished prefix that `_PrefixMemo.skip` accepts is
-    counted, not walked: the position advances past its subtree, whose
-    oriented tables are then never yielded; before it, no subtree holds
-    one.  Without ``prefixes`` every oriented table is yielded.
+    A first-stop `exhaustive_sweep` passes ``prefixes``, and the walk
+    records the oriented count under every finished row prefix.  Once an
+    oriented table is reached, each finished prefix that `_PrefixMemo.skip`
+    accepts is counted, not walked: the position advances past its
+    subtree, whose oriented tables are then never yielded; before it, no
+    subtree holds one.  Without ``prefixes`` every oriented table is
+    yielded.
     """
     n = G.order
     # Per size: (subset, its inverse set, allowed on the diagonal).
@@ -283,8 +289,8 @@ class _RankedMoves:
 
 class _PrefixMemo:
     """The oriented-table count under each finished row prefix of a
-    first-stop scan, shared by `_scan` and its walk.  ``skipped`` sums the
-    counts of skipped prefixes."""
+    first-stop scan, shared by `exhaustive_sweep` and its walk.
+    ``skipped`` sums the counts of skipped prefixes."""
 
     def __init__(self, moves: _RankedMoves):
         self.moves = moves
@@ -311,116 +317,79 @@ def feasibility_guard(G: Group, m: int) -> bool:
     return G.order * m <= GUARD_PRODUCT
 
 
-def _scan(G: Group, m: int, first_only: bool):
-    """The one enumeration driver behind `exhaustive_sweep` and `find_witness`.
+def exhaustive_sweep(G: Group, m: int, all_witnesses: bool = False) -> SweepResult:
+    """The scan: walk the oriented tables of valency two in enumeration
+    order and collect, in that order, those whose digraphs have |Aut| = |G|,
+    stopping at the first one unless ``all_witnesses`` is set.  The module
+    docstring gives the one rule that decides which tables the engine
+    measures; one `_RankedMoves` serves the whole scan.
 
-    Raises ValueError for m < 1 (no table has that shape, so an empty scan
-    would read as NOT_EXISTS), then InfeasibleSweep past
-    `feasibility_guard`.  Walks the oriented tables of valency two in
-    enumeration order and collects those whose digraphs have |Aut| = |G|,
-    stopping at the first one when ``first_only`` is set.  Returns (witness
-    tables, stats).  One `_RankedMoves` serves the whole scan.
-
-    Every scan calls the engine only on a table that no move of
-    `_table_moves` sends to an earlier table, and records each table's
-    |Aut| in ``orders``.  An earlier image is oriented and meets the
-    valency, so the scan reached it and recorded its |Aut|, which the table
-    shares.  A first-stop scan skips such a table, since its image was no
-    witness; the first witness has no earlier image, so it is always
-    measured.  An all-witness scan reaches every oriented table, so it
-    reads the order recorded for the image.  A first-stop scan also runs
-    the test on each finished row prefix, under the moves that keep its
-    rows in place: when one sends the prefix to an earlier one, it maps the
-    subtree one-to-one onto the earlier prefix's subtree, which was scanned
-    without a witness, so the walk skips it and adds the oriented count
-    recorded under the earlier prefix (`_PrefixMemo`).  Either way the
-    witnesses, ``oriented`` and ``max_aut_order_seen`` are those of one
-    engine call per table.
-
-    ``stats["examined"]`` is the position of the table the scan stopped at,
-    or the number of constrained tables when it ran to the end;
-    ``oriented`` and ``max_aut_order_seen`` cover the same tables.
+    ``tables_enumerated`` is the position of the table the scan stopped
+    at, or the number of constrained tables when it ran to the end, so a
+    NOT_EXISTS verdict reflects the full enumeration; ``oriented_count``
+    and ``max_aut_order_seen`` cover the same tables.  Raises ValueError
+    for m < 1 (no table has that shape, so an empty scan would read as
+    NOT_EXISTS), then InfeasibleSweep past `feasibility_guard`.
     """
+    start = time.perf_counter()
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if not feasibility_guard(G, m):
         raise InfeasibleSweep(f"|G|*m = {G.order * m} exceeds guard {GUARD_PRODUCT}")
     moves = _RankedMoves(G, m)
-    prefixes = _PrefixMemo(moves) if first_only else None
+    prefixes = None if all_witnesses else _PrefixMemo(moves)
     orders = {}  # |Aut| of each table reached that was not skipped
-    stats = {"examined": 0, "oriented": 0, "max_aut_order_seen": 0}
+    oriented = top = 0
     witnesses: List[ConnectionTable] = []
     for position, sets in enumerate_tables(G, m, prefixes):
-        stats["oriented"] += 1
+        oriented += 1
         key = moves.key(sets)
         image = moves.earlier_image(key)
         if image is None:
-            order = automorphisms(build_mcayley(G, ConnectionTable(m, sets))).order
-        elif first_only:
+            table = ConnectionTable(m, sets)
+            order = automorphisms(build_mcayley(G, table)).order
+        elif not all_witnesses:
             continue
         else:
-            order = orders[image]
+            table, order = None, orders[image]
         orders[key] = order
-        stats["max_aut_order_seen"] = max(stats["max_aut_order_seen"], order)
+        top = max(top, order)
         if order == G.order:
-            witnesses.append(ConnectionTable(m, sets))
-            if first_only:
-                stats["examined"] = position
+            witnesses.append(table or ConnectionTable(m, sets))
+            if not all_witnesses:
+                examined = position
                 break
     else:
-        stats["examined"] = count_tables(G.order, m)
+        examined = count_tables(G.order, m)
     if prefixes is not None:
-        stats["oriented"] += prefixes.skipped
-    return witnesses, stats
-
-
-def exhaustive_sweep(G: Group, m: int, all_witnesses: bool = False) -> SweepResult:
-    """Enumerate every table of valency two and collect the oriented ones
-    whose digraphs have automorphism group of order exactly |G|.
-
-    Stops at the first witness unless all_witnesses is set; a NOT_EXISTS
-    verdict always reflects the full enumeration.  The engine runs only on
-    tables that no single move of G^m x| S_m with the converse sends to an
-    earlier table; every other table's |Aut| equals that of its earlier
-    image through an explicit isomorphism, so the table is skipped, or
-    with all_witnesses read from the image.  Without all_witnesses the walk
-    also skips each row prefix that a move keeping its rows sends to an
-    earlier one, and counts its subtree from the earlier prefix's.  The
-    witnesses and counts are those of one engine call per table.  Raises
-    ValueError for m < 1, and then InfeasibleSweep past the guard.  The
-    guard does not bound the walk: with all_witnesses, some admitted
-    cells, such as Z1 at m = 8, run for more than a minute.
-    """
-    start = time.perf_counter()
-    witnesses, stats = _scan(G, m, first_only=not all_witnesses)
-    witnesses.sort(key=lambda t: t.to_text())
+        oriented += prefixes.skipped
     return SweepResult(
         group_label=G.label or f"order-{G.order}",
         m=m,
-        tables_enumerated=stats["examined"],
-        oriented_count=stats["oriented"],
+        tables_enumerated=examined,
+        oriented_count=oriented,
         witnesses=witnesses,
         verdict="EXISTS" if witnesses else "NOT_EXISTS",
-        max_aut_order_seen=stats["max_aut_order_seen"],
+        max_aut_order_seen=top,
         runtime_ms=(time.perf_counter() - start) * 1000.0,
     )
 
 
 def find_witness(G: Group, m: int):
-    """First witness table in the deterministic enumeration order.
+    """The first-stop `exhaustive_sweep`, as (table, digraph, stats).
 
-    Returns (table, digraph, stats).  When the whole space is exhausted
-    without a witness, returns (None, None, stats) — the stats then certify
-    non-existence: every table was examined, and ``max_aut_order_seen`` is
-    the exact largest |Aut| over the oriented ones.  Like
-    `exhaustive_sweep`, raises ValueError for m < 1, and InfeasibleSweep
-    past the feasibility guard, so every search it starts runs to a
-    witness or to the end.
-
-    Structured witnesses sit very early in lexicographic order, so the scan
-    follows that order.
+    The table is the first witness in enumeration order, where structured
+    witnesses sit early.  When the whole space holds none, returns (None,
+    None, stats), and the stats certify non-existence.  ``stats`` holds
+    the sweep's counts: ``examined`` (``tables_enumerated``), ``oriented``
+    (``oriented_count``) and ``max_aut_order_seen``, the exact largest
+    |Aut| over the oriented tables examined.  Raises as `exhaustive_sweep`
+    does, so every search it starts runs to a witness or to the end.
     """
-    witnesses, stats = _scan(G, m, first_only=True)
-    if not witnesses:
+    result = exhaustive_sweep(G, m)
+    stats = {"examined": result.tables_enumerated, "oriented": result.oriented_count,
+             "max_aut_order_seen": result.max_aut_order_seen}
+    if not result.witnesses:
         return None, None, stats
-    return witnesses[0], build_mcayley(G, witnesses[0]), stats
+    table = result.witnesses[0]
+    return table, build_mcayley(G, table), stats

@@ -15,7 +15,7 @@ from omsr.cli import (EXIT_CAP, EXIT_FAILED, EXIT_INPUT, EXIT_OK, group_roster,
                       load_group, main, reproduce_theorem, simple_group_check,
                       verify_instance)
 from omsr.constructions import cyclic_connection_table, nonabelian_connection_table
-from omsr.digraphs import build_mcayley
+from omsr.digraphs import ConnectionTable, build_mcayley
 from omsr.errors import TooLarge, UnknownFamily
 from omsr.groups import catalog_group, normalize_generating_pair
 from omsr.sweep import GUARD_PRODUCT
@@ -346,6 +346,30 @@ def test_verify_klein_four_past_search_budget(tmp_path, monkeypatch, capsys):
     assert code == EXIT_OK
     assert "omsr=True" in capsys.readouterr().out
     assert not list(tmp_path.iterdir())
+
+
+def test_recipe_rejected_past_guard_is_a_failed_verdict(tmp_path, monkeypatch, capsys):
+    # Past the sweep's guard a recipe digraph that is not an OmSR is the
+    # answer: verify exits 1, and reproduce prints a FAILED row and exits 1,
+    # instead of falling through to a search that refuses the cell (exit 3).
+    from omsr import constructions
+    recipe = constructions.recipe_table
+    # Oriented, 2-regular and connected over Z7, with |Aut| = 21.
+    rejected = ConnectionTable.from_dict(3, {(0, 1): {0, 1}, (1, 2): {0, 1}, (2, 0): {0, 1}})
+
+    def rejected_for_z7_m3(G, pair, m, kind="auto"):
+        if (G.order, m) == (7, 3):
+            return rejected, constructions.KIND_CYCLIC
+        return recipe(G, pair, m, kind)
+
+    monkeypatch.setattr(constructions, "recipe_table", rejected_for_z7_m3)
+    monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
+    assert main(["verify", "--group", "catalog:cyclic:7", "--m", "3"]) == EXIT_FAILED
+    assert "omsr=False" in capsys.readouterr().out
+    assert main(["reproduce", "--max-order", "7", "--max-m", "3"]) == EXIT_FAILED
+    out = capsys.readouterr().out
+    assert [line.split() for line in out.splitlines() if "FAILED" in line] == [
+        ["Z7", "m=3", "FAILED"]]
 
 
 def test_verify_skips_corrupt_cache_file(tmp_path, monkeypatch, capsys):

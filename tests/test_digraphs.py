@@ -43,6 +43,17 @@ def test_connection_table_keeps_int_frozensets():
         ConnectionTable(1, [[frozenset({5})]]).validate(G)
 
 
+def test_connection_table_rejects_wrong_shape():
+    # Exactly m rows of m cells: extra rows or cells are not truncated, and
+    # missing ones raise ValueError, not IndexError.
+    square = [[{0}, {1}, {2}], [{1}, {2}, {0}], [{2}, {0}, {1}]]
+    for m, sets in [(2, square), (2, square[:2]), (2, [row[:2] for row in square]),
+                    (3, square[:2]), (3, [square[0], square[1][:2], square[2]])]:
+        with pytest.raises(ValueError, match="rows of"):
+            ConnectionTable(m, sets)
+    assert ConnectionTable(3, square).sets[2][2] == frozenset({1})
+
+
 def test_vertex_indexing_round_trip():
     for n in (1, 3, 5):
         for m in (1, 2, 4):

@@ -419,15 +419,15 @@ def test_all_witness_sweep_engine_calls_pinned(monkeypatch):
 
 
 def test_all_witness_sweep_matches_unpruned_oracle():
-    # Witnesses and max |Aut| from the sweep, which reads |Aut| from earlier
-    # images, against a direct engine call on every oriented table of the
-    # unpruned product enumeration.
+    # Witnesses, in enumeration order, and max |Aut| from the sweep, which
+    # reads |Aut| from earlier images, against a direct engine call on every
+    # oriented table of the unpruned product enumeration, in its order.
     for G, m in [(cyclic(2), 3), (cyclic(3), 2), (cyclic(4), 2), (klein(), 2), (Z1, 5)]:
         orders = [(engine_order(G, m, sets), sets) for _, sets in naive_oriented(G, m, 2)]
         result = exhaustive_sweep(G, m, all_witnesses=True)
         assert result.oriented_count == len(orders)
         assert result.max_aut_order_seen == max((o for o, _ in orders), default=0)
-        want = sorted(ConnectionTable(m, sets).to_text() for o, sets in orders if o == G.order)
+        want = [ConnectionTable(m, sets).to_text() for o, sets in orders if o == G.order]
         assert [w.to_text() for w in result.witnesses] == want, (G, m)
 
 
@@ -479,6 +479,8 @@ def test_first_stop_scan_matches_unpruned_oracle():
         assert (table.to_text() if table else None) == want[3], (G, m)
         if table is not None:
             assert gamma.table == table
+            # An all-witness scan lists its witnesses in the same order.
+            assert exhaustive_sweep(G, m, all_witnesses=True).witnesses[0] == table, (G, m)
 
 
 def test_skipped_tables_have_earlier_images_of_equal_order():

@@ -13,6 +13,7 @@ error; 3 size or feasibility cap exceeded.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -131,6 +132,24 @@ def simple_group_check(name: str, m: int) -> VerificationReport:
 
 # --- command implementations -------------------------------------------------
 
+def _check_json_path(path: Optional[str]) -> None:
+    """Refuse, before the command runs, a --json path that cannot be
+    written: a directory, a file in a missing directory, or one without
+    write permission."""
+    if not path:
+        return
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ValueError(f"cannot write --json {path}: {os.strerror(code)}")
+
+
 def _emit_json(path: Optional[str], payload) -> None:
     if path:
         try:
@@ -228,6 +247,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_json_path(args.json)
         code = args.func(args)
         sys.stdout.flush()
         return code

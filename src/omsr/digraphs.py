@@ -51,6 +51,14 @@ class ConnectionTable:
         self.sets = tuple(tuple(_cell(sets[i][j]) for j in range(m)) for i in range(m))
 
     @classmethod
+    def _of_cells(cls, m: int, sets: tuple) -> "ConnectionTable":
+        """A table from m rows of m cells that are already frozensets of
+        ints, kept as given, unchecked."""
+        table = cls.__new__(cls)
+        table.m, table.sets = m, sets
+        return table
+
+    @classmethod
     def from_dict(cls, m: int, entries: dict) -> "ConnectionTable":
         sets = [[entries.get((i, j), ()) for j in range(m)] for i in range(m)]
         return cls(m, sets)

@@ -21,20 +21,27 @@ single move sends to an earlier one.  Any other table has the |Aut| of its
 earlier image, which is oriented, meets the valency and comes earlier, so
 the scan already reached it: a first-stop scan skips the table, since that
 image was no witness (so the first witness is always measured), and an
-all-witness scan reads the order it recorded for the image.  The walk of a
-first-stop scan also applies that test to each finished row prefix, under
-the moves that keep its rows in place.  Such a move maps the subtree of
-the prefix one-to-one onto that of an earlier prefix, so the subtree is
-counted, not walked: it holds no witness, no new |Aut| and as many
-oriented tables as the earlier one, read from a memo (`_PrefixMemo`).
-Either way the witnesses, the oriented count and the largest |Aut| are
-those of one engine call per table.
+all-witness scan reads the order it recorded for the image.  The walk of
+every scan also applies that test to each finished row prefix, under the
+moves that keep its rows in place.  Such a move maps the subtree of the
+prefix one-to-one onto that of an earlier prefix, so the subtree is
+counted, not walked: it holds no new |Aut| and as many oriented tables as
+the earlier one, read from a memo (`_PrefixMemo`), and its witnesses are
+the earlier subtree's mapped back through the move's inverse.  A walked
+table whose earlier image lies in a skipped subtree reads its |Aut|
+through the move that skipped the image's prefix.  A table with no
+earlier image lies in no skipped subtree, since the skipping move would
+give it one, so the engine runs on the same tables either way.  The
+witnesses, the oriented count and the largest |Aut| are those of one
+engine call per table.  Witnesses stay rank keys until the scan returns
+them as tables.
 
 Every scan runs inside the feasibility guard, |G|*m <= `GUARD_PRODUCT`,
-which bounds neither the number of tables nor the walk.  The first-stop
-scans it admits end within seconds, up to Z1 at m = 16, but an
-all-witness scan walks every oriented table: Z1 at m = 8, Z2 at m = 6 and
-Z4 at m = 4 pass the guard and run for more than a minute.
+which bounds neither the number of tables nor the witness list.  The
+first-stop scans it admits end within seconds, up to Z1 at m = 16.  An
+all-witness scan holds every witness: Z1 at m = 8 and Z4 at m = 4 pass the
+guard with about 1.6 million witnesses each and take 46 s and 22 s on a
+2-core Xeon, and Z2 at m = 6 needs more than 3 GB.
 """
 
 from __future__ import annotations
@@ -136,13 +143,14 @@ def enumerate_tables(G: Group, m: int,
     position by the number of tables under it, and a cell no table can
     complete is never entered.
 
-    A first-stop `exhaustive_sweep` passes ``prefixes``, and the walk
-    records the oriented count under every finished row prefix.  Once an
-    oriented table is reached, each finished prefix that `_PrefixMemo.skip`
-    accepts is counted, not walked: the position advances past its
-    subtree, whose oriented tables are then never yielded; before it, no
-    subtree holds one.  Without ``prefixes`` every oriented table is
-    yielded.
+    `exhaustive_sweep` passes ``prefixes``, and the walk records the
+    oriented count and the range of witness keys under every finished row
+    prefix; the scan appends each witness it finds before the walk resumes.
+    Once an oriented table is reached, each finished prefix that
+    `_PrefixMemo.skip` accepts is counted, not walked: the position
+    advances past its subtree, whose oriented tables are then never
+    yielded; before it, no subtree holds one.  Without ``prefixes`` every
+    oriented table is yielded.
     """
     n = G.order
     # Per size: (subset, its inverse set, allowed on the diagonal).
@@ -169,10 +177,11 @@ def enumerate_tables(G: Group, m: int,
                     position += _completions(n, 0, colrem.count(2), colrem.count(1), 0, 0)
                     reached += count
                     return
-            start = reached
+                start, begin = reached, len(prefixes.witnesses)
             yield from fill_cell(i + 1, 0, VALENCY)
             if prefixes is not None:
                 prefixes.counts[key] = reached - start
+                prefixes.ranges[key] = begin, len(prefixes.witnesses)
             return
         partner = current[j][i] if j < i else None
         later = colrem[j + 1:]
@@ -222,18 +231,18 @@ def _table_moves(G: Group, m: int) -> list:
 class _RankedMoves:
     """The moves of `_table_moves` on rank-coded tables.
 
-    A cell's rank is its subset's index in the order `enumerate_tables`
-    tries cells: by size, then as ``itertools.combinations``.  A table's key
-    is the row-major tuple of its cell ranks, so keys compare exactly as
-    enumeration positions do.  A coded move lists, for each target cell in
-    row-major order, its source cell and the rank map of the element map
-    between them.
+    A cell's rank is its subset's index in ``cells``, the order in which
+    `enumerate_tables` tries cells: by size, then as
+    ``itertools.combinations``.  A table's key is the row-major tuple of its
+    cell ranks, so keys compare exactly as enumeration positions do.  A
+    coded move lists, for each target cell in row-major order, its source
+    cell and the rank map of the element map between them.
     """
 
     def __init__(self, G: Group, m: int):
         n = G.order
-        cells = _cell_order(n)
-        self._rank = {sub: r for r, sub in enumerate(cells)}
+        self.cells = _cell_order(n)
+        self._rank = {sub: r for r, sub in enumerate(self.cells)}
         rank_maps = {}
         coded = {}
         moves = _table_moves(G, m)
@@ -247,14 +256,15 @@ class _RankedMoves:
                     if converse:
                         image = [G.inv[x] for x in image]
                     rank_maps[f] = tuple(self._rank[frozenset(image[t] for t in sub)]
-                                         for sub in cells)
+                                         for sub in self.cells)
                 a, b = (sigma[j], sigma[i]) if converse else (sigma[i], sigma[j])
                 code[a * m + b] = (i * m + j, rank_maps[f])
             coded[move] = tuple(code)
-        self._m = m
+        self.m = m
         self.moves = [coded[move] for move in moves]
-        # Per row: the moves that keep rows 0..row in place.
-        self._row_moves = [[coded[h, sigma, converse] for h, sigma, converse in moves
+        self._inverses = [None] * len(moves)
+        # Per row: the indices of the moves that keep rows 0..row in place.
+        self._row_moves = [[k for k, (h, sigma, converse) in enumerate(moves)
                             if not converse and max(sigma[:row + 1]) == row]
                            for row in range(m - 1)]
 
@@ -263,54 +273,121 @@ class _RankedMoves:
         rank = self._rank
         return tuple([rank[cell] for row in sets for cell in row])
 
-    def earlier_image(self, key, row: Optional[int] = None) -> Optional[tuple]:
-        """The first image of the key that is earlier in enumeration order,
-        or None.  Each image is compared cell by cell, up to the first cell
-        that differs.
+    def table(self, key) -> ConnectionTable:
+        """The table of a full key, built on the shared cells."""
+        cells, m = self.cells, self.m
+        return ConnectionTable._of_cells(m, tuple([tuple([cells[r] for r in key[i:i + m]])
+                                                   for i in range(0, m * m, m)]))
+
+    def inverse(self, k: int) -> tuple:
+        """The code of the inverse of move ``k``, built on first use: source
+        and target cells swapped and rank maps inverted, since a gauge need
+        not be an involution."""
+        if self._inverses[k] is None:
+            inverse = [None] * len(self.moves[k])
+            for target, (src, f) in enumerate(self.moves[k]):
+                undo = [0] * len(f)
+                for r, image in enumerate(f):
+                    undo[image] = r
+                inverse[src] = (target, tuple(undo))
+            self._inverses[k] = tuple(inverse)
+        return self._inverses[k]
+
+    def earlier_move(self, key, row: Optional[int] = None) -> Optional[int]:
+        """The index in ``moves`` of the first move whose image of the key is
+        earlier in enumeration order, or None.  Each image is compared cell
+        by cell, up to the first cell that differs.
 
         Given ``row``, the key codes rows 0..row, and only the moves that
         keep those rows in place are tried: every gauge, and each
         transposition of two blocks that are both at most ``row`` or both
         above it.  An image counts only when it first differs in row
         ``row``, so that it shares the key's rows 0..row-1."""
+        moves = self.moves
         if row is None:
-            moves, fixed = self.moves, 0
+            indices, fixed = range(len(moves)), 0
         else:
-            moves, fixed = self._row_moves[row], row * self._m
-        for move in moves:
-            for cell, (target, (src, f)) in enumerate(zip(key, move)):
+            indices, fixed = self._row_moves[row], row * self.m
+        for k in indices:
+            for cell, (target, (src, f)) in enumerate(zip(key, moves[k])):
                 r = f[key[src]]
                 if r != target:
                     if r < target and cell >= fixed:
-                        return tuple([f[key[src]] for src, f in move[:len(key)]])
+                        return k
                     break
         return None
 
+    def earlier_image(self, key, row: Optional[int] = None) -> Optional[tuple]:
+        """The key's image under `earlier_move`, or None."""
+        k = self.earlier_move(key, row)
+        return None if k is None else _image(self.moves[k], key)
+
+
+def _image(code, key) -> tuple:
+    """The image of a key, or of a prefix key under a move that keeps its
+    rows in place, under a coded move."""
+    return tuple([f[key[src]] for src, f in code[:len(key)]])
+
 
 class _PrefixMemo:
-    """The oriented-table count under each finished row prefix of a
-    first-stop scan, shared by `exhaustive_sweep` and its walk.
-    ``skipped`` sums the counts of skipped prefixes."""
+    """What a scan and its walk share about each finished row prefix: its
+    oriented-table count (``counts``), its ``[start, end)`` range in the
+    scan's one list of witness keys (``ranges``, over ``witnesses``) and,
+    when it was skipped, the move that sends it to an earlier prefix
+    (``skips``).  A subtree is a contiguous run of positions, so its
+    witnesses are a contiguous run of the list.  ``skipped`` sums the
+    counts of skipped prefixes."""
 
     def __init__(self, moves: _RankedMoves):
         self.moves = moves
         self.counts = {}
+        self.ranges = {}
+        self.skips = {}
+        self.witnesses = []
         self.skipped = 0
 
     def skip(self, key, row: int) -> Optional[int]:
         """The oriented count of the subtree under the prefix ``key`` of
         rows 0..row when a move sends the prefix to an earlier one, so the
-        subtree may be skipped; else None."""
-        image = self.moves.earlier_image(key, row)
-        if image is None:
+        subtree may be skipped; else None.  The subtree's witnesses are the
+        earlier subtree's, mapped back through the move's inverse and
+        appended in enumeration order."""
+        k = self.moves.earlier_move(key, row)
+        if k is None:
             return None
+        code = self.moves.moves[k]
+        image = _image(code, key)
         # The image shares the key's parent prefix, so the walk finished it.
         count = self.counts.get(image)
         if count is None:
             raise RuntimeError(f"no count for the earlier prefix {image} of {key}")
+        start, end = self.ranges[image]
+        witnesses = self.witnesses
+        begin = len(witnesses)
+        if start < end:
+            inverse = self.moves.inverse(k)
+            witnesses.extend(sorted([_image(inverse, w) for w in witnesses[start:end]]))
         self.counts[key] = count
+        self.ranges[key] = begin, len(witnesses)
+        self.skips[key] = code
         self.skipped += count
         return count
+
+    def aut_order(self, key, orders: dict) -> int:
+        """|Aut| of the table ``key``, read from ``orders``, which holds
+        that of every walked table.  A key in a skipped subtree is carried
+        by the move that skipped its prefix into the earlier subtree, until
+        it reaches a walked table; the engine never runs."""
+        m = self.moves.m
+        while key not in orders:
+            for end in range(m, len(key), m):
+                code = self.skips.get(key[:end])
+                if code is not None:
+                    key = _image(code, key)
+                    break
+            else:
+                raise RuntimeError(f"no |Aut| for the table {key}")
+        return orders[key]
 
 
 def feasibility_guard(G: Group, m: int) -> bool:
@@ -322,7 +399,8 @@ def exhaustive_sweep(G: Group, m: int, all_witnesses: bool = False) -> SweepResu
     order and collect, in that order, those whose digraphs have |Aut| = |G|,
     stopping at the first one unless ``all_witnesses`` is set.  The module
     docstring gives the one rule that decides which tables the engine
-    measures; one `_RankedMoves` serves the whole scan.
+    measures and which prefixes the walk skips; one `_RankedMoves` serves
+    the whole scan, and one `_PrefixMemo` holds its witnesses as keys.
 
     ``tables_enumerated`` is the position of the table the scan stopped
     at, or the number of constrained tables when it ran to the end, so a
@@ -337,38 +415,36 @@ def exhaustive_sweep(G: Group, m: int, all_witnesses: bool = False) -> SweepResu
     if not feasibility_guard(G, m):
         raise InfeasibleSweep(f"|G|*m = {G.order * m} exceeds guard {GUARD_PRODUCT}")
     moves = _RankedMoves(G, m)
-    prefixes = None if all_witnesses else _PrefixMemo(moves)
-    orders = {}  # |Aut| of each table reached that was not skipped
+    prefixes = _PrefixMemo(moves)
+    witnesses = prefixes.witnesses  # keys, in enumeration order
+    orders = {}  # |Aut| of each table walked and not skipped
     oriented = top = 0
-    witnesses: List[ConnectionTable] = []
     for position, sets in enumerate_tables(G, m, prefixes):
         oriented += 1
         key = moves.key(sets)
         image = moves.earlier_image(key)
         if image is None:
-            table = ConnectionTable(m, sets)
-            order = automorphisms(build_mcayley(G, table)).order
+            order = automorphisms(build_mcayley(G, ConnectionTable._of_cells(m, sets))).order
         elif not all_witnesses:
             continue
         else:
-            table, order = None, orders[image]
+            order = prefixes.aut_order(image, orders)
         orders[key] = order
         top = max(top, order)
         if order == G.order:
-            witnesses.append(table or ConnectionTable(m, sets))
+            witnesses.append(key)
             if not all_witnesses:
                 examined = position
                 break
     else:
         examined = count_tables(G.order, m)
-    if prefixes is not None:
-        oriented += prefixes.skipped
+    oriented += prefixes.skipped
     return SweepResult(
         group_label=G.label or f"order-{G.order}",
         m=m,
         tables_enumerated=examined,
         oriented_count=oriented,
-        witnesses=witnesses,
+        witnesses=[moves.table(key) for key in witnesses],
         verdict="EXISTS" if witnesses else "NOT_EXISTS",
         max_aut_order_seen=top,
         runtime_ms=(time.perf_counter() - start) * 1000.0,

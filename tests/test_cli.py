@@ -308,11 +308,22 @@ def test_main_reproduce_rejects_empty_ranges(capsys):
 
 
 def test_main_unwritable_json_is_input_error(tmp_path, capsys):
+    # The destination is checked before the command runs, so nothing is
+    # printed and no sweep or roster is computed.
     path = tmp_path / "missing" / "x.json"
-    code = main(["verify", "--group", "catalog:cyclic:5", "--m", "3", "--json", str(path)])
-    assert code == EXIT_INPUT
-    assert capsys.readouterr().err.startswith("input error: cannot write --json")
-    assert not path.exists()
+    for argv in (["verify", "--group", "catalog:cyclic:5", "--m", "3"],
+                 ["sweep", "--group", "catalog:cyclic:1", "--m", "6"],
+                 ["reproduce", "--max-order", "4", "--max-m", "3"]):
+        code = main(argv + ["--json", str(path)])
+        assert code == EXIT_INPUT, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err.startswith("input error: cannot write --json"), argv
+        assert not path.exists()
+    assert main(["sweep", "--group", "catalog:cyclic:1", "--m", "3", "--json",
+                 str(tmp_path)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"input error: cannot write --json {tmp_path}: "
+                                       "Is a directory\n")
 
 
 def test_main_budget_exit(capsys):

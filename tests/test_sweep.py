@@ -513,14 +513,20 @@ def test_skipped_tables_have_earlier_images_of_equal_order():
 
 # --- first-stop scans: skipped row prefixes ----------------------------------
 
+def full_walk(G, m):
+    """(position, sets, |Aut|) of every table of the full `enumerate_tables`
+    walk, in order, with no prefix skipped, from a direct engine call on
+    each."""
+    for pos, sets in enumerate_tables(G, m):
+        yield pos, sets, engine_order(G, m, sets)
+
+
 def full_walk_reference(G, m):
     """(examined, oriented, max |Aut|, first witness text or None) of a
-    first-stop scan, from a direct engine call on every table of the full
-    `enumerate_tables` walk, in order, with no prefix skipped."""
+    first-stop scan, from `full_walk`."""
     oriented = top = 0
-    for pos, sets in enumerate_tables(G, m):
+    for pos, sets, order in full_walk(G, m):
         oriented += 1
-        order = engine_order(G, m, sets)
         top = max(top, order)
         if order == G.order:
             return pos, oriented, top, ConnectionTable(m, sets).to_text()
@@ -568,6 +574,15 @@ def test_prefix_skip_walked_tables_pinned(monkeypatch):
         result = exhaustive_sweep(G, m)
         assert result.verdict == "NOT_EXISTS"
         assert (len(walked), result.oriented_count, len(calls)) == want, (G, m)
+    # All-witness scans skip the same prefixes and call the engine on the
+    # tables of ALL_WITNESS_PINS.
+    pins = {(klein(), 3): (162, 2160, 66), (cyclic(3), 3): (162, 1458, 47),
+            (cyclic(4), 3): (736, 7216, 232), (Z1, 6): (20, 570, 6)}
+    for (G, m), want in pins.items():
+        walked.clear()
+        calls.clear()
+        result = exhaustive_sweep(G, m, all_witnesses=True)
+        assert (len(walked), result.oriented_count, len(calls)) == want, (G, m)
 
 
 def test_prefix_memo_records_every_earlier_prefix():
@@ -598,3 +613,54 @@ def test_prefix_memo_records_every_earlier_prefix():
                if ranked.earlier_image(key, len(key) // 6 - 1) is not None)
     with pytest.raises(RuntimeError, match="no count"):
         _PrefixMemo(ranked).skip(key, len(key) // 6 - 1)
+
+
+# --- all-witness scans: skipped row prefixes ---------------------------------
+
+def relabelled(G, rng):
+    """G presented as a random relabelling of its Cayley table that keeps
+    the identity at index 0."""
+    rest = list(range(1, G.order))
+    rng.shuffle(rest)
+    sigma = [0] + rest
+    table = [[0] * G.order for _ in range(G.order)]
+    for x in range(G.order):
+        for y in range(G.order):
+            table[sigma[x]][sigma[y]] = sigma[G.mult[x][y]]
+    return group_from_cayley_table(table, label=G.label)
+
+
+def test_all_witness_prefix_skip_matches_full_walk():
+    # Witnesses mapped back from earlier prefixes through inverse moves, in
+    # order, and |Aut| read through skipped prefixes, against a direct engine
+    # call on every table of the full walk.  D3 and Z6 have gauges that are
+    # not involutions; the relabelled groups are the benchmark's input shape.
+    rng = random.Random(7)
+    cells = [(cyclic(2), 4), (cyclic(3), 3), (catalog_group("dihedral", [3])[0], 2),
+             (cyclic(6), 2), (relabelled(klein(), rng), 3), (relabelled(cyclic(4), rng), 3)]
+    for G, m in cells:
+        orders = [(order, sets) for _, sets, order in full_walk(G, m)]
+        result = exhaustive_sweep(G, m, all_witnesses=True)
+        assert result.oriented_count == len(orders), (G, m)
+        assert result.max_aut_order_seen == max(o for o, _ in orders), (G, m)
+        want = [ConnectionTable(m, sets).to_text() for o, sets in orders if o == G.order]
+        assert [w.to_text() for w in result.witnesses] == want, (G, m)
+
+
+def test_aut_order_reads_through_skipped_prefixes():
+    # After a walk that skips prefixes, every oriented table's |Aut| is read
+    # from the walked tables alone, through the moves that skipped its
+    # prefixes (Z3's gauges are not involutions).  With no walked table
+    # recorded, the lookup raises instead of calling the engine.
+    G = cyclic(3)
+    ranked = _RankedMoves(G, 3)
+    prefixes = _PrefixMemo(ranked)
+    orders = {ranked.key(sets): engine_order(G, 3, sets)
+              for _, sets in enumerate_tables(G, 3, prefixes)}
+    assert len(orders) == 162 and prefixes.skips
+    for _, sets in enumerate_tables(G, 3):
+        assert prefixes.aut_order(ranked.key(sets), orders) == engine_order(G, 3, sets)
+    key = next(key for key in (ranked.key(sets) for _, sets in enumerate_tables(G, 3))
+               if key not in orders)
+    with pytest.raises(RuntimeError, match="no \\|Aut\\|"):
+        prefixes.aut_order(key, {})

@@ -7,7 +7,10 @@ smaller half, as in nauty), so colors are equivariant.  A splitter costs
 time in proportion to the vertices it hits, not to the cells they lie in:
 singleton cells and cells hit uniformly are passed over, only the hits are
 grouped by count, and the untouched fragment keeps its cell's set and start,
-the hits removed from it.  One path of
+the hits removed from it; a single hit leaves its cell in O(1), as a
+singleton at the cell's end.  On a degree-regular digraph (one out-degree
+and one in-degree throughout) the uniform partition is already equitable,
+and the search starts from it unrefined.  One path of
 individualize-refine steps fixes a base b_1..b_k; with G_i the pointwise
 stabilizer of b_1..b_i, |Aut| = prod_i |b_i^{G_(i-1)}|, found deepest level
 first: each vertex of b_i's cell not yet in b_i's orbit under the known
@@ -115,13 +118,14 @@ def _refine(out_adj, in_adj, colors, active, reference=None):
 
     Work per splitter is proportional to the vertices it hits: singleton and
     uniformly hit cells are passed over, and the untouched fragment is the
-    cell's own set with the hits removed, neither copied nor recolored."""
+    cell's own set with the hits removed, neither copied nor recolored.  A
+    cell with one hit splits in O(1), without grouping or sorting."""
     n, colors, cells = len(colors), list(colors), collections.defaultdict(set)
     for v, c in enumerate(colors):
         cells[c].add(v)
-    queue = sorted(set(active))
+    ncells, queue = len(cells), sorted(set(active))
     queued, trace = set(queue), []
-    while queue and len(cells) < n:
+    while queue and ncells < n:
         s = heapq.heappop(queue)
         queued.discard(s)
         weight, counts, touched = len(cells[s]) + 1, {}, {}
@@ -132,18 +136,32 @@ def _refine(out_adj, in_adj, colors, active, reference=None):
                 counts[u] = counts.get(u, 0) + 1
         for u in counts:
             c = colors[u]
-            if c in touched:
-                touched[c].append(u)
+            hits = touched.get(c)
+            if hits is not None:
+                hits.append(u)
             elif len(cells[c]) > 1:
                 touched[c] = [u]
         for c, hits in touched.items():
-            cell, groups = cells[c], {}
+            cell = cells[c]
+            if len(hits) == 1:
+                # The split below in O(1): the hit is a queued singleton at the
+                # cell's end; the rest keeps the cell's set, start and queue state.
+                u = hits[0]
+                cell.discard(u)
+                start = colors[u] = c + len(cell)
+                cells[start] = {u}
+                queued.add(start)
+                heapq.heappush(queue, start)
+                ncells += 1
+                continue
+            groups = {}
             for u in hits:
                 k = counts[u]
-                if k in groups:
-                    groups[k].append(u)
-                else:
+                group = groups.get(k)
+                if group is None:
                     groups[k] = [u]
+                else:
+                    group.append(u)
             if len(groups) == 1 and len(hits) == len(cell):
                 continue
             # The untouched fragment comes first: it keeps the cell's set and start.
@@ -153,6 +171,7 @@ def _refine(out_adj, in_adj, colors, active, reference=None):
             # A queued c already stands for the first fragment.  Otherwise
             # the partition is stable by c, which implies the largest one.
             skip = frags[0] if c in queued else max(frags, key=len)
+            ncells += len(frags) - 1
             start = c
             for f in frags:
                 if start != c:
@@ -163,7 +182,7 @@ def _refine(out_adj, in_adj, colors, active, reference=None):
                     queued.add(start)
                     heapq.heappush(queue, start)
                 start += len(f)
-        step = (s, len(cells))
+        step = (s, ncells)
         if reference is not None and (len(trace) == len(reference)
                                       or reference[len(trace)] != step):
             return None
@@ -188,10 +207,14 @@ def refine(d: Digraph, initial: Optional[Sequence[int]] = None) -> List[int]:
 # --- search ------------------------------------------------------------------
 
 def _is_automorphism(d: Digraph, p) -> bool:
+    """Whether the vertex permutation p maps every arc onto an arc.  A
+    bijection that does so maps the arc set onto itself."""
     out_sets = d.out_sets
-    for u in range(d.n):
-        if {p[w] for w in d.out_adj[u]} != out_sets[p[u]]:
-            return False
+    for u, nbrs in enumerate(d.out_adj):
+        image = out_sets[p[u]]
+        for w in nbrs:
+            if p[w] not in image:
+                return False
     return True
 
 
@@ -207,7 +230,10 @@ def _aut_elements(d: Digraph):
     """(generators, |Aut|, translations_embed) by the search in the module
     docstring; translations_embed is None unless d is an m-Cayley digraph."""
     out_adj, in_adj, n = d.out_adj, d.in_adj, d.n
-    colors, trace = _refine(out_adj, in_adj, [0] * n, [0])
+    # On a degree-regular digraph the uniform partition is equitable as it
+    # is; traces[0] is never a probe's reference.
+    regular = len(set(map(len, out_adj))) < 2 and len(set(map(len, in_adj))) < 2
+    colors, trace = ([0] * n, []) if regular else _refine(out_adj, in_adj, [0] * n, [0])
     path, traces, base = [colors], [trace], []
     while len(sizes := collections.Counter(path[-1])) < n:
         # First vertex of the smallest non-singleton cell.
@@ -314,8 +340,9 @@ def is_omsr(gamma: MCayleyDigraph, G: Group, m: int,
     always embed; the report still confirms the embedding explicitly, from
     the translations the search checked before seeding them.
     """
-    if gamma.n != m * G.order:
-        raise BlockMismatch(f"vertex count {gamma.n} != m*|G| = {m * G.order}")
+    if gamma.group.order != G.order or gamma.m != m:
+        raise BlockMismatch(f"digraph over |G| = {gamma.group.order} with m = {gamma.m}, "
+                            f"asked for |G| = {G.order} with m = {m}")
     start = time.perf_counter()
     oriented = is_oriented(gamma)
     regular = is_k_regular(gamma, VALENCY)

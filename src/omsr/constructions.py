@@ -19,10 +19,10 @@ import tempfile
 import warnings
 from typing import Optional, Tuple, Union
 
-from .automorphisms import VALENCY, is_omsr
+from .automorphisms import VALENCY, VERTEX_CAP, is_omsr
 from .digraphs import ConnectionTable, MCayleyDigraph, build_mcayley, parse_connection_table
 from .errors import (IsAbelian, NotAbelian, NotGenerating, OrderTooSmall,
-                     ParseError, UnknownFamily)
+                     ParseError, TooLarge, UnknownFamily)
 from .groups import (GeneratingPair, Group, GroupElement, _idx,
                      closure, element_order, find_generating_pair, generates,
                      is_abelian, is_cyclic, normalize_generating_pair)
@@ -190,12 +190,15 @@ def recipe_table(G: Group, pair: Optional[GeneratingPair], m: int,
     gets `rigid_trivial_table` at m >= 7, and Z2 and the Klein four-group
     the spanning-tree lift of `circulant_table` at m >= 5; below that
     "auto" returns None for them.  An explicit kind raises when its recipe
-    does not apply to G.
+    does not apply to G.  A digraph past the engine's vertex cap is refused
+    with TooLarge before any table is built.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
     if kind not in RECIPES:
         raise UnknownFamily(f"unknown recipe {kind!r}")
+    if G.order * m > VERTEX_CAP:
+        raise TooLarge(f"{G.order * m} vertices exceeds cap {VERTEX_CAP}")
     if pair is None:
         pair = find_generating_pair(G)
     if kind == "auto" and (G.order <= 2 or _is_klein_four(G)):

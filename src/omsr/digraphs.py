@@ -131,7 +131,8 @@ class Digraph:
         for u in range(n):
             for v in self.out_adj[u]:
                 rev[v].append(u)
-        self.in_adj = tuple(tuple(sorted(nbrs)) for nbrs in rev)
+        # Filled in ascending source order, so already sorted.
+        self.in_adj = tuple(map(tuple, rev))
         self.out_sets = tuple(frozenset(nbrs) for nbrs in self.out_adj)
 
     def arcs(self):

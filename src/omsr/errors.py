@@ -38,7 +38,7 @@ class IsAbelian(OmsrError):
 
 
 class BlockMismatch(OmsrError):
-    """Digraph vertex count does not equal m times the group order."""
+    """An m-Cayley digraph's group order or m differs from the one asked about."""
 
 
 class InfeasibleSweep(OmsrError):

@@ -203,6 +203,11 @@ def test_is_omsr_block_mismatch():
     d = build_mcayley(G, cyclic_connection_table(G, pair.a, 2))
     with pytest.raises(BlockMismatch):
         is_omsr(d, G, 3)
+    # 12 = 3 * |Z4| vertices, but the digraph is over Z6 with m = 2.
+    Z6, pair6 = catalog_group("cyclic", [6])
+    Z4, _ = catalog_group("cyclic", [4])
+    with pytest.raises(BlockMismatch):
+        is_omsr(build_mcayley(Z6, recipe_table(Z6, pair6, 2)[0]), Z4, 3)
 
 
 def test_translations_in_aut_for_recipes():
@@ -354,6 +359,24 @@ def test_verify_costs_at_most_2m_individualizations(monkeypatch):
     assert sum(aborted) == 5 - 1
 
 
+def test_verify_refines_only_individualizations(monkeypatch):
+    # The recipe digraph is 2-regular, so its uniform partition is taken as
+    # is: one refinement for the path and one for each of the 4 probes.
+    engine = importlib.import_module("omsr.automorphisms")
+    calls = []
+    original = engine._refine
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(engine, "_refine", counting)
+    G, pair = catalog_group("cyclic", [48])
+    d = build_mcayley(G, cyclic_connection_table(G, pair.a, 5))
+    assert is_omsr(d, G, 5).omsr
+    assert len(calls) == 5
+
+
 def test_z100_m5_near_vertex_cap():
     G, pair = catalog_group("cyclic", [100])
     d = build_mcayley(G, cyclic_connection_table(G, pair.a, 5))
@@ -433,6 +456,20 @@ def test_refine_matches_signature_rounds():
         for _ in range(3):
             labels = [rng.choice((-1, 0, 5)) for _ in range(d.n)]
             assert refine(d, labels) == signature_rounds(d, first_occurrence(labels))
+
+
+def test_uniform_coloring_is_equitable_on_degree_regular_digraphs():
+    # The search takes the uniform partition unrefined when all out-degrees
+    # and all in-degrees agree; refinement leaves it as is there.
+    digraphs = [d for d in oracle_cases(random.Random(2024))
+                if len(set(map(len, d.out_adj))) < 2 and len(set(map(len, d.in_adj))) < 2]
+    for family, params, m in (("cyclic", [48], 5), ("cyclic_product", [6, 8], 5),
+                              ("alternating", [5], 4)):
+        G, pair = catalog_group(family, params)
+        digraphs.append(build_mcayley(G, recipe_table(G, pair, m)[0]))
+    assert len(digraphs) > 30
+    for d in digraphs:
+        assert _refine(d.out_adj, d.in_adj, [0] * d.n, [0])[0] == [0] * d.n
 
 
 def test_refine_follows_or_leaves_reference_trace():

@@ -332,6 +332,22 @@ def test_main_budget_exit(capsys):
     assert capsys.readouterr().err == "cap exceeded: |G|*m = 25 exceeds guard 16\n"
 
 
+def test_main_vertex_cap_refused_before_any_table(monkeypatch, capsys):
+    # |G| * m past the vertex cap is refused before a table is built, for
+    # the dispatch and for an explicit recipe alike.
+    from omsr import digraphs
+
+    def no_table(self, m, sets):
+        raise AssertionError("a connection table was built past the vertex cap")
+
+    monkeypatch.setattr(digraphs.ConnectionTable, "__init__", no_table)
+    assert main(["verify", "--group", "catalog:cyclic:1", "--m", "2000"]) == EXIT_CAP
+    assert capsys.readouterr().err == "cap exceeded: 2000 vertices exceeds cap 512\n"
+    assert main(["verify", "--group", "catalog:cyclic:300", "--m", "2",
+                 "--recipe", "cyclic"]) == EXIT_CAP
+    assert capsys.readouterr().err == "cap exceeded: 600 vertices exceeds cap 512\n"
+
+
 def test_main_exits_quietly_when_stdout_closes():
     # Like `| head -n 1`: the reader closes the pipe after the first line.
     # The sweep prints 78 KB of witnesses, more than a pipe holds, so it is

@@ -7,7 +7,7 @@ import pytest
 
 from omsr.constructions import (abelian_connection_table, cyclic_connection_table,
                                 nonabelian_connection_table)
-from omsr.digraphs import (ConnectionTable, Vertex, build_mcayley,
+from omsr.digraphs import (ConnectionTable, Digraph, Vertex, build_mcayley,
                            distance2_out_set, export_arclist, in_neighbors,
                            induced_subdigraph, is_connected, is_k_regular,
                            is_oriented, is_weakly_connected, out_neighbors,
@@ -106,10 +106,14 @@ def test_arc_rule():
 def test_in_adj_is_transpose():
     G, _ = catalog_group("cyclic", [5])
     rng = random.Random(3)
-    for _ in range(10):
-        d = build_mcayley(G, random_table(G, 2, rng))
+    digraphs = [build_mcayley(G, random_table(G, 2, rng)) for _ in range(10)]
+    # Out-lists given unsorted: the in-lists still come out sorted.
+    digraphs += [Digraph(n, [rng.sample(range(n), rng.randint(0, min(4, n))) for _ in range(n)])
+                 for n in (1, 5, 17, 40) for _ in range(3)]
+    for d in digraphs:
         arcs = set(d.arcs())
         assert arcs == {(u, v) for v in range(d.n) for u in d.in_adj[v]}
+        assert all(list(nbrs) == sorted(nbrs) for nbrs in d.in_adj)
 
 
 def test_out_neighbors_lemma_values():

@@ -113,14 +113,15 @@ def _refine(out_adj, in_adj, colors, active, reference=None):
     by the splitter queue of the module docstring, and its trace: one step
     (splitter start, cell count after the split) per splitter popped.  Only
     the cells starting at active are queued at first, so every other cell
-    must be stable.  Given a reference trace, returns None as soon as the run
+    must be stable.  The run recolors ``colors`` in place, so a caller passes
+    a list it owns.  Given a reference trace, returns None as soon as the run
     leaves it, else (colors, trace).
 
     Work per splitter is proportional to the vertices it hits: singleton and
     uniformly hit cells are passed over, and the untouched fragment is the
     cell's own set with the hits removed, neither copied nor recolored.  A
     cell with one hit splits in O(1), without grouping or sorting."""
-    n, colors, cells = len(colors), list(colors), collections.defaultdict(set)
+    n, cells = len(colors), collections.defaultdict(set)
     for v, c in enumerate(colors):
         cells[c].add(v)
     ncells, queue = len(cells), sorted(set(active))

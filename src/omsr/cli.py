@@ -7,7 +7,9 @@ order 2,000 (`groups.ORDER_CAP`) and |G| * m <= 16 for a sweep
 
 Exit codes: 0 verified (either direction, certified); 1 verification
 failed, or stdout closed early (`| head`), which ends quietly; 2 input
-error; 3 size or feasibility cap exceeded.
+error; 3 size or feasibility cap exceeded, or out of memory (as an
+all-witness sweep that holds too many witnesses), which ends with one
+line on stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -261,6 +263,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_INPUT
     except (TooLarge, InfeasibleSweep) as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print("cap exceeded: out of memory", file=sys.stderr)
         return EXIT_CAP
     except OmsrError as exc:
         print(f"error: {exc}", file=sys.stderr)

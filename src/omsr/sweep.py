@@ -19,22 +19,23 @@ test of isomorph-free generation (McKay, *Isomorph-free exhaustive
 generation*, J. Algorithms 1998): the engine runs only on a table that no
 single move sends to an earlier one.  Any other table has the |Aut| of its
 earlier image, which is oriented, meets the valency and comes earlier, so
-the scan already reached it: a first-stop scan skips the table, since that
-image was no witness (so the first witness is always measured), and an
-all-witness scan reads the order it recorded for the image.  The walk of
-every scan also applies that test to each finished row prefix, under the
-moves that keep its rows in place.  Such a move maps the subtree of the
-prefix one-to-one onto that of an earlier prefix, so the subtree is
-counted, not walked: it holds no new |Aut| and as many oriented tables as
-the earlier one, read from a memo (`_PrefixMemo`), and its witnesses are
-the earlier subtree's mapped back through the move's inverse.  A walked
-table whose earlier image lies in a skipped subtree reads its |Aut|
-through the move that skipped the image's prefix.  A table with no
-earlier image lies in no skipped subtree, since the skipping move would
-give it one, so the engine runs on the same tables either way.  The
-witnesses, the oriented count and the largest |Aut| are those of one
-engine call per table.  Witnesses stay rank keys until the scan returns
-them as tables.
+the scan already reached it: the table is a witness exactly when that
+image is in the witness list.  A first-stop scan never finds it there,
+since it would have stopped at the image.  The walk of every scan also
+applies that test to each finished row prefix, under the moves that keep
+its rows in place.  Such a move maps the subtree of the prefix one-to-one
+onto that of an earlier prefix, so the subtree is counted, not walked: it
+holds no new |Aut| and as many oriented tables as the earlier one, read
+from a memo (`_PrefixMemo`), and its witnesses are the earlier subtree's
+mapped back through the move's inverse, sorted.  A table with no earlier
+image lies in no skipped subtree, since the skipping move would give it
+one, so the engine runs on the same tables either way.  Witnesses stay
+rank keys until the scan returns them as tables, and the list stays
+sorted: keys compare as positions do, and walked and skipped witnesses
+are appended where the walk reaches them.  The witnesses, the oriented
+count and the largest |Aut| are those of one engine call per table, since
+each table's |Aut| is that of a measured one, through its image or
+through the move that skipped its prefix.
 
 Every scan runs inside the feasibility guard, |G|*m <= `GUARD_PRODUCT`,
 which bounds neither the number of tables nor the witness list.  The
@@ -46,6 +47,7 @@ guard with about 1.6 million witnesses each and take 46 s and 22 s on a
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -331,10 +333,9 @@ def _image(code, key) -> tuple:
 
 class _PrefixMemo:
     """What a scan and its walk share about each finished row prefix: its
-    oriented-table count (``counts``), its ``[start, end)`` range in the
-    scan's one list of witness keys (``ranges``, over ``witnesses``) and,
-    when it was skipped, the move that sends it to an earlier prefix
-    (``skips``).  A subtree is a contiguous run of positions, so its
+    oriented-table count (``counts``) and its ``[start, end)`` range in the
+    scan's one sorted list of witness keys (``ranges``, over
+    ``witnesses``).  A subtree is a contiguous run of positions, so its
     witnesses are a contiguous run of the list.  ``skipped`` sums the
     counts of skipped prefixes."""
 
@@ -342,7 +343,6 @@ class _PrefixMemo:
         self.moves = moves
         self.counts = {}
         self.ranges = {}
-        self.skips = {}
         self.witnesses = []
         self.skipped = 0
 
@@ -355,8 +355,7 @@ class _PrefixMemo:
         k = self.moves.earlier_move(key, row)
         if k is None:
             return None
-        code = self.moves.moves[k]
-        image = _image(code, key)
+        image = _image(self.moves.moves[k], key)
         # The image shares the key's parent prefix, so the walk finished it.
         count = self.counts.get(image)
         if count is None:
@@ -369,25 +368,8 @@ class _PrefixMemo:
             witnesses.extend(sorted([_image(inverse, w) for w in witnesses[start:end]]))
         self.counts[key] = count
         self.ranges[key] = begin, len(witnesses)
-        self.skips[key] = code
         self.skipped += count
         return count
-
-    def aut_order(self, key, orders: dict) -> int:
-        """|Aut| of the table ``key``, read from ``orders``, which holds
-        that of every walked table.  A key in a skipped subtree is carried
-        by the move that skipped its prefix into the earlier subtree, until
-        it reaches a walked table; the engine never runs."""
-        m = self.moves.m
-        while key not in orders:
-            for end in range(m, len(key), m):
-                code = self.skips.get(key[:end])
-                if code is not None:
-                    key = _image(code, key)
-                    break
-            else:
-                raise RuntimeError(f"no |Aut| for the table {key}")
-        return orders[key]
 
 
 def feasibility_guard(G: Group, m: int) -> bool:
@@ -416,8 +398,7 @@ def exhaustive_sweep(G: Group, m: int, all_witnesses: bool = False) -> SweepResu
         raise InfeasibleSweep(f"|G|*m = {G.order * m} exceeds guard {GUARD_PRODUCT}")
     moves = _RankedMoves(G, m)
     prefixes = _PrefixMemo(moves)
-    witnesses = prefixes.witnesses  # keys, in enumeration order
-    orders = {}  # |Aut| of each table walked and not skipped
+    witnesses = prefixes.witnesses  # keys, sorted
     oriented = top = 0
     for position, sets in enumerate_tables(G, m, prefixes):
         oriented += 1
@@ -425,13 +406,12 @@ def exhaustive_sweep(G: Group, m: int, all_witnesses: bool = False) -> SweepResu
         image = moves.earlier_image(key)
         if image is None:
             order = automorphisms(build_mcayley(G, ConnectionTable._of_cells(m, sets))).order
-        elif not all_witnesses:
-            continue
+            top = max(top, order)
+            witness = order == G.order
         else:
-            order = prefixes.aut_order(image, orders)
-        orders[key] = order
-        top = max(top, order)
-        if order == G.order:
+            i = bisect.bisect_left(witnesses, image)
+            witness = i < len(witnesses) and witnesses[i] == image
+        if witness:
             witnesses.append(key)
             if not all_witnesses:
                 examined = position

@@ -332,6 +332,17 @@ def test_main_budget_exit(capsys):
     assert capsys.readouterr().err == "cap exceeded: |G|*m = 25 exceeds guard 16\n"
 
 
+def test_main_out_of_memory_is_cap_exit(monkeypatch, capsys):
+    # A scan that runs out of memory ends with one line, not a traceback.
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(omsr.sweep, "exhaustive_sweep", exhausted)
+    assert main(["sweep", "--group", "catalog:cyclic:2", "--m", "6",
+                 "--all-witnesses"]) == EXIT_CAP
+    assert capsys.readouterr() == ("", "cap exceeded: out of memory\n")
+
+
 def test_main_vertex_cap_refused_before_any_table(monkeypatch, capsys):
     # |G| * m past the vertex cap is refused before a table is built, for
     # the dispatch and for an explicit recipe alike.

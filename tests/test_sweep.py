@@ -565,7 +565,8 @@ def test_prefix_skip_walked_tables_pinned(monkeypatch):
             yield item
 
     monkeypatch.setattr(omsr.sweep, "enumerate_tables", forwarding)
-    monkeypatch.setattr(omsr.sweep, "automorphisms", lambda d: calls.append(d) or engine(d))
+    monkeypatch.setattr(omsr.sweep, "automorphisms",
+                        lambda d: calls.append(engine(d)) or calls[-1])
     pins = {(Z1, 5): (2, 24, 1), (Z1, 6): (20, 570, 6), (cyclic(2), 3): (3, 10, 2),
             (klein(), 2): (3, 6, 3)}
     for (G, m), want in pins.items():
@@ -583,6 +584,7 @@ def test_prefix_skip_walked_tables_pinned(monkeypatch):
         calls.clear()
         result = exhaustive_sweep(G, m, all_witnesses=True)
         assert (len(walked), result.oriented_count, len(calls)) == want, (G, m)
+        assert result.max_aut_order_seen == max(aut.order for aut in calls), (G, m)
 
 
 def test_prefix_memo_records_every_earlier_prefix():
@@ -631,10 +633,11 @@ def relabelled(G, rng):
 
 
 def test_all_witness_prefix_skip_matches_full_walk():
-    # Witnesses mapped back from earlier prefixes through inverse moves, in
-    # order, and |Aut| read through skipped prefixes, against a direct engine
-    # call on every table of the full walk.  D3 and Z6 have gauges that are
-    # not involutions; the relabelled groups are the benchmark's input shape.
+    # Witnesses mapped back from earlier prefixes through inverse moves and
+    # witnesses read from earlier images, in order, and the largest |Aut|,
+    # against a direct engine call on every table of the full walk.  D3 and
+    # Z6 have gauges that are not involutions; the relabelled groups are the
+    # benchmark's input shape.
     rng = random.Random(7)
     cells = [(cyclic(2), 4), (cyclic(3), 3), (catalog_group("dihedral", [3])[0], 2),
              (cyclic(6), 2), (relabelled(klein(), rng), 3), (relabelled(cyclic(4), rng), 3)]
@@ -645,22 +648,3 @@ def test_all_witness_prefix_skip_matches_full_walk():
         assert result.max_aut_order_seen == max(o for o, _ in orders), (G, m)
         want = [ConnectionTable(m, sets).to_text() for o, sets in orders if o == G.order]
         assert [w.to_text() for w in result.witnesses] == want, (G, m)
-
-
-def test_aut_order_reads_through_skipped_prefixes():
-    # After a walk that skips prefixes, every oriented table's |Aut| is read
-    # from the walked tables alone, through the moves that skipped its
-    # prefixes (Z3's gauges are not involutions).  With no walked table
-    # recorded, the lookup raises instead of calling the engine.
-    G = cyclic(3)
-    ranked = _RankedMoves(G, 3)
-    prefixes = _PrefixMemo(ranked)
-    orders = {ranked.key(sets): engine_order(G, 3, sets)
-              for _, sets in enumerate_tables(G, 3, prefixes)}
-    assert len(orders) == 162 and prefixes.skips
-    for _, sets in enumerate_tables(G, 3):
-        assert prefixes.aut_order(ranked.key(sets), orders) == engine_order(G, 3, sets)
-    key = next(key for key in (ranked.key(sets) for _, sets in enumerate_tables(G, 3))
-               if key not in orders)
-    with pytest.raises(RuntimeError, match="no \\|Aut\\|"):
-        prefixes.aut_order(key, {})

@@ -21,9 +21,12 @@ path's refinement at its level (nauty's trace comparison; McKay and Piperno,
 Practical graph isomorphism II, 2014): an automorphism mapping the path's
 prefix to the probe's would map one run onto the other step by step.  On an
 m-Cayley digraph the right translations by a generating set of G are checked
-and seeded, so an OmSR costs one path plus m - 1 block probes.  Only
-generators and |Aut| are kept.  A factorial brute-force oracle cross-checks
-tiny digraphs.
+and seeded, so an OmSR costs one path plus m - 1 block probes.  A call pays
+for those refinements and little else: the translations are built once per
+(G, m) and kept on G, though every call checks them; each path level keeps
+its cell sets, and a probe starts from a copy of its level's dict, O(cells),
+copying a set only when it splits it.  Only generators and |Aut| are kept.
+A factorial brute-force oracle cross-checks tiny digraphs.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from . import perms as permlib
-from .digraphs import Digraph, MCayleyDigraph, is_connected, is_k_regular, is_oriented, right_translation
+from .digraphs import Digraph, MCayleyDigraph, _reachable, right_translation
 from .errors import BlockMismatch, TooLarge
 from .groups import Group, generating_set
 from .reports import VerificationReport
@@ -108,23 +111,32 @@ def _generating_subset(elements, degree):
 
 # --- refinement --------------------------------------------------------------
 
-def _refine(out_adj, in_adj, colors, active, reference=None):
+def _cells(colors) -> dict:
+    """The cell sets of a coloring by cell starts, keyed by start."""
+    cells = collections.defaultdict(set)
+    for v, c in enumerate(colors):
+        cells[c].add(v)
+    return cells
+
+
+def _refine(out_adj, in_adj, colors, active, reference=None, cells=None, shared=frozenset()):
     """Coarsest equitable refinement of a partition colored by cell starts,
     by the splitter queue of the module docstring, and its trace: one step
     (splitter start, cell count after the split) per splitter popped.  Only
     the cells starting at active are queued at first, so every other cell
-    must be stable.  The run recolors ``colors`` in place, so a caller passes
-    a list it owns.  Given a reference trace, returns None as soon as the run
-    leaves it, else (colors, trace).
+    must be stable.  The run recolors ``colors`` and updates ``cells``, the
+    sets by start (from `_cells` when not given), in place, so a caller
+    passes ones it owns; the set of a start in ``shared`` is another
+    partition's and is copied before it is split.  Given a reference trace,
+    returns None as soon as the run leaves it, else (colors, trace).
 
     Work per splitter is proportional to the vertices it hits: singleton and
     uniformly hit cells are passed over, and the untouched fragment is the
     cell's own set with the hits removed, neither copied nor recolored.  A
     cell with one hit splits in O(1), without grouping or sorting."""
-    n, cells = len(colors), collections.defaultdict(set)
-    for v, c in enumerate(colors):
-        cells[c].add(v)
-    ncells, queue = len(cells), sorted(set(active))
+    if cells is None:
+        cells = _cells(colors)
+    n, ncells, queue = len(colors), len(cells), sorted(set(active))
     queued, trace = set(queue), []
     while queue and ncells < n:
         s = heapq.heappop(queue)
@@ -144,6 +156,10 @@ def _refine(out_adj, in_adj, colors, active, reference=None):
                 touched[c] = [u]
         for c, hits in touched.items():
             cell = cells[c]
+            if c in shared:
+                # Another partition's set: copied before it can be split.
+                shared.discard(c)
+                cell = cells[c] = set(cell)
             if len(hits) == 1:
                 # The split below in O(1): the hit is a queued singleton at the
                 # cell's end; the rest keeps the cell's set, start and queue state.
@@ -219,12 +235,19 @@ def _is_automorphism(d: Digraph, p) -> bool:
     return True
 
 
-def _individualize(out_adj, in_adj, colors, v, reference=None):
+def _individualize(out_adj, in_adj, colors, v, reference=None, cells=None):
     """Refine an equitable coloring by v, moved to the end of its cell, as
-    _refine does."""
-    fresh = list(colors)
-    fresh[v] += colors.count(colors[v]) - 1
-    return _refine(out_adj, in_adj, fresh, [fresh[v]], reference)
+    _refine does.  ``cells``, the coloring's cells (from `_cells` when not
+    given), is a dict the caller owns whose sets another partition holds:
+    the run splits and refines in it, copying each set before changing it."""
+    fresh, c = list(colors), colors[v]
+    if cells is None:
+        cells = _cells(colors)
+    shared = cells.keys() - {c}
+    rest = cells[c] = cells[c] - {v}
+    start = fresh[v] = c + len(rest)
+    cells[start] = {v}
+    return _refine(out_adj, in_adj, fresh, [start], reference, cells, shared)
 
 
 def _aut_elements(d: Digraph):
@@ -234,49 +257,59 @@ def _aut_elements(d: Digraph):
     # On a degree-regular digraph the uniform partition is equitable as it
     # is; traces[0] is never a probe's reference.
     regular = len(set(map(len, out_adj))) < 2 and len(set(map(len, in_adj))) < 2
-    colors, trace = ([0] * n, []) if regular else _refine(out_adj, in_adj, [0] * n, [0])
-    path, traces, base = [colors], [trace], []
-    while len(sizes := collections.Counter(path[-1])) < n:
+    cells = {0: set(range(n))}
+    colors, trace = ([0] * n, []) if regular else _refine(out_adj, in_adj, [0] * n, [0],
+                                                          cells=cells)
+    # Each level keeps its coloring and its cells; a level's sets are shared
+    # with the levels and probes refined from it, which copy one to split it.
+    path, levels, traces, base = [colors], [cells], [trace], []
+    while len(cells) < n:
         # First vertex of the smallest non-singleton cell.
-        target = min((size, c) for c, size in sizes.items() if size > 1)[1]
-        base.append(path[-1].index(target))
-        colors, trace = _individualize(out_adj, in_adj, path[-1], base[-1])
+        target = min((len(cell), c) for c, cell in cells.items() if len(cell) > 1)[1]
+        base.append(min(cells[target]))
+        cells = dict(cells)
+        colors, trace = _individualize(out_adj, in_adj, colors, base[-1], cells=cells)
         path.append(colors)
+        levels.append(cells)
         traces.append(trace)
-    cell_starts = [set(c) for c in path]
 
-    def probe(level, colors, u):
+    def probe(level, colors, cells, u):
         """First automorphism fixing base[:level] that maps base[level] to u.
         One that exists maps the path's refinement onto the probe's step by
         step, so the probe stops where its trace leaves traces[level + 1]."""
-        run = _individualize(out_adj, in_adj, colors, u, traces[level + 1])
-        if run is None or set(run[0]) != cell_starts[level + 1]:
+        cells = dict(cells)
+        run = _individualize(out_adj, in_adj, colors, u, traces[level + 1], cells)
+        if run is None or cells.keys() != levels[level + 1].keys():
             return None
         c2 = run[0]
         if level + 1 == len(base):
             perm = permlib.compose(path[-1], permlib.inverse(c2))
             return perm if _is_automorphism(d, perm) else None
         target = path[level + 1][base[level + 1]]
-        found = (probe(level + 1, c2, w) for w in range(n) if c2[w] == target)
+        found = (probe(level + 1, c2, cells, w) for w in sorted(cells[target]))
         return next((g for g in found if g is not None), None)
 
     seeds, embed = [], None
     if isinstance(d, MCayleyDigraph):
         # R(G) is generated by the translations of a generating set of G, so
-        # it embeds exactly when all of those pass.
-        translations = [right_translation(d.group, d.m, g) for g in generating_set(d.group)]
+        # it embeds exactly when all of those pass.  They are built once per
+        # (G, m) and kept on G.
+        G, key = d.group, ("translations", d.m)
+        if key not in G._memo:
+            G._memo[key] = [right_translation(G, d.m, g) for g in generating_set(G)]
+        translations = G._memo[key]
         seeds = [t for t in translations if _is_automorphism(d, t)]
         embed = len(seeds) == len(translations)
 
     gens, order = [], 1
     for level in reversed(range(len(base))):
         known = gens + seeds if level == 0 else list(gens)
-        colors, b = path[level], base[level]
+        colors, cells, b = path[level], levels[level], base[level]
         orbit, failed = permlib.orbit(known, b), set()
-        for u in range(n):
-            if colors[u] != colors[b] or u in orbit or u in failed:
+        for u in sorted(cells[colors[b]]):
+            if u in orbit or u in failed:
                 continue
-            g = probe(level, colors, u)
+            g = probe(level, colors, cells, u)
             if g is None:
                 failed |= permlib.orbit(known, u)
             else:
@@ -345,16 +378,23 @@ def is_omsr(gamma: MCayleyDigraph, G: Group, m: int,
         raise BlockMismatch(f"digraph over |G| = {gamma.group.order} with m = {gamma.m}, "
                             f"asked for |G| = {G.order} with m = {m}")
     start = time.perf_counter()
-    oriented = is_oriented(gamma)
-    regular = is_k_regular(gamma, VALENCY)
-    connected = is_connected(gamma)
+    # One sweep over the arcs: an arc u -> w with u in w's out-set is a loop
+    # (w = u) or half a digon.  When every in-degree equals its out-degree,
+    # each weak component is strong, so reaching all from vertex 0 suffices.
+    out_adj, n = gamma.out_adj, gamma.n
+    degrees = list(map(len, out_adj))
+    balanced = degrees == list(map(len, gamma.in_adj))
+    regular = balanced and degrees.count(VALENCY) == n
+    oriented = not any(u in gamma.out_sets[w] for u, nbrs in enumerate(out_adj) for w in nbrs)
+    connected = _reachable(out_adj, 0) == n and (balanced or _reachable(gamma.in_adj, 0) == n)
     A = automorphisms(gamma)
+    orbits = permlib.orbit_partition(A.generators, A.degree)
     verdict = bool(oriented and regular and A.order == G.order)
     elapsed = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
         group_label=G.label or f"order-{G.order}", m=m, group_order=G.order,
         construction_kind=construction_kind, omsr=verdict,
         oriented=oriented, regular2=regular, connected=connected,
-        aut_order=A.order, stabilizer_order=A.order // len(permlib.orbit(A.generators, 0)),
-        orbit_count=orbit_count(A), translations_embed=A.translations_embed,
+        aut_order=A.order, stabilizer_order=A.order // len(orbits[0]),
+        orbit_count=len(orbits), translations_embed=A.translations_embed,
         runtime_ms=elapsed)

@@ -36,15 +36,18 @@ def _idx(x) -> int:
 
 class Group:
     """Immutable finite group given by its full multiplication table, as
-    tuples of the Python ints it is given; the constructor checks nothing."""
+    tuples of the Python ints it is given; the constructor checks nothing.
+    ``_memo`` keeps what is derived from it once: the generating set and the
+    engine's right-translation seeds per m."""
 
-    __slots__ = ("order", "mult", "inv", "label")
+    __slots__ = ("order", "mult", "inv", "label", "_memo")
 
     def __init__(self, mult, inv, label=""):
         self.order = len(mult)
         self.mult = tuple(map(tuple, mult))
         self.inv = tuple(inv)
         self.label = label
+        self._memo = {}
 
     def mul(self, x, y) -> int:
         return self.mult[_idx(x)][_idx(y)]
@@ -227,8 +230,10 @@ def closure(G: Group, gens) -> set:
 
 def generating_set(G: Group) -> list:
     """Greedy generating set: each element, in index order, that is not in
-    the subgroup generated by the ones before it."""
-    return list(_greedy_generators(G.mult))
+    the subgroup generated by the ones before it.  Found once per group."""
+    if "generators" not in G._memo:
+        G._memo["generators"] = tuple(_greedy_generators(G.mult))
+    return list(G._memo["generators"])
 
 
 def generates(G: Group, S) -> bool:

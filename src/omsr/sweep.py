@@ -155,13 +155,14 @@ def enumerate_tables(G: Group, m: int,
     oriented table is yielded.
     """
     n = G.order
-    # Per size: (subset, its inverse set, allowed on the diagonal).
+    # Per size: (subset, its rank, its inverse set, allowed on the diagonal).
     subsets = {s: [] for s in range(min(VALENCY, n) + 1)}
-    for sub in _cell_order(n):
+    for rank, sub in enumerate(_cell_order(n)):
         sub_inv = frozenset(G.inv[t] for t in sub)
-        subsets[len(sub)].append((sub, sub_inv, 0 not in sub and not sub & sub_inv))
+        subsets[len(sub)].append((sub, rank, sub_inv, 0 not in sub and not sub & sub_inv))
     colrem = [VALENCY] * m
     current = [[frozenset()] * m for _ in range(m)]
+    ranks = [0] * (m * m)  # row-major cell ranks of ``current``, as _RankedMoves codes them
     position = reached = 0  # reached: oriented tables yielded or counted
 
     def fill_cell(i, j, rowrem):
@@ -173,7 +174,7 @@ def enumerate_tables(G: Group, m: int,
                 yield position, tuple(tuple(row) for row in current)
                 return
             if prefixes is not None:
-                key = prefixes.moves.key(current[:i + 1])
+                key = tuple(ranks[:(i + 1) * m])
                 count = prefixes.skip(key, i) if reached else None
                 if count is not None:
                     position += _completions(n, 0, colrem.count(2), colrem.count(1), 0, 0)
@@ -192,10 +193,11 @@ def enumerate_tables(G: Group, m: int,
             colrem[j] -= s
             below = _completions(n, rowrem - s, colrem.count(2), colrem.count(1), a2, b1)
             if below:
-                for sub, sub_inv, diagonal_ok in subsets[s]:
+                for sub, rank, sub_inv, diagonal_ok in subsets[s]:
                     if (diagonal_ok if i == j
                             else partner is None or not sub_inv & partner):
                         current[i][j] = sub
+                        ranks[i * m + j] = rank
                         yield from fill_cell(i, j + 1, rowrem - s)
                     else:
                         position += below
@@ -277,9 +279,9 @@ class _RankedMoves:
 
     def table(self, key) -> ConnectionTable:
         """The table of a full key, built on the shared cells."""
-        cells, m = self.cells, self.m
-        return ConnectionTable._of_cells(m, tuple([tuple([cells[r] for r in key[i:i + m]])
-                                                   for i in range(0, m * m, m)]))
+        cells = map(self.cells.__getitem__, key)
+        # zip over m references to one iterator groups its cells by row.
+        return ConnectionTable._of_cells(self.m, tuple(zip(*[cells] * self.m)))
 
     def inverse(self, k: int) -> tuple:
         """The code of the inverse of move ``k``, built on first use: source

@@ -13,12 +13,12 @@ from omsr.automorphisms import (VERTEX_CAP, PermutationGroup, _individualize, _r
                                 refine, stabilizer)
 from omsr.constructions import (cyclic_connection_table, nonabelian_connection_table,
                                 recipe_table)
-from omsr.digraphs import (ConnectionTable, Digraph, MCayleyDigraph, build_mcayley,
-                           right_translation)
+from omsr.digraphs import (ConnectionTable, Digraph, MCayleyDigraph, _reachable, build_mcayley,
+                           is_connected, is_k_regular, is_oriented, right_translation)
 from omsr.errors import BlockMismatch, TooLarge
-from omsr.groups import catalog_group, normalize_generating_pair
+from omsr.groups import catalog_group, group_from_cayley_table, normalize_generating_pair
 from omsr.perms import compose, inverse, orbit_partition
-from omsr.sweep import enumerate_tables
+from omsr.sweep import enumerate_tables, exhaustive_sweep
 
 
 def directed_cycle(n):
@@ -342,9 +342,9 @@ def test_verify_costs_at_most_2m_individualizations(monkeypatch):
     calls, aborted = [], []
     original = engine._individualize
 
-    def counting(out_adj, in_adj, colors, v, reference=None):
-        calls.append(v)
-        run = original(out_adj, in_adj, colors, v, reference)
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        run = original(*args, **kwargs)
         aborted.append(run is None)
         return run
 
@@ -375,6 +375,97 @@ def test_verify_refines_only_individualizations(monkeypatch):
     d = build_mcayley(G, cyclic_connection_table(G, pair.a, 5))
     assert is_omsr(d, G, 5).omsr
     assert len(calls) == 5
+
+
+def test_search_never_rebuilds_cells_from_colors(monkeypatch):
+    # Each level of the search path keeps its cells, and the top level
+    # starts from the one uniform cell, so the helper that builds cells from
+    # colours serves only callers that have colours alone.
+    engine = importlib.import_module("omsr.automorphisms")
+    calls = []
+    original = engine._cells
+    monkeypatch.setattr(engine, "_cells", lambda colors: calls.append(colors) or original(colors))
+    rng = random.Random(77)
+    cases = list(oracle_cases(rng))
+    for family, params, m in (("cyclic", [48], 5), ("alternating", [5], 4)):
+        G, pair = catalog_group(family, params)
+        cases.append(build_mcayley(G, recipe_table(G, pair, m)[0]))
+    orders = [automorphisms(d).order for d in cases]
+    assert calls == []
+    assert all(order == brute_force_automorphisms(d).order
+               for d, order in zip(cases, orders) if d.n <= 8)
+    _refine(cases[0].out_adj, cases[0].in_adj, [0] * cases[0].n, [0])
+    assert len(calls) == 1
+
+
+def test_translation_seeds_built_once_per_group_and_m(monkeypatch):
+    # The all-witness Z2^2 m=3 scan calls the engine 66 times on one group:
+    # the translations by its 2 generators are built once, and still
+    # checked on every call.
+    engine = importlib.import_module("omsr.automorphisms")
+    built, checked = [], []
+    original, is_aut = engine.right_translation, engine._is_automorphism
+    monkeypatch.setattr(engine, "right_translation",
+                        lambda G, m, g: built.append((G, m, g)) or original(G, m, g))
+    monkeypatch.setattr(engine, "_is_automorphism",
+                        lambda d, p: checked.append(p) or is_aut(d, p))
+    K, _ = catalog_group("elementary_abelian_2", [2])
+    result = exhaustive_sweep(K, 3, all_witnesses=True)
+    assert len(result.witnesses) == 1152
+    assert built == [(K, 3, 1), (K, 3, 2)]
+    seeds = K._memo[("translations", 3)]
+    assert sum(any(p is t for t in seeds) for p in checked) == 2 * 66
+    automorphisms(build_mcayley(K, recipe_table(K, None, 5)[0]))
+    assert built[2:] == [(K, 5, 1), (K, 5, 2)]
+    # A relabelled copy is another Group: it builds its own seeds, once,
+    # from its own generating set ([1, 2] here, where Z4 has [1]).
+    Z4, _ = catalog_group("cyclic", [4])
+    sigma = [0, 2, 1, 3]
+    table = [[0] * 4 for _ in range(4)]
+    for x in range(4):
+        for y in range(4):
+            table[sigma[x]][sigma[y]] = sigma[Z4.mult[x][y]]
+    Z4b = group_from_cayley_table(table)
+    T = ConnectionTable(3, [[[], [1, 2], []], [[], [], [1, 3]], [[1, 2], [], []]])
+    for G in (Z4, Z4b, Z4, Z4b):
+        assert automorphisms(build_mcayley(G, T)).translations_embed
+    assert built[4:] == [(Z4, 3, 1), (Z4b, 3, 1), (Z4b, 3, 2)]
+
+
+def test_is_omsr_checks_match_predicates():
+    # is_omsr reads orientation, 2-regularity and strong connectivity off
+    # one sweep; the three predicates decide each on its own.
+    def check(G, table):
+        d = build_mcayley(G, table)
+        report = is_omsr(d, G, table.m)
+        want = (is_oriented(d), is_k_regular(d, 2), is_connected(d))
+        assert (report.oriented, report.regular2, report.connected) == want
+        return want
+
+    rng = random.Random(4242)
+    seen = set()
+    for family, params in (("cyclic", [1]), ("cyclic", [2]), ("cyclic", [3]),
+                           ("elementary_abelian_2", [2]), ("dihedral", [3])):
+        G, _ = catalog_group(family, params)
+        for m in range(1, 5):
+            for _ in range(6):
+                if G.order > 1 or m > 1:
+                    seen.add(check(G, random_valency2_table(G, m, rng)))
+                seen.add(check(G, random_table(G, m, rng)))
+    assert len(seen) >= 5
+    Z1, _ = catalog_group("cyclic", [1])
+    # 0 -> 1 and a loop at 1: vertex 0 reaches everything, but nothing
+    # reaches it, and the in- and out-degrees differ.
+    d = build_mcayley(Z1, ConnectionTable.from_dict(2, {(0, 1): [0], (1, 1): [0]}))
+    assert _reachable(d.out_adj, 0) == d.n
+    assert check(Z1, d.table) == (False, False, False)
+    # Two copies of the oriented Cay(Z5, {1, 2}): 2-regular, not connected.
+    Z5, _ = catalog_group("cyclic", [5])
+    assert check(Z5, ConnectionTable.from_dict(2, {(0, 0): [1, 2], (1, 1): [1, 2]})) == \
+        (True, True, False)
+    # Cay(Z3, {0, 1}): a loop at every vertex, 2-regular and connected.
+    Z3, _ = catalog_group("cyclic", [3])
+    assert check(Z3, ConnectionTable.from_dict(1, {(0, 0): [0, 1]})) == (False, True, True)
 
 
 def test_z100_m5_near_vertex_cap():

@@ -1,5 +1,6 @@
 """CLI commands, exit codes, JSON outputs, roster coverage."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -442,3 +443,30 @@ def test_verify_klein_four_reads_packaged_cache(tmp_path, monkeypatch, capsys):
     assert "omsr=True" in capsys.readouterr().out
     assert sorted(p.name for p in wdir.iterdir()) == before
     assert not list(wdir.glob("Z2e2_*"))
+
+
+# SHA-256 of report_fields_digest(): every report field but runtime_ms, so a
+# change in stabilizer_order, orbit_count or connected anywhere on the roster
+# shows, not only the verdict, construction and |Aut| the corpus keeps.
+REPORT_FIELDS_SHA256 = "43a420b442122dda6cf4a86010011d230c714d2251badf1c8cadf22f7a065dc7"
+
+
+def report_fields_digest():
+    """Hash of `verify_instance(G, pair, m).to_dict()` without runtime_ms
+    over group_roster(16) x m = 2..5 and the recipe digraphs of Z48 m=5,
+    Z6xZ8 m=5 and A5 m=4."""
+    cells = [(G, pair, m) for G, pair in group_roster(16) for m in range(2, 6)]
+    for family, params, m in (("cyclic", [48], 5), ("cyclic_product", [6, 8], 5),
+                              ("alternating", [5], 4)):
+        cells.append((*catalog_group(family, params), m))
+    h = hashlib.sha256()
+    for G, pair, m in cells:
+        fields = verify_instance(G, pair, m).to_dict()
+        del fields["runtime_ms"]
+        h.update(json.dumps(fields, sort_keys=True).encode())
+    return len(cells), h.hexdigest()
+
+
+def test_report_fields_pinned(monkeypatch, tmp_path):
+    monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
+    assert report_fields_digest() == (131, REPORT_FIELDS_SHA256)

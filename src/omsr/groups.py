@@ -8,6 +8,7 @@ by Light's test, at every order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,8 +38,8 @@ def _idx(x) -> int:
 class Group:
     """Immutable finite group given by its full multiplication table, as
     tuples of the Python ints it is given; the constructor checks nothing.
-    ``_memo`` keeps what is derived from it once: the generating set and the
-    engine's right-translation seeds per m."""
+    ``_memo`` keeps what is derived from it once: the generating set, the
+    automorphism generators and the engine's right-translation seeds per m."""
 
     __slots__ = ("order", "mult", "inv", "label", "_memo")
 
@@ -234,6 +235,54 @@ def generating_set(G: Group) -> list:
     if "generators" not in G._memo:
         G._memo["generators"] = tuple(_greedy_generators(G.mult))
     return list(G._memo["generators"])
+
+
+def automorphism_generators(G: Group) -> list:
+    """A small generating set of Aut(G), each automorphism as its element
+    map: the tuple whose entry x is the image of element x.  Found once per
+    group; a group with trivial Aut(G) gets [].
+
+    An automorphism is fixed by its images of `generating_set(G)`, each of
+    its generator's order.  Each tuple of such images that the kept maps do
+    not already generate defines a map along a breadth-first tree of words,
+    image(x * g) = image(x) * image(g).  The map is kept when it is a
+    bijection and that rule holds for every x and every generator, which
+    makes it a homomorphism.  Each kept map at least doubles the group
+    generated, so at most log2 |Aut(G)| are kept.
+    """
+    if "automorphisms" not in G._memo:
+        n, mult, gens = G.order, G.mult, generating_set(G)
+        words, seen, queue = [], {0}, [0]  # words: (y, x, k), y = x * gens[k]
+        for x in queue:
+            for k, g in enumerate(gens):
+                y = mult[x][g]
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+                    words.append((y, x, k))
+        orders = [element_order(G, x) for x in range(n)]
+        choices = [[y for y in range(n) if orders[y] == orders[g]] for g in gens]
+        ident = tuple(range(n))
+        kept, generated = [], {tuple(gens)}  # generated: the kept maps' images of gens
+        for images in itertools.product(*choices):
+            if images in generated:
+                continue
+            alpha = [0] * n
+            for y, x, k in words:
+                alpha[y] = mult[alpha[x]][images[k]]
+            if len(set(alpha)) == n and all(alpha[mult[x][g]] == mult[alpha[x]][a]
+                                            for x in range(n) for g, a in zip(gens, images)):
+                kept.append(tuple(alpha))
+                group, queue = {ident}, [ident]
+                for beta in queue:  # BFS over compositions with the kept maps
+                    for gamma in kept:
+                        delta = tuple([gamma[x] for x in beta])
+                        if delta not in group:
+                            group.add(delta)
+                            queue.append(delta)
+                generated = {tuple([beta[g] for g in gens]) for beta in group}
+        G._memo["automorphisms"] = tuple(kept)
+    return list(G._memo["automorphisms"])
 
 
 def generates(G: Group, S) -> bool:

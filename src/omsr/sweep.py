@@ -13,8 +13,12 @@ all constrained tables.
 
 `exhaustive_sweep` is the one scan, and its witnesses come back in
 enumeration order; `find_witness` is its first-stop form.  |Aut| is the
-same on every table in an orbit of G^m x| S_m, extended by the converse
-map (see `_table_moves`).  Every scan applies one rule, the cheap local
+same on every table in an orbit of (G^m x| S_m) x| Aut(G), extended by
+the converse map (see `_table_moves`): the group automorphisms act cell
+by cell, and on OmSRs the orbits without the converse are the
+isomorphism classes, by the m-block form of Babai's Cayley-isomorphism
+argument (*Isomorphism problem for a class of point-symmetric
+structures*, 1977).  Every scan applies one rule, the cheap local
 test of isomorph-free generation (McKay, *Isomorph-free exhaustive
 generation*, J. Algorithms 1998): the engine runs only on a table that no
 single move sends to an earlier one.  Any other table has the |Aut| of its
@@ -40,9 +44,11 @@ through the move that skipped its prefix.
 Every scan runs inside the feasibility guard, |G|*m <= `GUARD_PRODUCT`,
 which bounds neither the number of tables nor the witness list.  The
 first-stop scans it admits end within seconds, up to Z1 at m = 16.  An
-all-witness scan holds every witness: Z1 at m = 8 and Z4 at m = 4 pass the
-guard with about 1.6 million witnesses each and take 46 s and 22 s on a
-2-core Xeon, and Z2 at m = 6 needs more than 3 GB.
+all-witness scan holds every witness: Z4 at m = 4 passes the guard with
+1,582,080 of them and takes 15 s and 1.0 GB on a 2-core x86-64 host
+(17.5 s there without the automorphism moves).  Z1 at m = 8 holds about
+1.6 million too, in 2.6 GB, and has no automorphism move, since Aut(Z1)
+is trivial.  Z2 at m = 6 needs more than 3 GB.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ from typing import Iterator, List, Optional, Tuple
 from .automorphisms import VALENCY, automorphisms
 from .digraphs import ConnectionTable, build_mcayley
 from .errors import InfeasibleSweep
-from .groups import Group, generating_set
+from .groups import Group, automorphism_generators, generating_set
 
 GUARD_PRODUCT = 16
 
@@ -208,28 +214,34 @@ def enumerate_tables(G: Group, m: int,
 
 
 def _table_moves(G: Group, m: int) -> list:
-    """Moves of G^m x| S_m, with the converse, as (h, sigma, converse).
+    """Moves of (G^m x| S_m) x| Aut(G), with the converse, as
+    (h, sigma, alpha, converse), ``alpha`` an element map.
 
-    (h, sigma) relabels vertex (x, i) of ``build_mcayley(G, T)`` as
-    (h_i * x, sigma(i)).  Arcs run (x, i) -> (t * x, j), so the image is the
-    digraph of T'[sigma(i)][sigma(j)] = h_j T[i][j] h_i^-1.  The converse
-    T'[j][i] = T[i][j]^-1 reverses every arc under the identity map, and a
-    move with ``converse`` set applies it after (h, sigma).  Every move
-    keeps |Aut|, orientation and the row and column totals.
+    (h, sigma, alpha) relabels vertex (x, i) of ``build_mcayley(G, T)`` as
+    (alpha(h_i * x), sigma(i)).  Arcs run (x, i) -> (t * x, j), so the image
+    is the digraph of T'[sigma(i)][sigma(j)] = alpha(h_j T[i][j] h_i^-1).
+    The converse T'[j][i] = T[i][j]^-1 reverses every arc under the
+    identity map, and a move with ``converse`` set applies it after
+    (h, sigma, alpha).  Every move keeps |Aut|, orientation and the row and
+    column totals.
 
     The list holds the gauge h_i = g for every block i and every g of a
-    generating set, every block transposition and the m-cycle, each alone
-    and followed by the converse, and then the converse alone.
+    generating set, every block transposition, the m-cycle and every
+    automorphism of `automorphism_generators`, each alone and followed by
+    the converse, and then the converse alone.  Only a gauge or an
+    automorphism, not followed by the converse, keeps every row in place.
     """
     blocks = tuple(range(m))
-    ident = (0,) * m
-    gauges = [(ident[:i] + (g,) + ident[i + 1:], blocks)
+    ident, same = (0,) * m, tuple(range(G.order))
+    gauges = [(ident[:i] + (g,) + ident[i + 1:], blocks, same)
               for i in blocks for g in generating_set(G)]
-    swaps = [(ident, tuple(j if b == i else i if b == j else b for b in blocks))
+    swaps = [(ident, tuple(j if b == i else i if b == j else b for b in blocks), same)
              for i, j in itertools.combinations(blocks, 2)]
-    cycle = [(ident, blocks[1:] + blocks[:1])] if m > 2 else []
-    moves = [(h, sigma, c) for c in (False, True) for h, sigma in gauges + swaps + cycle]
-    return moves + [(ident, blocks, True)]
+    cycle = [(ident, blocks[1:] + blocks[:1], same)] if m > 2 else []
+    autos = [(ident, blocks, alpha) for alpha in automorphism_generators(G)]
+    moves = [(h, sigma, alpha, c) for c in (False, True)
+             for h, sigma, alpha in gauges + swaps + cycle + autos]
+    return moves + [(ident, blocks, same, True)]
 
 
 class _RankedMoves:
@@ -240,35 +252,36 @@ class _RankedMoves:
     ``itertools.combinations``.  A table's key is the row-major tuple of its
     cell ranks, so keys compare exactly as enumeration positions do.  A
     coded move lists, for each target cell in row-major order, its source
-    cell and the rank map of the element map between them.
+    cell and the rank map of the cell-wise element map between them,
+    t -> alpha(h_j t h_i^-1), inverted after the converse.  Rank maps are
+    memoised on the element map alpha with h_i, h_j and the converse flag,
+    so each is ranked once for all the cells and moves that share it.
     """
 
     def __init__(self, G: Group, m: int):
-        n = G.order
+        n, mult, inv = G.order, G.mult, G.inv
         self.cells = _cell_order(n)
         self._rank = {sub: r for r, sub in enumerate(self.cells)}
         rank_maps = {}
-        coded = {}
         moves = _table_moves(G, m)
-        for move in moves:
-            h, sigma, converse = move
+        self.moves = []
+        for h, sigma, alpha, converse in moves:
             code = [None] * (m * m)
             for i, j in itertools.product(range(m), repeat=2):
-                f = (h[i], h[j], converse)
+                f = (h[i], h[j], alpha, converse)
                 if f not in rank_maps:
-                    image = [G.mult[G.mult[h[j]][t]][G.inv[h[i]]] for t in range(n)]
+                    image = [alpha[mult[mult[h[j]][t]][inv[h[i]]]] for t in range(n)]
                     if converse:
-                        image = [G.inv[x] for x in image]
+                        image = [inv[x] for x in image]
                     rank_maps[f] = tuple(self._rank[frozenset(image[t] for t in sub)]
                                          for sub in self.cells)
                 a, b = (sigma[j], sigma[i]) if converse else (sigma[i], sigma[j])
                 code[a * m + b] = (i * m + j, rank_maps[f])
-            coded[move] = tuple(code)
+            self.moves.append(tuple(code))
         self.m = m
-        self.moves = [coded[move] for move in moves]
         self._inverses = [None] * len(moves)
         # Per row: the indices of the moves that keep rows 0..row in place.
-        self._row_moves = [[k for k, (h, sigma, converse) in enumerate(moves)
+        self._row_moves = [[k for k, (h, sigma, alpha, converse) in enumerate(moves)
                             if not converse and max(sigma[:row + 1]) == row]
                            for row in range(m - 1)]
 
@@ -285,8 +298,8 @@ class _RankedMoves:
 
     def inverse(self, k: int) -> tuple:
         """The code of the inverse of move ``k``, built on first use: source
-        and target cells swapped and rank maps inverted, since a gauge need
-        not be an involution."""
+        and target cells swapped and rank maps inverted, since neither a
+        gauge nor an automorphism need be an involution."""
         if self._inverses[k] is None:
             inverse = [None] * len(self.moves[k])
             for target, (src, f) in enumerate(self.moves[k]):
@@ -303,9 +316,9 @@ class _RankedMoves:
         by cell, up to the first cell that differs.
 
         Given ``row``, the key codes rows 0..row, and only the moves that
-        keep those rows in place are tried: every gauge, and each
-        transposition of two blocks that are both at most ``row`` or both
-        above it.  An image counts only when it first differs in row
+        keep those rows in place are tried: every gauge, every automorphism,
+        and each transposition of two blocks that are both at most ``row``
+        or both above it.  An image counts only when it first differs in row
         ``row``, so that it shares the key's rows 0..row-1."""
         moves = self.moves
         if row is None:

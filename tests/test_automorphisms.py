@@ -399,7 +399,7 @@ def test_search_never_rebuilds_cells_from_colors(monkeypatch):
 
 
 def test_translation_seeds_built_once_per_group_and_m(monkeypatch):
-    # The all-witness Z2^2 m=3 scan calls the engine 66 times on one group:
+    # The all-witness Z2^2 m=3 scan calls the engine 21 times on one group:
     # the translations by its 2 generators are built once, and still
     # checked on every call.
     engine = importlib.import_module("omsr.automorphisms")
@@ -414,7 +414,7 @@ def test_translation_seeds_built_once_per_group_and_m(monkeypatch):
     assert len(result.witnesses) == 1152
     assert built == [(K, 3, 1), (K, 3, 2)]
     seeds = K._memo[("translations", 3)]
-    assert sum(any(p is t for t in seeds) for p in checked) == 2 * 66
+    assert sum(any(p is t for t in seeds) for p in checked) == 2 * 21
     automorphisms(build_mcayley(K, recipe_table(K, None, 5)[0]))
     assert built[2:] == [(K, 5, 1), (K, 5, 2)]
     # A relabelled copy is another Group: it builds its own seeds, once,

@@ -11,7 +11,8 @@ from omsr.cli import group_roster
 from omsr.constructions import _is_klein_four
 from omsr.errors import NotAGroup, NotGenerating, ParseError, TooLarge, UnknownFamily
 from omsr.groups import (ORDER_CAP, GeneratingPair,
-                         GroupElement, catalog_group, closure, element_order,
+                         GroupElement, automorphism_generators, catalog_group, closure,
+                         element_order,
                          find_generating_pair, generates, generating_set,
                          group_from_cayley_table,
                          group_from_permutation_generators, is_abelian, is_cyclic,
@@ -396,6 +397,79 @@ def test_generating_set():
         assert generates(G, gens)
         for k, g in enumerate(gens):
             assert g not in closure(G, gens[:k])
+
+
+def brute_force_automorphism_count(G):
+    """Identity-fixing bijections that are homomorphisms, all of them tried."""
+    n = G.order
+    count = 0
+    for rest in itertools.permutations(range(1, n)):
+        alpha = (0,) + rest
+        count += all(alpha[G.mult[x][y]] == G.mult[alpha[x]][alpha[y]]
+                     for x in range(n) for y in range(n))
+    return count
+
+
+def generated_maps(maps, n):
+    """The group of element maps that ``maps`` generate, by breadth-first
+    composition from the identity."""
+    seen, queue = {tuple(range(n))}, [tuple(range(n))]
+    for beta in queue:
+        for alpha in maps:
+            gamma = tuple(alpha[x] for x in beta)
+            if gamma not in seen:
+                seen.add(gamma)
+                queue.append(gamma)
+    return seen
+
+
+def check_automorphism_generators(G, order):
+    gens = automorphism_generators(G)
+    n = G.order
+    for alpha in gens:
+        assert sorted(alpha) == list(range(n)) and alpha != tuple(range(n))
+        assert all(alpha[G.mult[x][y]] == G.mult[alpha[x]][alpha[y]]
+                   for x in range(n) for y in range(n)), G
+    assert len(generated_maps(gens, n)) == order, G
+    # Each kept map at least doubles the group generated so far.
+    assert 2 ** len(gens) <= order
+    assert automorphism_generators(G) == gens
+
+
+def test_automorphism_generators_against_brute_force():
+    small = [G for G, _ in group_roster(16) if G.order <= 7]
+    assert [G.label for G in small] == ["Z1", "Z2", "Z3", "Z2xZ2", "Z4", "Z5", "D3", "Z6", "Z7"]
+    for G in small:
+        check_automorphism_generators(G, brute_force_automorphism_count(G))
+    known = {"D4": 8, "Z2xZ4": 8, "Q8": 24, "Z8": 4}
+    eight = {G.label: G for G, _ in group_roster(8) if G.order == 8}
+    assert set(eight) == set(known)
+    for label, order in known.items():
+        check_automorphism_generators(eight[label], order)
+
+
+def test_automorphism_generators_on_relabelled_groups():
+    # The search reads only the multiplication table, so a relabelled copy
+    # has an automorphism group of the same order.  A relabelled Z8, Z2xZ4
+    # or D4 may get a greedy generating set with a redundant element, whose
+    # images of the right orders can define a bijection along the word tree
+    # that is not a homomorphism: there the homomorphism check decides.
+    rng = random.Random(24)
+    cases = [(("elementary_abelian_2", [2]), 6, 3), (("quaternion", [2]), 24, 3),
+             (("dihedral", [3]), 6, 3), (("cyclic", [8]), 4, 10),
+             (("cyclic_product", [2, 4]), 8, 10), (("dihedral", [4]), 8, 10)]
+    for (family, params), order, copies in cases:
+        G0, _ = catalog_group(family, params)
+        n = G0.order
+        for _ in range(copies):
+            rest = list(range(1, n))
+            rng.shuffle(rest)
+            sigma = [0] + rest
+            table = [[0] * n for _ in range(n)]
+            for x in range(n):
+                for y in range(n):
+                    table[sigma[x]][sigma[y]] = sigma[G0.mult[x][y]]
+            check_automorphism_generators(group_from_cayley_table(table), order)
 
 
 def test_parse_group_spec_catalog():

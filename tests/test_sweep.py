@@ -11,7 +11,8 @@ import omsr.sweep
 from omsr.automorphisms import automorphisms, brute_force_automorphisms, is_omsr
 from omsr.digraphs import ConnectionTable, build_mcayley, oriented_table_criterion
 from omsr.errors import InfeasibleSweep
-from omsr.groups import Group, catalog_group, generating_set, group_from_cayley_table
+from omsr.groups import (Group, automorphism_generators, catalog_group, generating_set,
+                         group_from_cayley_table)
 from omsr.sweep import (_PrefixMemo, _RankedMoves, _cell_order,
                         _table_moves, count_tables, enumerate_tables, exhaustive_sweep,
                         feasibility_guard, find_witness)
@@ -330,50 +331,59 @@ def orbit(ranked, key):
 
 
 def test_table_moves_are_isomorphisms():
-    # Each move (h, sigma, converse) relabels (x, i) as (h_i * x, sigma(i));
-    # that vertex map must carry the arcs of T's digraph onto exactly the arcs
-    # of T''s (reversed for the converse, which follows (h, sigma)).
+    # Each move (h, sigma, alpha, converse) relabels (x, i) as
+    # (alpha(h_i * x), sigma(i)); that vertex map must carry the arcs of T's
+    # digraph onto exactly the arcs of T''s (reversed for the converse, which
+    # follows (h, sigma, alpha)).  Z3, Z2^2, S3 and the relabelled Q8 have
+    # non-trivial automorphism moves.
     # Oriented tables need m >= 5 over Z1, m >= 3 over Z2 and m >= 2 else.
     rng = random.Random(6)
     S3, _ = catalog_group("symmetric", [3])
+    Q8 = relabelled(catalog_group("dicyclic", [2])[0], rng)
     cases = [(Z1, 5), (Z1, 6), (cyclic(2), 3), (cyclic(2), 4)]
     cases += [(G, m) for G in (cyclic(3), klein(), S3) for m in (2, 3, 4)]
+    cases += [(Q8, 2), (Q8, 3)]
     for G, m in cases:
         n = G.order
         ranked = _RankedMoves(G, m)
         moves = _table_moves(G, m)
-        # Gauges on every block, transpositions and the m-cycle, each with and
-        # without the converse, then the converse alone.
-        base = m * len(generating_set(G)) + m * (m - 1) // 2 + (m > 2)
+        autos = automorphism_generators(G)
+        assert bool(autos) == (n > 2)
+        # Gauges on every block, transpositions, the m-cycle and the
+        # automorphisms, each with and without the converse, then the
+        # converse alone.
+        base = m * len(generating_set(G)) + m * (m - 1) // 2 + (m > 2) + len(autos)
         assert len(moves) == len(set(moves)) == 2 * base + 1
+        assert [alpha for h, sigma, alpha, c in moves[:base] if h == (0,) * m
+                and sigma == tuple(range(m)) and alpha != tuple(range(n))] == autos
         for _ in range(5):
             table = random_oriented_table(G, m, rng)
             d = build_mcayley(G, table)
             images = move_images(ranked, ranked.key(table.sets))
             assert len(images) == len(moves)
-            for (h, sigma, converse), image in zip(moves, images):
+            for (h, sigma, alpha, converse), image in zip(moves, images):
                 moved = ConnectionTable(m, unkey(G, m, image))
                 assert oriented_table_criterion(G, moved)
                 d2 = build_mcayley(G, moved)
-                phi = [sigma[i] * n + G.mult[h[i]][x] for i in range(m) for x in range(n)]
+                phi = [sigma[i] * n + alpha[G.mult[h[i]][x]] for i in range(m) for x in range(n)]
                 arcs = {(phi[u], phi[v]) for u, v in d.arcs()}
                 if converse:
                     arcs = {(v, u) for u, v in arcs}
-                assert arcs == set(d2.arcs()), (G, m, h, sigma, converse)
+                assert arcs == set(d2.arcs()), (G, m, h, sigma, alpha, converse)
 
 
 ORBIT_COUNTS = {
     # (G, m): orbits of the moves on the oriented tables
-    (Z1, 6): 4, ("klein", 3): 35, ("Z3", 3): 21, ("Z4", 3): 53,
-    ("Z2", 3): 2, ("klein", 2): 3,
+    (Z1, 6): 4, ("klein", 3): 10, ("Z3", 3): 21, ("Z4", 3): 52,
+    ("Z2", 3): 2, ("klein", 2): 1,
 }
 
 ALL_WITNESS_PINS = {
     # (G, m): (engine calls, tables, oriented, witnesses, max |Aut|)
     (Z1, 6): (6, 67950, 570, 0, 24),
-    ("klein", 3): (66, 39696, 2160, 1152, 1152),
+    ("klein", 3): (21, 39696, 2160, 1152, 1152),
     ("Z3", 3): (47, 6723, 1458, 972, 18),
-    ("Z4", 3): (232, 39696, 7216, 5184, 1152),
+    ("Z4", 3): (209, 39696, 7216, 5184, 1152),
 }
 
 
@@ -568,7 +578,7 @@ def test_prefix_skip_walked_tables_pinned(monkeypatch):
     monkeypatch.setattr(omsr.sweep, "automorphisms",
                         lambda d: calls.append(engine(d)) or calls[-1])
     pins = {(Z1, 5): (2, 24, 1), (Z1, 6): (20, 570, 6), (cyclic(2), 3): (3, 10, 2),
-            (klein(), 2): (3, 6, 3)}
+            (klein(), 2): (1, 6, 1)}
     for (G, m), want in pins.items():
         walked.clear()
         calls.clear()
@@ -577,8 +587,8 @@ def test_prefix_skip_walked_tables_pinned(monkeypatch):
         assert (len(walked), result.oriented_count, len(calls)) == want, (G, m)
     # All-witness scans skip the same prefixes and call the engine on the
     # tables of ALL_WITNESS_PINS.
-    pins = {(klein(), 3): (162, 2160, 66), (cyclic(3), 3): (162, 1458, 47),
-            (cyclic(4), 3): (736, 7216, 232), (Z1, 6): (20, 570, 6)}
+    pins = {(klein(), 3): (39, 2160, 21), (cyclic(3), 3): (116, 1458, 47),
+            (cyclic(4), 3): (510, 7216, 209), (Z1, 6): (20, 570, 6)}
     for (G, m), want in pins.items():
         walked.clear()
         calls.clear()
@@ -648,3 +658,41 @@ def test_all_witness_prefix_skip_matches_full_walk():
         assert result.max_aut_order_seen == max(o for o, _ in orders), (G, m)
         want = [ConnectionTable(m, sets).to_text() for o, sets in orders if o == G.order]
         assert [w.to_text() for w in result.witnesses] == want, (G, m)
+
+
+# --- automorphism moves: witness orbits are isomorphism classes --------------
+
+def test_witness_orbits_are_isomorphism_classes():
+    # An isomorphism of two OmSRs over G normalises the regular action of G,
+    # so on block i it is x -> alpha(h_i * x) followed by a block permutation
+    # (Babai, 1977, in m-block form): the witness orbits of the moves are the
+    # classes of digraphs isomorphic or anti-isomorphic to each other.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(8)
+
+    def graph(G, m, key):
+        d = build_mcayley(G, ConnectionTable(m, unkey(G, m, key)))
+        g = nx.DiGraph()
+        g.add_nodes_from(range(d.n))
+        g.add_edges_from(d.arcs())
+        return g
+
+    for G, m, classes in [(klein(), 3, 2), (cyclic(3), 3, 9)]:
+        ranked = _RankedMoves(G, m)
+        witnesses = {ranked.key(w.sets) for w in exhaustive_sweep(G, m, all_witnesses=True).witnesses}
+        orbits, covered = [], set()
+        for key in sorted(witnesses):
+            if key not in covered:
+                closed = orbit(ranked, key)
+                assert closed <= witnesses, (G, m)
+                covered |= closed
+                orbits.append(sorted(closed))
+        assert covered == witnesses and len(orbits) == classes, (G, m)
+        reps = [graph(G, m, members[0]) for members in orbits]
+        for a, b in itertools.combinations(reps, 2):
+            assert not nx.is_isomorphic(a, b), (G, m)
+            assert not nx.is_isomorphic(a, b.reverse()), (G, m)
+        for rep, members in zip(reps, orbits):
+            for key in rng.sample(members, min(3, len(members))):
+                g = graph(G, m, key)
+                assert nx.is_isomorphic(g, rep) or nx.is_isomorphic(g, rep.reverse()), (G, m)

@@ -26,19 +26,15 @@ for those refinements and little else: the translations are built once per
 (G, m) and kept on G, though every call checks them; each path level keeps
 its cell sets, and a probe starts from a copy of its level's dict, O(cells),
 copying a set only when it splits it.  Only generators and |Aut| are kept.
-A factorial brute-force oracle cross-checks tiny digraphs.
 """
 
 from __future__ import annotations
 
-import bisect
 import collections
 import heapq
-import itertools
-import json
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from . import perms as permlib
 from .digraphs import Digraph, MCayleyDigraph, _reachable, right_translation
@@ -51,38 +47,18 @@ from .reports import VerificationReport
 # each hold VALENCY elements.
 VALENCY = 2
 VERTEX_CAP = 512
-BRUTE_FORCE_CAP = 8
 ELEMENT_CAP = 10 ** 6
 
 
 @dataclass
 class PermutationGroup:
-    """Generators and exact order; elements are closed only on demand.  For
-    Aut of an m-Cayley digraph, translations_embed says if R(G) embeds."""
+    """Generators and exact order.  For Aut of an m-Cayley digraph,
+    translations_embed says if R(G) embeds."""
 
     degree: int
     generators: List[tuple]
     order: int
-    elements: Optional[List[tuple]] = None
     translations_embed: Optional[bool] = None
-
-    def element_set(self) -> set:
-        if self.elements is None:
-            self.elements = _closure_elements(self.generators, self.degree)
-            if len(self.elements) != self.order:
-                raise ValueError("generator closure disagrees with recorded order")
-        return set(self.elements)
-
-    def to_json(self) -> str:
-        gens = [permlib.to_cycle_string(g) for g in self.generators]
-        return json.dumps({"degree": self.degree, "order": self.order, "generators": gens},
-                          sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PermutationGroup":
-        data = json.loads(text)
-        gens = [permlib.from_cycle_string(s, degree=data["degree"]) for s in data["generators"]]
-        return cls(degree=data["degree"], generators=gens, order=data["order"])
 
 
 def _closure_elements(generators, degree):
@@ -209,18 +185,6 @@ def _refine(out_adj, in_adj, colors, active, reference=None, cells=None, shared=
     return colors, trace
 
 
-def refine(d: Digraph, initial: Optional[Sequence[int]] = None) -> List[int]:
-    """Coarsest equitable coloring refining the input (uniform by default),
-    numbered 0..k-1 by first occurrence."""
-    labels = list(initial) if initial is not None else [0] * d.n
-    if len(labels) != d.n:
-        raise ValueError("initial coloring length must match vertex count")
-    ranks = sorted(labels)
-    colors = [bisect.bisect_left(ranks, c) for c in labels]
-    colors, first = _refine(d.out_adj, d.in_adj, colors, colors)[0], {}
-    return [first.setdefault(c, len(first)) for c in colors]
-
-
 # --- search ------------------------------------------------------------------
 
 def _is_automorphism(d: Digraph, p) -> bool:
@@ -335,15 +299,6 @@ def aut_order_bounded(d: Digraph, threshold: int) -> Optional[int]:
     """Exact |Aut| when it is <= threshold, else None."""
     order = _aut_elements(d)[1]
     return order if order <= threshold else None
-
-
-def brute_force_automorphisms(d: Digraph) -> PermutationGroup:
-    """Oracle: filter all N! bijections by arc preservation (N <= 8)."""
-    if d.n > BRUTE_FORCE_CAP:
-        raise TooLarge(f"brute force limited to {BRUTE_FORCE_CAP} vertices")
-    elements = [p for p in itertools.permutations(range(d.n)) if _is_automorphism(d, p)]
-    return PermutationGroup(degree=d.n, generators=_generating_subset(elements, d.n),
-                            order=len(elements), elements=elements)
 
 
 def stabilizer(A: PermutationGroup, v: int) -> PermutationGroup:

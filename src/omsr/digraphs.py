@@ -1,32 +1,14 @@
 """m-Cayley digraphs on vertex set G x Z_m, plus the digraph predicates.
 
-Vertex (g, i) has linear index i*|G| + g.  The arc set is
+Vertex (g, i) has index i*|G| + g.  The arc set is
 {(g_i, (t*g)_j) : t in T[i][j], g in G}.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
-
 from .errors import ParseError
-from .groups import Group, GroupElement, _idx
+from .groups import Group, _idx
 from .perms import Perm
-
-
-@dataclass(frozen=True)
-class Vertex:
-    g: int
-    block: int
-
-
-def vertex_index(v: Vertex, group_order: int) -> int:
-    return v.block * group_order + v.g
-
-
-def vertex_at(idx: int, group_order: int) -> Vertex:
-    return Vertex(idx % group_order, idx // group_order)
 
 
 def _cell(elements) -> frozenset:
@@ -141,9 +123,6 @@ class Digraph:
     def arc_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.out_adj)
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return v in self.out_sets[u]
-
 
 class MCayleyDigraph(Digraph):
     """Digraph over G x Z_m built from a connection table."""
@@ -155,15 +134,6 @@ class MCayleyDigraph(Digraph):
         self.group = group
         self.m = table.m
         self.table = table
-
-    def vertex(self, g, block: int) -> Vertex:
-        return Vertex(_idx(g), block)
-
-    def index_of(self, v: Vertex) -> int:
-        return vertex_index(v, self.group.order)
-
-    def vertex_at(self, idx: int) -> Vertex:
-        return vertex_at(idx, self.group.order)
 
 
 def build_mcayley(G: Group, T: ConnectionTable) -> MCayleyDigraph:
@@ -178,25 +148,6 @@ def build_mcayley(G: Group, T: ConnectionTable) -> MCayleyDigraph:
                 for g in range(n):
                     out[i * n + g].append(j * n + row[g])
     return MCayleyDigraph(G, T, out)
-
-
-def out_neighbors(d: MCayleyDigraph, v: Vertex) -> set:
-    idx = d.index_of(v)
-    return {d.vertex_at(w) for w in d.out_adj[idx]}
-
-
-def in_neighbors(d: MCayleyDigraph, v: Vertex) -> set:
-    idx = d.index_of(v)
-    return {d.vertex_at(w) for w in d.in_adj[idx]}
-
-
-def distance2_out_set(d: MCayleyDigraph, v: Vertex) -> set:
-    """Union of out-neighborhoods over the out-neighbors of v."""
-    idx = d.index_of(v)
-    seen = set()
-    for w in d.out_adj[idx]:
-        seen.update(d.out_adj[w])
-    return {d.vertex_at(w) for w in seen}
 
 
 def is_oriented(d: Digraph) -> bool:
@@ -249,11 +200,6 @@ def is_connected(d: Digraph) -> bool:
     return _reachable(d.out_adj, 0) == d.n and _reachable(d.in_adj, 0) == d.n
 
 
-def is_weakly_connected(d: Digraph) -> bool:
-    sym = [sorted(set(d.out_adj[v]) | set(d.in_adj[v])) for v in range(d.n)]
-    return d.n > 0 and _reachable(sym, 0) == d.n
-
-
 def right_translation(G: Group, m: int, g) -> Perm:
     """Vertex permutation x_i -> (x*g)_i."""
     g = _idx(g)
@@ -263,33 +209,3 @@ def right_translation(G: Group, m: int, g) -> Perm:
         base = i * n
         images.extend(base + G.mult[x][g] for x in range(n))
     return tuple(images)
-
-
-def induced_subdigraph(d: Digraph, vertices):
-    """Digraph on the given vertices with all internal arcs.
-
-    Vertices may be Vertex values (for m-Cayley digraphs) or linear indices.
-    Returns (subdigraph, labels) where labels[i] is the original index of
-    the i-th vertex in sorted order.
-    """
-    idxs = set()
-    for v in vertices:
-        if isinstance(v, Vertex):
-            idxs.add(d.index_of(v))
-        else:
-            idxs.add(int(v))
-    labels = sorted(idxs)
-    pos = {u: i for i, u in enumerate(labels)}
-    out = [[pos[w] for w in d.out_adj[u] if w in idxs] for u in labels]
-    return Digraph(len(labels), out), labels
-
-
-def export_arclist(d: Digraph) -> str:
-    """JSON header line followed by one 'u v' arc per line."""
-    header = {"vertex_count": d.n, "arc_count": d.arc_count()}
-    if isinstance(d, MCayleyDigraph):
-        header["group"] = d.group.label
-        header["m"] = d.m
-    lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(f"{u} {v}" for u, v in d.arcs())
-    return "\n".join(lines) + "\n"

@@ -262,7 +262,6 @@ def automorphism_generators(G: Group) -> list:
                     words.append((y, x, k))
         orders = [element_order(G, x) for x in range(n)]
         choices = [[y for y in range(n) if orders[y] == orders[g]] for g in gens]
-        ident = tuple(range(n))
         kept, generated = [], {tuple(gens)}  # generated: the kept maps' images of gens
         for images in itertools.product(*choices):
             if images in generated:
@@ -273,14 +272,13 @@ def automorphism_generators(G: Group) -> list:
             if len(set(alpha)) == n and all(alpha[mult[x][g]] == mult[alpha[x]][a]
                                             for x in range(n) for g, a in zip(gens, images)):
                 kept.append(tuple(alpha))
-                group, queue = {ident}, [ident]
-                for beta in queue:  # BFS over compositions with the kept maps
+                queue = list(generated)
+                for beta in queue:  # gamma after beta sends gens[k] to gamma[beta[k]]
                     for gamma in kept:
                         delta = tuple([gamma[x] for x in beta])
-                        if delta not in group:
-                            group.add(delta)
+                        if delta not in generated:
+                            generated.add(delta)
                             queue.append(delta)
-                generated = {tuple([beta[g] for g in gens]) for beta in group}
         G._memo["automorphisms"] = tuple(kept)
     return list(G._memo["automorphisms"])
 

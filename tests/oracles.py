@@ -1,0 +1,63 @@
+"""Oracles and digraph helpers that only the tests use.
+
+Vertices are plain indices: vertex (g, i) of an m-Cayley digraph over G is
+i*|G| + g, as `build_mcayley` numbers them.  The automorphism oracle tries
+every bijection and compares arc sets itself, sharing no code with the
+engine's search.
+"""
+
+import bisect
+import itertools
+
+from omsr.automorphisms import _closure_elements, _refine
+from omsr.digraphs import Digraph
+from omsr.errors import TooLarge
+
+BRUTE_FORCE_CAP = 8
+
+
+def brute_force_automorphisms(d):
+    """Every vertex bijection that maps the arc set onto itself, all N!
+    tried (N <= `BRUTE_FORCE_CAP`).  A bijection maps the arc pairs one to
+    one, so it maps the finite arc set onto itself when it maps it into
+    itself."""
+    if d.n > BRUTE_FORCE_CAP:
+        raise TooLarge(f"brute force limited to {BRUTE_FORCE_CAP} vertices")
+    arcs = set(d.arcs())
+    return {p for p in itertools.permutations(range(d.n))
+            if all((p[u], p[w]) in arcs for u, w in arcs)}
+
+
+def elements(A):
+    """The elements of a PermutationGroup, closed from its generators; their
+    count must be A.order."""
+    found = set(_closure_elements(A.generators, A.degree))
+    assert len(found) == A.order, (len(found), A.order)
+    return found
+
+
+def first_occurrence(colors):
+    numbers = {}
+    return [numbers.setdefault(c, len(numbers)) for c in colors]
+
+
+def refine(d, initial=None):
+    """Coarsest equitable coloring refining ``initial`` (uniform by
+    default), numbered 0..k-1 by first occurrence."""
+    labels = list(initial) if initial is not None else [0] * d.n
+    ranks = sorted(labels)
+    colors = [bisect.bisect_left(ranks, c) for c in labels]
+    return first_occurrence(_refine(d.out_adj, d.in_adj, colors, colors)[0])
+
+
+def distance2_out_set(d, v):
+    """The out-neighbours of v's out-neighbours."""
+    return {w for u in d.out_adj[v] for w in d.out_adj[u]}
+
+
+def induced_subdigraph(d, vertices):
+    """The digraph on ``vertices`` with every arc between them, its vertex
+    k being the k-th smallest of them."""
+    labels = sorted(vertices)
+    pos = {u: k for k, u in enumerate(labels)}
+    return Digraph(len(labels), [[pos[w] for w in d.out_adj[u] if w in pos] for u in labels])

@@ -1,6 +1,7 @@
 """CLI commands, exit codes, JSON outputs, roster coverage."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import shlex
@@ -277,6 +278,23 @@ def test_readme_cli_examples_exit_ok(tmp_path, monkeypatch, capsys):
         ran += 1
     capsys.readouterr()
     assert ran == 4
+
+
+def test_benchmark_tracer_names_resolve():
+    # benchmarks/tracer.py wraps package functions by name, so deleting one
+    # it binds breaks the benchmark; read its tables, without running it.
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("omsr_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [target[:2] for target in tracer.TARGETS] + tracer.GENERATOR_TARGETS
+    for module, name in names:
+        assert callable(getattr(importlib.import_module(f"omsr.{module}"), name, None)), name
+    for module, cls, method in tracer.METHOD_TARGETS:
+        assert method in vars(getattr(importlib.import_module(f"omsr.{module}"), cls))
+    namespace = {}
+    exec("from omsr import *", namespace)
+    assert set(omsr.__all__) <= namespace.keys()
 
 
 def test_main_input_errors(capsys):

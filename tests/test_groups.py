@@ -446,6 +446,10 @@ def test_automorphism_generators_against_brute_force():
     assert set(eight) == set(known)
     for label, order in known.items():
         check_automorphism_generators(eight[label], order)
+    # |GL(4, 2)| = 20,160 and |GL(2, 3)| = 48.
+    z2e4, _ = parse_group_spec("kind: perms\n(0 1)\n(2 3)\n(4 5)\n(6 7)\n")
+    check_automorphism_generators(z2e4, 20160)
+    check_automorphism_generators(catalog_group("cyclic_product", [3, 3])[0], 48)
 
 
 def test_automorphism_generators_on_relabelled_groups():

@@ -8,7 +8,7 @@ order 2,000 (`groups.ORDER_CAP`) and |G| * m <= 16 for a sweep
 Exit codes: 0 verified (either direction, certified); 1 verification
 failed, or stdout closed early (`| head`), which ends quietly; 2 input
 error; 3 size or feasibility cap exceeded, or out of memory (as an
-all-witness sweep that holds too many witnesses), which ends with one
+all-witness sweep that prints too many witnesses), which ends with one
 line on stderr instead of a traceback.
 """
 

@@ -117,12 +117,6 @@ class Digraph:
         self.in_adj = tuple(map(tuple, rev))
         self.out_sets = tuple(frozenset(nbrs) for nbrs in self.out_adj)
 
-    def arcs(self):
-        return [(u, v) for u in range(self.n) for v in self.out_adj[u]]
-
-    def arc_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.out_adj)
-
 
 class MCayleyDigraph(Digraph):
     """Digraph over G x Z_m built from a connection table."""

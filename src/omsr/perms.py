@@ -1,4 +1,4 @@
-"""Permutations as tuples of images, with cycle-notation serialization.
+"""Permutations as tuples of images, with a cycle-notation parser.
 
 Composition convention used everywhere in this package: ``compose(p, q)``
 applies ``p`` first, i.e. ``compose(p, q)[x] == q[p[x]]``.
@@ -33,32 +33,6 @@ def inverse(p: Sequence[int]) -> Perm:
 def is_bijection(p: Sequence[int]) -> bool:
     n = len(p)
     return sorted(p) == list(range(n))
-
-
-def cycles(p: Sequence[int]) -> list:
-    """Nontrivial cycles of p, each starting at its smallest point."""
-    seen = [False] * len(p)
-    out = []
-    for start in range(len(p)):
-        if seen[start] or p[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        x = p[start]
-        while x != start:
-            cyc.append(x)
-            seen[x] = True
-            x = p[x]
-        out.append(tuple(cyc))
-    return out
-
-
-def to_cycle_string(p: Sequence[int]) -> str:
-    cs = cycles(p)
-    if not cs:
-        return "()"
-    return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cs)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

@@ -18,47 +18,45 @@ the converse map (see `_table_moves`): the group automorphisms act cell
 by cell, and on OmSRs the orbits without the converse are the
 isomorphism classes, by the m-block form of Babai's Cayley-isomorphism
 argument (*Isomorphism problem for a class of point-symmetric
-structures*, 1977).  Every scan applies one rule, the cheap local
-test of isomorph-free generation (McKay, *Isomorph-free exhaustive
-generation*, J. Algorithms 1998): the engine runs only on a table that no
-single move sends to an earlier one.  Any other table has the |Aut| of its
-earlier image, which is oriented, meets the valency and comes earlier, so
-the scan already reached it: the table is a witness exactly when that
-image is in the witness list.  A first-stop scan never finds it there,
-since it would have stopped at the image.  The walk of every scan also
-applies that test to each finished row prefix, under the moves that keep
-its rows in place.  Such a move maps the subtree of the prefix one-to-one
-onto that of an earlier prefix, so the subtree is counted, not walked: it
-holds no new |Aut| and as many oriented tables as the earlier one, read
-from a memo (`_PrefixMemo`), and its witnesses are the earlier subtree's
-mapped back through the move's inverse, sorted.  A table with no earlier
-image lies in no skipped subtree, since the skipping move would give it
-one, so the engine runs on the same tables either way.  Witnesses stay
-rank keys until the scan returns them as tables, and the list stays
-sorted: keys compare as positions do, and walked and skipped witnesses
-are appended where the walk reaches them.  The witnesses, the oriented
-count and the largest |Aut| are those of one engine call per table, since
-each table's |Aut| is that of a measured one, through its image or
-through the move that skipped its prefix.
+structures*, 1977).  Every scan applies one rule, the cheap local test of
+isomorph-free generation (McKay, *Isomorph-free exhaustive generation*,
+J. Algorithms 1998): the engine runs only on a table that no single move
+sends to an earlier one, and the scan records its verdict, |Aut| = |G|.
+The walk also applies that test to each finished row prefix, under the
+moves that keep its rows in place.  Such a move maps the subtree of the
+prefix one-to-one onto that of an earlier prefix, so the subtree is
+counted, not walked: it holds no new |Aut|, as many oriented tables as the
+earlier one, read from a memo (`_PrefixMemo`), and as its witnesses one
+segment: the earlier subtree's, mapped back through the move's inverse.
+A table with no earlier image lies in no skipped subtree, since the
+skipping move would give it one, so the engine runs on the same tables.
+
+The witness rule: any other reached table has the |Aut| of its earlier
+image, so the scan follows earlier images until a table has none.  That
+table comes earlier and lies in no skipped subtree, so the engine measured
+it, and its verdict decides.  Until the scan records a witness every
+verdict so far failed, so the answer is "not a witness" with no chain
+followed: first-stop and NOT_EXISTS scans follow none.  So the witnesses
+(`_Witnesses`), the oriented count and the largest |Aut| are those of one
+engine call per table.
 
 Every scan runs inside the feasibility guard, |G|*m <= `GUARD_PRODUCT`,
-which bounds neither the number of tables nor the witness list.  The
+which bounds neither the number of tables nor of witnesses; the
 first-stop scans it admits end within seconds, up to Z1 at m = 16.  An
-all-witness scan holds every witness: Z4 at m = 4 passes the guard with
-1,582,080 of them and takes 15 s and 1.0 GB on a 2-core x86-64 host
-(17.5 s there without the automorphism moves).  Z1 at m = 8 holds about
-1.6 million too, in 2.6 GB, and has no automorphism move, since Aut(Z1)
-is trivial.  Z2 at m = 6 needs more than 3 GB.
+all-witness scan counts its witnesses in one part per walked witness or
+skipped segment: Z4 at m = 4 (1,582,080) took 3.2 s and 34 MB on a 2-core
+x86-64 host, Z2 at m = 6 (11,543,040) 5.3 s and 44 MB.  Reading them
+builds every key: 312 MB on Z4 at m = 4.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import json
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
@@ -76,7 +74,7 @@ class SweepResult:
     m: int
     tables_enumerated: int
     oriented_count: int
-    witnesses: List[ConnectionTable]
+    witnesses: Sequence[ConnectionTable]
     verdict: str
     max_aut_order_seen: int = 0
     runtime_ms: float = 0.0
@@ -152,8 +150,8 @@ def enumerate_tables(G: Group, m: int,
     complete is never entered.
 
     `exhaustive_sweep` passes ``prefixes``, and the walk records the
-    oriented count and the range of witness keys under every finished row
-    prefix; the scan appends each witness it finds before the walk resumes.
+    oriented count and the range of witness positions under every finished
+    row prefix; the scan adds each witness it finds before the walk resumes.
     Once an oriented table is reached, each finished prefix that
     `_PrefixMemo.skip` accepts is counted, not walked: the position
     advances past its subtree, whose oriented tables are then never
@@ -186,11 +184,10 @@ def enumerate_tables(G: Group, m: int,
                     position += _completions(n, 0, colrem.count(2), colrem.count(1), 0, 0)
                     reached += count
                     return
-                start, begin = reached, len(prefixes.witnesses)
+                start, begin = reached, prefixes.size
             yield from fill_cell(i + 1, 0, VALENCY)
             if prefixes is not None:
-                prefixes.counts[key] = reached - start
-                prefixes.ranges[key] = begin, len(prefixes.witnesses)
+                prefixes.subtrees[key] = reached - start, begin, prefixes.size
             return
         partner = current[j][i] if j < i else None
         later = colrem[j + 1:]
@@ -347,44 +344,81 @@ def _image(code, key) -> tuple:
 
 
 class _PrefixMemo:
-    """What a scan and its walk share about each finished row prefix: its
-    oriented-table count (``counts``) and its ``[start, end)`` range in the
-    scan's one sorted list of witness keys (``ranges``, over
-    ``witnesses``).  A subtree is a contiguous run of positions, so its
-    witnesses are a contiguous run of the list.  ``skipped`` sums the
-    counts of skipped prefixes."""
+    """What a scan and its walk share: per finished row prefix, its
+    subtree's oriented count and ``[start, end)`` range of witness positions,
+    contiguous as its tables are (``subtrees``); each measured table's
+    verdict (``verdicts``); the witnesses, ``(None, key)`` per walked one and
+    ``(move, (start, end))`` per skipped subtree (``parts``), and their count
+    (``size``); and the skipped subtrees' oriented count (``skipped``)."""
 
     def __init__(self, moves: _RankedMoves):
-        self.moves = moves
-        self.counts = {}
-        self.ranges = {}
-        self.witnesses = []
-        self.skipped = 0
+        self.moves, self.subtrees, self.verdicts, self.parts = moves, {}, {}, []
+        self.size = self.skipped = 0
 
     def skip(self, key, row: int) -> Optional[int]:
         """The oriented count of the subtree under the prefix ``key`` of
         rows 0..row when a move sends the prefix to an earlier one, so the
         subtree may be skipped; else None.  The subtree's witnesses are the
-        earlier subtree's, mapped back through the move's inverse and
-        appended in enumeration order."""
+        earlier subtree's, as one segment through the move."""
         k = self.moves.earlier_move(key, row)
         if k is None:
             return None
         image = _image(self.moves.moves[k], key)
         # The image shares the key's parent prefix, so the walk finished it.
-        count = self.counts.get(image)
-        if count is None:
+        subtree = self.subtrees.get(image)
+        if subtree is None:
             raise RuntimeError(f"no count for the earlier prefix {image} of {key}")
-        start, end = self.ranges[image]
-        witnesses = self.witnesses
-        begin = len(witnesses)
+        count, start, end = subtree
+        begin = self.size
         if start < end:
-            inverse = self.moves.inverse(k)
-            witnesses.extend(sorted([_image(inverse, w) for w in witnesses[start:end]]))
-        self.counts[key] = count
-        self.ranges[key] = begin, len(witnesses)
+            self.parts.append((k, (start, end)))
+            self.size += end - start
+        self.subtrees[key] = count, begin, self.size
         self.skipped += count
         return count
+
+    def is_witness(self, image) -> bool:
+        """Whether a table with the earlier one-move ``image`` is a witness."""
+        if not self.size:
+            return False
+        while (earlier := self.moves.earlier_image(image)) is not None:
+            image = earlier
+        if image not in self.verdicts:
+            raise RuntimeError(f"no verdict for the measured table {image}")
+        return self.verdicts[image]
+
+
+class _Witnesses(Sequence):
+    """A scan's witnesses in enumeration order, read-only: ``len`` is the
+    count; the first read builds every key, each segment's mapped through
+    its move's inverse and sorted, and each read builds its tables."""
+
+    def __init__(self, memo: _PrefixMemo):
+        self._moves, self._parts, self._size = memo.moves, memo.parts, memo.size
+        self._keys = None
+
+    def _all_keys(self) -> list:
+        if self._keys is None:
+            keys = []
+            for k, part in self._parts:
+                if k is None:
+                    keys.append(part)
+                else:
+                    inverse = self._moves.inverse(k)
+                    keys.extend(sorted([_image(inverse, w) for w in keys[slice(*part)]]))
+            self._keys, self._parts = keys, None
+        return self._keys
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._moves.table(key) for key in self._all_keys()[i]]
+        return self._moves.table(self._all_keys()[i])
+
+    def __eq__(self, other):
+        return list(self) == (list(other) if isinstance(other, _Witnesses) else other)
 
 
 def feasibility_guard(G: Group, m: int) -> bool:
@@ -394,10 +428,9 @@ def feasibility_guard(G: Group, m: int) -> bool:
 def exhaustive_sweep(G: Group, m: int, all_witnesses: bool = False) -> SweepResult:
     """The scan: walk the oriented tables of valency two in enumeration
     order and collect, in that order, those whose digraphs have |Aut| = |G|,
-    stopping at the first one unless ``all_witnesses`` is set.  The module
-    docstring gives the one rule that decides which tables the engine
-    measures and which prefixes the walk skips; one `_RankedMoves` serves
-    the whole scan, and one `_PrefixMemo` holds its witnesses as keys.
+    stopping at the first one unless ``all_witnesses`` is set, by the rules
+    of the module docstring; one `_RankedMoves` and one `_PrefixMemo` serve
+    the whole scan.
 
     ``tables_enumerated`` is the position of the table the scan stopped
     at, or the number of constrained tables when it ran to the end, so a
@@ -413,7 +446,6 @@ def exhaustive_sweep(G: Group, m: int, all_witnesses: bool = False) -> SweepResu
         raise InfeasibleSweep(f"|G|*m = {G.order * m} exceeds guard {GUARD_PRODUCT}")
     moves = _RankedMoves(G, m)
     prefixes = _PrefixMemo(moves)
-    witnesses = prefixes.witnesses  # keys, sorted
     oriented = top = 0
     for position, sets in enumerate_tables(G, m, prefixes):
         oriented += 1
@@ -422,12 +454,12 @@ def exhaustive_sweep(G: Group, m: int, all_witnesses: bool = False) -> SweepResu
         if image is None:
             order = automorphisms(build_mcayley(G, ConnectionTable._of_cells(m, sets))).order
             top = max(top, order)
-            witness = order == G.order
+            witness = prefixes.verdicts[key] = order == G.order
         else:
-            i = bisect.bisect_left(witnesses, image)
-            witness = i < len(witnesses) and witnesses[i] == image
+            witness = prefixes.is_witness(image)
         if witness:
-            witnesses.append(key)
+            prefixes.parts.append((None, key))
+            prefixes.size += 1
             if not all_witnesses:
                 examined = position
                 break
@@ -439,8 +471,8 @@ def exhaustive_sweep(G: Group, m: int, all_witnesses: bool = False) -> SweepResu
         m=m,
         tables_enumerated=examined,
         oriented_count=oriented,
-        witnesses=[moves.table(key) for key in witnesses],
-        verdict="EXISTS" if witnesses else "NOT_EXISTS",
+        witnesses=_Witnesses(prefixes),
+        verdict="EXISTS" if prefixes.size else "NOT_EXISTS",
         max_aut_order_seen=top,
         runtime_ms=(time.perf_counter() - start) * 1000.0,
     )

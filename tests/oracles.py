@@ -1,4 +1,4 @@
-"""Oracles and digraph helpers that only the tests use.
+"""Oracles, digraph and permutation helpers that only the tests use.
 
 Vertices are plain indices: vertex (g, i) of an m-Cayley digraph over G is
 i*|G| + g, as `build_mcayley` numbers them.  The automorphism oracle tries
@@ -16,6 +16,40 @@ from omsr.errors import TooLarge
 BRUTE_FORCE_CAP = 8
 
 
+def arcs(d):
+    return [(u, v) for u in range(d.n) for v in d.out_adj[u]]
+
+
+def arc_count(d) -> int:
+    return sum(len(nbrs) for nbrs in d.out_adj)
+
+
+def cycles(p):
+    """Nontrivial cycles of p, each starting at its smallest point."""
+    seen = [False] * len(p)
+    out = []
+    for start in range(len(p)):
+        if seen[start] or p[start] == start:
+            seen[start] = True
+            continue
+        cyc = [start]
+        seen[start] = True
+        x = p[start]
+        while x != start:
+            cyc.append(x)
+            seen[x] = True
+            x = p[x]
+        out.append(tuple(cyc))
+    return out
+
+
+def to_cycle_string(p) -> str:
+    cs = cycles(p)
+    if not cs:
+        return "()"
+    return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cs)
+
+
 def brute_force_automorphisms(d):
     """Every vertex bijection that maps the arc set onto itself, all N!
     tried (N <= `BRUTE_FORCE_CAP`).  A bijection maps the arc pairs one to
@@ -23,9 +57,9 @@ def brute_force_automorphisms(d):
     itself."""
     if d.n > BRUTE_FORCE_CAP:
         raise TooLarge(f"brute force limited to {BRUTE_FORCE_CAP} vertices")
-    arcs = set(d.arcs())
+    arc_set = set(arcs(d))
     return {p for p in itertools.permutations(range(d.n))
-            if all((p[u], p[w]) in arcs for u, w in arcs)}
+            if all((p[u], p[w]) in arc_set for u, w in arc_set)}
 
 
 def elements(A):

@@ -19,7 +19,7 @@ from omsr.digraphs import (ConnectionTable, build_mcayley, is_k_regular, is_orie
 from omsr.errors import IsAbelian, NotAbelian, NotGenerating, OrderTooSmall
 from omsr.groups import catalog_group, closure, element_order, normalize_generating_pair
 from omsr.reports import ExceptionVerdict
-from oracles import distance2_out_set, induced_subdigraph
+from oracles import arc_count, arcs, distance2_out_set, induced_subdigraph
 
 
 def cell(t, i, j):
@@ -249,7 +249,7 @@ def test_networkx_agrees_on_new_recipes(new_recipe_digraphs):
             continue
         g = nx.DiGraph()
         g.add_nodes_from(range(d.n))
-        g.add_edges_from(d.arcs())
+        g.add_edges_from(arcs(d))
         count = sum(1 for _ in itertools.islice(
             DiGraphMatcher(g, g).isomorphisms_iter(), G.order + 1))
         assert count == automorphisms(d).order == G.order, (G.label, m)
@@ -303,11 +303,11 @@ def test_case2_distance2_sizes():
 
 
 def _digraphs_isomorphic(d1, d2):
-    if d1.n != d2.n or d1.arc_count() != d2.arc_count():
+    if d1.n != d2.n or arc_count(d1) != arc_count(d2):
         return False
-    arcs2 = set(d2.arcs())
+    arcs2 = set(arcs(d2))
     for p in itertools.permutations(range(d1.n)):
-        if all((p[u], p[v]) in arcs2 for u, v in d1.arcs()):
+        if all((p[u], p[v]) in arcs2 for u, v in arcs(d1)):
             return True
     return False
 

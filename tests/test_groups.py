@@ -10,7 +10,7 @@ import pytest
 from omsr.cli import group_roster
 from omsr.constructions import _is_klein_four
 from omsr.errors import NotAGroup, NotGenerating, ParseError, TooLarge, UnknownFamily
-from omsr.groups import (ORDER_CAP, GeneratingPair,
+from omsr.groups import (ORDER_CAP,
                          GroupElement, automorphism_generators, catalog_group, closure,
                          element_order,
                          find_generating_pair, generates, generating_set,

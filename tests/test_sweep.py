@@ -1,5 +1,6 @@
 """Exhaustive table enumeration, sweep verdicts, witness search."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -16,7 +17,7 @@ from omsr.groups import (Group, automorphism_generators, catalog_group, generati
 from omsr.sweep import (_PrefixMemo, _RankedMoves, _cell_order,
                         _table_moves, count_tables, enumerate_tables, exhaustive_sweep,
                         feasibility_guard, find_witness)
-from oracles import brute_force_automorphisms
+from oracles import arcs, brute_force_automorphisms
 
 Z1 = Group(mult=((0,),), inv=(0,), label="Z1")
 
@@ -367,10 +368,10 @@ def test_table_moves_are_isomorphisms():
                 assert oriented_table_criterion(G, moved)
                 d2 = build_mcayley(G, moved)
                 phi = [sigma[i] * n + alpha[G.mult[h[i]][x]] for i in range(m) for x in range(n)]
-                arcs = {(phi[u], phi[v]) for u, v in d.arcs()}
+                mapped = {(phi[u], phi[v]) for u, v in arcs(d)}
                 if converse:
-                    arcs = {(v, u) for u, v in arcs}
-                assert arcs == set(d2.arcs()), (G, m, h, sigma, alpha, converse)
+                    mapped = {(v, u) for u, v in mapped}
+                assert mapped == set(arcs(d2)), (G, m, h, sigma, alpha, converse)
 
 
 ORBIT_COUNTS = {
@@ -612,20 +613,58 @@ def test_prefix_memo_records_every_earlier_prefix():
         for row in range(5):
             oriented[key[:6 * (row + 1)]] = oriented.get(key[:6 * (row + 1)], 0) + 1
     skipped = 0
-    for key, count in prefixes.counts.items():
+    for key, (count, _, _) in prefixes.subtrees.items():
         assert count == oriented.get(key, 0), key
         image = ranked.earlier_image(key, len(key) // 6 - 1)
         if image is not None:
             skipped += 1
             assert image < key and image[:len(key) - 6] == key[:-6]
-            assert prefixes.counts[image] == count
+            assert prefixes.subtrees[image][0] == count
     assert skipped and prefixes.skipped == 570 - 20
     # The walk finishes every earlier prefix before it tests a later one, so
     # a miss is a fault.
-    key = next(key for key in prefixes.counts
+    key = next(key for key in prefixes.subtrees
                if ranked.earlier_image(key, len(key) // 6 - 1) is not None)
     with pytest.raises(RuntimeError, match="no count"):
         _PrefixMemo(ranked).skip(key, len(key) // 6 - 1)
+
+
+def test_chain_verdict_matches_engine_on_reached_tables(monkeypatch):
+    # A reached table with an earlier one-move image takes the verdict of the
+    # measured table that ends its chain of earlier images; the engine, run
+    # on the reached table itself, agrees.
+    S3 = catalog_group("dihedral", [3])[0]
+    Q8 = catalog_group("dicyclic", [2])[0]
+    walk, runs = omsr.sweep.enumerate_tables, []
+
+    def forwarding(G, m, prefixes):
+        runs.append((prefixes, []))
+        for item in walk(G, m, prefixes):
+            runs[-1][1].append(item[1])
+            yield item
+
+    monkeypatch.setattr(omsr.sweep, "enumerate_tables", forwarding)
+    for G, m in [(klein(), 3), (cyclic(3), 3), (cyclic(4), 3), (Q8, 2), (S3, 2)]:
+        runs.clear()
+        exhaustive_sweep(G, m, all_witnesses=True)
+        [(prefixes, reached)] = runs
+        ranked, chained = prefixes.moves, 0
+        for sets in reached:
+            image = ranked.earlier_image(ranked.key(sets))
+            if image is not None:
+                chained += 1
+                want = engine_order(G, m, sets) == G.order
+                assert prefixes.is_witness(image) == want, (G, m, sets)
+        assert chained, (G, m)
+    # Every chain ends at a table the scan measured, so a miss is a fault.
+    ranked = _RankedMoves(klein(), 3)
+    key = next(key for key in (ranked.key(sets) for _, sets in walk(klein(), 3))
+               if ranked.earlier_image(key) is not None)
+    memo = _PrefixMemo(ranked)
+    assert not memo.is_witness(ranked.earlier_image(key))
+    memo.size = 1  # as if the scan had recorded a witness
+    with pytest.raises(RuntimeError, match="no verdict"):
+        memo.is_witness(ranked.earlier_image(key))
 
 
 # --- all-witness scans: skipped row prefixes ---------------------------------
@@ -661,6 +700,45 @@ def test_all_witness_prefix_skip_matches_full_walk():
         assert [w.to_text() for w in result.witnesses] == want, (G, m)
 
 
+def test_witness_sequence_reads_as_a_list():
+    # The witnesses read as the list of tables the full walk gives, through
+    # every list operation a caller uses; an all-witness scan, a first-stop
+    # scan and a scan with no witness.
+    for G, m in [(cyclic(3), 3), (cyclic(2), 3)]:
+        tables = [ConnectionTable(m, sets) for _, sets, order in full_walk(G, m)
+                  if order == G.order]
+        for result, want in [(exhaustive_sweep(G, m, all_witnesses=True), tables),
+                             (exhaustive_sweep(G, m), tables[:1])]:
+            got, n = result.witnesses, len(want)
+            assert len(got) == n and bool(got) == bool(want)
+            assert got == want and want == got and list(got) == want
+            assert got != want + [None] and got != tuple(want)
+            for i in {0, 1, n // 2, n - 1, -1, -2, -n} & set(range(-n, n)):
+                assert got[i] == want[i], i
+            for part in [slice(None), slice(2, 9), slice(-5, None), slice(None, None, -7),
+                         slice(3, 1)]:
+                assert got[part] == want[part], part
+            for i in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    got[i]
+            assert result.to_dict() == dataclasses.replace(result, witnesses=want).to_dict()
+            assert result.to_json() == dataclasses.replace(result, witnesses=want).to_json()
+
+
+def test_witness_count_builds_no_keys(monkeypatch):
+    # Skipped subtrees keep their witnesses as segments, so the count needs
+    # no key; here whole 6-row prefixes (Z1) and 4-row prefixes (Z2) are
+    # skipped.
+    def no_keys(self):
+        raise AssertionError("witness keys built")
+
+    monkeypatch.setattr(omsr.sweep._Witnesses, "_all_keys", no_keys)
+    for G, m, count in [(Z1, 7, 20160), (cyclic(2), 5, 74880)]:
+        result = exhaustive_sweep(G, m, all_witnesses=True)
+        assert len(result.witnesses) == count and result.witnesses, (G, m)
+        assert result.verdict == "EXISTS"
+
+
 # --- automorphism moves: witness orbits are isomorphism classes --------------
 
 def test_witness_orbits_are_isomorphism_classes():
@@ -675,7 +753,7 @@ def test_witness_orbits_are_isomorphism_classes():
         d = build_mcayley(G, ConnectionTable(m, unkey(G, m, key)))
         g = nx.DiGraph()
         g.add_nodes_from(range(d.n))
-        g.add_edges_from(d.arcs())
+        g.add_edges_from(arcs(d))
         return g
 
     for G, m, classes in [(klein(), 3, 2), (cyclic(3), 3, 9)]:

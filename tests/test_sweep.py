@@ -727,8 +727,8 @@ def test_witness_sequence_reads_as_a_list():
 
 def test_witness_count_builds_no_keys(monkeypatch):
     # Skipped subtrees keep their witnesses as segments, so the count needs
-    # no key; here whole 6-row prefixes (Z1) and 4-row prefixes (Z2) are
-    # skipped.
+    # no key; here prefixes of one to six rows (Z1) and one to four rows
+    # (Z2) are skipped with their witnesses.
     def no_keys(self):
         raise AssertionError("witness keys built")
 

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from . import perms as permlib
-from .digraphs import Digraph, MCayleyDigraph, _reachable, right_translation
+from .digraphs import (Digraph, MCayleyDigraph, is_connected, is_k_regular, is_oriented,
+                       right_translation)
 from .errors import BlockMismatch, TooLarge
 from .groups import Group, generating_set
 from .reports import VerificationReport
@@ -333,21 +334,14 @@ def is_omsr(gamma: MCayleyDigraph, G: Group, m: int,
         raise BlockMismatch(f"digraph over |G| = {gamma.group.order} with m = {gamma.m}, "
                             f"asked for |G| = {G.order} with m = {m}")
     start = time.perf_counter()
-    # One sweep over the arcs: an arc u -> w with u in w's out-set is a loop
-    # (w = u) or half a digon.  When every in-degree equals its out-degree,
-    # each weak component is strong, so reaching all from vertex 0 suffices.
-    out_adj, n = gamma.out_adj, gamma.n
-    degrees = list(map(len, out_adj))
-    balanced = degrees == list(map(len, gamma.in_adj))
-    regular = balanced and degrees.count(VALENCY) == n
-    oriented = not any(u in gamma.out_sets[w] for u, nbrs in enumerate(out_adj) for w in nbrs)
-    connected = _reachable(out_adj, 0) == n and (balanced or _reachable(gamma.in_adj, 0) == n)
+    oriented, regular = is_oriented(gamma), is_k_regular(gamma, VALENCY)
+    connected = is_connected(gamma)
     A = automorphisms(gamma)
     orbits = permlib.orbit_partition(A.generators, A.degree)
     verdict = bool(oriented and regular and A.order == G.order)
     elapsed = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
-        group_label=G.label or f"order-{G.order}", m=m, group_order=G.order,
+        group_label=G.label, m=m, group_order=G.order,
         construction_kind=construction_kind, omsr=verdict,
         oriented=oriented, regular2=regular, connected=connected,
         aut_order=A.order, stabilizer_order=A.order // len(orbits[0]),

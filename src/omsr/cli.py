@@ -22,9 +22,8 @@ import sys
 from typing import List, Optional, Tuple
 
 from . import sweep as sweeplib
-from .automorphisms import VALENCY, is_omsr
-from .constructions import RECIPES, construct_omsr, recipe_table, report_from_exception
-from .digraphs import build_mcayley
+from .automorphisms import VALENCY
+from .constructions import RECIPES, construct_omsr, report_from_exception
 from .errors import (InfeasibleSweep, NotAGroup, NotGenerating, OmsrError, ParseError,
                      TooLarge, UnknownFamily)
 from .groups import GeneratingPair, Group, catalog_group, parse_group_spec
@@ -57,15 +56,12 @@ def load_group(spec: str) -> Tuple[Group, Optional[GeneratingPair]]:
 
 def verify_instance(G: Group, pair: Optional[GeneratingPair], m: int,
                     recipe: str = "auto") -> VerificationReport:
-    """Full report for one (group, m).  A recipe other than "auto" verifies
-    that recipe's table alone, with no search behind it."""
-    if recipe == "auto":
-        result = construct_omsr(G, pair, m)
-        if isinstance(result, ExceptionVerdict):
-            return report_from_exception(G, m, result)
-        return result[1]
-    table, kind = recipe_table(G, pair, m, kind=recipe)
-    return is_omsr(build_mcayley(G, table), G, m, construction_kind=kind)
+    """The report of `construct_omsr` for one (group, m) and recipe, or of
+    its certified exception."""
+    result = construct_omsr(G, pair, m, kind=recipe)
+    if isinstance(result, ExceptionVerdict):
+        return report_from_exception(G, m, result)
+    return result[1]
 
 
 def group_roster(max_order: int) -> List[Tuple[Group, GeneratingPair]]:

@@ -4,12 +4,12 @@
 cyclic groups of order >= 3, the abelian and non-abelian two-generator
 recipes, a closed table for Z2 x Z2k at m = 2, a closed rigid table for
 Z1 at m >= 7, and at m >= 5 the circulant C_m(1, 2) lifted to Z2 and the
-Klein four-group.  No recipe searches.  `construct_omsr` verifies the
-recipe digraph.  Where no recipe applies (inside the sweep's feasibility
-guard), or inside the guard its digraph is not an OmSR, the witness search
-decides: a searched witness, or a NOT_EXISTS certificate from its exhausted
-scan.  Past the guard a recipe digraph that is not an OmSR is the answer,
-and it fails verification.
+Klein four-group.  No recipe searches.  `construct_omsr`, the one path
+from (G, m) to a verdict, verifies the recipe digraph.  Under "auto", where
+no recipe applies (inside the sweep's feasibility guard), or inside the
+guard its digraph is not an OmSR, the witness search decides: a searched
+witness, or a NOT_EXISTS certificate from its exhausted scan.  Otherwise
+the recipe digraph is the answer, verified or not.
 """
 
 from __future__ import annotations
@@ -183,15 +183,14 @@ def recipe_table(G: Group, pair: Optional[GeneratingPair], m: int,
                  kind: str = "auto") -> Optional[Tuple[ConnectionTable, str]]:
     """The table of recipe ``kind`` for (G, m) and its construction kind.
 
-    "auto" picks by structure: the cyclic recipe for cyclic groups; for
-    other abelian groups the Z2 x Z2k table at m = 2 where it applies, else
-    the abelian recipe; the non-abelian recipe otherwise.  Z1, Z2 and the
-    Klein four-group have no element of order >= 3 for those recipes.  Z1
-    gets `rigid_trivial_table` at m >= 7, and Z2 and the Klein four-group
-    the spanning-tree lift of `circulant_table` at m >= 5; below that
-    "auto" returns None for them.  An explicit kind raises when its recipe
-    does not apply to G.  A digraph past the engine's vertex cap is refused
-    with TooLarge before any table is built.
+    "auto" picks "cyclic", "abelian" or "nonabelian" by structure, and
+    alone uses the closed tables: Z2 x Z2k at m = 2 in place of the abelian
+    recipe; `rigid_trivial_table` for Z1 at m >= 7 and the spanning-tree
+    lift of `circulant_table` for Z2 and the Klein four-group at m >= 5
+    (they have no element of order >= 3), and None below that.  An
+    explicit kind never substitutes another table, and raises when its
+    recipe does not apply to G.  A digraph past the engine's vertex cap is
+    refused with TooLarge before any table is built.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
@@ -201,14 +200,17 @@ def recipe_table(G: Group, pair: Optional[GeneratingPair], m: int,
         raise TooLarge(f"{G.order * m} vertices exceeds cap {VERTEX_CAP}")
     if pair is None:
         pair = find_generating_pair(G)
-    if kind == "auto" and (G.order <= 2 or _is_klein_four(G)):
+    auto = kind == "auto"
+    if auto:
         if G.order == 1:
             return (rigid_trivial_table(m), KIND_RIGID_TRIVIAL) if m >= RIGID_MIN_M else None
-        if m < LIFT_MIN_M:
-            return None
-        b = pair.b if pair.b is not None else 0
-        return spanning_tree_lift_table(G, pair.a, b, circulant_table(m)), KIND_LIFT
-    if kind == "cyclic" or (kind == "auto" and is_cyclic(G)):
+        if G.order == 2 or _is_klein_four(G):
+            if m < LIFT_MIN_M:
+                return None
+            b = pair.b if pair.b is not None else 0
+            return spanning_tree_lift_table(G, pair.a, b, circulant_table(m)), KIND_LIFT
+        kind = "cyclic" if is_cyclic(G) else "abelian" if is_abelian(G) else "nonabelian"
+    if kind == "cyclic":
         a = pair.a
         if element_order(G, a) != G.order:
             a = next((GroupElement(g) for g in G.elements()
@@ -217,9 +219,9 @@ def recipe_table(G: Group, pair: Optional[GeneratingPair], m: int,
     if pair.b is None:
         raise NotGenerating(f"{G!r}: this recipe needs a two-element generating pair")
     a, b = normalize_generating_pair(G, pair.a, pair.b)
-    if kind == "nonabelian" or (kind == "auto" and not is_abelian(G)):
+    if kind == "nonabelian":
         return nonabelian_connection_table(G, a, b, m), KIND_NONABELIAN
-    z2xz2k = _z2xz2k_elements(G) if m == 2 else None
+    z2xz2k = _z2xz2k_elements(G) if auto and m == 2 else None
     if z2xz2k is not None:
         return z2xz2k_connection_table(G, *z2xz2k), KIND_Z2XZ2K
     return abelian_connection_table(G, a, b, m), KIND_ABELIAN
@@ -245,7 +247,7 @@ def _witness_path(G: Group, m: int, witness_dir: str) -> str:
     if G.order == 2 or _is_klein_four(G):
         label = "Z2" if G.order == 2 else "Z2xZ2"
     else:
-        label = (G.label or f"order{G.order}").replace("/", "_").replace("^", "e")
+        label = G.label.replace("/", "_").replace("^", "e")
     return os.path.join(witness_dir, f"{label}_m{m}_v{VALENCY}.table")
 
 
@@ -283,7 +285,8 @@ def _store_witness(G: Group, m: int, witness_dir: str, table: ConnectionTable) -
             os.remove(tmp)  # cache is best effort
 
 
-def _searched_witness(G: Group, m: int, witness_dir: str):
+def _searched_witness(G: Group, m: int):
+    witness_dir = default_witness_dir()
     cached = _load_cached_witness(G, m, witness_dir)
     if cached is not None:
         gamma = build_mcayley(G, cached)
@@ -295,7 +298,7 @@ def _searched_witness(G: Group, m: int, witness_dir: str):
         # The search exhausted the whole space: certified non-existence,
         # with the exact max |Aut| over every oriented table it examined.
         return ExceptionVerdict(
-            group_label=G.label or f"order-{G.order}",
+            group_label=G.label,
             m=m,
             enumerated_count=stats["examined"],
             all_failed=True,
@@ -307,33 +310,32 @@ def _searched_witness(G: Group, m: int, witness_dir: str):
     return gamma, report
 
 
-def construct_omsr(G: Group, pair: Optional[GeneratingPair], m: int,
-                   witness_dir: Optional[str] = None
+def construct_omsr(G: Group, pair: Optional[GeneratingPair], m: int, kind: str = "auto"
                    ) -> Union[Tuple[MCayleyDigraph, VerificationReport], ExceptionVerdict]:
     """Dispatch: a verified witness digraph, or a certified exception.
 
-    Verifies the digraph of `recipe_table`.  Where no recipe applies (Z1
-    below m = 7, Z2 and the Klein four-group below m = 5) or, inside the
-    sweep's feasibility guard, its digraph is not an OmSR, the witness
-    search decides, reading and writing the witness cache in
-    ``witness_dir``.  Its exhausted scan certifies the exceptions: the
-    trivial group with m <= 6, Z2 with m <= 3 and the Klein four-group
-    with m = 2.  Past the guard, where the search cannot run, a recipe
-    digraph that is not an OmSR comes back with its failed report.
+    Verifies the digraph of `recipe_table` for ``kind``.  Under "auto",
+    where no recipe applies (Z1 below m = 7, Z2 and the Klein four-group
+    below m = 5) or, inside the sweep's feasibility guard, its digraph is
+    not an OmSR, the witness search decides, with the witness cache in
+    `default_witness_dir`.  Its exhausted scan certifies the exceptions:
+    the trivial group with m <= 6, Z2 with m <= 3 and the Klein four-group
+    with m = 2.  An explicit kind, or a digraph past the guard, comes back
+    with its report whatever the verdict.
     """
-    recipe = recipe_table(G, pair, m)
+    recipe = recipe_table(G, pair, m, kind)
     if recipe is not None:
-        table, kind = recipe
+        table, recipe_kind = recipe
         gamma = build_mcayley(G, table)
-        report = is_omsr(gamma, G, m, construction_kind=kind)
-        if report.omsr or not sweeplib.feasibility_guard(G, m):
+        report = is_omsr(gamma, G, m, construction_kind=recipe_kind)
+        if report.omsr or kind != "auto" or not sweeplib.feasibility_guard(G, m):
             return gamma, report
-    return _searched_witness(G, m, witness_dir or default_witness_dir())
+    return _searched_witness(G, m)
 
 
 def report_from_exception(G: Group, m: int, verdict: ExceptionVerdict) -> VerificationReport:
     return VerificationReport(
-        group_label=G.label or f"order-{G.order}",
+        group_label=G.label,
         m=m,
         group_order=G.order,
         construction_kind=KIND_EXCEPTION,

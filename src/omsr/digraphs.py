@@ -145,14 +145,9 @@ def build_mcayley(G: Group, T: ConnectionTable) -> MCayleyDigraph:
 
 
 def is_oriented(d: Digraph) -> bool:
-    """No loops and no pair of oppositely directed arcs."""
-    for u in range(d.n):
-        if u in d.out_sets[u]:
-            return False
-        for v in d.out_adj[u]:
-            if v > u and u in d.out_sets[v]:
-                return False
-    return True
+    """No loops and no pair of oppositely directed arcs: no arc u -> w with
+    u in w's out-set, which is a loop (w = u) or half a digon."""
+    return not any(u in d.out_sets[w] for u, nbrs in enumerate(d.out_adj) for w in nbrs)
 
 
 def oriented_table_criterion(G: Group, T: ConnectionTable) -> bool:
@@ -169,7 +164,7 @@ def oriented_table_criterion(G: Group, T: ConnectionTable) -> bool:
 
 
 def is_k_regular(d: Digraph, k: int) -> bool:
-    return all(len(d.out_adj[v]) == k and len(d.in_adj[v]) == k for v in range(d.n))
+    return list(map(len, d.out_adj)) == list(map(len, d.in_adj)) == [k] * d.n
 
 
 def _reachable(adj, start: int) -> int:
@@ -188,10 +183,13 @@ def _reachable(adj, start: int) -> int:
 
 
 def is_connected(d: Digraph) -> bool:
-    """Strong connectivity: forward and reverse sweeps both cover V."""
+    """Strong connectivity: forward and reverse sweeps both cover V.  When
+    every in-degree equals its out-degree, each weak component is strong,
+    so the forward sweep suffices."""
     if d.n == 0:
         return False
-    return _reachable(d.out_adj, 0) == d.n and _reachable(d.in_adj, 0) == d.n
+    balanced = list(map(len, d.out_adj)) == list(map(len, d.in_adj))
+    return _reachable(d.out_adj, 0) == d.n and (balanced or _reachable(d.in_adj, 0) == d.n)
 
 
 def right_translation(G: Group, m: int, g) -> Perm:

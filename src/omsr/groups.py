@@ -38,8 +38,9 @@ def _idx(x) -> int:
 class Group:
     """Immutable finite group given by its full multiplication table, as
     tuples of the Python ints it is given; the constructor checks nothing.
-    ``_memo`` keeps what is derived from it once: the generating set, the
-    automorphism generators and the engine's right-translation seeds per m."""
+    A group given no label is named ``order-<n>``.  ``_memo`` keeps what
+    is derived from it once: the generating set, the automorphism
+    generators and the engine's right-translation seeds per m."""
 
     __slots__ = ("order", "mult", "inv", "label", "_memo")
 
@@ -47,7 +48,7 @@ class Group:
         self.order = len(mult)
         self.mult = tuple(map(tuple, mult))
         self.inv = tuple(inv)
-        self.label = label
+        self.label = label or f"order-{self.order}"
         self._memo = {}
 
     def mul(self, x, y) -> int:
@@ -65,8 +66,7 @@ class Group:
         return range(self.order)
 
     def __repr__(self):
-        tag = self.label or "group"
-        return f"Group({tag}, order={self.order})"
+        return f"Group({self.label}, order={self.order})"
 
 
 def _first_bad(ok: np.ndarray, what: str, order: np.ndarray) -> None:

@@ -467,7 +467,7 @@ def exhaustive_sweep(G: Group, m: int, all_witnesses: bool = False) -> SweepResu
         examined = count_tables(G.order, m)
     oriented += prefixes.skipped
     return SweepResult(
-        group_label=G.label or f"order-{G.order}",
+        group_label=G.label,
         m=m,
         tables_enumerated=examined,
         oriented_count=oriented,

@@ -7,6 +7,7 @@ engine's search.
 """
 
 import bisect
+import collections
 import itertools
 
 from omsr.automorphisms import _closure_elements, _refine
@@ -22,6 +23,35 @@ def arcs(d):
 
 def arc_count(d) -> int:
     return sum(len(nbrs) for nbrs in d.out_adj)
+
+
+def oriented(d) -> bool:
+    """No loop and no arc whose reverse is an arc, read off the arc set."""
+    arc_set = set(arcs(d))
+    return all((w, u) not in arc_set for u, w in arc_set)
+
+
+def k_regular(d, k) -> bool:
+    """Every vertex the tail of k arcs and the head of k arcs."""
+    tails = collections.Counter(u for u, _ in arcs(d))
+    heads = collections.Counter(w for _, w in arcs(d))
+    return all(tails[v] == heads[v] == k for v in range(d.n))
+
+
+def strongly_connected(d) -> bool:
+    """Whether vertex 0 reaches every vertex along the arcs and against
+    them, each reach grown to a fixed point over the arc list; no shortcut
+    for balanced degrees."""
+    def covers(pairs):
+        seen = {0}
+        while True:
+            new = {w for u, w in pairs if u in seen} - seen
+            if not new:
+                return len(seen) == d.n
+            seen |= new
+
+    pairs = arcs(d)
+    return d.n > 0 and covers(pairs) and covers([(w, u) for u, w in pairs])
 
 
 def cycles(p):

@@ -12,12 +12,13 @@ from omsr.automorphisms import (VERTEX_CAP, _individualize, _refine, aut_order_b
 from omsr.constructions import (cyclic_connection_table, nonabelian_connection_table,
                                 recipe_table)
 from omsr.digraphs import (ConnectionTable, Digraph, MCayleyDigraph, _reachable, build_mcayley,
-                           is_connected, is_k_regular, is_oriented, right_translation)
+                           right_translation)
 from omsr.errors import BlockMismatch, TooLarge
 from omsr.groups import catalog_group, group_from_cayley_table, normalize_generating_pair
 from omsr.perms import compose, inverse, orbit_partition
 from omsr.sweep import enumerate_tables, exhaustive_sweep
-from oracles import arcs, brute_force_automorphisms, elements, first_occurrence, refine
+from oracles import (arcs, brute_force_automorphisms, elements, first_occurrence, k_regular,
+                     oriented, refine, strongly_connected)
 
 
 def directed_cycle(n):
@@ -424,12 +425,12 @@ def test_translation_seeds_built_once_per_group_and_m(monkeypatch):
 
 
 def test_is_omsr_checks_match_predicates():
-    # is_omsr reads orientation, 2-regularity and strong connectivity off
-    # one sweep; the three predicates decide each on its own.
+    # is_omsr's orientation, 2-regularity and strong connectivity agree
+    # with the arc-list oracles, which share no code with the predicates.
     def check(G, table):
         d = build_mcayley(G, table)
         report = is_omsr(d, G, table.m)
-        want = (is_oriented(d), is_k_regular(d, 2), is_connected(d))
+        want = (oriented(d), k_regular(d, 2), strongly_connected(d))
         assert (report.oriented, report.regular2, report.connected) == want
         return want
 

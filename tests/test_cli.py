@@ -395,6 +395,22 @@ def test_main_exits_quietly_when_stdout_closes():
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
+def test_explicit_recipe_never_substitutes_another_table(tmp_path, monkeypatch, capsys):
+    # "auto" answers Z2 x Z4 at m = 2 with the closed Z2 x Z2k table.  The
+    # abelian recipe verifies its own table, whose digraph has |Aut| = 16.
+    monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
+    verify = ["verify", "--group", "catalog:cyclic_product:2:4", "--m", "2"]
+    assert main(verify + ["--recipe", "abelian"]) == EXIT_FAILED
+    assert capsys.readouterr().out.split(":", 1) == [
+        "Z2xZ4 m=2 [abelian_2gen]",
+        " omsr=False oriented=True regular2=True connected=True |Aut|=16 |G|=8 stab=1\n"]
+    assert main(verify) == EXIT_OK
+    assert capsys.readouterr().out.split(":", 1) == [
+        "Z2xZ4 m=2 [abelian_z2xz2k]",
+        " omsr=True oriented=True regular2=True connected=True |Aut|=8 |G|=8 stab=1\n"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_klein_four_past_search_budget(tmp_path, monkeypatch, capsys):
     # The lift of the circulant table answers past the sweep's guard, where
     # the witness search would refuse the cell.

@@ -177,27 +177,29 @@ def test_rigid_trivial_table_shape():
             rigid_trivial_table(m)
 
 
-def test_construct_klein_m7_lift(tmp_path):
+def test_construct_klein_m7_lift(tmp_path, monkeypatch):
     # Past the guard of find_witness (test_find_witness_past_guard_raises)
     # the dispatcher lifts the circulant table instead, and neither
     # searches nor writes the cache.
+    monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
     K, pair = catalog_group("elementary_abelian_2", [2])
-    gamma, report = construct_omsr(K, pair, 7, witness_dir=str(tmp_path))
+    gamma, report = construct_omsr(K, pair, 7)
     assert report.construction_kind == KIND_LIFT
     assert report.omsr and report.aut_order == 4
     assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("m", [16, 20])
-def test_construct_small_groups_past_search_budget(tmp_path, m):
+def test_construct_small_groups_past_search_budget(tmp_path, monkeypatch, m):
     # find_witness raises InfeasibleSweep for Z2 from m = 9 and for the
     # Klein four-group from m = 5 on.  Z1, Z2 and the Klein four-group take
     # closed tables there: no search, and so no cache file.
+    monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
     for (name, params), kind in [(("cyclic", [1]), KIND_RIGID_TRIVIAL),
                                  (("cyclic", [2]), KIND_LIFT),
                                  (("elementary_abelian_2", [2]), KIND_LIFT)]:
         G, pair = catalog_group(name, params)
-        gamma, report = construct_omsr(G, pair, m, witness_dir=str(tmp_path))
+        gamma, report = construct_omsr(G, pair, m)
         assert report.omsr and report.connected and report.aut_order == G.order
         assert report.construction_kind == kind
     assert not list(tmp_path.iterdir())
@@ -326,9 +328,10 @@ def test_case1_m2_two_balls_not_isomorphic():
 
 # --- dispatcher --------------------------------------------------------------
 
-def test_construct_klein_m2_exception(tmp_path):
+def test_construct_klein_m2_exception(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
     G, pair = catalog_group("elementary_abelian_2", [2])
-    verdict = construct_omsr(G, pair, 2, witness_dir=str(tmp_path))
+    verdict = construct_omsr(G, pair, 2)
     assert isinstance(verdict, ExceptionVerdict)
     assert verdict.all_failed
     assert verdict.enumerated_count > 0
@@ -337,9 +340,10 @@ def test_construct_klein_m2_exception(tmp_path):
                          "max_aut_order_seen"}
 
 
-def test_construct_trivial_m7_witness(tmp_path):
+def test_construct_trivial_m7_witness(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
     G, pair = catalog_group("cyclic", [1])
-    gamma, report = construct_omsr(G, pair, 7, witness_dir=str(tmp_path))
+    gamma, report = construct_omsr(G, pair, 7)
     assert report.omsr and report.aut_order == 1
     assert report.construction_kind == KIND_RIGID_TRIVIAL
     assert gamma.table == rigid_trivial_table(7)
@@ -364,15 +368,40 @@ def test_construct_abelian_noncyclic():
     assert report.construction_kind == KIND_ABELIAN and report.omsr
 
 
-def test_witness_cache_round_trip(tmp_path):
+def test_recipe_rejected_inside_guard_searches_under_auto_only(tmp_path, monkeypatch):
+    # Inside the sweep's guard (|G| m = 9) "auto" hands a recipe digraph
+    # that is not an OmSR to the witness search; the explicit kind returns
+    # that digraph with its failed report.
+    from omsr import constructions
+    recipe = constructions.recipe_table
+    # Oriented, 2-regular and connected over Z3, with |Aut| = 18.
+    rejected = ConnectionTable.from_dict(3, {(0, 1): {0, 1}, (1, 2): {0, 1}, (2, 0): {0, 1}})
+
+    def rejected_for_z3_m3(G, pair, m, kind="auto"):
+        if (G.order, m) == (3, 3):
+            return rejected, KIND_CYCLIC
+        return recipe(G, pair, m, kind)
+
+    monkeypatch.setattr(constructions, "recipe_table", rejected_for_z3_m3)
+    monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
+    G, pair = catalog_group("cyclic", [3])
+    gamma, report = construct_omsr(G, pair, 3)
+    assert (report.construction_kind, report.omsr, report.aut_order) == (KIND_SEARCH, True, 3)
+    assert gamma.table != rejected
+    gamma, report = construct_omsr(G, pair, 3, kind="cyclic")
+    assert (report.construction_kind, report.omsr, report.aut_order) == (KIND_CYCLIC, False, 18)
+    assert gamma.table == rejected
+
+
+def test_witness_cache_round_trip(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
     G, pair = catalog_group("elementary_abelian_2", [2])
-    wdir = str(tmp_path)
-    gamma1, report1 = construct_omsr(G, pair, 3, witness_dir=wdir)
+    gamma1, report1 = construct_omsr(G, pair, 3)
     assert report1.omsr
     files = list(tmp_path.glob("*.table"))
     assert len(files) == 1
     # Second call reuses the cached table and still verifies from scratch.
-    gamma2, report2 = construct_omsr(G, pair, 3, witness_dir=wdir)
+    gamma2, report2 = construct_omsr(G, pair, 3)
     assert report2.omsr
     assert gamma2.table == gamma1.table
 
@@ -421,8 +450,9 @@ def test_exhausted_search_certificate_from_one_enumeration(tmp_path, monkeypatch
         return original(*args, **kwargs)
 
     monkeypatch.setattr(sweep, "enumerate_tables", counting)
+    monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
     G, pair = catalog_group("cyclic", [2])
-    verdict = construct_omsr(G, pair, 3, witness_dir=str(tmp_path))
+    verdict = construct_omsr(G, pair, 3)
     assert isinstance(verdict, ExceptionVerdict)
     assert len(calls) == 1
     assert (verdict.enumerated_count, verdict.oriented_count,
@@ -431,17 +461,18 @@ def test_exhausted_search_certificate_from_one_enumeration(tmp_path, monkeypatch
     summary = report_from_exception(G, 3, verdict).summary()
     assert "534 tables, 10 oriented, max |Aut| seen 24" in summary
     # No table is oriented at m = 2, so max |Aut| 0 means "no digraph examined".
-    empty = construct_omsr(G, pair, 2, witness_dir=str(tmp_path))
+    empty = construct_omsr(G, pair, 2)
     assert (empty.oriented_count, empty.max_aut_order_seen) == (0, 0)
 
 
-def test_corrupt_cached_witness_is_skipped(tmp_path):
+def test_corrupt_cached_witness_is_skipped(tmp_path, monkeypatch):
     from omsr.constructions import _witness_path
+    monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
     G, pair = catalog_group("elementary_abelian_2", [2])
     path = tmp_path / os.path.basename(_witness_path(G, 3, str(tmp_path)))
     path.write_text("m: 3\nT 0 0 : 1\nT 0 1")  # cut off mid-write
     with pytest.warns(UserWarning, match="unreadable witness cache file"):
-        gamma, report = construct_omsr(G, pair, 3, witness_dir=str(tmp_path))
+        gamma, report = construct_omsr(G, pair, 3)
     assert report.omsr and report.construction_kind == KIND_SEARCH
     # The search rewrote the file with the witness it found.
     assert parse_connection_table(path.read_text()) == gamma.table

@@ -11,7 +11,8 @@ from omsr.digraphs import (ConnectionTable, Digraph, build_mcayley, is_connected
 from omsr.errors import ParseError
 from omsr.groups import GroupElement, catalog_group
 from omsr.perms import compose, is_bijection
-from oracles import arc_count, arcs, cycles, distance2_out_set, induced_subdigraph
+from oracles import (arc_count, arcs, cycles, distance2_out_set, induced_subdigraph,
+                     strongly_connected)
 
 
 def table_of(m, entries):
@@ -158,10 +159,15 @@ def test_is_connected_examples():
     Z4, p4 = catalog_group("cyclic", [4])
     sq = Z4.mul(p4.a, p4.a)
     assert not is_connected(build_mcayley(Z4, table_of(2, {(0, 0): [sq]})))
+    # 0 -> 1: the forward sweep covers V, but the degrees are unbalanced and
+    # nothing reaches 0.
+    path = Digraph(2, [[1], []])
+    assert not is_connected(path) and not strongly_connected(path)
 
 
 def test_weak_equals_strong_on_regular():
-    # is_omsr decides connectivity by one forward sweep on balanced digraphs.
+    # is_connected decides connectivity by one forward sweep on balanced
+    # digraphs; the reference sweeps both ways.
     def weakly_connected(d):
         seen, queue = {0}, [0]
         for u in queue:
@@ -179,7 +185,7 @@ def test_weak_equals_strong_on_regular():
         d = build_mcayley(G, t)
         if is_k_regular(d, 2):
             seen_regular += 1
-            assert weakly_connected(d) == is_connected(d)
+            assert weakly_connected(d) == strongly_connected(d) == is_connected(d)
     assert seen_regular > 0
 
 

@@ -7,7 +7,9 @@ order 2,000 (`groups.ORDER_CAP`) and |G| * m <= 16 for a sweep
 
 Exit codes: 0 verified (either direction, certified); 1 verification
 failed, or stdout closed early (`| head`), which ends quietly; 2 input
-error; 3 size or feasibility cap exceeded, or out of memory (as an
+error, including a `--recipe` that does not apply to the group (too
+small an element order, or the wrong commutativity), since no digraph is
+verified; 3 size or feasibility cap exceeded, or out of memory (as an
 all-witness sweep that prints too many witnesses), which ends with one
 line on stderr instead of a traceback.
 """
@@ -24,8 +26,8 @@ from typing import List, Optional, Tuple
 from . import sweep as sweeplib
 from .automorphisms import VALENCY
 from .constructions import RECIPES, construct_omsr, report_from_exception
-from .errors import (InfeasibleSweep, NotAGroup, NotGenerating, OmsrError, ParseError,
-                     TooLarge, UnknownFamily)
+from .errors import (InfeasibleSweep, IsAbelian, NotAbelian, NotAGroup, NotGenerating,
+                     OmsrError, OrderTooSmall, ParseError, TooLarge, UnknownFamily)
 from .groups import GeneratingPair, Group, catalog_group, parse_group_spec
 from .reports import ExceptionVerdict, VerificationReport
 
@@ -254,7 +256,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         # interpreter exit has nowhere to fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAILED
-    except (ParseError, UnknownFamily, NotGenerating, NotAGroup, ValueError) as exc:
+    except (ParseError, UnknownFamily, NotGenerating, NotAGroup, OrderTooSmall, IsAbelian,
+            NotAbelian, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (TooLarge, InfeasibleSweep) as exc:

@@ -7,9 +7,9 @@ cell is rejected as soon as orientation can be checked on it, so only
 oriented tables are walked.  A rejected subtree is counted, not walked:
 how many tables complete a partial one depends only on how many columns
 still take 2 elements and how many take 1, over the whole table and over
-the current row's later columns, and a memoised recurrence on those four
-counts gives it.  So each yielded table keeps its 1-based position among
-all constrained tables.
+the current row's later columns, which the walk keeps as it goes, and a
+memoised recurrence on those four counts gives it.  So each yielded
+table keeps its 1-based position among all constrained tables.
 
 `exhaustive_sweep` is the one scan, and its witnesses come back in
 enumeration order; `find_witness` is its first-stop form.  |Aut| is the
@@ -23,7 +23,9 @@ isomorph-free generation (McKay, *Isomorph-free exhaustive generation*,
 J. Algorithms 1998): the engine runs only on a table that no single move
 sends to an earlier one, and the scan records its verdict, |Aut| = |G|.
 The walk also applies that test to each finished row prefix, under the
-moves that keep its rows in place.  Such a move maps the subtree of the
+moves that keep its rows in place, retrying only the moves that fixed the
+parent prefix, on the new row, and those new to the row: any other image
+differs in an earlier row.  Such a move maps the subtree of the
 prefix one-to-one onto that of an earlier prefix, so the subtree is
 counted, not walked: it holds no new |Aut|, as many oriented tables as the
 earlier one, read from a memo (`_PrefixMemo`), and as its witnesses one
@@ -41,11 +43,11 @@ followed: first-stop and NOT_EXISTS scans follow none.  So the witnesses
 engine call per table.
 
 Every scan runs inside the feasibility guard, |G|*m <= `GUARD_PRODUCT`,
-which bounds neither the number of tables nor of witnesses; the
-first-stop scans it admits end within seconds, up to Z1 at m = 16.  An
-all-witness scan counts its witnesses in one part per walked witness or
-skipped segment: Z4 at m = 4 (1,582,080) took 3.2 s and 34 MB on a 2-core
-x86-64 host, Z2 at m = 6 (11,543,040) 5.3 s and 44 MB.  Reading them
+which bounds neither the number of tables nor of witnesses; on a 2-core
+x86-64 host the first-stop scans it admits end within 0.6 s, Z1 at m = 16
+the slowest.  An all-witness scan counts its witnesses in one part per
+walked witness or skipped segment: Z4 at m = 4 (1,582,080) took 2.7-3.3 s
+and 35 MB there, Z2 at m = 6 (11,543,040) 4.6 s and 44 MB.  Reading them
 builds every key: 312 MB on Z4 at m = 4.
 """
 
@@ -165,11 +167,13 @@ def enumerate_tables(G: Group, m: int,
         sub_inv = frozenset(G.inv[t] for t in sub)
         subsets[len(sub)].append((sub, rank, sub_inv, 0 not in sub and not sub & sub_inv))
     colrem = [VALENCY] * m
+    have = [0, 0, m]  # have[c]: the columns that still take c elements
     current = [[frozenset()] * m for _ in range(m)]
     ranks = [0] * (m * m)  # row-major cell ranks of ``current``, as _RankedMoves codes them
     position = reached = 0  # reached: oriented tables yielded or counted
 
-    def fill_cell(i, j, rowrem):
+    def fill_cell(i, j, rowrem, a2, b1):
+        # a2, b1: the columns j.. of row i that still take 2 and 1 elements.
         nonlocal position, reached
         if j == m:
             if i + 1 == m:
@@ -181,33 +185,37 @@ def enumerate_tables(G: Group, m: int,
                 key = tuple(ranks[:(i + 1) * m])
                 count = prefixes.skip(key, i) if reached else None
                 if count is not None:
-                    position += _completions(n, 0, colrem.count(2), colrem.count(1), 0, 0)
+                    position += _completions(n, 0, have[2], have[1], 0, 0)
                     reached += count
                     return
                 start, begin = reached, prefixes.size
-            yield from fill_cell(i + 1, 0, VALENCY)
+            yield from fill_cell(i + 1, 0, VALENCY, have[2], have[1])
             if prefixes is not None:
                 prefixes.subtrees[key] = reached - start, begin, prefixes.size
             return
         partner = current[j][i] if j < i else None
-        later = colrem[j + 1:]
-        a2, b1 = later.count(2), later.count(1)
-        for s in range(min(rowrem, colrem[j], n) + 1):
-            colrem[j] -= s
-            below = _completions(n, rowrem - s, colrem.count(2), colrem.count(1), a2, b1)
+        c = colrem[j]
+        a2, b1 = a2 - (c == 2), b1 - (c == 1)
+        have[c] -= 1
+        for s in range(min(rowrem, c, n) + 1):
+            colrem[j] = c - s
+            have[c - s] += 1
+            below = _completions(n, rowrem - s, have[2], have[1], a2, b1)
             if below:
                 for sub, rank, sub_inv, diagonal_ok in subsets[s]:
                     if (diagonal_ok if i == j
                             else partner is None or not sub_inv & partner):
                         current[i][j] = sub
                         ranks[i * m + j] = rank
-                        yield from fill_cell(i, j + 1, rowrem - s)
+                        yield from fill_cell(i, j + 1, rowrem - s, a2, b1)
                     else:
                         position += below
-            colrem[j] += s
+            have[c - s] -= 1
+        have[c] += 1
+        colrem[j] = c
         current[i][j] = frozenset()
 
-    yield from fill_cell(0, 0, VALENCY)
+    yield from fill_cell(0, 0, VALENCY, m, 0)
 
 
 def _table_moves(G: Group, m: int) -> list:
@@ -250,37 +258,46 @@ class _RankedMoves:
     cell ranks, so keys compare exactly as enumeration positions do.  A
     coded move lists, for each target cell in row-major order, its source
     cell and the rank map of the cell-wise element map between them,
-    t -> alpha(h_j t h_i^-1), inverted after the converse.  Rank maps are
-    memoised on the element map alpha with h_i, h_j and the converse flag,
-    so each is ranked once for all the cells and moves that share it.
+    t -> alpha(h_j t h_i^-1), inverted after the converse.  Each rank map
+    is built once per element map, through a table from every ordering of a
+    cell's elements to its rank, and a move with a trivial gauge shares one
+    over all m^2 cells.
     """
 
     def __init__(self, G: Group, m: int):
         n, mult, inv = G.order, G.mult, G.inv
         self.cells = _cell_order(n)
         self._rank = {sub: r for r, sub in enumerate(self.cells)}
-        rank_maps = {}
+        ranks = {p: r for r, c in enumerate(self.cells) for p in itertools.permutations(c)}
+        by_image = {}  # per element map, its rank map
+
+        @functools.cache
+        def rank_map(x, y, alpha, converse):
+            image = [alpha[mult[mult[y][t]][inv[x]]] for t in range(n)]
+            image = tuple([inv[v] for v in image] if converse else image)
+            if image not in by_image:
+                by_image[image] = tuple([ranks[tuple([image[t] for t in c])] for c in self.cells])
+            return by_image[image]
+
         moves = _table_moves(G, m)
         self.moves = []
         for h, sigma, alpha, converse in moves:
-            code = [None] * (m * m)
-            for i, j in itertools.product(range(m), repeat=2):
-                f = (h[i], h[j], alpha, converse)
-                if f not in rank_maps:
-                    image = [alpha[mult[mult[h[j]][t]][inv[h[i]]]] for t in range(n)]
-                    if converse:
-                        image = [inv[x] for x in image]
-                    rank_maps[f] = tuple(self._rank[frozenset(image[t] for t in sub)]
-                                         for sub in self.cells)
-                a, b = (sigma[j], sigma[i]) if converse else (sigma[i], sigma[j])
-                code[a * m + b] = (i * m + j, rank_maps[f])
-            self.moves.append(tuple(code))
+            fs = ([rank_map(x, y, alpha, converse) for x in h for y in h] if any(h)
+                  else [rank_map(0, 0, alpha, converse)] * (m * m))  # per source cell
+            back = sorted(range(m), key=sigma.__getitem__)
+            srcs = [j * m + i if converse else i * m + j
+                    for i, j in itertools.product(back, repeat=2)]
+            self.moves.append(tuple(zip(srcs, map(fs.__getitem__, srcs))))
         self.m = m
         self._inverses = [None] * len(moves)
-        # Per row: the indices of the moves that keep rows 0..row in place.
-        self._row_moves = [[k for k, (h, sigma, alpha, converse) in enumerate(moves)
-                            if not converse and max(sigma[:row + 1]) == row]
+        # Per row: the indices of the moves that keep rows 0..row in place, and
+        # those new to the row with the cells to compare, from the row ``row`` moves to.
+        self._row_moves = [{k for k, (h, sigma, alpha, converse) in enumerate(moves)
+                            if not converse and max(sigma[:row + 1]) == row}
                            for row in range(m - 1)]
+        self._new = [[(k, [*range(a * m, row * m), *range(a * m), *range(row * m, row * m + m)])
+                      for k in sorted(ks - self._row_moves[row - 1]) for a in [moves[k][1][row]]]
+                     if row else [] for row, ks in enumerate(self._row_moves)]
 
     def key(self, sets) -> tuple:
         """The rank tuple of a table, or of a prefix of its rows."""
@@ -300,40 +317,52 @@ class _RankedMoves:
         if self._inverses[k] is None:
             inverse = [None] * len(self.moves[k])
             for target, (src, f) in enumerate(self.moves[k]):
-                undo = [0] * len(f)
-                for r, image in enumerate(f):
-                    undo[image] = r
-                inverse[src] = (target, tuple(undo))
+                inverse[src] = (target, tuple(sorted(range(len(f)), key=f.__getitem__)))
             self._inverses[k] = tuple(inverse)
         return self._inverses[k]
 
-    def earlier_move(self, key, row: Optional[int] = None) -> Optional[int]:
+    def earlier_move(self, key) -> Optional[int]:
         """The index in ``moves`` of the first move whose image of the key is
         earlier in enumeration order, or None.  Each image is compared cell
-        by cell, up to the first cell that differs.
-
-        Given ``row``, the key codes rows 0..row, and only the moves that
-        keep those rows in place are tried: every gauge, every automorphism,
-        and each transposition of two blocks that are both at most ``row``
-        or both above it.  An image counts only when it first differs in row
-        ``row``, so that it shares the key's rows 0..row-1."""
-        moves = self.moves
-        if row is None:
-            indices, fixed = range(len(moves)), 0
-        else:
-            indices, fixed = self._row_moves[row], row * self.m
-        for k in indices:
-            for cell, (target, (src, f)) in enumerate(zip(key, moves[k])):
+        by cell, up to the first cell that differs."""
+        for k, code in enumerate(self.moves):
+            for target, (src, f) in zip(key, code):
                 r = f[key[src]]
                 if r != target:
-                    if r < target and cell >= fixed:
+                    if r < target:
                         return k
                     break
         return None
 
+    def prefix_move(self, key, row: int, parent: Optional[list] = None) -> tuple:
+        """For a key of rows 0..row: ``(k, None)`` for the first move k of
+        ``_row_moves[row]`` (every gauge and automorphism, and each
+        transposition of two blocks both at most ``row`` or both above it)
+        whose image first differs from the key in row ``row``, and is earlier
+        there; else ``(None, fixers)``, the moves whose image is the key.
+        ``parent`` holds the fixers of rows 0..row-1, or None if never tested;
+        given it, only those are tried, on row ``row``, and the moves new to
+        the row in full: any other move's image differs in an earlier row."""
+        lo, hi, kept = row * self.m, (row + 1) * self.m, self._row_moves[row]
+        tries = ([(k, range(hi)) for k in sorted(kept)] if parent is None
+                 else sorted([(k, range(lo, hi)) for k in parent if k in kept] + self._new[row]))
+        fixers = []
+        for k, cells in tries:
+            code = self.moves[k]
+            for cell in cells:
+                src, f = code[cell]
+                r, target = f[key[src]], key[cell]
+                if r != target:
+                    if r < target and cell >= lo:
+                        return k, None
+                    break
+            else:
+                fixers.append(k)
+        return None, fixers
+
     def earlier_image(self, key, row: Optional[int] = None) -> Optional[tuple]:
-        """The key's image under `earlier_move`, or None."""
-        k = self.earlier_move(key, row)
+        """The key's image under `earlier_move` (`prefix_move` given ``row``), or None."""
+        k = self.earlier_move(key) if row is None else self.prefix_move(key, row)[0]
         return None if k is None else _image(self.moves[k], key)
 
 
@@ -354,13 +383,14 @@ class _PrefixMemo:
     def __init__(self, moves: _RankedMoves):
         self.moves, self.subtrees, self.verdicts, self.parts = moves, {}, {}, []
         self.size = self.skipped = 0
+        self.fixers = [None] * moves.m  # [row + 1]: of the last prefix of rows 0..row tested
 
     def skip(self, key, row: int) -> Optional[int]:
         """The oriented count of the subtree under the prefix ``key`` of
         rows 0..row when a move sends the prefix to an earlier one, so the
         subtree may be skipped; else None.  The subtree's witnesses are the
         earlier subtree's, as one segment through the move."""
-        k = self.moves.earlier_move(key, row)
+        k, self.fixers[row + 1] = self.moves.prefix_move(key, row, self.fixers[row])
         if k is None:
             return None
         image = _image(self.moves.moves[k], key)

@@ -13,6 +13,7 @@ import itertools
 from omsr.automorphisms import _closure_elements, _refine
 from omsr.digraphs import Digraph
 from omsr.errors import TooLarge
+from omsr.sweep import _cell_order, _table_moves
 
 BRUTE_FORCE_CAP = 8
 
@@ -125,3 +126,27 @@ def induced_subdigraph(d, vertices):
     labels = sorted(vertices)
     pos = {u: k for k, u in enumerate(labels)}
     return Digraph(len(labels), [[pos[w] for w in d.out_adj[u] if w in pos] for u in labels])
+
+
+def ranked_moves_reference(G, m):
+    """The codes of the moves of `_table_moves` and, per row, the indices of
+    those that keep rows 0..row in place, as `sweep._RankedMoves` holds
+    them, built cell by cell: each cell's image under t -> alpha(h_j t h_i^-1),
+    inverted after the converse, ranked as a frozenset."""
+    cells = _cell_order(G.order)
+    rank = {sub: r for r, sub in enumerate(cells)}
+    moves = _table_moves(G, m)
+    codes = []
+    for h, sigma, alpha, converse in moves:
+        code = [None] * (m * m)
+        for i, j in itertools.product(range(m), repeat=2):
+            image = [alpha[G.mult[G.mult[h[j]][t]][G.inv[h[i]]]] for t in range(G.order)]
+            if converse:
+                image = [G.inv[x] for x in image]
+            a, b = (sigma[j], sigma[i]) if converse else (sigma[i], sigma[j])
+            code[a * m + b] = (i * m + j, tuple(rank[frozenset(image[t] for t in sub)]
+                                                for sub in cells))
+        codes.append(tuple(code))
+    rows = [[k for k, (h, sigma, alpha, converse) in enumerate(moves)
+             if not converse and max(sigma[:row + 1]) == row] for row in range(m - 1)]
+    return codes, rows

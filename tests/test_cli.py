@@ -93,9 +93,9 @@ def test_verify_recipe_override_cyclic_and_nonabelian():
     for spec, recipe, code in [
             ("catalog:cyclic_product:2:4", "cyclic", EXIT_INPUT),     # NotGenerating
             ("catalog:symmetric:3", "cyclic", EXIT_INPUT),
-            ("catalog:cyclic:2", "cyclic", EXIT_FAILED),              # OrderTooSmall
+            ("catalog:cyclic:2", "cyclic", EXIT_INPUT),               # OrderTooSmall
             ("catalog:cyclic:8", "nonabelian", EXIT_INPUT),           # no second generator
-            ("catalog:cyclic_product:3:3", "nonabelian", EXIT_FAILED),  # IsAbelian
+            ("catalog:cyclic_product:3:3", "nonabelian", EXIT_INPUT),  # IsAbelian
             ("catalog:elementary_abelian_2:2", "nonabelian", EXIT_INPUT)]:
         assert main(["verify", "--group", spec, "--m", "2", "--recipe", recipe]) == code, spec
 

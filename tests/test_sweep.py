@@ -1,5 +1,6 @@
 """Exhaustive table enumeration, sweep verdicts, witness search."""
 
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -10,14 +11,15 @@ import pytest
 
 import omsr.sweep
 from omsr.automorphisms import automorphisms, is_omsr
+from omsr.cli import group_roster
 from omsr.digraphs import ConnectionTable, build_mcayley, oriented_table_criterion
 from omsr.errors import InfeasibleSweep
 from omsr.groups import (Group, automorphism_generators, catalog_group, generating_set,
                          group_from_cayley_table)
-from omsr.sweep import (_PrefixMemo, _RankedMoves, _cell_order,
+from omsr.sweep import (_PrefixMemo, _RankedMoves, _cell_order, _image,
                         _table_moves, count_tables, enumerate_tables, exhaustive_sweep,
                         feasibility_guard, find_witness)
-from oracles import arcs, brute_force_automorphisms
+from oracles import arcs, brute_force_automorphisms, ranked_moves_reference
 
 Z1 = Group(mult=((0,),), inv=(0,), label="Z1")
 
@@ -627,6 +629,49 @@ def test_prefix_memo_records_every_earlier_prefix():
                if ranked.earlier_image(key, len(key) // 6 - 1) is not None)
     with pytest.raises(RuntimeError, match="no count"):
         _PrefixMemo(ranked).skip(key, len(key) // 6 - 1)
+
+
+def guard_cells():
+    """Every group of group_roster(16) at every m the guard admits."""
+    return [(G, m) for G, _ in group_roster(16) for m in range(1, omsr.sweep.GUARD_PRODUCT + 1)
+            if feasibility_guard(G, m)]
+
+
+def test_move_codes_match_frozenset_reference():
+    # Each cell image is ranked through a table over element tuples and each
+    # code built per element map; the reference ranks every cell of every
+    # move as a frozenset.
+    for G, m in guard_cells():
+        ranked = _RankedMoves(G, m)
+        codes, rows = ranked_moves_reference(G, m)
+        assert ranked.moves == codes, (G, m)
+        assert ranked._row_moves == [set(ks) for ks in rows], (G, m)
+
+
+def test_prefix_test_from_parent_fixers_matches_full_compare(monkeypatch):
+    # Every row prefix a scan tests inside the guard, first-stop and
+    # all-witness (all-witness up to 4,000,000 tables): the test that retries
+    # the parent prefix's fixers returns the move and the fixers of a full
+    # compare of every move that keeps the prefix's rows in place.
+    prefix_move, tested = _RankedMoves.prefix_move, collections.Counter()
+
+    def checked(self, key, row, parent=None):
+        got = prefix_move(self, key, row, parent)
+        fixed = row * self.m
+        images = [(k, _image(self.moves[k], key)) for k in sorted(self._row_moves[row])]
+        earlier = [k for k, image in images if image[:fixed] == key[:fixed] and image < key]
+        fixers = [k for k, image in images if image == key]
+        want = (earlier[0], None) if earlier else (None, fixers)
+        assert got == want, (key, row, parent)
+        tested[parent is not None] += 1
+        return got
+
+    monkeypatch.setattr(_RankedMoves, "prefix_move", checked)
+    for G, m in guard_cells():
+        exhaustive_sweep(G, m)
+        if count_tables(G.order, m) <= 4_000_000:
+            exhaustive_sweep(G, m, all_witnesses=True)
+    assert tested[True] > tested[False] > 0
 
 
 def test_chain_verdict_matches_engine_on_reached_tables(monkeypatch):

@@ -1,15 +1,16 @@
 """Connection-table recipes and the dispatcher that certifies each (G, m).
 
 `recipe_table` is the one place that picks a table: the cyclic recipe for
-cyclic groups of order >= 3, the abelian and non-abelian two-generator
-recipes, a closed table for Z2 x Z2k at m = 2, a closed rigid table for
-Z1 at m >= 7, and at m >= 5 the circulant C_m(1, 2) lifted to Z2 and the
-Klein four-group.  No recipe searches.  `construct_omsr`, the one path
-from (G, m) to a verdict, verifies the recipe digraph.  Under "auto", where
-no recipe applies (inside the sweep's feasibility guard), or inside the
-guard its digraph is not an OmSR, the witness search decides: a searched
-witness, or a NOT_EXISTS certificate from its exhausted scan.  Otherwise
-the recipe digraph is the answer, verified or not.
+cyclic groups of order >= 3 and the abelian and non-abelian two-generator
+recipes, all three one block-cycle shape that checks its own
+preconditions; a closed rigid table for Z1 at m >= 7; and at m >= 5 the
+circulant C_m(1, 2) lifted to Z2 and the Klein four-group.  No recipe
+searches.  `construct_omsr`, the one path from (G, m) to a verdict,
+verifies the recipe digraph.  Under "auto", where no recipe applies
+(inside the sweep's feasibility guard), or inside the guard its digraph
+is not an OmSR, the witness search decides: a searched witness, or a
+NOT_EXISTS certificate from its exhausted scan.  Otherwise the recipe
+digraph is the answer, verified or not.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .digraphs import ConnectionTable, MCayleyDigraph, build_mcayley, parse_conn
 from .errors import (IsAbelian, NotAbelian, NotGenerating, OrderTooSmall,
                      ParseError, TooLarge, UnknownFamily)
 from .groups import (GeneratingPair, Group, GroupElement, _idx,
-                     closure, element_order, find_generating_pair, generates,
+                     element_order, find_generating_pair, generates,
                      is_abelian, is_cyclic, normalize_generating_pair)
 from .reports import ExceptionVerdict, VerificationReport
 from . import sweep as sweeplib
@@ -32,7 +33,6 @@ from . import sweep as sweeplib
 KIND_CYCLIC = "cyclic"
 KIND_ABELIAN = "abelian_2gen"
 KIND_NONABELIAN = "nonabelian_2gen"
-KIND_Z2XZ2K = "abelian_z2xz2k"
 KIND_RIGID_TRIVIAL = "rigid_trivial"
 KIND_LIFT = "spanning_tree_lift"
 KIND_SEARCH = "search_witness"
@@ -44,10 +44,22 @@ LIFT_MIN_M = 5
 RIGID_MIN_M = 7
 
 
-def _block_cycle_table(m: int, d0: int, d: int, c: int) -> ConnectionTable:
+def _block_cycle_table(G: Group, m: int, gens, d0: int, d: int, c: int) -> ConnectionTable:
     """The shape of the three two-generator recipes: d0 in the first
     diagonal cell and d in the others, the identity on the superdiagonal,
-    and c in the corner (m - 1, 0) that closes the cycle of blocks."""
+    and c in the corner (m - 1, 0) that closes the cycle of blocks.
+
+    Raises ValueError for m < 2, NotGenerating unless ``gens`` generate G,
+    and OrderTooSmall for a diagonal word of order at most 2 (a loop or a
+    digon) or c = e (at m = 2, a digon with the superdiagonal)."""
+    if m < 2:
+        raise ValueError("m must be at least 2")
+    if not generates(G, gens):
+        raise NotGenerating(f"elements {', '.join(map(str, gens))} do not generate {G!r}")
+    if min(element_order(G, d0), element_order(G, d)) < 3:
+        raise OrderTooSmall("need every diagonal word of order at least 3")
+    if c == 0:
+        raise OrderTooSmall("need a corner word other than e")
     entries = {(i, i): {d} for i in range(m)}
     entries[(0, 0)] = {d0}
     entries[(m - 1, 0)] = {c}
@@ -59,73 +71,25 @@ def cyclic_connection_table(G: Group, a, m: int) -> ConnectionTable:
     """Table for a cyclic group: generator on the diagonal corners, identity
     arcs chaining the blocks, the generator closing the cycle of blocks."""
     a = _idx(a)
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    if len(closure(G, (a,))) != G.order:
-        raise NotGenerating(f"element {a} does not generate {G!r}")
-    if element_order(G, a) < 3:
-        raise OrderTooSmall("need a generator of order at least 3")
-    return _block_cycle_table(m, a, G.inverse(a), a)
+    return _block_cycle_table(G, m, (a,), a, G.inverse(a), a)
 
 
 def abelian_connection_table(G: Group, a, b, m: int) -> ConnectionTable:
     """Table for an abelian two-generated group: a, then ab on the diagonal,
-    b closing the cycle of blocks."""
+    b closing the cycle of blocks, and a closing it at m = 2."""
     a, b = _idx(a), _idx(b)
-    if m < 2:
-        raise ValueError("m must be at least 2")
     if not is_abelian(G):
         raise NotAbelian(f"{G!r} is not abelian")
-    if not generates(G, (a, b)):
-        raise NotGenerating(f"elements {a},{b} do not generate {G!r}")
-    if element_order(G, a) < 3:
-        raise OrderTooSmall("need o(a) >= 3")
-    if b == 0:
-        raise OrderTooSmall("need o(b) >= 2")
-    return _block_cycle_table(m, a, G.mul(a, b), b)
+    return _block_cycle_table(G, m, (a, b), a, G.mul(a, b), a if m == 2 else b)
 
 
 def nonabelian_connection_table(G: Group, a, b, m: int) -> ConnectionTable:
     """Table for a non-abelian two-generated group: a on every diagonal,
     b closing the cycle of blocks."""
     a, b = _idx(a), _idx(b)
-    if m < 2:
-        raise ValueError("m must be at least 2")
     if is_abelian(G):
         raise IsAbelian(f"{G!r} is abelian")
-    if not generates(G, (a, b)):
-        raise NotGenerating(f"elements {a},{b} do not generate {G!r}")
-    if element_order(G, a) < 3:
-        raise OrderTooSmall("need o(a) >= 3")
-    return _block_cycle_table(m, a, a, b)
-
-
-def z2xz2k_connection_table(G: Group, a, b) -> ConnectionTable:
-    """Table for Z2 x Z2k at m = 2, where the abelian recipe fails:
-    T01 = {e, b}, T10 = {b, ab}, with o(b) = |G|/2 >= 3 and a an
-    involution outside <b>."""
-    a, b = _idx(a), _idx(b)
-    if not is_abelian(G):
-        raise NotAbelian(f"{G!r} is not abelian")
-    if G.order <= 4 or 2 * element_order(G, b) != G.order:
-        raise OrderTooSmall("need o(b) = |G|/2 >= 3")
-    if G.mul(a, a) != 0 or a in closure(G, (b,)):
-        raise NotGenerating(f"element {a} is not an involution outside <{b}>")
-    return ConnectionTable.from_dict(2, {(0, 1): {0, b}, (1, 0): {b, G.mul(a, b)}})
-
-
-def _z2xz2k_elements(G: Group) -> Optional[Tuple[int, int]]:
-    """(a, b) for `z2xz2k_connection_table`, or None.  An abelian group of
-    order 4k > 4 with such a pair is Z2 x Z2k; a cyclic one has no
-    involution outside <b>."""
-    if G.order <= 4 or G.order % 4:
-        return None
-    b = next((g for g in G.elements() if 2 * element_order(G, g) == G.order), None)
-    if b is None:
-        return None
-    span = closure(G, (b,))
-    a = next((g for g in G.elements() if g not in span and G.mult[g][g] == 0), None)
-    return None if a is None else (a, b)
+    return _block_cycle_table(G, m, (a, b), a, a, b)
 
 
 def circulant_table(m: int) -> ConnectionTable:
@@ -184,13 +148,15 @@ def recipe_table(G: Group, pair: Optional[GeneratingPair], m: int,
     """The table of recipe ``kind`` for (G, m) and its construction kind.
 
     "auto" picks "cyclic", "abelian" or "nonabelian" by structure, and
-    alone uses the closed tables: Z2 x Z2k at m = 2 in place of the abelian
-    recipe; `rigid_trivial_table` for Z1 at m >= 7 and the spanning-tree
-    lift of `circulant_table` for Z2 and the Klein four-group at m >= 5
-    (they have no element of order >= 3), and None below that.  An
-    explicit kind never substitutes another table, and raises when its
-    recipe does not apply to G.  A digraph past the engine's vertex cap is
-    refused with TooLarge before any table is built.
+    alone uses the closed tables: `rigid_trivial_table` for Z1 at m >= 7
+    and the spanning-tree lift of `circulant_table` for Z2 and the Klein
+    four-group at m >= 5 (they have no element of order >= 3), and None
+    below that.  The two-generator recipes take the pair of
+    `normalize_generating_pair`; the abelian one swaps b for ab when ab is
+    an involution, so its diagonal word ab has order >= 3.  An explicit
+    kind never substitutes another table, and raises when its recipe does
+    not apply to G.  A digraph past the engine's vertex cap is refused
+    with TooLarge before any table is built.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
@@ -200,8 +166,7 @@ def recipe_table(G: Group, pair: Optional[GeneratingPair], m: int,
         raise TooLarge(f"{G.order * m} vertices exceeds cap {VERTEX_CAP}")
     if pair is None:
         pair = find_generating_pair(G)
-    auto = kind == "auto"
-    if auto:
+    if kind == "auto":
         if G.order == 1:
             return (rigid_trivial_table(m), KIND_RIGID_TRIVIAL) if m >= RIGID_MIN_M else None
         if G.order == 2 or _is_klein_four(G):
@@ -221,9 +186,11 @@ def recipe_table(G: Group, pair: Optional[GeneratingPair], m: int,
     a, b = normalize_generating_pair(G, pair.a, pair.b)
     if kind == "nonabelian":
         return nonabelian_connection_table(G, a, b, m), KIND_NONABELIAN
-    z2xz2k = _z2xz2k_elements(G) if auto and m == 2 else None
-    if z2xz2k is not None:
-        return z2xz2k_connection_table(G, *z2xz2k), KIND_Z2XZ2K
+    ab = G.mul(a, b)
+    if element_order(G, ab) == 2:
+        # Then o(a * ab) >= 3: were ab and a^2 b both involutions, a would be
+        # a product of two commuting involutions, of order at most 2.
+        b = ab
     return abelian_connection_table(G, a, b, m), KIND_ABELIAN
 
 

@@ -74,9 +74,8 @@ def test_criterion_2_abelian_suite():
     for params in ([3, 3], [2, 4], [3, 6], [4, 4]):
         G, pair = catalog_group("cyclic_product", params)
         for m in range(2, 6):
-            # The dispatcher builds the two-generator recipe digraph; for
-            # Z2xZ4 at m = 2, where that recipe is not an OmSR, it builds
-            # the closed Z2 x Z2k table instead.  No cell is searched.
+            # The dispatcher builds the abelian two-generator recipe
+            # digraph for every cell.  No cell is searched.
             d, _ = construct_omsr(G, pair, m)
             order = automorphisms(d).order
             if order != G.order:

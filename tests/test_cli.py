@@ -16,7 +16,8 @@ from omsr.automorphisms import is_omsr
 from omsr.cli import (EXIT_CAP, EXIT_FAILED, EXIT_INPUT, EXIT_OK, group_roster,
                       load_group, main, reproduce_theorem, simple_group_check,
                       verify_instance)
-from omsr.constructions import cyclic_connection_table, nonabelian_connection_table
+from omsr.constructions import (cyclic_connection_table, nonabelian_connection_table,
+                                recipe_table)
 from omsr.digraphs import ConnectionTable, build_mcayley
 from omsr.errors import TooLarge, UnknownFamily
 from omsr.groups import catalog_group, normalize_generating_pair
@@ -396,19 +397,31 @@ def test_main_exits_quietly_when_stdout_closes():
 
 
 def test_explicit_recipe_never_substitutes_another_table(tmp_path, monkeypatch, capsys):
-    # "auto" answers Z2 x Z4 at m = 2 with the closed Z2 x Z2k table.  The
-    # abelian recipe verifies its own table, whose digraph has |Aut| = 16.
+    # An explicit recipe verifies its own table.  On Z2 x Z4 at m = 2 "auto"
+    # picks the abelian recipe too, so both give the same table and report.
     monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
+    G, pair = catalog_group("cyclic_product", [2, 4])
+    assert recipe_table(G, pair, 2) == recipe_table(G, pair, 2, "abelian")
     verify = ["verify", "--group", "catalog:cyclic_product:2:4", "--m", "2"]
-    assert main(verify + ["--recipe", "abelian"]) == EXIT_FAILED
-    assert capsys.readouterr().out.split(":", 1) == [
-        "Z2xZ4 m=2 [abelian_2gen]",
-        " omsr=False oriented=True regular2=True connected=True |Aut|=16 |G|=8 stab=1\n"]
-    assert main(verify) == EXIT_OK
-    assert capsys.readouterr().out.split(":", 1) == [
-        "Z2xZ4 m=2 [abelian_z2xz2k]",
-        " omsr=True oriented=True regular2=True connected=True |Aut|=8 |G|=8 stab=1\n"]
+    for recipe in (["--recipe", "abelian"], []):
+        assert main(verify + recipe) == EXIT_OK
+        assert capsys.readouterr().out.split(":", 1) == [
+            "Z2xZ4 m=2 [abelian_2gen]",
+            " omsr=True oriented=True regular2=True connected=True |Aut|=8 |G|=8 stab=1\n"]
     assert not list(tmp_path.iterdir())
+
+
+def test_verify_perms_pair_whose_product_is_an_involution(tmp_path, monkeypatch, capsys):
+    # (0 1 2 3) and (0 1 2 3)(4 5) generate Z4 x Z2 with ab = (4 5).  The
+    # abelian recipe takes ab for b, so its diagonal word ab has order 4.
+    monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
+    spec = tmp_path / "z4xz2.txt"
+    spec.write_text("kind: perms\n(0 1 2 3)\n(0 1 2 3)(4 5)\n")
+    assert main(["verify", "--group", str(spec), "--m", "3"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "order-8 m=3 [abelian_2gen]: omsr=True oriented=True regular2=True connected=True"
+        " |Aut|=8 |G|=8 stab=1\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["z4xz2.txt"]
 
 
 def test_verify_klein_four_past_search_budget(tmp_path, monkeypatch, capsys):
@@ -482,7 +495,7 @@ def test_verify_klein_four_reads_packaged_cache(tmp_path, monkeypatch, capsys):
 # SHA-256 of report_fields_digest(): every report field but runtime_ms, so a
 # change in stabilizer_order, orbit_count or connected anywhere on the roster
 # shows, not only the verdict, construction and |Aut| the corpus keeps.
-REPORT_FIELDS_SHA256 = "43a420b442122dda6cf4a86010011d230c714d2251badf1c8cadf22f7a065dc7"
+REPORT_FIELDS_SHA256 = "8c2f30cf991e72e50ea6950a4634acc332c6c17605b18fc62ea7f456e1341ce9"
 
 
 def report_fields_digest():

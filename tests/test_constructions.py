@@ -10,14 +10,15 @@ from omsr.automorphisms import automorphisms, is_omsr
 from omsr.cli import group_roster
 from omsr.constructions import (KIND_ABELIAN, KIND_CYCLIC, KIND_EXCEPTION, KIND_LIFT,
                                 KIND_NONABELIAN, KIND_RIGID_TRIVIAL, KIND_SEARCH,
-                                KIND_Z2XZ2K, abelian_connection_table, circulant_table,
+                                abelian_connection_table, circulant_table,
                                 construct_omsr, cyclic_connection_table, nonabelian_connection_table,
                                 recipe_table, report_from_exception, rigid_trivial_table,
-                                spanning_tree_lift_table, z2xz2k_connection_table)
+                                spanning_tree_lift_table)
 from omsr.digraphs import (ConnectionTable, build_mcayley, is_k_regular, is_oriented,
                            parse_connection_table)
 from omsr.errors import IsAbelian, NotAbelian, NotGenerating, OrderTooSmall
-from omsr.groups import catalog_group, closure, element_order, normalize_generating_pair
+from omsr.groups import (GeneratingPair, GroupElement, catalog_group, closure, element_order,
+                         is_abelian, is_cyclic, normalize_generating_pair)
 from omsr.reports import ExceptionVerdict
 from oracles import arc_count, arcs, distance2_out_set, induced_subdigraph
 
@@ -62,13 +63,14 @@ def test_cyclic_table_guards():
 # --- abelian recipe ----------------------------------------------------------
 
 def test_abelian_table_z3xz3_m2():
+    # At m = 2 the corner is a, not b.
     G, pair = catalog_group("cyclic_product", [3, 3])
     a, b = normalize_generating_pair(G, pair.a, pair.b)
     t = abelian_connection_table(G, a, b, 2)
     assert cell(t, 0, 0) == {a.index}
     assert cell(t, 1, 1) == {G.mul(a, b)}
     assert cell(t, 0, 1) == {0}
-    assert cell(t, 1, 0) == {b.index}
+    assert cell(t, 1, 0) == {a.index}
 
 
 def test_abelian_table_z4xz2_m3_shape():
@@ -89,6 +91,39 @@ def test_abelian_table_guards():
     a, b = normalize_generating_pair(S3, sp.a, sp.b)
     with pytest.raises(NotAbelian):
         abelian_connection_table(S3, a, b, 2)
+
+
+def test_abelian_table_refuses_involution_ab():
+    # The diagonal word ab must have order >= 3; recipe_table swaps b for ab
+    # so that it does, and the table itself refuses a pair where it does not.
+    G, _ = catalog_group("cyclic_product", [2, 4])
+    a = next(g for g in G.elements() if element_order(G, g) == 4)
+    b = next(g for g in G.elements() if g != a and element_order(G, G.mul(a, g)) == 2
+             and len(closure(G, [a, g])) == G.order)
+    for m in range(2, 6):
+        with pytest.raises(OrderTooSmall):
+            abelian_connection_table(G, a, b, m)
+
+
+def test_abelian_recipe_on_every_generating_pair():
+    # Every generating pair of every non-cyclic abelian group of order <= 12
+    # but the Klein four-group, at m = 2..5: 120 pairs, 20 of which
+    # normalise to a pair whose product is an involution.
+    groups = [G for G, _ in group_roster(12)
+              if G.order > 4 and is_abelian(G) and not is_cyclic(G)]
+    assert [G.label for G in groups] == ["Z2xZ4", "Z3xZ3", "Z2xZ6"]
+    checked = 0
+    for G in groups:
+        for a, b in itertools.permutations(range(1, G.order), 2):
+            if len(closure(G, [a, b])) < G.order:
+                continue
+            pair = GeneratingPair(GroupElement(a), GroupElement(b))
+            for m in range(2, 6):
+                table, kind = recipe_table(G, pair, m)
+                report = is_omsr(build_mcayley(G, table), G, m)
+                assert kind == KIND_ABELIAN and report.omsr, (G.label, a, b, m)
+                checked += 1
+    assert checked == 120 * 4
 
 
 # --- non-abelian recipe ------------------------------------------------------
@@ -118,33 +153,7 @@ def test_nonabelian_table_guards():
         nonabelian_connection_table(Z6, p.a, 1, 2)
 
 
-# --- Z2 x Z2k at m = 2, the rigid trivial-group table and its lift -----------
-
-def test_z2xz2k_table_z2xz4():
-    G, pair = catalog_group("cyclic_product", [2, 4])
-    table, kind = recipe_table(G, pair, 2)
-    assert kind == KIND_Z2XZ2K
-    b, = table.sets[0][1] - {0}
-    ab, = table.sets[1][0] - {b}
-    a = G.mul(ab, G.inverse(b))
-    assert (element_order(G, b), element_order(G, a)) == (4, 2)
-    assert a not in closure(G, [b])
-    assert not table.sets[0][0] and not table.sets[1][1]
-    # Above m = 2 the abelian recipe still applies.
-    assert recipe_table(G, pair, 3)[1] == KIND_ABELIAN
-
-
-def test_z2xz2k_table_guards():
-    D4, _ = catalog_group("dihedral", [4])
-    with pytest.raises(NotAbelian):
-        z2xz2k_connection_table(D4, 4, 1)
-    G, _ = catalog_group("cyclic_product", [2, 4])
-    b = next(g for g in G.elements() if element_order(G, g) == 4)
-    with pytest.raises(OrderTooSmall):
-        z2xz2k_connection_table(G, b, G.mul(b, b))
-    with pytest.raises(NotGenerating):
-        z2xz2k_connection_table(G, G.mul(b, b), b)
-
+# --- the rigid trivial-group table and its lift ------------------------------
 
 def test_recipe_table_auto_has_no_recipe_for_small_groups():
     Z1, _ = catalog_group("cyclic", [1])
@@ -207,16 +216,16 @@ def test_construct_small_groups_past_search_budget(tmp_path, monkeypatch, m):
 
 @pytest.fixture(scope="module")
 def new_recipe_digraphs():
-    """(G, m, digraph) for the Z2 x Z2k table, k = 2..39, the rigid
-    trivial-group table at m = 7..64, 128, 256 and 512, the lift of the
-    circulant C_m(1, 2) to every non-trivial group of group_roster(24) at
-    m = 5..10, and the recipe tables of Z2 and the Klein four-group, which
-    are such lifts, at m = 5..64."""
+    """(G, m, digraph) for the abelian recipe on Z2 x Z2k at m = 2,
+    k = 2..39, the rigid trivial-group table at m = 7..64, 128, 256 and
+    512, the lift of the circulant C_m(1, 2) to every non-trivial group of
+    group_roster(24) at m = 5..10, and the recipe tables of Z2 and the
+    Klein four-group, which are such lifts, at m = 5..64."""
     out = []
     for k in range(2, 40):
         G, pair = catalog_group("cyclic_product", [2, 2 * k])
         table, kind = recipe_table(G, pair, 2)
-        assert kind == KIND_Z2XZ2K
+        assert kind == KIND_ABELIAN
         out.append((G, 2, build_mcayley(G, table)))
     Z1, _ = catalog_group("cyclic", [1])
     for m in list(range(7, 65)) + [128, 256, 512]:

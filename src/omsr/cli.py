@@ -47,7 +47,7 @@ def load_group(spec: str) -> Tuple[Group, Optional[GeneratingPair]]:
             params = [int(p) for p in parts[1:]]
         except ValueError:
             raise UnknownFamily(f"catalog parameters must be integers: {spec!r}")
-        return catalog_group(parts[0], params or [1])
+        return catalog_group(parts[0], params)
     try:
         with open(spec) as fh:
             text = fh.read()

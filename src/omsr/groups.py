@@ -470,12 +470,11 @@ def parse_group_spec(text: str):
         if "name" not in fields:
             raise ParseError("catalog spec needs a 'name:' line", content[0][0])
         name = fields["name"][1]
-        params = fields.get("params", (0, ""))[1].split()
         try:
-            G, pair = catalog_group(name, [int(p) for p in params] or [1])
+            params = [int(p) for p in fields.get("params", (0, ""))[1].split()]
         except ValueError:
             raise ParseError("params must be integers", fields["params"][0])
-        return G, pair
+        return catalog_group(name, params)
 
     if kind == "table":
         if not rest or not rest[0][1].startswith("n:"):

@@ -9,7 +9,9 @@ how many tables complete a partial one depends only on how many columns
 still take 2 elements and how many take 1, over the whole table and over
 the current row's later columns, which the walk keeps as it goes, and a
 memoised recurrence on those four counts gives it.  So each yielded
-table keeps its 1-based position among all constrained tables.
+table keeps its 1-based position among all constrained tables.  The walk
+yields it as its key, the row-major tuple of its cells' ranks; a
+`ConnectionTable` is built only for an engine call or a witness read.
 
 `exhaustive_sweep` is the one scan, and its witnesses come back in
 enumeration order; `find_witness` is its first-stop form.  |Aut| is the
@@ -141,9 +143,9 @@ def _cell_order(n: int) -> List[frozenset]:
 def enumerate_tables(G: Group, m: int,
                      prefixes: Optional["_PrefixMemo"] = None) -> Iterator[Tuple[int, tuple]]:
     """The oriented m x m families of subsets of G with every row and column
-    total equal to the valency, as ``(position, sets)``.
+    total equal to the valency, as ``(position, key)``.
 
-    ``sets`` is a tuple of tuples of frozensets.  ``position`` is the
+    ``key`` codes the table as `_RankedMoves` does.  ``position`` is the
     table's 1-based index, in lexicographic order, among all tables meeting
     the valency constraint, oriented or not.  A diagonal cell may not hold
     the identity or meet its own inverse set; a cell (i, j) below the
@@ -161,15 +163,15 @@ def enumerate_tables(G: Group, m: int,
     oriented table is yielded.
     """
     n = G.order
-    # Per size: (subset, its rank, its inverse set, allowed on the diagonal).
+    cells = _cell_order(n)
+    # Per size: (a cell's rank, its inverse set, allowed on the diagonal).
     subsets = {s: [] for s in range(min(VALENCY, n) + 1)}
-    for rank, sub in enumerate(_cell_order(n)):
+    for rank, sub in enumerate(cells):
         sub_inv = frozenset(G.inv[t] for t in sub)
-        subsets[len(sub)].append((sub, rank, sub_inv, 0 not in sub and not sub & sub_inv))
+        subsets[len(sub)].append((rank, sub_inv, 0 not in sub and not sub & sub_inv))
     colrem = [VALENCY] * m
     have = [0, 0, m]  # have[c]: the columns that still take c elements
-    current = [[frozenset()] * m for _ in range(m)]
-    ranks = [0] * (m * m)  # row-major cell ranks of ``current``, as _RankedMoves codes them
+    ranks = [0] * (m * m)  # the key of the table being filled
     position = reached = 0  # reached: oriented tables yielded or counted
 
     def fill_cell(i, j, rowrem, a2, b1):
@@ -179,7 +181,7 @@ def enumerate_tables(G: Group, m: int,
             if i + 1 == m:
                 position += 1
                 reached += 1
-                yield position, tuple(tuple(row) for row in current)
+                yield position, tuple(ranks)
                 return
             if prefixes is not None:
                 key = tuple(ranks[:(i + 1) * m])
@@ -193,7 +195,7 @@ def enumerate_tables(G: Group, m: int,
             if prefixes is not None:
                 prefixes.subtrees[key] = reached - start, begin, prefixes.size
             return
-        partner = current[j][i] if j < i else None
+        partner = cells[ranks[j * m + i]] if j < i else None
         c = colrem[j]
         a2, b1 = a2 - (c == 2), b1 - (c == 1)
         have[c] -= 1
@@ -202,10 +204,9 @@ def enumerate_tables(G: Group, m: int,
             have[c - s] += 1
             below = _completions(n, rowrem - s, have[2], have[1], a2, b1)
             if below:
-                for sub, rank, sub_inv, diagonal_ok in subsets[s]:
+                for rank, sub_inv, diagonal_ok in subsets[s]:
                     if (diagonal_ok if i == j
                             else partner is None or not sub_inv & partner):
-                        current[i][j] = sub
                         ranks[i * m + j] = rank
                         yield from fill_cell(i, j + 1, rowrem - s, a2, b1)
                     else:
@@ -213,7 +214,6 @@ def enumerate_tables(G: Group, m: int,
             have[c - s] -= 1
         have[c] += 1
         colrem[j] = c
-        current[i][j] = frozenset()
 
     yield from fill_cell(0, 0, VALENCY, m, 0)
 
@@ -267,7 +267,6 @@ class _RankedMoves:
     def __init__(self, G: Group, m: int):
         n, mult, inv = G.order, G.mult, G.inv
         self.cells = _cell_order(n)
-        self._rank = {sub: r for r, sub in enumerate(self.cells)}
         ranks = {p: r for r, c in enumerate(self.cells) for p in itertools.permutations(c)}
         by_image = {}  # per element map, its rank map
 
@@ -298,11 +297,6 @@ class _RankedMoves:
         self._new = [[(k, [*range(a * m, row * m), *range(a * m), *range(row * m, row * m + m)])
                       for k in sorted(ks - self._row_moves[row - 1]) for a in [moves[k][1][row]]]
                      if row else [] for row, ks in enumerate(self._row_moves)]
-
-    def key(self, sets) -> tuple:
-        """The rank tuple of a table, or of a prefix of its rows."""
-        rank = self._rank
-        return tuple([rank[cell] for row in sets for cell in row])
 
     def table(self, key) -> ConnectionTable:
         """The table of a full key, built on the shared cells."""
@@ -360,9 +354,9 @@ class _RankedMoves:
                 fixers.append(k)
         return None, fixers
 
-    def earlier_image(self, key, row: Optional[int] = None) -> Optional[tuple]:
-        """The key's image under `earlier_move` (`prefix_move` given ``row``), or None."""
-        k = self.earlier_move(key) if row is None else self.prefix_move(key, row)[0]
+    def earlier_image(self, key) -> Optional[tuple]:
+        """The full key's image under `earlier_move`, or None."""
+        k = self.earlier_move(key)
         return None if k is None else _image(self.moves[k], key)
 
 
@@ -477,12 +471,11 @@ def exhaustive_sweep(G: Group, m: int, all_witnesses: bool = False) -> SweepResu
     moves = _RankedMoves(G, m)
     prefixes = _PrefixMemo(moves)
     oriented = top = 0
-    for position, sets in enumerate_tables(G, m, prefixes):
+    for position, key in enumerate_tables(G, m, prefixes):
         oriented += 1
-        key = moves.key(sets)
         image = moves.earlier_image(key)
         if image is None:
-            order = automorphisms(build_mcayley(G, ConnectionTable._of_cells(m, sets))).order
+            order = automorphisms(build_mcayley(G, moves.table(key))).order
             top = max(top, order)
             witness = prefixes.verdicts[key] = order == G.order
         else:

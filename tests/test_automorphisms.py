@@ -16,7 +16,7 @@ from omsr.digraphs import (ConnectionTable, Digraph, MCayleyDigraph, _reachable,
 from omsr.errors import BlockMismatch, TooLarge
 from omsr.groups import catalog_group, group_from_cayley_table, normalize_generating_pair
 from omsr.perms import compose, inverse, orbit_partition
-from omsr.sweep import enumerate_tables, exhaustive_sweep
+from omsr.sweep import _RankedMoves, enumerate_tables, exhaustive_sweep
 from oracles import (arcs, brute_force_automorphisms, elements, first_occurrence, k_regular,
                      oriented, refine, strongly_connected)
 
@@ -626,8 +626,8 @@ def engine_output_digest():
     digraphs = []
     for family, params, m in (("cyclic", [2], 3), ("elementary_abelian_2", [2], 2)):
         G, _ = catalog_group(family, params)
-        digraphs += [build_mcayley(G, ConnectionTable(m, sets))
-                     for _, sets in enumerate_tables(G, m)]
+        table = _RankedMoves(G, m).table
+        digraphs += [build_mcayley(G, table(key)) for _, key in enumerate_tables(G, m)]
     for family, params, m in (("cyclic", [48], 5), ("cyclic_product", [6, 8], 5),
                               ("alternating", [5], 4)):
         G, pair = catalog_group(family, params)

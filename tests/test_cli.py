@@ -304,6 +304,14 @@ def test_main_input_errors(capsys):
     capsys.readouterr()
 
 
+def test_main_catalog_spec_without_parameters_is_input_error(capsys):
+    # A family that takes a parameter is refused without one, not read as 1.
+    assert main(["verify", "--group", "catalog:cyclic", "--m", "7"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == "input error: family 'cyclic' takes 1 parameter(s), got 0\n", err
+    assert main(["verify", "--group", "catalog:cyclic:1", "--m", "7"]) == EXIT_OK
+
+
 def test_main_spec_that_is_not_a_group_is_input_error(tmp_path, capsys):
     spec = tmp_path / "loop.txt"
     spec.write_text("kind: table\nn: 3\n0 1 2\n1 0 2\n2 2 0\n")

@@ -481,6 +481,12 @@ def test_parse_group_spec_catalog():
     assert G.order == 6 and pair is not None
 
 
+def test_parse_group_spec_catalog_without_params_line():
+    # No 'params:' line means no parameters, which the family's arity refuses.
+    with pytest.raises(UnknownFamily, match="takes 1 parameter"):
+        parse_group_spec("kind: catalog\nname: cyclic\n")
+
+
 def test_parse_group_spec_table():
     text = "kind: table\nn: 2\n0 1\n1 0\n"
     G, _ = parse_group_spec(text)

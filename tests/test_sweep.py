@@ -126,18 +126,20 @@ def test_enumeration_matches_naive_oriented_tables():
     cases = [(Z1, m) for m in range(1, 6)]
     cases += [(cyclic(2), 2), (cyclic(2), 3), (cyclic(3), 2), (cyclic(4), 2), (K, 2)]
     for G, m in cases:
-        assert list(enumerate_tables(G, m)) == naive_oriented(G, m, 2), (G, m)
+        got = [(pos, unkey(G, m, key)) for pos, key in enumerate_tables(G, m)]
+        assert got == naive_oriented(G, m, 2), (G, m)
 
 
 def test_enumeration_yields_unique_row_column_constrained_tables():
     G, _ = catalog_group("cyclic", [3])
     seen = set()
     last = 0
-    for pos, sets in enumerate_tables(G, 2):
+    for pos, key in enumerate_tables(G, 2):
         assert pos > last
         last = pos
-        assert sets not in seen
-        seen.add(sets)
+        assert key not in seen
+        seen.add(key)
+        sets = unkey(G, 2, key)
         assert all(sum(len(sets[i][j]) for j in range(2)) == 2 for i in range(2))
         assert all(sum(len(sets[i][j]) for i in range(2)) == 2 for j in range(2))
         assert oriented_table_criterion(G, ConnectionTable(2, sets))
@@ -318,6 +320,12 @@ def unkey(G, m, key):
     return tuple(tuple(cells[key[i * m + j]] for j in range(m)) for i in range(m))
 
 
+def key_of(G, sets):
+    """The key `enumerate_tables` yields for a table given by its cells."""
+    rank = {cell: r for r, cell in enumerate(_cell_order(G.order))}
+    return tuple(rank[frozenset(cell)] for row in sets for cell in row)
+
+
 def move_images(ranked, key):
     """The key's image under each move of ``ranked``, in order."""
     return [tuple([f[key[src]] for src, f in move]) for move in ranked.moves]
@@ -363,7 +371,7 @@ def test_table_moves_are_isomorphisms():
         for _ in range(5):
             table = random_oriented_table(G, m, rng)
             d = build_mcayley(G, table)
-            images = move_images(ranked, ranked.key(table.sets))
+            images = move_images(ranked, key_of(G, table.sets))
             assert len(images) == len(moves)
             for (h, sigma, alpha, converse), image in zip(moves, images):
                 moved = ConnectionTable(m, unkey(G, m, image))
@@ -401,7 +409,7 @@ def test_orbit_closure_stays_in_enumerated_set():
     # earlier image of an enumerated table is always enumerated too.
     for G, m, count in cells_of(ORBIT_COUNTS):
         ranked = _RankedMoves(G, m)
-        keys = {ranked.key(sets) for _, sets in enumerate_tables(G, m)}
+        keys = {key for _, key in enumerate_tables(G, m)}
         covered, orbits = set(), 0
         for key in keys:
             if key not in covered:
@@ -503,24 +511,24 @@ def test_skipped_tables_have_earlier_images_of_equal_order():
     # with the same engine |Aut|.
     for G, m in [(Z1, 6), (klein(), 3), (cyclic(3), 3)]:
         ranked = _RankedMoves(G, m)
-        enumerated = [(ranked.key(sets), pos, sets) for pos, sets in enumerate_tables(G, m)]
-        keys = [key for key, _, _ in enumerated]
+        enumerated = [(key, pos) for pos, key in enumerate_tables(G, m)]
+        keys = [key for key, _ in enumerated]
         assert keys == sorted(set(keys))
-        where = {key: (pos, sets) for key, pos, sets in enumerated}
+        where = dict(enumerated)
         orders = {}
 
         def order(key):
             if key not in orders:
-                orders[key] = engine_order(G, m, where[key][1])
+                orders[key] = engine_order(G, m, unkey(G, m, key))
             return orders[key]
 
         skipped = 0
-        for key, pos, _ in enumerated:
+        for key, pos in enumerated:
             earlier = [image for image in move_images(ranked, key) if image < key]
             assert ranked.earlier_image(key) == (earlier[0] if earlier else None), (G, m, pos)
             skipped += bool(earlier)
             for image in earlier:
-                assert where[image][0] < pos
+                assert where[image] < pos
                 assert order(image) == order(key), (G, m, pos)
         assert 0 < skipped < len(enumerated)
 
@@ -531,7 +539,8 @@ def full_walk(G, m):
     """(position, sets, |Aut|) of every table of the full `enumerate_tables`
     walk, in order, with no prefix skipped, from a direct engine call on
     each."""
-    for pos, sets in enumerate_tables(G, m):
+    for pos, key in enumerate_tables(G, m):
+        sets = unkey(G, m, key)
         yield pos, sets, engine_order(G, m, sets)
 
 
@@ -609,15 +618,19 @@ def test_prefix_memo_records_every_earlier_prefix():
     prefixes = _PrefixMemo(ranked)
     for _ in enumerate_tables(Z1, 6, prefixes):
         pass
+
+    def earlier_prefix(key):
+        k = ranked.prefix_move(key, len(key) // 6 - 1)[0]
+        return None if k is None else _image(ranked.moves[k], key)
+
     oriented = {}
-    for _, sets in enumerate_tables(Z1, 6):
-        key = ranked.key(sets)
+    for _, key in enumerate_tables(Z1, 6):
         for row in range(5):
             oriented[key[:6 * (row + 1)]] = oriented.get(key[:6 * (row + 1)], 0) + 1
     skipped = 0
     for key, (count, _, _) in prefixes.subtrees.items():
         assert count == oriented.get(key, 0), key
-        image = ranked.earlier_image(key, len(key) // 6 - 1)
+        image = earlier_prefix(key)
         if image is not None:
             skipped += 1
             assert image < key and image[:len(key) - 6] == key[:-6]
@@ -625,8 +638,7 @@ def test_prefix_memo_records_every_earlier_prefix():
     assert skipped and prefixes.skipped == 570 - 20
     # The walk finishes every earlier prefix before it tests a later one, so
     # a miss is a fault.
-    key = next(key for key in prefixes.subtrees
-               if ranked.earlier_image(key, len(key) // 6 - 1) is not None)
+    key = next(key for key in prefixes.subtrees if earlier_prefix(key) is not None)
     with pytest.raises(RuntimeError, match="no count"):
         _PrefixMemo(ranked).skip(key, len(key) // 6 - 1)
 
@@ -694,17 +706,16 @@ def test_chain_verdict_matches_engine_on_reached_tables(monkeypatch):
         exhaustive_sweep(G, m, all_witnesses=True)
         [(prefixes, reached)] = runs
         ranked, chained = prefixes.moves, 0
-        for sets in reached:
-            image = ranked.earlier_image(ranked.key(sets))
+        for key in reached:
+            image = ranked.earlier_image(key)
             if image is not None:
                 chained += 1
-                want = engine_order(G, m, sets) == G.order
-                assert prefixes.is_witness(image) == want, (G, m, sets)
+                want = engine_order(G, m, unkey(G, m, key)) == G.order
+                assert prefixes.is_witness(image) == want, (G, m, key)
         assert chained, (G, m)
     # Every chain ends at a table the scan measured, so a miss is a fault.
     ranked = _RankedMoves(klein(), 3)
-    key = next(key for key in (ranked.key(sets) for _, sets in walk(klein(), 3))
-               if ranked.earlier_image(key) is not None)
+    key = next(key for _, key in walk(klein(), 3) if ranked.earlier_image(key) is not None)
     memo = _PrefixMemo(ranked)
     assert not memo.is_witness(ranked.earlier_image(key))
     memo.size = 1  # as if the scan had recorded a witness
@@ -803,7 +814,7 @@ def test_witness_orbits_are_isomorphism_classes():
 
     for G, m, classes in [(klein(), 3, 2), (cyclic(3), 3, 9)]:
         ranked = _RankedMoves(G, m)
-        witnesses = {ranked.key(w.sets) for w in exhaustive_sweep(G, m, all_witnesses=True).witnesses}
+        witnesses = {key_of(G, w.sets) for w in exhaustive_sweep(G, m, all_witnesses=True).witnesses}
         orbits, covered = [], set()
         for key in sorted(witnesses):
             if key not in covered:

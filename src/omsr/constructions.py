@@ -64,7 +64,7 @@ def _block_cycle_table(G: Group, m: int, gens, d0: int, d: int, c: int) -> Conne
     entries[(0, 0)] = {d0}
     entries[(m - 1, 0)] = {c}
     entries.update(((i, i + 1), {0}) for i in range(m - 1))
-    return ConnectionTable.from_dict(m, entries)
+    return ConnectionTable(m, entries)
 
 
 def cyclic_connection_table(G: Group, a, m: int) -> ConnectionTable:
@@ -98,23 +98,23 @@ def circulant_table(m: int) -> ConnectionTable:
     `spanning_tree_lift_table` lifts to Z2 and the Klein four-group."""
     if m < LIFT_MIN_M:
         raise ValueError(f"the circulant C_m(1, 2) is oriented only for m >= {LIFT_MIN_M}")
-    return ConnectionTable.from_dict(m, {(i, (i + d) % m): {0} for i in range(m) for d in (1, 2)})
+    return ConnectionTable(m, {(i, (i + d) % m): {0} for i in range(m) for d in (1, 2)})
 
 
 def rigid_trivial_table(m: int) -> ConnectionTable:
     """Oriented 2-regular table of the trivial group whose digraph has no
-    automorphism but the identity, for m >= 7: `circulant_table` with rows
-    0..3 sent to {2, 3}, {3, 4}, {1, 4} and {2, 5}.
+    automorphism but the identity, for m >= 7, built as its 2m non-empty
+    cells: those of `circulant_table`, with rows 0..3 sent to {2, 3},
+    {3, 4}, {1, 4} and {2, 5}.
 
     The engine finds |Aut| = 1 for every m = 7..512 (the vertex cap) and
     networkx agrees for m = 7..60.  No such table exists for m <= 6.
     """
     if m < RIGID_MIN_M:
         raise ValueError(f"the rigid trivial-group table needs m >= {RIGID_MIN_M}")
-    sets = list(circulant_table(m).sets)
-    for i, row in {0: (2, 3), 1: (3, 4), 2: (1, 4), 3: (2, 5)}.items():
-        sets[i] = [{0} if j in row else () for j in range(m)]
-    return ConnectionTable(m, sets)
+    rows = {0: (2, 3), 1: (3, 4), 2: (1, 4), 3: (2, 5)}
+    return ConnectionTable(m, {(i, j): {0} for i in range(m)
+                               for j in rows.get(i, ((i + 1) % m, (i + 2) % m))})
 
 
 def spanning_tree_lift_table(G: Group, a, b, base: ConnectionTable) -> ConnectionTable:
@@ -127,7 +127,7 @@ def spanning_tree_lift_table(G: Group, a, b, base: ConnectionTable) -> Connectio
     digraph is connected when a and b generate G.
     """
     m = base.m
-    arcs = [(i, j) for i in range(m) for j in range(m) if base.sets[i][j]]
+    arcs = list(base.entries)
     around = [[] for _ in range(m)]
     for i, j in arcs:
         around[i].append(((i, j), j))
@@ -140,7 +140,7 @@ def spanning_tree_lift_table(G: Group, a, b, base: ConnectionTable) -> Connectio
                 queue.append(v)
                 tree.add(arc)
     volts = dict(zip([arc for arc in arcs if arc not in tree], (_idx(a), _idx(b))))
-    return ConnectionTable.from_dict(m, {arc: {volts.get(arc, 0)} for arc in arcs})
+    return ConnectionTable(m, {arc: {volts.get(arc, 0)} for arc in arcs})
 
 
 def recipe_table(G: Group, pair: Optional[GeneratingPair], m: int,

@@ -1,7 +1,8 @@
 """m-Cayley digraphs on vertex set G x Z_m, plus the digraph predicates.
 
 Vertex (g, i) has index i*|G| + g.  The arc set is
-{(g_i, (t*g)_j) : t in T[i][j], g in G}.
+{(g_i, (t*g)_j) : t in T[i][j], g in G}.  A connection table keeps only its
+non-empty cells.
 """
 
 from __future__ import annotations
@@ -11,61 +12,46 @@ from .groups import Group, _idx
 from .perms import Perm
 
 
-def _cell(elements) -> frozenset:
-    """A cell as a frozenset of ints; one that already is one is kept, so
-    tables built from shared cells share them."""
-    if type(elements) is frozenset and all(type(e) is int for e in elements):
-        return elements
-    return frozenset(_idx(e) for e in elements)
-
-
 class ConnectionTable:
-    """m x m array of element subsets defining the inter-block arcs."""
+    """An m x m table of element subsets defining the inter-block arcs,
+    kept as its non-empty cells: ``entries`` maps (i, j) to T[i][j] in
+    row-major order.  At valency two at most 2m of the m^2 cells are
+    non-empty, so building a table and its digraph costs O(m) cells."""
 
-    __slots__ = ("m", "sets")
+    __slots__ = ("m", "entries")
 
-    def __init__(self, m: int, sets):
+    def __init__(self, m: int, entries: dict):
         if m < 1:
             raise ValueError("m must be positive")
-        if len(sets) != m or any(len(row) != m for row in sets):
-            raise ValueError(f"a table with m = {m} needs {m} rows of {m} cells")
         self.m = m
-        self.sets = tuple(tuple(_cell(sets[i][j]) for j in range(m)) for i in range(m))
-
-    @classmethod
-    def _of_cells(cls, m: int, sets: tuple) -> "ConnectionTable":
-        """A table from m rows of m cells that are already frozensets of
-        ints, kept as given, unchecked."""
-        table = cls.__new__(cls)
-        table.m, table.sets = m, sets
-        return table
-
-    @classmethod
-    def from_dict(cls, m: int, entries: dict) -> "ConnectionTable":
-        sets = [[entries.get((i, j), ()) for j in range(m)] for i in range(m)]
-        return cls(m, sets)
+        self.entries = {}
+        for (i, j), cell in sorted(entries.items()):
+            if not (0 <= i < m and 0 <= j < m):
+                raise ValueError(f"cell ({i}, {j}) out of range for m = {m}")
+            # A frozenset of ints is kept, so tables built from shared cells share them.
+            if type(cell) is not frozenset or not {int}.issuperset(map(type, cell)):
+                cell = frozenset(_idx(e) for e in cell)
+            if cell:
+                self.entries[(i, j)] = cell
 
     def validate(self, G: Group) -> None:
-        for i in range(self.m):
-            for j in range(self.m):
-                for t in self.sets[i][j]:
-                    if not 0 <= t < G.order:
-                        raise ValueError(f"T[{i}][{j}] entry {t} not an element of {G!r}")
+        for (i, j), cell in self.entries.items():
+            for t in cell:
+                if not 0 <= t < G.order:
+                    raise ValueError(f"T[{i}][{j}] entry {t} not an element of {G!r}")
 
     def to_text(self) -> str:
         lines = [f"m: {self.m}"]
-        for i in range(self.m):
-            for j in range(self.m):
-                if self.sets[i][j]:
-                    body = " ".join(str(t) for t in sorted(self.sets[i][j]))
-                    lines.append(f"T {i} {j} : {body}")
+        for (i, j), cell in self.entries.items():
+            lines.append(f"T {i} {j} : {' '.join(str(t) for t in sorted(cell))}")
         return "\n".join(lines) + "\n"
 
     def __eq__(self, other):
-        return isinstance(other, ConnectionTable) and self.sets == other.sets
+        return (isinstance(other, ConnectionTable) and self.m == other.m
+                and self.entries == other.entries)
 
     def __hash__(self):
-        return hash(self.sets)
+        return hash((self.m, *self.entries.items()))
 
     def __repr__(self):
         return f"ConnectionTable(m={self.m})"
@@ -98,7 +84,7 @@ def parse_connection_table(text: str) -> ConnectionTable:
         except ValueError:
             raise ParseError("element indices must be integers", no, ln.index(":") + 2)
         entries[(i, j)] = set(entries.get((i, j), set())) | set(elems)
-    return ConnectionTable.from_dict(m, entries)
+    return ConnectionTable(m, entries)
 
 
 class Digraph:
@@ -135,12 +121,11 @@ def build_mcayley(G: Group, T: ConnectionTable) -> MCayleyDigraph:
     T.validate(G)
     n, m = G.order, T.m
     out = [[] for _ in range(n * m)]
-    for i in range(m):
-        for j in range(m):
-            for t in T.sets[i][j]:
-                row = G.mult[t]
-                for g in range(n):
-                    out[i * n + g].append(j * n + row[g])
+    for (i, j), cell in T.entries.items():
+        for t in cell:
+            row = G.mult[t]
+            for g in range(n):
+                out[i * n + g].append(j * n + row[g])
     return MCayleyDigraph(G, T, out)
 
 
@@ -151,16 +136,10 @@ def is_oriented(d: Digraph) -> bool:
 
 
 def oriented_table_criterion(G: Group, T: ConnectionTable) -> bool:
-    """Connection-set test: no identity on the diagonal, no T[i][j] meeting T[j][i]^-1."""
-    for i in range(T.m):
-        if 0 in T.sets[i][i]:
-            return False
-    for i in range(T.m):
-        for j in range(T.m):
-            inv_ji = {G.inverse(t) for t in T.sets[j][i]}
-            if T.sets[i][j] & inv_ji:
-                return False
-    return True
+    """Connection-set test: no T[i][j] meeting T[j][i]^-1, which on the
+    diagonal also rules out the identity."""
+    return not any(cell & {G.inverse(t) for t in T.entries.get((j, i), ())}
+                   for (i, j), cell in T.entries.items())
 
 
 def is_k_regular(d: Digraph, k: int) -> bool:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,9 +28,6 @@ class ExceptionVerdict:
             "all_failed": self.all_failed,
             "max_aut_order_seen": self.max_aut_order_seen,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 @dataclass
@@ -89,9 +85,6 @@ class VerificationReport:
         if self.certificate is not None:
             out["certificate"] = self.certificate.to_dict()
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     def summary(self) -> str:
         if self.certificate is not None:

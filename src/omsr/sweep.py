@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import time
 from collections.abc import Sequence
@@ -96,9 +95,6 @@ class SweepResult:
             "max_aut_order_seen": self.max_aut_order_seen,
             "runtime_ms": round(self.runtime_ms, 3),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 @functools.lru_cache(maxsize=None)
@@ -299,10 +295,10 @@ class _RankedMoves:
                      if row else [] for row, ks in enumerate(self._row_moves)]
 
     def table(self, key) -> ConnectionTable:
-        """The table of a full key, built on the shared cells."""
-        cells = map(self.cells.__getitem__, key)
-        # zip over m references to one iterator groups its cells by row.
-        return ConnectionTable._of_cells(self.m, tuple(zip(*[cells] * self.m)))
+        """The table of a full key: its non-empty cells, the shared ones of
+        ``cells``, since rank 0 is the empty cell."""
+        cells, m = self.cells, self.m
+        return ConnectionTable(m, {divmod(k, m): cells[r] for k, r in enumerate(key) if r})
 
     def inverse(self, k: int) -> tuple:
         """The code of the inverse of move ``k``, built on first use: source

@@ -55,6 +55,20 @@ def strongly_connected(d) -> bool:
     return d.n > 0 and covers(pairs) and covers([(w, u) for u, w in pairs])
 
 
+def entries_of(sets) -> dict:
+    """The cells of a table given as an m x m grid, keyed by (i, j), for
+    `ConnectionTable(m, entries)`; empty cells included."""
+    return {(i, j): cell for i, row in enumerate(sets) for j, cell in enumerate(row)}
+
+
+def grid_of(table) -> tuple:
+    """The m x m grid of a table's cells, empty ones included: the inverse
+    of `entries_of`."""
+    m = table.m
+    return tuple(tuple(table.entries.get((i, j), frozenset()) for j in range(m))
+                 for i in range(m))
+
+
 def cycles(p):
     """Nontrivial cycles of p, each starting at its smallest point."""
     seen = [False] * len(p)

@@ -206,7 +206,7 @@ def test_criterion_6_engine_cross_validation():
             for j in range(m):
                 k = rng.randrange(3)
                 entries[(i, j)] = rng.sample(range(G.order), min(k, G.order))
-        d = build_mcayley(G, ConnectionTable.from_dict(m, entries))
+        d = build_mcayley(G, ConnectionTable(m, entries))
         if elements(automorphisms(d)) != brute_force_automorphisms(d):
             failures.append((G.label, m, entries))
         checked += 1

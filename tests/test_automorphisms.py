@@ -31,7 +31,7 @@ def random_table(G, m, rng, max_cell=2):
         for j in range(m):
             k = rng.randrange(max_cell + 1)
             entries[(i, j)] = rng.sample(range(G.order), min(k, G.order))
-    return ConnectionTable.from_dict(m, entries)
+    return ConnectionTable(m, entries)
 
 
 def test_refine_vertex_transitive_single_class():
@@ -191,7 +191,7 @@ def test_is_omsr_positive_nonabelian():
 def test_is_omsr_negative():
     # A table whose digraph keeps extra symmetry: empty table, m=2 over Z2.
     G, _ = catalog_group("cyclic", [2])
-    d = build_mcayley(G, ConnectionTable.from_dict(2, {(0, 1): [0], (1, 0): [0]}))
+    d = build_mcayley(G, ConnectionTable(2, {(0, 1): [0], (1, 0): [0]}))
     report = is_omsr(d, G, 2)
     assert not report.omsr
     assert report.aut_order % G.order == 0
@@ -228,7 +228,7 @@ def test_translation_seed_check_detects_broken_translation():
         out[4 + x].append(x ^ 1)
     out[0].append(6)
     out[1].append(7)
-    d = MCayleyDigraph(K, ConnectionTable(2, [[[], [0]], [[1], []]]), out)
+    d = MCayleyDigraph(K, ConnectionTable(2, {(0, 1): [0], (1, 0): [1]}), out)
     A = automorphisms(d)
     assert A.translations_embed is False
     auts = brute_force_automorphisms(d)
@@ -254,7 +254,7 @@ def random_valency2_table(G, m, rng):
         for i in range(m):
             cell = entries.setdefault((i, sigma[i]), set())
             cell.add(rng.choice([t for t in range(G.order) if t not in cell]))
-    return ConnectionTable.from_dict(m, entries)
+    return ConnectionTable(m, entries)
 
 
 def permuted(d, pi):
@@ -418,7 +418,7 @@ def test_translation_seeds_built_once_per_group_and_m(monkeypatch):
         for y in range(4):
             table[sigma[x]][sigma[y]] = sigma[Z4.mult[x][y]]
     Z4b = group_from_cayley_table(table)
-    T = ConnectionTable(3, [[[], [1, 2], []], [[], [], [1, 3]], [[1, 2], [], []]])
+    T = ConnectionTable(3, {(0, 1): [1, 2], (1, 2): [1, 3], (2, 0): [1, 2]})
     for G in (Z4, Z4b, Z4, Z4b):
         assert automorphisms(build_mcayley(G, T)).translations_embed
     assert built[4:] == [(Z4, 3, 1), (Z4b, 3, 1), (Z4b, 3, 2)]
@@ -448,16 +448,16 @@ def test_is_omsr_checks_match_predicates():
     Z1, _ = catalog_group("cyclic", [1])
     # 0 -> 1 and a loop at 1: vertex 0 reaches everything, but nothing
     # reaches it, and the in- and out-degrees differ.
-    d = build_mcayley(Z1, ConnectionTable.from_dict(2, {(0, 1): [0], (1, 1): [0]}))
+    d = build_mcayley(Z1, ConnectionTable(2, {(0, 1): [0], (1, 1): [0]}))
     assert _reachable(d.out_adj, 0) == d.n
     assert check(Z1, d.table) == (False, False, False)
     # Two copies of the oriented Cay(Z5, {1, 2}): 2-regular, not connected.
     Z5, _ = catalog_group("cyclic", [5])
-    assert check(Z5, ConnectionTable.from_dict(2, {(0, 0): [1, 2], (1, 1): [1, 2]})) == \
+    assert check(Z5, ConnectionTable(2, {(0, 0): [1, 2], (1, 1): [1, 2]})) == \
         (True, True, False)
     # Cay(Z3, {0, 1}): a loop at every vertex, 2-regular and connected.
     Z3, _ = catalog_group("cyclic", [3])
-    assert check(Z3, ConnectionTable.from_dict(1, {(0, 0): [0, 1]})) == (False, True, True)
+    assert check(Z3, ConnectionTable(1, {(0, 0): [0, 1]})) == (False, True, True)
 
 
 def test_z100_m5_near_vertex_cap():

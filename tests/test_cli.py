@@ -449,7 +449,7 @@ def test_recipe_rejected_past_guard_is_a_failed_verdict(tmp_path, monkeypatch, c
     from omsr import constructions
     recipe = constructions.recipe_table
     # Oriented, 2-regular and connected over Z7, with |Aut| = 21.
-    rejected = ConnectionTable.from_dict(3, {(0, 1): {0, 1}, (1, 2): {0, 1}, (2, 0): {0, 1}})
+    rejected = ConnectionTable(3, {(0, 1): {0, 1}, (1, 2): {0, 1}, (2, 0): {0, 1}})
 
     def rejected_for_z7_m3(G, pair, m, kind="auto"):
         if (G.order, m) == (7, 3):

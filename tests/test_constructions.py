@@ -20,11 +20,11 @@ from omsr.errors import IsAbelian, NotAbelian, NotGenerating, OrderTooSmall
 from omsr.groups import (GeneratingPair, GroupElement, catalog_group, closure, element_order,
                          is_abelian, is_cyclic, normalize_generating_pair)
 from omsr.reports import ExceptionVerdict
-from oracles import arc_count, arcs, distance2_out_set, induced_subdigraph
+from oracles import arc_count, arcs, distance2_out_set, grid_of, induced_subdigraph
 
 
 def cell(t, i, j):
-    return set(t.sets[i][j])
+    return set(t.entries.get((i, j), ()))
 
 
 # --- cyclic recipe -----------------------------------------------------------
@@ -46,8 +46,7 @@ def test_cyclic_table_z5_m4_shape():
     assert [cell(t, i, i) for i in range(4)] == [{a}, {ainv}, {ainv}, {ainv}]
     assert all(cell(t, i, i + 1) == {0} for i in range(3))
     assert cell(t, 3, 0) == {a}
-    filled = {(i, j) for i in range(4) for j in range(4) if t.sets[i][j]}
-    assert filled == {(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (1, 2), (2, 3), (3, 0)}
+    assert set(t.entries) == {(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (1, 2), (2, 3), (3, 0)}
 
 
 def test_cyclic_table_guards():
@@ -177,13 +176,26 @@ def test_recipe_table_auto_has_no_recipe_for_small_groups():
 
 def test_rigid_trivial_table_shape():
     table = rigid_trivial_table(9)
-    targets = {i: {j for j in range(9) if table.sets[i][j]} for i in range(9)}
+    grid = grid_of(table)
+    targets = {i: {j for j in range(9) if grid[i][j]} for i in range(9)}
     assert targets == {0: {2, 3}, 1: {3, 4}, 2: {1, 4}, 3: {2, 5}, 4: {5, 6},
                        5: {6, 7}, 6: {7, 8}, 7: {8, 0}, 8: {0, 1}}
-    assert all(cell == {0} for row in table.sets for cell in row if cell)
+    assert all(cell == {0} for row in grid for cell in row if cell)
     for m in range(2, 7):
         with pytest.raises(ValueError):
             rigid_trivial_table(m)
+
+
+def test_closed_tables_at_the_vertex_cap_hold_2m_cells():
+    # The largest closed tables the vertex cap admits keep only their 2m
+    # non-empty cells and survive a text round trip.
+    Z2, p2 = catalog_group("cyclic", [2])
+    K, pk = catalog_group("elementary_abelian_2", [2])
+    for table in (rigid_trivial_table(512),
+                  spanning_tree_lift_table(Z2, p2.a, 0, circulant_table(256)),
+                  spanning_tree_lift_table(K, pk.a, pk.b, circulant_table(128))):
+        assert len(table.entries) == 2 * table.m
+        assert parse_connection_table(table.to_text()) == table
 
 
 def test_construct_klein_m7_lift(tmp_path, monkeypatch):
@@ -344,7 +356,7 @@ def test_construct_klein_m2_exception(tmp_path, monkeypatch):
     assert isinstance(verdict, ExceptionVerdict)
     assert verdict.all_failed
     assert verdict.enumerated_count > 0
-    data = json.loads(verdict.to_json())
+    data = json.loads(json.dumps(verdict.to_dict(), sort_keys=True))
     assert set(data) >= {"group", "m", "enumerated_count", "all_failed",
                          "max_aut_order_seen"}
 
@@ -384,7 +396,7 @@ def test_recipe_rejected_inside_guard_searches_under_auto_only(tmp_path, monkeyp
     from omsr import constructions
     recipe = constructions.recipe_table
     # Oriented, 2-regular and connected over Z3, with |Aut| = 18.
-    rejected = ConnectionTable.from_dict(3, {(0, 1): {0, 1}, (1, 2): {0, 1}, (2, 0): {0, 1}})
+    rejected = ConnectionTable(3, {(0, 1): {0, 1}, (1, 2): {0, 1}, (2, 0): {0, 1}})
 
     def rejected_for_z3_m3(G, pair, m, kind="auto"):
         if (G.order, m) == (3, 3):
@@ -490,7 +502,7 @@ def test_corrupt_cached_witness_is_skipped(tmp_path, monkeypatch):
 def test_store_witness_replaces_atomically(tmp_path, monkeypatch):
     from omsr import constructions
     G, pair = catalog_group("elementary_abelian_2", [2])
-    table = ConnectionTable.from_dict(1, {(0, 0): [1, 2]})
+    table = ConnectionTable(1, {(0, 0): [1, 2]})
     replaced = []
     real_replace = os.replace
 
@@ -510,7 +522,7 @@ def test_store_witness_replaces_atomically(tmp_path, monkeypatch):
 
     monkeypatch.setattr(constructions.os, "replace", failing)
     constructions._store_witness(G, 1, str(tmp_path),
-                                 ConnectionTable.from_dict(1, {(0, 0): [1, 3]}))
+                                 ConnectionTable(1, {(0, 0): [1, 3]}))
     # The old file is intact and no temporary file is left behind.
     assert [str(p) for p in tmp_path.iterdir()] == [target]
     with open(target) as fh:

@@ -11,12 +11,8 @@ from omsr.digraphs import (ConnectionTable, Digraph, build_mcayley, is_connected
 from omsr.errors import ParseError
 from omsr.groups import GroupElement, catalog_group
 from omsr.perms import compose, is_bijection
-from oracles import (arc_count, arcs, cycles, distance2_out_set, induced_subdigraph,
-                     strongly_connected)
-
-
-def table_of(m, entries):
-    return ConnectionTable.from_dict(m, entries)
+from oracles import (arc_count, arcs, cycles, distance2_out_set, entries_of, grid_of,
+                     induced_subdigraph, strongly_connected)
 
 
 def random_table(G, m, rng, max_cell=2):
@@ -25,35 +21,43 @@ def random_table(G, m, rng, max_cell=2):
         for j in range(m):
             k = rng.randrange(max_cell + 1)
             entries[(i, j)] = rng.sample(range(G.order), min(k, G.order))
-    return table_of(m, entries)
+    return ConnectionTable(m, entries)
 
 
 def test_connection_table_keeps_int_frozensets():
     shared = frozenset({1, 2})
-    T = ConnectionTable(2, [[frozenset(), shared], [shared, frozenset()]])
-    assert T.sets[0][1] is shared and T.sets[1][0] is shared
-    converted = ConnectionTable(1, [[[GroupElement(1), 2]]])
-    assert converted.sets == ((frozenset({1, 2}),),)
-    assert all(type(t) is int for t in ConnectionTable(1, [[frozenset({True})]]).sets[0][0])
+    T = ConnectionTable(2, {(0, 0): frozenset(), (0, 1): shared, (1, 0): shared})
+    assert T.entries[(0, 1)] is shared and T.entries[(1, 0)] is shared
+    assert list(T.entries) == [(0, 1), (1, 0)]
+    converted = ConnectionTable(1, {(0, 0): [GroupElement(1), 2]})
+    assert converted.entries == {(0, 0): frozenset({1, 2})}
+    booled = ConnectionTable(1, {(0, 0): frozenset({True})})
+    assert all(type(t) is int for t in booled.entries[(0, 0)])
     G, _ = catalog_group("cyclic", [3])
     with pytest.raises(ValueError):
-        ConnectionTable(1, [[frozenset({5})]]).validate(G)
+        ConnectionTable(1, {(0, 0): frozenset({5})}).validate(G)
 
 
-def test_connection_table_rejects_wrong_shape():
-    # Exactly m rows of m cells: extra rows or cells are not truncated, and
-    # missing ones raise ValueError, not IndexError.
-    square = [[{0}, {1}, {2}], [{1}, {2}, {0}], [{2}, {0}, {1}]]
-    for m, sets in [(2, square), (2, square[:2]), (2, [row[:2] for row in square]),
-                    (3, square[:2]), (3, [square[0], square[1][:2], square[2]])]:
-        with pytest.raises(ValueError, match="rows of"):
-            ConnectionTable(m, sets)
-    assert ConnectionTable(3, square).sets[2][2] == frozenset({1})
+def test_connection_table_keeps_nonempty_cells_in_row_major_order():
+    T = ConnectionTable(3, {(2, 2): {1}, (0, 1): {0}, (1, 0): (), (0, 0): [2]})
+    assert list(T.entries) == [(0, 0), (0, 1), (2, 2)]
+    assert T == ConnectionTable(3, entries_of(grid_of(T)))
+    assert grid_of(T)[2] == (frozenset(), frozenset(), frozenset({1}))
+
+
+def test_connection_table_rejects_cell_out_of_range():
+    # Every (i, j) must lie in [0, m), even for an empty cell; m must be positive.
+    for m, cell in [(2, (2, 0)), (2, (0, 2)), (3, (-1, 1)), (3, (1, -1)), (1, (1, 1))]:
+        for value in ({0}, ()):
+            with pytest.raises(ValueError, match="out of range"):
+                ConnectionTable(m, {cell: value})
+    with pytest.raises(ValueError, match="positive"):
+        ConnectionTable(0, {})
 
 
 def test_build_trivial():
     G, _ = catalog_group("cyclic", [1])
-    d = build_mcayley(G, table_of(1, {}))
+    d = build_mcayley(G, ConnectionTable(1, {}))
     assert d.n == 1
     assert arc_count(d) == 0
 
@@ -72,7 +76,7 @@ def test_build_klein_m3_formal_case1():
     G, pair = catalog_group("elementary_abelian_2", [2])
     a, b = pair.a.index, pair.b.index
     ab = G.mul(a, b)
-    t = table_of(3, {(0, 0): [a], (1, 1): [ab], (2, 2): [ab],
+    t = ConnectionTable(3, {(0, 0): [a], (1, 1): [ab], (2, 2): [ab],
                      (0, 1): [0], (1, 2): [0], (2, 0): [b]})
     d = build_mcayley(G, t)
     assert d.n == 12
@@ -83,7 +87,7 @@ def test_arc_rule():
     # (g_i, h_j) is an arc iff h = t*g for some t in T_ij.
     G, pair = catalog_group("cyclic", [4])
     a = pair.a.index
-    t = table_of(2, {(0, 1): [a]})
+    t = ConnectionTable(2, {(0, 1): [a]})
     d = build_mcayley(G, t)
     for g in G.elements():
         assert G.order + G.mul(a, g) in d.out_sets[g]
@@ -128,9 +132,9 @@ def test_is_oriented_examples():
     G, pair = catalog_group("cyclic", [5])
     assert is_oriented(build_mcayley(G, cyclic_connection_table(G, pair.a, 2)))
     Z2, _ = catalog_group("cyclic", [2])
-    digon = build_mcayley(Z2, table_of(1, {(0, 0): [1]}))
+    digon = build_mcayley(Z2, ConnectionTable(1, {(0, 0): [1]}))
     assert not is_oriented(digon)
-    loop = build_mcayley(G, table_of(2, {(0, 0): [0]}))
+    loop = build_mcayley(G, ConnectionTable(2, {(0, 0): [0]}))
     assert not is_oriented(loop)
 
 
@@ -149,7 +153,7 @@ def test_is_k_regular_examples():
     d = build_mcayley(G, cyclic_connection_table(G, pair.a, 2))
     assert is_k_regular(d, 2)
     assert not is_k_regular(d, 1)
-    sparse = build_mcayley(G, table_of(2, {(0, 0): [pair.a.index]}))
+    sparse = build_mcayley(G, ConnectionTable(2, {(0, 0): [pair.a.index]}))
     assert not is_k_regular(sparse, 1)
 
 
@@ -158,7 +162,7 @@ def test_is_connected_examples():
     assert is_connected(build_mcayley(G, cyclic_connection_table(G, pair.a, 2)))
     Z4, p4 = catalog_group("cyclic", [4])
     sq = Z4.mul(p4.a, p4.a)
-    assert not is_connected(build_mcayley(Z4, table_of(2, {(0, 0): [sq]})))
+    assert not is_connected(build_mcayley(Z4, ConnectionTable(2, {(0, 0): [sq]})))
     # 0 -> 1: the forward sweep covers V, but the degrees are unbalanced and
     # nothing reaches 0.
     path = Digraph(2, [[1], []])
@@ -267,7 +271,7 @@ def test_arc_count_formula():
             m = rng.choice([2, 3])
             t = random_table(G, m, rng)
             d = build_mcayley(G, t)
-            total = sum(len(t.sets[i][j]) for i in range(m) for j in range(m))
+            total = sum(map(len, t.entries.values()))
             assert arc_count(d) == G.order * total
 
 

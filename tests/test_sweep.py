@@ -19,7 +19,7 @@ from omsr.groups import (Group, automorphism_generators, catalog_group, generati
 from omsr.sweep import (_PrefixMemo, _RankedMoves, _cell_order, _image,
                         _table_moves, count_tables, enumerate_tables, exhaustive_sweep,
                         feasibility_guard, find_witness)
-from oracles import arcs, brute_force_automorphisms, ranked_moves_reference
+from oracles import arcs, brute_force_automorphisms, entries_of, grid_of, ranked_moves_reference
 
 Z1 = Group(mult=((0,),), inv=(0,), label="Z1")
 
@@ -56,7 +56,7 @@ def naive_tables(n, m, valency):
 def naive_oriented(G, m, valency):
     """(position, sets) of the oriented tables among all constrained ones."""
     return [(pos, sets) for pos, sets in enumerate(naive_tables(G.order, m, valency), 1)
-            if oriented_table_criterion(G, ConnectionTable(m, sets))]
+            if oriented_table_criterion(G, ConnectionTable(m, entries_of(sets)))]
 
 
 def test_trivial_group_counts_match_binary_matrix_series():
@@ -142,7 +142,7 @@ def test_enumeration_yields_unique_row_column_constrained_tables():
         sets = unkey(G, 2, key)
         assert all(sum(len(sets[i][j]) for j in range(2)) == 2 for i in range(2))
         assert all(sum(len(sets[i][j]) for i in range(2)) == 2 for j in range(2))
-        assert oriented_table_criterion(G, ConnectionTable(2, sets))
+        assert oriented_table_criterion(G, ConnectionTable(2, entries_of(sets)))
     assert seen
     assert last <= count_tables(G.order, 2)
 
@@ -187,8 +187,8 @@ def test_sweep_z2_m3_certified_not_exists():
 
     # The oracle's tables come from the unpruned enumeration, not the sweep's.
     assert result.tables_enumerated == sum(1 for _ in naive_tables(Z2.order, 3, 2)) == 534
-    orders = [len(brute_force_automorphisms(build_mcayley(Z2, ConnectionTable(3, sets))))
-              for _, sets in naive_oriented(Z2, 3, 2)]
+    tables = [ConnectionTable(3, entries_of(sets)) for _, sets in naive_oriented(Z2, 3, 2)]
+    orders = [len(brute_force_automorphisms(build_mcayley(Z2, t))) for t in tables]
     assert len(orders) == result.oriented_count
     assert sorted(orders) == [6] * 8 + [24] * 2
     assert Z2.order not in orders
@@ -226,7 +226,7 @@ def test_sweep_stable_under_relabeling():
 
 def test_sweep_result_json():
     result = exhaustive_sweep(Z1, 3)
-    data = json.loads(result.to_json())
+    data = json.loads(json.dumps(result.to_dict(), sort_keys=True))
     assert data["verdict"] == "NOT_EXISTS"
     assert data["tables_enumerated"] == 6
     assert data["witness_count"] == 0
@@ -293,7 +293,7 @@ def cyclic(k):
 
 
 def engine_order(G, m, sets):
-    return automorphisms(build_mcayley(G, ConnectionTable(m, sets))).order
+    return automorphisms(build_mcayley(G, ConnectionTable(m, entries_of(sets)))).order
 
 
 def random_oriented_table(G, m, rng):
@@ -308,8 +308,8 @@ def random_oriented_table(G, m, rng):
                 if not free:
                     break
                 sets[i][sigma[i]].add(rng.choice(free))
-        table = ConnectionTable(m, sets)
-        full = all(sum(map(len, row)) == 2 for row in table.sets)
+        table = ConnectionTable(m, entries_of(sets))
+        full = all(sum(map(len, row)) == 2 for row in grid_of(table))
         if full and oriented_table_criterion(G, table):
             return table
     raise AssertionError(f"no oriented table drawn for {G!r} m={m}")
@@ -371,10 +371,10 @@ def test_table_moves_are_isomorphisms():
         for _ in range(5):
             table = random_oriented_table(G, m, rng)
             d = build_mcayley(G, table)
-            images = move_images(ranked, key_of(G, table.sets))
+            images = move_images(ranked, key_of(G, grid_of(table)))
             assert len(images) == len(moves)
             for (h, sigma, alpha, converse), image in zip(moves, images):
-                moved = ConnectionTable(m, unkey(G, m, image))
+                moved = ConnectionTable(m, entries_of(unkey(G, m, image)))
                 assert oriented_table_criterion(G, moved)
                 d2 = build_mcayley(G, moved)
                 phi = [sigma[i] * n + alpha[G.mult[h[i]][x]] for i in range(m) for x in range(n)]
@@ -449,7 +449,8 @@ def test_all_witness_sweep_matches_unpruned_oracle():
         result = exhaustive_sweep(G, m, all_witnesses=True)
         assert result.oriented_count == len(orders)
         assert result.max_aut_order_seen == max((o for o, _ in orders), default=0)
-        want = [ConnectionTable(m, sets).to_text() for o, sets in orders if o == G.order]
+        want = [ConnectionTable(m, entries_of(sets)).to_text()
+                for o, sets in orders if o == G.order]
         assert [w.to_text() for w in result.witnesses] == want, (G, m)
 
 
@@ -477,13 +478,13 @@ def first_stop_oracle(G, m):
     unpruned enumeration, in order."""
     oriented = top = pos = 0
     for pos, sets in enumerate(naive_tables(G.order, m, 2), 1):
-        if not oriented_table_criterion(G, ConnectionTable(m, sets)):
+        if not oriented_table_criterion(G, ConnectionTable(m, entries_of(sets))):
             continue
         oriented += 1
         order = engine_order(G, m, sets)
         top = max(top, order)
         if order == G.order:
-            return pos, oriented, top, ConnectionTable(m, sets).to_text()
+            return pos, oriented, top, ConnectionTable(m, entries_of(sets)).to_text()
     return pos, oriented, top, None
 
 
@@ -552,7 +553,7 @@ def full_walk_reference(G, m):
         oriented += 1
         top = max(top, order)
         if order == G.order:
-            return pos, oriented, top, ConnectionTable(m, sets).to_text()
+            return pos, oriented, top, ConnectionTable(m, entries_of(sets)).to_text()
     return count_tables(G.order, m), oriented, top, None
 
 
@@ -752,7 +753,8 @@ def test_all_witness_prefix_skip_matches_full_walk():
         result = exhaustive_sweep(G, m, all_witnesses=True)
         assert result.oriented_count == len(orders), (G, m)
         assert result.max_aut_order_seen == max(o for o, _ in orders), (G, m)
-        want = [ConnectionTable(m, sets).to_text() for o, sets in orders if o == G.order]
+        want = [ConnectionTable(m, entries_of(sets)).to_text()
+                for o, sets in orders if o == G.order]
         assert [w.to_text() for w in result.witnesses] == want, (G, m)
 
 
@@ -761,7 +763,7 @@ def test_witness_sequence_reads_as_a_list():
     # every list operation a caller uses; an all-witness scan, a first-stop
     # scan and a scan with no witness.
     for G, m in [(cyclic(3), 3), (cyclic(2), 3)]:
-        tables = [ConnectionTable(m, sets) for _, sets, order in full_walk(G, m)
+        tables = [ConnectionTable(m, entries_of(sets)) for _, sets, order in full_walk(G, m)
                   if order == G.order]
         for result, want in [(exhaustive_sweep(G, m, all_witnesses=True), tables),
                              (exhaustive_sweep(G, m), tables[:1])]:
@@ -777,8 +779,10 @@ def test_witness_sequence_reads_as_a_list():
             for i in (n, -n - 1):
                 with pytest.raises(IndexError):
                     got[i]
-            assert result.to_dict() == dataclasses.replace(result, witnesses=want).to_dict()
-            assert result.to_json() == dataclasses.replace(result, witnesses=want).to_json()
+            replaced = dataclasses.replace(result, witnesses=want)
+            assert result.to_dict() == replaced.to_dict()
+            assert (json.dumps(result.to_dict(), sort_keys=True)
+                    == json.dumps(replaced.to_dict(), sort_keys=True))
 
 
 def test_witness_count_builds_no_keys(monkeypatch):
@@ -806,7 +810,7 @@ def test_witness_orbits_are_isomorphism_classes():
     rng = random.Random(8)
 
     def graph(G, m, key):
-        d = build_mcayley(G, ConnectionTable(m, unkey(G, m, key)))
+        d = build_mcayley(G, ConnectionTable(m, entries_of(unkey(G, m, key))))
         g = nx.DiGraph()
         g.add_nodes_from(range(d.n))
         g.add_edges_from(arcs(d))
@@ -814,7 +818,8 @@ def test_witness_orbits_are_isomorphism_classes():
 
     for G, m, classes in [(klein(), 3, 2), (cyclic(3), 3, 9)]:
         ranked = _RankedMoves(G, m)
-        witnesses = {key_of(G, w.sets) for w in exhaustive_sweep(G, m, all_witnesses=True).witnesses}
+        witnesses = {key_of(G, grid_of(w))
+                     for w in exhaustive_sweep(G, m, all_witnesses=True).witnesses}
         orbits, covered = [], set()
         for key in sorted(witnesses):
             if key not in covered:

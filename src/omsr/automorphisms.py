@@ -26,6 +26,17 @@ for those refinements and little else: the translations are built once per
 (G, m) and kept on G, though every call checks them; each path level keeps
 its cell sets, and a probe starts from a copy of its level's dict, O(cells),
 copying a set only when it splits it.  Only generators and |Aut| are kept.
+
+`is_omsr` first tries a certificate that shows Aut = R(G) without a search
+(as in McConnell et al., Certifying algorithms, 2011); the engine decides
+only where it does not close.  Once the translations pass, R(G) <= Aut, so:
+(1) the in- and out-ball sizes, radius <= 3, at a block's first vertex are
+an invariant constant on its block; (2) refined by `_refine` on the m-block
+quotient, each step keyed on invariant data, they colour the blocks so that
+every automorphism keeps each colour class; (3) if block 0 is a class
+alone, it is the orbit of b = vertex 0; (4) an automorphism fixing a vertex
+fixes its out- (in-) neighbours when their colours differ, so if a search
+from b along such arcs reaches every vertex, |Aut| = |G| * 1.
 """
 
 from __future__ import annotations
@@ -37,8 +48,8 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from . import perms as permlib
-from .digraphs import (Digraph, MCayleyDigraph, is_connected, is_k_regular, is_oriented,
-                       right_translation)
+from .digraphs import (Digraph, MCayleyDigraph, _reachable, is_connected, is_k_regular,
+                       is_oriented, right_translation)
 from .errors import BlockMismatch, TooLarge
 from .groups import Group, generating_set
 from .reports import VerificationReport
@@ -215,6 +226,44 @@ def _individualize(out_adj, in_adj, colors, v, reference=None, cells=None):
     return _refine(out_adj, in_adj, fresh, [start], reference, cells, shared)
 
 
+def _translations(d: MCayleyDigraph) -> list:
+    """Right translations by a generating set of G, kept on G per m."""
+    G, key = d.group, ("translations", d.m)
+    if key not in G._memo:
+        G._memo[key] = [right_translation(G, d.m, g) for g in generating_set(G)]
+    return G._memo[key]
+
+
+def _rigid_blocks(d: MCayleyDigraph) -> Optional[PermutationGroup]:
+    """R(G), with order |G|, when the certificate of the module docstring
+    closes on d, else None."""
+    translations = _translations(d)
+    if not all(_is_automorphism(d, t) for t in translations):
+        return None
+    n, m, adjs = d.group.order, d.m, (d.out_adj, d.in_adj)
+
+    def balls(adj, ball):
+        return [len(ball := ball | {w for u in ball for w in adj[u]}) for _ in range(3)]
+
+    # Steps 1 and 2 at the first vertex of each block i: the quotient's arcs
+    # i -> j are that vertex's arcs into block j.  Then step 3.
+    keys = [[balls(adj, {i * n}) for adj in adjs] for i in range(m)]
+    quotient = [[[w // n for w in adj[i * n]] for i in range(m)] for adj in adjs]
+    colors = [sorted(keys).index(k) for k in keys]
+    colors = _refine(*quotient, colors, set(colors))[0]
+    if colors.count(colors[0]) > 1:
+        return None
+    # Step 4: a fixed vertex u forces forced[u], its out- (in-) neighbours
+    # when those differ in colour; colours are constant on blocks.
+    out_ok, in_ok = ([len({colors[j] for j in q[i]}) == len(q[i]) for i in range(m)]
+                     for q in quotient)
+    forced = [(d.out_adj[u] if out_ok[u // n] else ()) + (d.in_adj[u] if in_ok[u // n] else ())
+              for u in range(d.n)]
+    if _reachable(forced, 0) < d.n:
+        return None
+    return PermutationGroup(d.n, list(translations), n, translations_embed=True)
+
+
 def _aut_elements(d: Digraph):
     """(generators, |Aut|, translations_embed) by the search in the module
     docstring; translations_embed is None unless d is an m-Cayley digraph."""
@@ -256,13 +305,8 @@ def _aut_elements(d: Digraph):
 
     seeds, embed = [], None
     if isinstance(d, MCayleyDigraph):
-        # R(G) is generated by the translations of a generating set of G, so
-        # it embeds exactly when all of those pass.  They are built once per
-        # (G, m) and kept on G.
-        G, key = d.group, ("translations", d.m)
-        if key not in G._memo:
-            G._memo[key] = [right_translation(G, d.m, g) for g in generating_set(G)]
-        translations = G._memo[key]
+        # R(G) embeds exactly when all the translations pass.
+        translations = _translations(d)
         seeds = [t for t in translations if _is_automorphism(d, t)]
         embed = len(seeds) == len(translations)
 
@@ -328,7 +372,8 @@ def is_omsr(gamma: MCayleyDigraph, G: Group, m: int,
 
     |Aut| = |G| suffices for Aut = R(G) because the right translations
     always embed; the report still confirms the embedding explicitly, from
-    the translations the search checked before seeding them.
+    the translations checked first.  The certificate of the module docstring
+    decides where it closes, and the engine elsewhere.
     """
     if gamma.group.order != G.order or gamma.m != m:
         raise BlockMismatch(f"digraph over |G| = {gamma.group.order} with m = {gamma.m}, "
@@ -336,7 +381,7 @@ def is_omsr(gamma: MCayleyDigraph, G: Group, m: int,
     start = time.perf_counter()
     oriented, regular = is_oriented(gamma), is_k_regular(gamma, VALENCY)
     connected = is_connected(gamma)
-    A = automorphisms(gamma)
+    A = gamma.n <= VERTEX_CAP and _rigid_blocks(gamma) or automorphisms(gamma)
     orbits = permlib.orbit_partition(A.generators, A.degree)
     verdict = bool(oriented and regular and A.order == G.order)
     elapsed = (time.perf_counter() - start) * 1000.0

@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
 SWEEP = "tests/test_sweep.py::"
 DIGRAPHS = "tests/test_digraphs.py::"
 CONSTRUCTIONS = "tests/test_constructions.py::"
+AUTOMORPHISMS = "tests/test_automorphisms.py::"
 
 MUTANTS = [
     # The move test of the sweep.
@@ -100,6 +101,20 @@ MUTANTS = [
     Mutant("criterion-reads-own-cell", "omsr/digraphs.py",
            "T.entries.get((j, i), ())", "T.entries.get((i, j), ())",
            (DIGRAPHS + "test_oriented_agrees_with_table_criterion",)),
+    # The rigid-block certificate of `is_omsr`.
+    Mutant("certificate-skips-translation-check", "omsr/automorphisms.py",
+           "    if not all(_is_automorphism(d, t) for t in translations):\n        return None\n",
+           "",
+           (AUTOMORPHISMS + "test_certificate_needs_the_translations",)),
+    Mutant("certificate-follows-same-colour-out-arcs", "omsr/automorphisms.py",
+           "(d.out_adj[u] if out_ok[u // n] else ())", "d.out_adj[u]",
+           (AUTOMORPHISMS + "test_certificate_never_closes_where_the_engine_finds_more",)),
+    Mutant("certificate-block-0-not-alone", "omsr/automorphisms.py",
+           "    if colors.count(colors[0]) > 1:\n        return None\n", "",
+           (AUTOMORPHISMS + "test_certificate_never_closes_where_the_engine_finds_more",)),
+    Mutant("certificate-accepts-partial-search", "omsr/automorphisms.py",
+           "if _reachable(forced, 0) < d.n:", "if _reachable(forced, 0) < d.n // 2:",
+           (AUTOMORPHISMS + "test_certificate_never_closes_where_the_engine_finds_more",)),
 ]
 
 

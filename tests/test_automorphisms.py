@@ -7,8 +7,10 @@ import random
 
 import pytest
 
-from omsr.automorphisms import (VERTEX_CAP, _individualize, _refine, aut_order_bounded,
-                                automorphisms, is_omsr, orbit_count, stabilizer)
+from omsr.automorphisms import (VERTEX_CAP, _individualize, _refine, _rigid_blocks,
+                                aut_order_bounded, automorphisms, is_omsr, orbit_count,
+                                stabilizer)
+from omsr.cli import group_roster
 from omsr.constructions import (cyclic_connection_table, nonabelian_connection_table,
                                 recipe_table)
 from omsr.digraphs import (ConnectionTable, Digraph, MCayleyDigraph, _reachable, build_mcayley,
@@ -343,8 +345,9 @@ def test_verify_costs_at_most_2m_individualizations(monkeypatch):
     monkeypatch.setattr(engine, "_individualize", counting)
     G, pair = catalog_group("cyclic", [48])
     d = build_mcayley(G, cyclic_connection_table(G, pair.a, 5))
-    report = is_omsr(d, G, 5)
-    assert report.omsr and report.stabilizer_order == 1 and report.orbit_count == 5
+    # The engine itself; `is_omsr` closes this digraph without it.
+    A = automorphisms(d)
+    assert A.order == 48 and A.translations_embed and orbit_count(A) == 5
     assert len(calls) <= 2 * 5
     # Each of the m - 1 block probes stops where its refinement trace
     # leaves the base path's.
@@ -365,8 +368,141 @@ def test_verify_refines_only_individualizations(monkeypatch):
     monkeypatch.setattr(engine, "_refine", counting)
     G, pair = catalog_group("cyclic", [48])
     d = build_mcayley(G, cyclic_connection_table(G, pair.a, 5))
-    assert is_omsr(d, G, 5).omsr
+    assert automorphisms(d).order == 48
     assert len(calls) == 5
+
+
+# --- the rigid-block certificate of is_omsr ----------------------------------
+
+def recipe_corpus(max_order=24):
+    """(label, m, digraph) for every recipe digraph of group_roster(max_order)
+    at m = 2..10 under the vertex cap."""
+    for G, pair in group_roster(max_order):
+        for m in range(2, 11):
+            if G.order * m <= VERTEX_CAP and (made := recipe_table(G, pair, m)):
+                yield G.label, m, build_mcayley(G, made[0])
+
+
+def blocks_of(A):
+    return sorted(map(sorted, orbit_partition(A.generators, A.degree)))
+
+
+def test_is_omsr_closes_large_recipes_without_individualizing(monkeypatch):
+    # The three 240-vertex recipe digraphs are verified by the certificate:
+    # no individualization, and one refinement, on the m-block quotient.
+    engine = importlib.import_module("omsr.automorphisms")
+    individualized, refined = [], []
+    original, refine_ = engine._individualize, engine._refine
+    monkeypatch.setattr(engine, "_individualize",
+                        lambda *args, **kw: individualized.append(args) or original(*args, **kw))
+    monkeypatch.setattr(engine, "_refine",
+                        lambda *args, **kw: refined.append(len(args[2])) or refine_(*args, **kw))
+    for family, params, m in (("cyclic", [48], 5), ("cyclic_product", [6, 8], 5),
+                              ("alternating", [5], 4)):
+        G, pair = catalog_group(family, params)
+        report = is_omsr(build_mcayley(G, recipe_table(G, pair, m)[0]), G, m)
+        assert (report.omsr, report.aut_order, report.stabilizer_order, report.orbit_count,
+                report.translations_embed) == (True, G.order, 1, m, True)
+    assert individualized == []
+    assert refined == [5, 5, 4]
+
+
+def test_is_omsr_falls_back_to_the_engine_with_the_same_report(monkeypatch):
+    # Z3 m=2: both blocks have the same ball sizes and the quotient does not
+    # split them, so the engine decides and the report is the one it gave
+    # before the certificate.
+    engine = importlib.import_module("omsr.automorphisms")
+    individualized = []
+    original = engine._individualize
+    monkeypatch.setattr(engine, "_individualize",
+                        lambda *args, **kw: individualized.append(args) or original(*args, **kw))
+    G, pair = catalog_group("cyclic", [3])
+    d = build_mcayley(G, recipe_table(G, pair, 2)[0])
+    assert _rigid_blocks(d) is None
+    fields = is_omsr(d, G, 2, construction_kind="cyclic").to_dict()
+    del fields["runtime_ms"]
+    assert fields == {
+        "group_label": "Z3", "m": 2, "group_order": 3, "construction_kind": "cyclic",
+        "omsr": True, "oriented": True, "regular2": True, "connected": True,
+        "aut_order": 3, "stabilizer_order": 1, "orbit_count": 2, "translations_embed": True}
+    assert individualized
+
+
+def test_certificate_agrees_with_engine_on_recipe_corpus():
+    closed, fell_back = 0, []
+    for label, m, d in recipe_corpus():
+        C, A = _rigid_blocks(d), automorphisms(d)
+        if C is None:
+            fell_back.append((label, m))
+            continue
+        closed += 1
+        assert (C.order, C.translations_embed) == (A.order, A.translations_embed), (label, m)
+        assert blocks_of(C) == blocks_of(A), (label, m)
+    assert (closed, fell_back) == (438, [("Z3", 2)])
+
+
+def test_certificate_never_closes_where_the_engine_finds_more():
+    # Random valency-two tables, many with |Aut| > |G|: wherever the
+    # certificate closes, the engine finds exactly R(G).
+    rng = random.Random(3232)
+    pool = [("cyclic", [k]) for k in (1, 2, 3, 4, 6, 12)]
+    pool += [("elementary_abelian_2", [2]), ("symmetric", [3]), ("dicyclic", [2])]
+    closed = larger = 0
+    for _ in range(600):
+        G, _ = catalog_group(*rng.choice(pool))
+        m = rng.randint(1, 6)
+        if G.order * m < 2:
+            continue
+        d = build_mcayley(G, random_valency2_table(G, m, rng))
+        C, A = _rigid_blocks(d), automorphisms(d)
+        larger += A.order > G.order
+        if C is not None:
+            closed += 1
+            assert (A.order, A.translations_embed) == (G.order, True)
+            assert blocks_of(C) == blocks_of(A)
+    assert closed >= 200 and larger >= 200
+
+
+def test_certificate_needs_the_translations():
+    # Two arcs of the Z48 m=5 recipe swap heads far from every block's first
+    # vertex: the translations no longer keep the arcs, though the ball sizes
+    # and the quotient read at the first vertices stay as they were.
+    G, pair = catalog_group("cyclic", [48])
+    d = build_mcayley(G, recipe_table(G, pair, 5)[0])
+    out = [list(nbrs) for nbrs in d.out_adj]
+    u, v = 2 * 48 + 24, 2 * 48 + 25
+    assert (out[u][1] // 48, out[v][1] // 48) == (3, 3)
+    out[u][1], out[v][1] = out[v][1], out[u][1]
+    swapped = MCayleyDigraph(G, d.table, out)
+    assert _rigid_blocks(swapped) is None
+    report = is_omsr(swapped, G, 5)
+    assert (report.aut_order, report.translations_embed, report.omsr) == (1, False, False)
+
+
+def test_networkx_agrees_on_closed_certificates():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import DiGraphMatcher
+    # A sample of the 136 recipe digraphs of group_roster(12) on at most 60
+    # vertices (all of them take networkx about 9 s), and random tables.
+    rng = random.Random(60)
+    cases = rng.sample([d for _, _, d in recipe_corpus(12) if d.n <= 60], 25)
+    for name, params in (("cyclic", [4]), ("symmetric", [3]), ("elementary_abelian_2", [2])):
+        G, _ = catalog_group(name, params)
+        cases += [build_mcayley(G, random_valency2_table(G, rng.randint(2, 5), rng))
+                  for _ in range(10)]
+    checked = 0
+    for d in cases:
+        C = _rigid_blocks(d)
+        if C is None:
+            continue
+        g = nx.DiGraph()
+        g.add_nodes_from(range(d.n))
+        g.add_edges_from(arcs(d))
+        matcher = DiGraphMatcher(g, g)
+        count = sum(1 for _ in itertools.islice(matcher.isomorphisms_iter(), C.order + 1))
+        assert count == C.order == d.group.order
+        checked += 1
+    assert checked >= 30
 
 
 def test_search_never_rebuilds_cells_from_colors(monkeypatch):

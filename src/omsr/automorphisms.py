@@ -50,8 +50,8 @@ from typing import List, Optional
 from . import perms as permlib
 from .digraphs import (Digraph, MCayleyDigraph, _reachable, is_connected, is_k_regular,
                        is_oriented, right_translation)
-from .errors import BlockMismatch, TooLarge
-from .groups import Group, generating_set
+from .errors import TooLarge
+from .groups import generating_set
 from .reports import VerificationReport
 
 # The valency the paper studies: `is_omsr` requires in- and out-degree
@@ -202,9 +202,9 @@ def _refine(out_adj, in_adj, colors, active, reference=None, cells=None, shared=
 def _is_automorphism(d: Digraph, p) -> bool:
     """Whether the vertex permutation p maps every arc onto an arc.  A
     bijection that does so maps the arc set onto itself."""
-    out_sets = d.out_sets
-    for u, nbrs in enumerate(d.out_adj):
-        image = out_sets[p[u]]
+    out_adj = d.out_adj
+    for u, nbrs in enumerate(out_adj):
+        image = out_adj[p[u]]
         for w in nbrs:
             if p[w] not in image:
                 return False
@@ -366,18 +366,16 @@ def orbit_count(A: PermutationGroup) -> int:
     return len(permlib.orbit_partition(A.generators, A.degree))
 
 
-def is_omsr(gamma: MCayleyDigraph, G: Group, m: int,
-            construction_kind: str = "custom") -> VerificationReport:
-    """Verdict: oriented, regular of valency `VALENCY` = 2, and |Aut| = |G|.
+def is_omsr(gamma: MCayleyDigraph, construction_kind: str = "custom") -> VerificationReport:
+    """Verdict on the m-Cayley digraph of G: oriented, regular of valency
+    `VALENCY` = 2, and |Aut| = |G|, with G and m read from ``gamma``.
 
     |Aut| = |G| suffices for Aut = R(G) because the right translations
     always embed; the report still confirms the embedding explicitly, from
     the translations checked first.  The certificate of the module docstring
     decides where it closes, and the engine elsewhere.
     """
-    if gamma.group.order != G.order or gamma.m != m:
-        raise BlockMismatch(f"digraph over |G| = {gamma.group.order} with m = {gamma.m}, "
-                            f"asked for |G| = {G.order} with m = {m}")
+    G = gamma.group
     start = time.perf_counter()
     oriented, regular = is_oriented(gamma), is_k_regular(gamma, VALENCY)
     connected = is_connected(gamma)
@@ -386,7 +384,7 @@ def is_omsr(gamma: MCayleyDigraph, G: Group, m: int,
     verdict = bool(oriented and regular and A.order == G.order)
     elapsed = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
-        group_label=G.label, m=m, group_order=G.order,
+        group_label=G.label, m=gamma.m, group_order=G.order,
         construction_kind=construction_kind, omsr=verdict,
         oriented=oriented, regular2=regular, connected=connected,
         aut_order=A.order, stabilizer_order=A.order // len(orbits[0]),

@@ -257,7 +257,7 @@ def _searched_witness(G: Group, m: int):
     cached = _load_cached_witness(G, m, witness_dir)
     if cached is not None:
         gamma = build_mcayley(G, cached)
-        report = is_omsr(gamma, G, m, construction_kind=KIND_SEARCH)
+        report = is_omsr(gamma, construction_kind=KIND_SEARCH)
         if report.omsr:
             return gamma, report
     table, gamma, stats = sweeplib.find_witness(G, m)
@@ -272,7 +272,7 @@ def _searched_witness(G: Group, m: int):
             max_aut_order_seen=stats["max_aut_order_seen"],
             oriented_count=stats["oriented"],
         )
-    report = is_omsr(gamma, G, m, construction_kind=KIND_SEARCH)
+    report = is_omsr(gamma, construction_kind=KIND_SEARCH)
     _store_witness(G, m, witness_dir, table)
     return gamma, report
 
@@ -294,7 +294,7 @@ def construct_omsr(G: Group, pair: Optional[GeneratingPair], m: int, kind: str =
     if recipe is not None:
         table, recipe_kind = recipe
         gamma = build_mcayley(G, table)
-        report = is_omsr(gamma, G, m, construction_kind=recipe_kind)
+        report = is_omsr(gamma, construction_kind=recipe_kind)
         if report.omsr or kind != "auto" or not sweeplib.feasibility_guard(G, m):
             return gamma, report
     return _searched_witness(G, m)

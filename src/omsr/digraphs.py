@@ -88,20 +88,19 @@ def parse_connection_table(text: str) -> ConnectionTable:
 
 
 class Digraph:
-    """Immutable digraph with both adjacency directions precomputed."""
+    """Immutable digraph: each out-list in the order it was given, and the
+    in-lists, ascending by source.  Nothing reads an out-list in order."""
 
-    __slots__ = ("n", "out_adj", "in_adj", "out_sets")
+    __slots__ = ("n", "out_adj", "in_adj")
 
     def __init__(self, n: int, out_adj):
         self.n = n
-        self.out_adj = tuple(tuple(sorted(nbrs)) for nbrs in out_adj)
+        self.out_adj = tuple(map(tuple, out_adj))
         rev = [[] for _ in range(n)]
-        for u in range(n):
-            for v in self.out_adj[u]:
+        for u, nbrs in enumerate(self.out_adj):
+            for v in nbrs:
                 rev[v].append(u)
-        # Filled in ascending source order, so already sorted.
         self.in_adj = tuple(map(tuple, rev))
-        self.out_sets = tuple(frozenset(nbrs) for nbrs in self.out_adj)
 
 
 class MCayleyDigraph(Digraph):
@@ -117,7 +116,8 @@ class MCayleyDigraph(Digraph):
 
 
 def build_mcayley(G: Group, T: ConnectionTable) -> MCayleyDigraph:
-    """Materialize the digraph; adjacency lists sorted by linear index."""
+    """Materialize the digraph: vertex (g, i)'s out-list holds (t*g)_j for
+    each cell T[i][j] in row-major order and each t in it."""
     T.validate(G)
     n, m = G.order, T.m
     out = [[] for _ in range(n * m)]
@@ -131,8 +131,8 @@ def build_mcayley(G: Group, T: ConnectionTable) -> MCayleyDigraph:
 
 def is_oriented(d: Digraph) -> bool:
     """No loops and no pair of oppositely directed arcs: no arc u -> w with
-    u in w's out-set, which is a loop (w = u) or half a digon."""
-    return not any(u in d.out_sets[w] for u, nbrs in enumerate(d.out_adj) for w in nbrs)
+    u in w's out-list, which is a loop (w = u) or half a digon."""
+    return not any(u in d.out_adj[w] for u, nbrs in enumerate(d.out_adj) for w in nbrs)
 
 
 def oriented_table_criterion(G: Group, T: ConnectionTable) -> bool:

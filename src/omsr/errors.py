@@ -37,10 +37,6 @@ class IsAbelian(OmsrError):
     """The non-abelian recipe was applied to an abelian group."""
 
 
-class BlockMismatch(OmsrError):
-    """An m-Cayley digraph's group order or m differs from the one asked about."""
-
-
 class InfeasibleSweep(OmsrError):
     """The requested exhaustive sweep exceeds the feasibility guard."""
 

@@ -101,6 +101,41 @@ MUTANTS = [
     Mutant("criterion-reads-own-cell", "omsr/digraphs.py",
            "T.entries.get((j, i), ())", "T.entries.get((i, j), ())",
            (DIGRAPHS + "test_oriented_agrees_with_table_criterion",)),
+    Mutant("oriented-tests-forward-arc", "omsr/digraphs.py",
+           "u in d.out_adj[w] for", "w in d.out_adj[u] for",
+           (DIGRAPHS + "test_is_oriented_examples",
+            DIGRAPHS + "test_oriented_agrees_with_table_criterion")),
+    Mutant("connected-without-reverse-search", "omsr/digraphs.py",
+           " and (balanced or _reachable(d.in_adj, 0) == d.n)", "",
+           (DIGRAPHS + "test_is_connected_examples",
+            AUTOMORPHISMS + "test_is_omsr_checks_match_predicates")),
+    # The engine.
+    Mutant("arc-test-reads-own-row", "omsr/automorphisms.py",
+           "        image = out_adj[p[u]]\n", "        image = out_adj[u]\n",
+           (AUTOMORPHISMS + "test_is_omsr_positive_cyclic",
+            AUTOMORPHISMS + "test_translations_in_aut_for_recipes")),
+    Mutant("refine-without-in-count", "omsr/automorphisms.py",
+           "            for u in in_adj[w]:\n                counts[u] = counts.get(u, 0) + weight\n",
+           "",
+           (AUTOMORPHISMS + "test_refine_matches_signature_rounds",
+            AUTOMORPHISMS + "test_engine_output_pinned")),
+    Mutant("refine-without-out-count", "omsr/automorphisms.py",
+           "            for u in out_adj[w]:\n                counts[u] = counts.get(u, 0) + 1\n",
+           "",
+           (AUTOMORPHISMS + "test_refine_matches_signature_rounds",
+            AUTOMORPHISMS + "test_engine_output_pinned")),
+    Mutant("refine-keys-on-out-list-order", "omsr/automorphisms.py",
+           "            for u in out_adj[w]:\n                counts[u] = counts.get(u, 0) + 1\n",
+           "            for k, u in enumerate(out_adj[w]):\n"
+           "                counts[u] = counts.get(u, 0) + 1 + k\n",
+           (AUTOMORPHISMS + "test_out_list_order_changes_no_output",)),
+    Mutant("translations-always-embed", "omsr/automorphisms.py",
+           "embed = len(seeds) == len(translations)", "embed = True",
+           (AUTOMORPHISMS + "test_translation_seed_check_detects_broken_translation",)),
+    Mutant("shared-cell-not-copied", "omsr/automorphisms.py",
+           "cell = cells[c] = set(cell)", "cell = cells[c]",
+           (AUTOMORPHISMS + "test_engine_matches_brute_force_random",
+            AUTOMORPHISMS + "test_relabel_conjugation_invariance")),
     # The rigid-block certificate of `is_omsr`.
     Mutant("certificate-skips-translation-check", "omsr/automorphisms.py",
            "    if not all(_is_automorphism(d, t) for t in translations):\n        return None\n",

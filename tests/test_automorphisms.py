@@ -15,7 +15,7 @@ from omsr.constructions import (cyclic_connection_table, nonabelian_connection_t
                                 recipe_table)
 from omsr.digraphs import (ConnectionTable, Digraph, MCayleyDigraph, _reachable, build_mcayley,
                            right_translation)
-from omsr.errors import BlockMismatch, TooLarge
+from omsr.errors import TooLarge
 from omsr.groups import catalog_group, group_from_cayley_table, normalize_generating_pair
 from omsr.perms import compose, inverse, orbit_partition
 from omsr.sweep import _RankedMoves, enumerate_tables, exhaustive_sweep
@@ -175,7 +175,7 @@ def test_aut_divisible_by_group_order():
 def test_is_omsr_positive_cyclic():
     G, pair = catalog_group("cyclic", [5])
     d = build_mcayley(G, cyclic_connection_table(G, pair.a, 2))
-    report = is_omsr(d, G, 2)
+    report = is_omsr(d)
     assert report.omsr and report.aut_order == 5
     assert report.oriented and report.regular2 and report.connected
     assert report.translations_embed
@@ -186,7 +186,7 @@ def test_is_omsr_positive_nonabelian():
     G, pair = catalog_group("symmetric", [3])
     a, b = normalize_generating_pair(G, pair.a, pair.b)
     d = build_mcayley(G, nonabelian_connection_table(G, a, b, 2))
-    report = is_omsr(d, G, 2)
+    report = is_omsr(d)
     assert report.omsr and report.aut_order == 6
 
 
@@ -194,21 +194,9 @@ def test_is_omsr_negative():
     # A table whose digraph keeps extra symmetry: empty table, m=2 over Z2.
     G, _ = catalog_group("cyclic", [2])
     d = build_mcayley(G, ConnectionTable(2, {(0, 1): [0], (1, 0): [0]}))
-    report = is_omsr(d, G, 2)
+    report = is_omsr(d)
     assert not report.omsr
     assert report.aut_order % G.order == 0
-
-
-def test_is_omsr_block_mismatch():
-    G, pair = catalog_group("cyclic", [5])
-    d = build_mcayley(G, cyclic_connection_table(G, pair.a, 2))
-    with pytest.raises(BlockMismatch):
-        is_omsr(d, G, 3)
-    # 12 = 3 * |Z4| vertices, but the digraph is over Z6 with m = 2.
-    Z6, pair6 = catalog_group("cyclic", [6])
-    Z4, _ = catalog_group("cyclic", [4])
-    with pytest.raises(BlockMismatch):
-        is_omsr(build_mcayley(Z6, recipe_table(Z6, pair6, 2)[0]), Z4, 3)
 
 
 def test_translations_in_aut_for_recipes():
@@ -238,7 +226,7 @@ def test_translation_seed_check_detects_broken_translation():
     assert right_translation(K, 2, 1) in auts
     assert right_translation(K, 2, 2) not in auts
     # |Aut| = 2 is not a multiple of |G| = 4; the report says so, not raises.
-    report = is_omsr(d, K, 2)
+    report = is_omsr(d)
     assert (report.omsr, report.translations_embed, report.aut_order) == (False, False, 2)
 
 
@@ -400,7 +388,7 @@ def test_is_omsr_closes_large_recipes_without_individualizing(monkeypatch):
     for family, params, m in (("cyclic", [48], 5), ("cyclic_product", [6, 8], 5),
                               ("alternating", [5], 4)):
         G, pair = catalog_group(family, params)
-        report = is_omsr(build_mcayley(G, recipe_table(G, pair, m)[0]), G, m)
+        report = is_omsr(build_mcayley(G, recipe_table(G, pair, m)[0]))
         assert (report.omsr, report.aut_order, report.stabilizer_order, report.orbit_count,
                 report.translations_embed) == (True, G.order, 1, m, True)
     assert individualized == []
@@ -419,7 +407,7 @@ def test_is_omsr_falls_back_to_the_engine_with_the_same_report(monkeypatch):
     G, pair = catalog_group("cyclic", [3])
     d = build_mcayley(G, recipe_table(G, pair, 2)[0])
     assert _rigid_blocks(d) is None
-    fields = is_omsr(d, G, 2, construction_kind="cyclic").to_dict()
+    fields = is_omsr(d, construction_kind="cyclic").to_dict()
     del fields["runtime_ms"]
     assert fields == {
         "group_label": "Z3", "m": 2, "group_order": 3, "construction_kind": "cyclic",
@@ -475,7 +463,7 @@ def test_certificate_needs_the_translations():
     out[u][1], out[v][1] = out[v][1], out[u][1]
     swapped = MCayleyDigraph(G, d.table, out)
     assert _rigid_blocks(swapped) is None
-    report = is_omsr(swapped, G, 5)
+    report = is_omsr(swapped)
     assert (report.aut_order, report.translations_embed, report.omsr) == (1, False, False)
 
 
@@ -565,7 +553,7 @@ def test_is_omsr_checks_match_predicates():
     # with the arc-list oracles, which share no code with the predicates.
     def check(G, table):
         d = build_mcayley(G, table)
-        report = is_omsr(d, G, table.m)
+        report = is_omsr(d)
         want = (oriented(d), k_regular(d, 2), strongly_connected(d))
         assert (report.oriented, report.regular2, report.connected) == want
         return want
@@ -599,7 +587,7 @@ def test_is_omsr_checks_match_predicates():
 def test_z100_m5_near_vertex_cap():
     G, pair = catalog_group("cyclic", [100])
     d = build_mcayley(G, cyclic_connection_table(G, pair.a, 5))
-    report = is_omsr(d, G, 5)
+    report = is_omsr(d)
     assert (report.aut_order, report.stabilizer_order, report.orbit_count) == (100, 1, 5)
     assert report.omsr and report.translations_embed
 
@@ -755,10 +743,10 @@ def test_property_refine_equivariant():
 ENGINE_OUTPUT_SHA256 = "f64f8a4662243c245c36f066e286ae37356d42405268bb039cb19268c42e18e1"
 
 
-def engine_output_digest():
-    """Hash of (order, generators, translations_embed) from `automorphisms`
-    on every oriented table of Z2 at m = 3 and of the Klein four-group at
-    m = 2, and on the recipe digraphs of Z48 m=5, Z6xZ8 m=5 and A5 m=4."""
+def engine_output_digraphs():
+    """Every oriented table's digraph of Z2 at m = 3 and of the Klein
+    four-group at m = 2, and the recipe digraphs of Z48 m=5, Z6xZ8 m=5 and
+    A5 m=4."""
     digraphs = []
     for family, params, m in (("cyclic", [2], 3), ("elementary_abelian_2", [2], 2)):
         G, _ = catalog_group(family, params)
@@ -768,6 +756,13 @@ def engine_output_digest():
                               ("alternating", [5], 4)):
         G, pair = catalog_group(family, params)
         digraphs.append(build_mcayley(G, recipe_table(G, pair, m)[0]))
+    return digraphs
+
+
+def engine_output_digest():
+    """Hash of (order, generators, translations_embed) from `automorphisms`
+    on `engine_output_digraphs`."""
+    digraphs = engine_output_digraphs()
     h = hashlib.sha256()
     for d in digraphs:
         A = automorphisms(d)
@@ -777,3 +772,27 @@ def engine_output_digest():
 
 def test_engine_output_pinned():
     assert engine_output_digest() == (19, ENGINE_OUTPUT_SHA256)
+
+
+def test_out_list_order_changes_no_output():
+    # A digraph is its arc set: with every out-list reversed, the engine
+    # gives the same group and generators, and is_omsr the same report.
+    rng = random.Random(34)
+    digraphs = engine_output_digraphs()
+    for family, params in (("cyclic", [1]), ("cyclic", [3]), ("cyclic", [4]),
+                           ("elementary_abelian_2", [2]), ("symmetric", [3])):
+        G, _ = catalog_group(family, params)
+        digraphs += [build_mcayley(G, random_valency2_table(G, m, rng))
+                     for m in (2, 3, 4, 5) for _ in range(4)]
+    reordered = 0
+    for d in digraphs:
+        flipped = MCayleyDigraph(d.group, d.table, [nbrs[::-1] for nbrs in d.out_adj])
+        reordered += flipped.out_adj != d.out_adj
+        assert flipped.in_adj == d.in_adj
+        A, B = automorphisms(d), automorphisms(flipped)
+        assert (B.order, B.generators, B.translations_embed) == (
+            A.order, A.generators, A.translations_embed)
+        want, got = is_omsr(d).to_dict(), is_omsr(flipped).to_dict()
+        del want["runtime_ms"], got["runtime_ms"]
+        assert got == want
+    assert len(digraphs) == 19 + 80 and reordered == len(digraphs)

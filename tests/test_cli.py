@@ -70,8 +70,8 @@ def test_verify_recipe_override_cyclic_and_nonabelian():
     # An override verifies exactly the named recipe's table: the same report
     # as building that table by hand, and the same exit codes where it does
     # not apply.
-    def same(report, G, table, m, kind):
-        want = is_omsr(build_mcayley(G, table), G, m, construction_kind=kind).to_dict()
+    def same(report, G, table, kind):
+        want = is_omsr(build_mcayley(G, table), construction_kind=kind).to_dict()
         got = report.to_dict()
         del want["runtime_ms"], got["runtime_ms"]
         return got == want
@@ -81,7 +81,7 @@ def test_verify_recipe_override_cyclic_and_nonabelian():
         for m in (2, 3, 7):
             report = verify_instance(G, pair, m, recipe="cyclic")
             assert report.omsr
-            assert same(report, G, cyclic_connection_table(G, pair.a, m), m, "cyclic")
+            assert same(report, G, cyclic_connection_table(G, pair.a, m), "cyclic")
     for name, params in [("symmetric", [3]), ("dihedral", [4]), ("dicyclic", [3]),
                          ("alternating", [4])]:
         G, pair = catalog_group(name, params)
@@ -89,8 +89,7 @@ def test_verify_recipe_override_cyclic_and_nonabelian():
         for m in (2, 3, 7):
             report = verify_instance(G, pair, m, recipe="nonabelian")
             assert report.omsr
-            assert same(report, G, nonabelian_connection_table(G, a, b, m), m,
-                        "nonabelian_2gen")
+            assert same(report, G, nonabelian_connection_table(G, a, b, m), "nonabelian_2gen")
     for spec, recipe, code in [
             ("catalog:cyclic_product:2:4", "cyclic", EXIT_INPUT),     # NotGenerating
             ("catalog:symmetric:3", "cyclic", EXIT_INPUT),

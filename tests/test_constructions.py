@@ -119,7 +119,7 @@ def test_abelian_recipe_on_every_generating_pair():
             pair = GeneratingPair(GroupElement(a), GroupElement(b))
             for m in range(2, 6):
                 table, kind = recipe_table(G, pair, m)
-                report = is_omsr(build_mcayley(G, table), G, m)
+                report = is_omsr(build_mcayley(G, table))
                 assert kind == KIND_ABELIAN and report.omsr, (G.label, a, b, m)
                 checked += 1
     assert checked == 120 * 4
@@ -259,7 +259,7 @@ def new_recipe_digraphs():
 
 def test_new_recipes_are_omsr(new_recipe_digraphs):
     for G, m, d in new_recipe_digraphs:
-        report = is_omsr(d, G, m)
+        report = is_omsr(d)
         assert report.omsr and report.connected, (G.label, m, report.aut_order)
 
 
@@ -447,7 +447,8 @@ def test_bundled_witnesses_reverify():
         m = int(m_part[1:])
         G, _ = cg(*label_to_group[label])
         table = parse_connection_table(open(path).read())
-        report = is_omsr(build_mcayley(G, table), G, m)
+        assert table.m == m, name
+        report = is_omsr(build_mcayley(G, table))
         assert report.omsr, f"bundled witness {name} failed re-verification"
 
 

@@ -90,7 +90,7 @@ def test_arc_rule():
     t = ConnectionTable(2, {(0, 1): [a]})
     d = build_mcayley(G, t)
     for g in G.elements():
-        assert G.order + G.mul(a, g) in d.out_sets[g]
+        assert G.order + G.mul(a, g) in d.out_adj[g]
     assert arc_count(d) == 4
 
 

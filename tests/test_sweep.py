@@ -204,7 +204,7 @@ def test_sweep_witnesses_reverify():
     K, _ = catalog_group("elementary_abelian_2", [2])
     result = exhaustive_sweep(K, 3)
     for table in result.witnesses:
-        report = is_omsr(build_mcayley(K, table), K, 3)
+        report = is_omsr(build_mcayley(K, table))
         assert report.omsr
 
 
@@ -237,7 +237,7 @@ def test_find_witness_deterministic_and_verified():
     t1, gamma1, stats1 = find_witness(K, 3)
     t2, gamma2, _ = find_witness(K, 3)
     assert t1 == t2
-    assert is_omsr(gamma1, K, 3).omsr
+    assert is_omsr(gamma1).omsr
     assert stats1["examined"] >= stats1["oriented"] > 0
 
 
@@ -265,7 +265,7 @@ def test_find_witness_pinned_stats():
     for (G, m), want in pins.items():
         table, gamma, stats = find_witness(G, m)
         assert (stats["examined"], stats["oriented"]) == want, (G, m)
-        assert is_omsr(gamma, G, m).omsr
+        assert is_omsr(gamma).omsr
         assert gamma.table == table
 
 

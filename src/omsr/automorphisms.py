@@ -30,13 +30,15 @@ copying a set only when it splits it.  Only generators and |Aut| are kept.
 `is_omsr` first tries a certificate that shows Aut = R(G) without a search
 (as in McConnell et al., Certifying algorithms, 2011); the engine decides
 only where it does not close.  Once the translations pass, R(G) <= Aut, so:
-(1) the in- and out-ball sizes, radius <= 3, at a block's first vertex are
-an invariant constant on its block; (2) refined by `_refine` on the m-block
-quotient, each step keyed on invariant data, they colour the blocks so that
-every automorphism keeps each colour class; (3) if block 0 is a class
-alone, it is the orbit of b = vertex 0; (4) an automorphism fixing a vertex
-fixes its out- (in-) neighbours when their colours differ, so if a search
-from b along such arcs reaches every vertex, |Aut| = |G| * 1.
+(1) the in- and out-ball sizes, radius <= 3 and grown from each frontier,
+at a block's first vertex are an invariant constant on its block; (2)
+refined by `_refine` on the m-block quotient, each step keyed on invariant
+data, they colour the blocks so that every automorphism keeps each colour
+class; (3) if block 0 is a class alone, it is the orbit of b = vertex 0;
+(4) an automorphism fixing a vertex fixes its out- (in-) neighbours when
+their colours differ, so if a search from b along such arcs reaches every
+vertex, |Aut| = |G| * 1.  The orbits are then the blocks, and a regular
+digraph, searched along and against arcs, is strongly connected.
 """
 
 from __future__ import annotations
@@ -234,39 +236,46 @@ def _translations(d: MCayleyDigraph) -> list:
     return G._memo[key]
 
 
-def _rigid_blocks(d: MCayleyDigraph) -> Optional[PermutationGroup]:
+def _rigid_blocks(d: MCayleyDigraph, seeds) -> Optional[PermutationGroup]:
     """R(G), with order |G|, when the certificate of the module docstring
-    closes on d, else None."""
-    translations = _translations(d)
-    if not all(_is_automorphism(d, t) for t in translations):
+    closes on d, else None; ``seeds`` are the translations that passed."""
+    if len(seeds) < len(_translations(d)):
         return None
     n, m, adjs = d.group.order, d.m, (d.out_adj, d.in_adj)
 
-    def balls(adj, ball):
-        return [len(ball := ball | {w for u in ball for w in adj[u]}) for _ in range(3)]
+    def balls(adj, v):
+        ball, frontier = {v}, [v]
+        for _ in range(3):
+            grown = []
+            for u in frontier:
+                for w in adj[u]:
+                    if w not in ball:
+                        ball.add(w)
+                        grown.append(w)
+            frontier = grown
+            yield len(ball)
 
     # Steps 1 and 2 at the first vertex of each block i: the quotient's arcs
     # i -> j are that vertex's arcs into block j.  Then step 3.
-    keys = [[balls(adj, {i * n}) for adj in adjs] for i in range(m)]
+    keys = [[list(balls(adj, i * n)) for adj in adjs] for i in range(m)]
     quotient = [[[w // n for w in adj[i * n]] for i in range(m)] for adj in adjs]
-    colors = [sorted(keys).index(k) for k in keys]
+    colors = list(map(sorted(keys).index, keys))
     colors = _refine(*quotient, colors, set(colors))[0]
     if colors.count(colors[0]) > 1:
         return None
-    # Step 4: a fixed vertex u forces forced[u], its out- (in-) neighbours
-    # when those differ in colour; colours are constant on blocks.
-    out_ok, in_ok = ([len({colors[j] for j in q[i]}) == len(q[i]) for i in range(m)]
-                     for q in quotient)
-    forced = [(d.out_adj[u] if out_ok[u // n] else ()) + (d.in_adj[u] if in_ok[u // n] else ())
-              for u in range(d.n)]
-    if _reachable(forced, 0) < d.n:
+    # Step 4: a fixed vertex of block i fixes its out- (in-) neighbours when
+    # those differ in colour, so the search follows follow[i] in block i.
+    follow = [[adj for adj, q in zip(adjs, quotient)
+               if len({colors[j] for j in q[i]}) == len(q[i])] for i in range(m)]
+    if _reachable([f for f in follow for _ in range(n)], 0) < d.n:
         return None
-    return PermutationGroup(d.n, list(translations), n, translations_embed=True)
+    return PermutationGroup(d.n, list(seeds), n, translations_embed=True)
 
 
-def _aut_elements(d: Digraph):
+def _aut_elements(d: Digraph, seeds=None):
     """(generators, |Aut|, translations_embed) by the search in the module
-    docstring; translations_embed is None unless d is an m-Cayley digraph."""
+    docstring; translations_embed is None unless d is an m-Cayley digraph.
+    ``seeds`` are its translations that pass, if the caller found some."""
     out_adj, in_adj, n = d.out_adj, d.in_adj, d.n
     # On a degree-regular digraph the uniform partition is equitable as it
     # is; traces[0] is never a probe's reference.
@@ -303,11 +312,11 @@ def _aut_elements(d: Digraph):
         found = (probe(level + 1, c2, cells, w) for w in sorted(cells[target]))
         return next((g for g in found if g is not None), None)
 
-    seeds, embed = [], None
+    seeds, embed = seeds or [], None
     if isinstance(d, MCayleyDigraph):
         # R(G) embeds exactly when all the translations pass.
         translations = _translations(d)
-        seeds = [t for t in translations if _is_automorphism(d, t)]
+        seeds = seeds or [t for t in translations if _is_automorphism(d, t)]
         embed = len(seeds) == len(translations)
 
     gens, order = [], 1
@@ -330,12 +339,12 @@ def _aut_elements(d: Digraph):
     return seeds + gens, order, embed
 
 
-def automorphisms(d: Digraph) -> PermutationGroup:
+def automorphisms(d: Digraph, seeds=None) -> PermutationGroup:
     """Full automorphism group by individualize-refine backtracking, for
-    digraphs of at most `VERTEX_CAP` vertices."""
+    digraphs of at most `VERTEX_CAP` vertices; ``seeds`` as for `_aut_elements`."""
     if d.n > VERTEX_CAP:
         raise TooLarge(f"{d.n} vertices exceeds cap {VERTEX_CAP}")
-    gens, order, embed = _aut_elements(d)
+    gens, order, embed = _aut_elements(d, seeds)
     return PermutationGroup(degree=d.n, generators=gens, order=order,
                             translations_embed=embed)
 
@@ -371,16 +380,19 @@ def is_omsr(gamma: MCayleyDigraph, construction_kind: str = "custom") -> Verific
     `VALENCY` = 2, and |Aut| = |G|, with G and m read from ``gamma``.
 
     |Aut| = |G| suffices for Aut = R(G) because the right translations
-    always embed; the report still confirms the embedding explicitly, from
-    the translations checked first.  The certificate of the module docstring
-    decides where it closes, and the engine elsewhere.
+    always embed; the report confirms the embedding from the translations,
+    checked once.  A closed certificate (module docstring) also gives the
+    orbits, and connectivity if gamma is regular; else the engine decides.
     """
     G = gamma.group
     start = time.perf_counter()
     oriented, regular = is_oriented(gamma), is_k_regular(gamma, VALENCY)
-    connected = is_connected(gamma)
-    A = gamma.n <= VERTEX_CAP and _rigid_blocks(gamma) or automorphisms(gamma)
-    orbits = permlib.orbit_partition(A.generators, A.degree)
+    seeds = [t for t in _translations(gamma) if _is_automorphism(gamma, t)]
+    closed = gamma.n <= VERTEX_CAP and _rigid_blocks(gamma, seeds)
+    A = closed or automorphisms(gamma, seeds)
+    connected = bool(closed and regular) or is_connected(gamma)
+    orbits = ([range(i * G.order, (i + 1) * G.order) for i in range(gamma.m)] if closed
+              else permlib.orbit_partition(A.generators, A.degree))
     verdict = bool(oriented and regular and A.order == G.order)
     elapsed = (time.perf_counter() - start) * 1000.0
     return VerificationReport(

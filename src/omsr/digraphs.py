@@ -146,19 +146,17 @@ def is_k_regular(d: Digraph, k: int) -> bool:
     return list(map(len, d.out_adj)) == list(map(len, d.in_adj)) == [k] * d.n
 
 
-def _reachable(adj, start: int) -> int:
-    seen = [False] * len(adj)
+def _reachable(follow, start: int) -> int:
+    """The number of vertices reached from start along adj[u], adj in follow[u]."""
+    seen, reached = [False] * len(follow), [start]
     seen[start] = True
-    stack = [start]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count
+    for u in reached:
+        for adj in follow[u]:
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    reached.append(v)
+    return len(reached)
 
 
 def is_connected(d: Digraph) -> bool:
@@ -168,7 +166,8 @@ def is_connected(d: Digraph) -> bool:
     if d.n == 0:
         return False
     balanced = list(map(len, d.out_adj)) == list(map(len, d.in_adj))
-    return _reachable(d.out_adj, 0) == d.n and (balanced or _reachable(d.in_adj, 0) == d.n)
+    return (_reachable([(d.out_adj,)] * d.n, 0) == d.n
+            and (balanced or _reachable([(d.in_adj,)] * d.n, 0) == d.n))
 
 
 def right_translation(G: Group, m: int, g) -> Perm:

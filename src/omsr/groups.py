@@ -39,8 +39,8 @@ class Group:
     """Immutable finite group given by its full multiplication table, as
     tuples of the Python ints it is given; the constructor checks nothing.
     A group given no label is named ``order-<n>``.  ``_memo`` keeps what
-    is derived from it once: the generating set, the automorphism
-    generators and the engine's right-translation seeds per m."""
+    is derived from it once: whether it is abelian and cyclic, generating
+    set, automorphism generators and the engine's translation seeds per m."""
 
     __slots__ = ("order", "mult", "inv", "label", "_memo")
 
@@ -216,11 +216,15 @@ def element_order(G: Group, g) -> int:
 
 
 def is_abelian(G: Group) -> bool:
-    return G.mult == tuple(zip(*G.mult))
+    if "abelian" not in G._memo:
+        G._memo["abelian"] = G.mult == tuple(zip(*G.mult))
+    return G._memo["abelian"]
 
 
 def is_cyclic(G: Group) -> bool:
-    return any(element_order(G, g) == G.order for g in G.elements())
+    if "cyclic" not in G._memo:
+        G._memo["cyclic"] = any(element_order(G, g) == G.order for g in G.elements())
+    return G._memo["cyclic"]
 
 
 def closure(G: Group, gens) -> set:

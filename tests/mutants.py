@@ -106,7 +106,7 @@ MUTANTS = [
            (DIGRAPHS + "test_is_oriented_examples",
             DIGRAPHS + "test_oriented_agrees_with_table_criterion")),
     Mutant("connected-without-reverse-search", "omsr/digraphs.py",
-           " and (balanced or _reachable(d.in_adj, 0) == d.n)", "",
+           "\n            and (balanced or _reachable([(d.in_adj,)] * d.n, 0) == d.n)", "",
            (DIGRAPHS + "test_is_connected_examples",
             AUTOMORPHISMS + "test_is_omsr_checks_match_predicates")),
     # The engine.
@@ -138,17 +138,25 @@ MUTANTS = [
             AUTOMORPHISMS + "test_relabel_conjugation_invariance")),
     # The rigid-block certificate of `is_omsr`.
     Mutant("certificate-skips-translation-check", "omsr/automorphisms.py",
-           "    if not all(_is_automorphism(d, t) for t in translations):\n        return None\n",
+           "    if len(seeds) < len(_translations(d)):\n        return None\n",
            "",
            (AUTOMORPHISMS + "test_certificate_needs_the_translations",)),
     Mutant("certificate-follows-same-colour-out-arcs", "omsr/automorphisms.py",
-           "(d.out_adj[u] if out_ok[u // n] else ())", "d.out_adj[u]",
+           "if len({colors[j] for j in q[i]}) == len(q[i])]",
+           "if adj is d.out_adj or len({colors[j] for j in q[i]}) == len(q[i])]",
            (AUTOMORPHISMS + "test_certificate_never_closes_where_the_engine_finds_more",)),
     Mutant("certificate-block-0-not-alone", "omsr/automorphisms.py",
            "    if colors.count(colors[0]) > 1:\n        return None\n", "",
            (AUTOMORPHISMS + "test_certificate_never_closes_where_the_engine_finds_more",)),
     Mutant("certificate-accepts-partial-search", "omsr/automorphisms.py",
-           "if _reachable(forced, 0) < d.n:", "if _reachable(forced, 0) < d.n // 2:",
+           "for _ in range(n)], 0) < d.n:", "for _ in range(n)], 0) < d.n // 2:",
+           (AUTOMORPHISMS + "test_certificate_never_closes_where_the_engine_finds_more",)),
+    # What `is_omsr` reads off a closed certificate.
+    Mutant("connected-without-regularity", "omsr/automorphisms.py",
+           "bool(closed and regular)", "bool(closed)",
+           (AUTOMORPHISMS + "test_closed_certificate_on_a_digraph_that_is_not_strongly_connected",)),
+    Mutant("block-orbits-without-closed-certificate", "omsr/automorphisms.py",
+           "for i in range(gamma.m)] if closed", "for i in range(gamma.m)] if A",
            (AUTOMORPHISMS + "test_certificate_never_closes_where_the_engine_finds_more",)),
 ]
 

@@ -10,9 +10,11 @@ import bisect
 import collections
 import itertools
 
-from omsr.automorphisms import _closure_elements, _refine
-from omsr.digraphs import Digraph
+from omsr.automorphisms import (_closure_elements, _is_automorphism, _refine, _rigid_blocks,
+                                _translations, automorphisms)
+from omsr.digraphs import Digraph, is_connected, is_k_regular, is_oriented
 from omsr.errors import TooLarge
+from omsr.perms import orbit_partition
 from omsr.sweep import _cell_order, _table_moves
 
 BRUTE_FORCE_CAP = 8
@@ -113,6 +115,28 @@ def elements(A):
     found = set(_closure_elements(A.generators, A.degree))
     assert len(found) == A.order, (len(found), A.order)
     return found
+
+
+def certificate(d):
+    """`is_omsr`'s rigid-block certificate on the m-Cayley digraph d, given
+    the translations that pass: R(G) when it closes, else None."""
+    return _rigid_blocks(d, [t for t in _translations(d) if _is_automorphism(d, t)])
+
+
+def report_fields(d, construction_kind="custom") -> dict:
+    """Every field of `is_omsr(d).to_dict()` but runtime_ms, computed as
+    before a closed certificate gave connectivity and the orbits: by
+    `is_connected`, and from the orbits of the certificate's generators, or
+    the engine's where it does not close."""
+    G, A = d.group, certificate(d) or automorphisms(d)
+    orbits = orbit_partition(A.generators, A.degree)
+    oriented, regular = is_oriented(d), is_k_regular(d, 2)
+    return {"group_label": G.label, "m": d.m, "group_order": G.order,
+            "construction_kind": construction_kind,
+            "omsr": bool(oriented and regular and A.order == G.order),
+            "oriented": oriented, "regular2": regular, "connected": is_connected(d),
+            "aut_order": A.order, "stabilizer_order": A.order // len(orbits[0]),
+            "orbit_count": len(orbits), "translations_embed": A.translations_embed}
 
 
 def first_occurrence(colors):

@@ -7,9 +7,8 @@ import random
 
 import pytest
 
-from omsr.automorphisms import (VERTEX_CAP, _individualize, _refine, _rigid_blocks,
-                                aut_order_bounded, automorphisms, is_omsr, orbit_count,
-                                stabilizer)
+from omsr.automorphisms import (VERTEX_CAP, _individualize, _refine, aut_order_bounded,
+                                automorphisms, is_omsr, orbit_count, stabilizer)
 from omsr.cli import group_roster
 from omsr.constructions import (cyclic_connection_table, nonabelian_connection_table,
                                 recipe_table)
@@ -19,8 +18,8 @@ from omsr.errors import TooLarge
 from omsr.groups import catalog_group, group_from_cayley_table, normalize_generating_pair
 from omsr.perms import compose, inverse, orbit_partition
 from omsr.sweep import _RankedMoves, enumerate_tables, exhaustive_sweep
-from oracles import (arcs, brute_force_automorphisms, elements, first_occurrence, k_regular,
-                     oriented, refine, strongly_connected)
+from oracles import (arcs, brute_force_automorphisms, certificate, elements, first_occurrence,
+                     k_regular, oriented, refine, report_fields, strongly_connected)
 
 
 def directed_cycle(n):
@@ -375,39 +374,53 @@ def blocks_of(A):
     return sorted(map(sorted, orbit_partition(A.generators, A.degree)))
 
 
+def report_without_runtime(d):
+    fields = is_omsr(d).to_dict()
+    del fields["runtime_ms"]
+    return fields
+
+
 def test_is_omsr_closes_large_recipes_without_individualizing(monkeypatch):
     # The three 240-vertex recipe digraphs are verified by the certificate:
     # no individualization, and one refinement, on the m-block quotient.
+    # Connectivity and the orbits come from the certificate too.
     engine = importlib.import_module("omsr.automorphisms")
-    individualized, refined = [], []
+    individualized, refined, recomputed = [], [], []
     original, refine_ = engine._individualize, engine._refine
     monkeypatch.setattr(engine, "_individualize",
                         lambda *args, **kw: individualized.append(args) or original(*args, **kw))
     monkeypatch.setattr(engine, "_refine",
                         lambda *args, **kw: refined.append(len(args[2])) or refine_(*args, **kw))
+    monkeypatch.setattr(engine, "is_connected", recomputed.append)
+    monkeypatch.setattr(engine.permlib, "orbit_partition", lambda *args: recomputed.append(args))
     for family, params, m in (("cyclic", [48], 5), ("cyclic_product", [6, 8], 5),
                               ("alternating", [5], 4)):
         G, pair = catalog_group(family, params)
         report = is_omsr(build_mcayley(G, recipe_table(G, pair, m)[0]))
         assert (report.omsr, report.aut_order, report.stabilizer_order, report.orbit_count,
                 report.translations_embed) == (True, G.order, 1, m, True)
-    assert individualized == []
+    assert individualized == recomputed == []
     assert refined == [5, 5, 4]
 
 
 def test_is_omsr_falls_back_to_the_engine_with_the_same_report(monkeypatch):
     # Z3 m=2: both blocks have the same ball sizes and the quotient does not
     # split them, so the engine decides and the report is the one it gave
-    # before the certificate.
+    # before the certificate.  The engine is seeded with the translations
+    # is_omsr checked for the certificate, so each is checked once.
     engine = importlib.import_module("omsr.automorphisms")
-    individualized = []
-    original = engine._individualize
+    individualized, checked = [], []
+    original, is_aut = engine._individualize, engine._is_automorphism
     monkeypatch.setattr(engine, "_individualize",
                         lambda *args, **kw: individualized.append(args) or original(*args, **kw))
+    monkeypatch.setattr(engine, "_is_automorphism", lambda d, p: checked.append(p) or is_aut(d, p))
     G, pair = catalog_group("cyclic", [3])
     d = build_mcayley(G, recipe_table(G, pair, 2)[0])
-    assert _rigid_blocks(d) is None
+    assert certificate(d) is None
+    del checked[:]
     fields = is_omsr(d, construction_kind="cyclic").to_dict()
+    translations = G._memo[("translations", 2)]
+    assert [sum(p is t for p in checked) for t in translations] == [1] * len(translations)
     del fields["runtime_ms"]
     assert fields == {
         "group_label": "Z3", "m": 2, "group_order": 3, "construction_kind": "cyclic",
@@ -417,9 +430,12 @@ def test_is_omsr_falls_back_to_the_engine_with_the_same_report(monkeypatch):
 
 
 def test_certificate_agrees_with_engine_on_recipe_corpus():
+    # The report matches the computation before a closed certificate gave
+    # its connectivity and orbits, on every recipe digraph.
     closed, fell_back = 0, []
     for label, m, d in recipe_corpus():
-        C, A = _rigid_blocks(d), automorphisms(d)
+        assert report_without_runtime(d) == report_fields(d), (label, m)
+        C, A = certificate(d), automorphisms(d)
         if C is None:
             fell_back.append((label, m))
             continue
@@ -431,7 +447,8 @@ def test_certificate_agrees_with_engine_on_recipe_corpus():
 
 def test_certificate_never_closes_where_the_engine_finds_more():
     # Random valency-two tables, many with |Aut| > |G|: wherever the
-    # certificate closes, the engine finds exactly R(G).
+    # certificate closes, the engine finds exactly R(G), and every report
+    # matches the computation without the certificate's shortcuts.
     rng = random.Random(3232)
     pool = [("cyclic", [k]) for k in (1, 2, 3, 4, 6, 12)]
     pool += [("elementary_abelian_2", [2]), ("symmetric", [3]), ("dicyclic", [2])]
@@ -442,13 +459,29 @@ def test_certificate_never_closes_where_the_engine_finds_more():
         if G.order * m < 2:
             continue
         d = build_mcayley(G, random_valency2_table(G, m, rng))
-        C, A = _rigid_blocks(d), automorphisms(d)
+        assert report_without_runtime(d) == report_fields(d)
+        C, A = certificate(d), automorphisms(d)
         larger += A.order > G.order
         if C is not None:
             closed += 1
             assert (A.order, A.translations_embed) == (G.order, True)
             assert blocks_of(C) == blocks_of(A)
     assert closed >= 200 and larger >= 200
+
+
+def test_closed_certificate_on_a_digraph_that_is_not_strongly_connected():
+    # Z3 = <a>, m = 2, T[0][0] = {a}, T[0][1] = {e}, T[1][1] = {a}: block 0
+    # has out-degree 2 and block 1 in-degree 2, and no arc leaves block 1.
+    # The certificate closes, its search going against the arcs 0 -> 1, so
+    # connectivity is not read off it.
+    G, pair = catalog_group("cyclic", [3])
+    d = build_mcayley(G, ConnectionTable(2, {(0, 0): [pair.a], (0, 1): [0], (1, 1): [pair.a]}))
+    assert certificate(d) is not None
+    assert not k_regular(d, 2) and not strongly_connected(d)
+    fields = report_without_runtime(d)
+    assert fields == report_fields(d)
+    assert (fields["connected"], fields["regular2"], fields["aut_order"],
+            fields["orbit_count"]) == (False, False, 3, 2)
 
 
 def test_certificate_needs_the_translations():
@@ -462,7 +495,7 @@ def test_certificate_needs_the_translations():
     assert (out[u][1] // 48, out[v][1] // 48) == (3, 3)
     out[u][1], out[v][1] = out[v][1], out[u][1]
     swapped = MCayleyDigraph(G, d.table, out)
-    assert _rigid_blocks(swapped) is None
+    assert certificate(swapped) is None
     report = is_omsr(swapped)
     assert (report.aut_order, report.translations_embed, report.omsr) == (1, False, False)
 
@@ -480,7 +513,7 @@ def test_networkx_agrees_on_closed_certificates():
                   for _ in range(10)]
     checked = 0
     for d in cases:
-        C = _rigid_blocks(d)
+        C = certificate(d)
         if C is None:
             continue
         g = nx.DiGraph()
@@ -573,7 +606,7 @@ def test_is_omsr_checks_match_predicates():
     # 0 -> 1 and a loop at 1: vertex 0 reaches everything, but nothing
     # reaches it, and the in- and out-degrees differ.
     d = build_mcayley(Z1, ConnectionTable(2, {(0, 1): [0], (1, 1): [0]}))
-    assert _reachable(d.out_adj, 0) == d.n
+    assert _reachable([(d.out_adj,)] * d.n, 0) == d.n
     assert check(Z1, d.table) == (False, False, False)
     # Two copies of the oriented Cay(Z5, {1, 2}): 2-regular, not connected.
     Z5, _ = catalog_group("cyclic", [5])

@@ -1,6 +1,7 @@
 """Finite group construction, validation, catalog families, generation."""
 
 import hashlib
+import importlib
 import itertools
 import random
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from omsr.cli import group_roster
-from omsr.constructions import _is_klein_four
+from omsr.constructions import _is_klein_four, recipe_table
 from omsr.errors import NotAGroup, NotGenerating, ParseError, TooLarge, UnknownFamily
 from omsr.groups import (ORDER_CAP,
                          GroupElement, automorphism_generators, catalog_group, closure,
@@ -550,3 +551,27 @@ def test_primitives_match_naive_products_on_roster():
             assert closure(G, [GroupElement(g) for g in gens]) == naive_closure(G, gens)
         assert is_cyclic(G) == (G.order in orders), G
         assert _is_klein_four(G) == (G.order == 4 and max(orders) == 2), G
+
+
+
+def test_abelian_and_cyclic_decided_once_per_group(monkeypatch):
+    # recipe_table asks both at every m: a group decides each once, keeps
+    # the answer in its _memo, and answers again without a product.
+    groups = importlib.import_module("omsr.groups")
+    orders, transposes = [], []
+    element_order_, zip_ = groups.element_order, zip
+    monkeypatch.setattr(groups, "element_order",
+                        lambda G, g: orders.append(g) or element_order_(G, g))
+    monkeypatch.setattr(groups, "zip", lambda *rows: transposes.append(1) or zip_(*rows),
+                        raising=False)
+    for family, params, cyclic, abelian in (("cyclic", [6], True, True),
+                                            ("cyclic_product", [2, 4], False, True),
+                                            ("symmetric", [3], False, False)):
+        G, pair = catalog_group(family, params)
+        for m in range(2, 6):
+            recipe_table(G, pair, m)
+        assert (is_cyclic(G), is_abelian(G)) == (cyclic, abelian)
+        assert (G._memo["cyclic"], G._memo["abelian"]) == (cyclic, abelian)
+        del orders[:], transposes[:]
+        assert (is_cyclic(G), is_abelian(G)) == (cyclic, abelian)
+        assert orders == transposes == []

@@ -12,7 +12,7 @@ from .groups import (GeneratingPair, Group, GroupElement, catalog_group,
                      element_order, generates, group_from_cayley_table,
                      group_from_permutation_generators, is_abelian,
                      normalize_generating_pair, parse_group_spec)
-from .reports import ExceptionVerdict, VerificationReport
+from .reports import VerificationReport
 from .sweep import SweepResult, exhaustive_sweep, find_witness
 
 __all__ = [
@@ -25,6 +25,6 @@ __all__ = [
     "GeneratingPair", "Group", "GroupElement", "catalog_group", "element_order",
     "generates", "group_from_cayley_table", "group_from_permutation_generators",
     "is_abelian", "normalize_generating_pair", "parse_group_spec",
-    "ExceptionVerdict", "VerificationReport",
+    "VerificationReport",
     "SweepResult", "exhaustive_sweep", "find_witness",
 ]

@@ -275,7 +275,7 @@ def _rigid_blocks(d: MCayleyDigraph, seeds) -> Optional[PermutationGroup]:
 def _aut_elements(d: Digraph, seeds=None):
     """(generators, |Aut|, translations_embed) by the search in the module
     docstring; translations_embed is None unless d is an m-Cayley digraph.
-    ``seeds`` are its translations that pass, if the caller found some."""
+    ``seeds`` are its translations that pass, or None if not yet checked."""
     out_adj, in_adj, n = d.out_adj, d.in_adj, d.n
     # On a degree-regular digraph the uniform partition is equitable as it
     # is; traces[0] is never a probe's reference.
@@ -312,12 +312,14 @@ def _aut_elements(d: Digraph, seeds=None):
         found = (probe(level + 1, c2, cells, w) for w in sorted(cells[target]))
         return next((g for g in found if g is not None), None)
 
-    seeds, embed = seeds or [], None
+    embed = None
     if isinstance(d, MCayleyDigraph):
         # R(G) embeds exactly when all the translations pass.
         translations = _translations(d)
-        seeds = seeds or [t for t in translations if _is_automorphism(d, t)]
+        if seeds is None:
+            seeds = [t for t in translations if _is_automorphism(d, t)]
         embed = len(seeds) == len(translations)
+    seeds = seeds or []
 
     gens, order = [], 1
     for level in reversed(range(len(base))):

@@ -29,7 +29,7 @@ from .constructions import RECIPES, construct_omsr, report_from_exception
 from .errors import (InfeasibleSweep, IsAbelian, NotAbelian, NotAGroup, NotGenerating,
                      OmsrError, OrderTooSmall, ParseError, TooLarge, UnknownFamily)
 from .groups import GeneratingPair, Group, catalog_group, parse_group_spec
-from .reports import ExceptionVerdict, VerificationReport
+from .reports import VerificationReport
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -61,7 +61,7 @@ def verify_instance(G: Group, pair: Optional[GeneratingPair], m: int,
     """The report of `construct_omsr` for one (group, m) and recipe, or of
     its certified exception."""
     result = construct_omsr(G, pair, m, kind=recipe)
-    if isinstance(result, ExceptionVerdict):
+    if isinstance(result, sweeplib.SweepResult):
         return report_from_exception(G, m, result)
     return result[1]
 
@@ -103,7 +103,8 @@ def reproduce_theorem(max_group_order: int, max_m: int) -> List[dict]:
             report = verify_instance(G, pair, m)
             row = {"group": G.label, "order": G.order, "m": m}
             if report.certificate is not None:
-                row.update(verdict="NOT_EXISTS", certificate=report.certificate.to_dict())
+                row.update(verdict="NOT_EXISTS",
+                           certificate=report.certificate.certificate_dict())
             else:
                 row.update(verdict="EXISTS" if report.omsr else "FAILED",
                            construction=report.construction_kind,

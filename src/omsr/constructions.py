@@ -27,7 +27,7 @@ from .errors import (IsAbelian, NotAbelian, NotGenerating, OrderTooSmall,
 from .groups import (GeneratingPair, Group, GroupElement, _idx,
                      element_order, find_generating_pair, generates,
                      is_abelian, is_cyclic, normalize_generating_pair)
-from .reports import ExceptionVerdict, VerificationReport
+from .reports import VerificationReport
 from . import sweep as sweeplib
 
 KIND_CYCLIC = "cyclic"
@@ -253,6 +253,8 @@ def _store_witness(G: Group, m: int, witness_dir: str, table: ConnectionTable) -
 
 
 def _searched_witness(G: Group, m: int):
+    """A cached or searched witness with its report, or the `SweepResult`
+    of a scan that found none: the NOT_EXISTS certificate."""
     witness_dir = default_witness_dir()
     cached = _load_cached_witness(G, m, witness_dir)
     if cached is not None:
@@ -260,35 +262,27 @@ def _searched_witness(G: Group, m: int):
         report = is_omsr(gamma, construction_kind=KIND_SEARCH)
         if report.omsr:
             return gamma, report
-    table, gamma, stats = sweeplib.find_witness(G, m)
+    table, gamma, result = sweeplib.find_witness(G, m)
     if table is None:
-        # The search exhausted the whole space: certified non-existence,
-        # with the exact max |Aut| over every oriented table it examined.
-        return ExceptionVerdict(
-            group_label=G.label,
-            m=m,
-            enumerated_count=stats["examined"],
-            all_failed=True,
-            max_aut_order_seen=stats["max_aut_order_seen"],
-            oriented_count=stats["oriented"],
-        )
+        return result
     report = is_omsr(gamma, construction_kind=KIND_SEARCH)
     _store_witness(G, m, witness_dir, table)
     return gamma, report
 
 
 def construct_omsr(G: Group, pair: Optional[GeneratingPair], m: int, kind: str = "auto"
-                   ) -> Union[Tuple[MCayleyDigraph, VerificationReport], ExceptionVerdict]:
+                   ) -> Union[Tuple[MCayleyDigraph, VerificationReport], sweeplib.SweepResult]:
     """Dispatch: a verified witness digraph, or a certified exception.
 
     Verifies the digraph of `recipe_table` for ``kind``.  Under "auto",
     where no recipe applies (Z1 below m = 7, Z2 and the Klein four-group
     below m = 5) or, inside the sweep's feasibility guard, its digraph is
     not an OmSR, the witness search decides, with the witness cache in
-    `default_witness_dir`.  Its exhausted scan certifies the exceptions:
+    `default_witness_dir`.  Its exhausted scan certifies the exceptions,
     the trivial group with m <= 6, Z2 with m <= 3 and the Klein four-group
-    with m = 2.  An explicit kind, or a digraph past the guard, comes back
-    with its report whatever the verdict.
+    with m = 2, and its `SweepResult` comes back as the certificate.  An
+    explicit kind, or a digraph past the guard, comes back with its report
+    whatever the verdict.
     """
     recipe = recipe_table(G, pair, m, kind)
     if recipe is not None:
@@ -300,12 +294,12 @@ def construct_omsr(G: Group, pair: Optional[GeneratingPair], m: int, kind: str =
     return _searched_witness(G, m)
 
 
-def report_from_exception(G: Group, m: int, verdict: ExceptionVerdict) -> VerificationReport:
+def report_from_exception(G: Group, m: int, result: sweeplib.SweepResult) -> VerificationReport:
     return VerificationReport(
         group_label=G.label,
         m=m,
         group_order=G.order,
         construction_kind=KIND_EXCEPTION,
         omsr=False,
-        certificate=verdict,
+        certificate=result,
     )

@@ -3,31 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-
-@dataclass
-class ExceptionVerdict:
-    """Certificate that an exhaustive sweep found no witness."""
-
-    group_label: str
-    m: int
-    enumerated_count: int
-    all_failed: bool = True
-    max_aut_order_seen: int = 0
-    # Tables that were oriented and had |Aut| computed; when it is 0,
-    # max_aut_order_seen = 0 means that no digraph was examined.
-    oriented_count: Optional[int] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "group": self.group_label,
-            "m": self.m,
-            "enumerated_count": self.enumerated_count,
-            "oriented_count": self.oriented_count,
-            "all_failed": self.all_failed,
-            "max_aut_order_seen": self.max_aut_order_seen,
-        }
+if TYPE_CHECKING:  # sweep imports automorphisms, which imports this module
+    from .sweep import SweepResult
 
 
 @dataclass
@@ -37,8 +16,8 @@ class VerificationReport:
     When a digraph was checked, omsr must equal
     oriented and regular2 and (aut_order == group_order), and |G| divides
     aut_order when the right translations embed; the constructor enforces
-    both.  Exception rows carry a certificate
-    instead of digraph facts.
+    both.  Exception rows carry a certificate instead of digraph facts:
+    the `SweepResult` of the exhausted scan, as dispatch returned it.
     """
 
     group_label: str
@@ -54,7 +33,7 @@ class VerificationReport:
     orbit_count: Optional[int] = None
     translations_embed: Optional[bool] = None
     runtime_ms: float = 0.0
-    certificate: Optional[ExceptionVerdict] = None
+    certificate: Optional[SweepResult] = None
 
     def __post_init__(self):
         if self.aut_order is not None:
@@ -83,13 +62,13 @@ class VerificationReport:
             "runtime_ms": round(self.runtime_ms, 3),
         }
         if self.certificate is not None:
-            out["certificate"] = self.certificate.to_dict()
+            out["certificate"] = self.certificate.certificate_dict()
         return out
 
     def summary(self) -> str:
         if self.certificate is not None:
             return (f"{self.group_label} m={self.m}: certified exception "
-                    f"(no witness among {self.certificate.enumerated_count} tables, "
+                    f"(no witness among {self.certificate.tables_enumerated} tables, "
                     f"{self.certificate.oriented_count} oriented, "
                     f"max |Aut| seen {self.certificate.max_aut_order_seen})")
         return (f"{self.group_label} m={self.m} [{self.construction_kind}]: "

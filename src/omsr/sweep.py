@@ -73,14 +73,36 @@ GUARD_PRODUCT = 16
 
 @dataclass
 class SweepResult:
+    """What one scan found.  With no witness it is the NOT_EXISTS
+    certificate, which dispatch returns and a report carries unchanged."""
+
     group_label: str
     m: int
     tables_enumerated: int
     oriented_count: int
     witnesses: Sequence[ConnectionTable]
-    verdict: str
     max_aut_order_seen: int = 0
     runtime_ms: float = 0.0
+
+    @property
+    def all_failed(self) -> bool:
+        return not self.witnesses
+
+    @property
+    def verdict(self) -> str:
+        return "NOT_EXISTS" if self.all_failed else "EXISTS"
+
+    def certificate_dict(self) -> dict:
+        """The certificate as reports write it.  With ``oriented_count`` 0,
+        ``max_aut_order_seen`` 0 means that no digraph was examined."""
+        return {
+            "group": self.group_label,
+            "m": self.m,
+            "enumerated_count": self.tables_enumerated,
+            "oriented_count": self.oriented_count,
+            "all_failed": self.all_failed,
+            "max_aut_order_seen": self.max_aut_order_seen,
+        }
 
     def to_dict(self) -> dict:
         return {
@@ -491,27 +513,22 @@ def exhaustive_sweep(G: Group, m: int, all_witnesses: bool = False) -> SweepResu
         tables_enumerated=examined,
         oriented_count=oriented,
         witnesses=_Witnesses(prefixes),
-        verdict="EXISTS" if prefixes.size else "NOT_EXISTS",
         max_aut_order_seen=top,
         runtime_ms=(time.perf_counter() - start) * 1000.0,
     )
 
 
 def find_witness(G: Group, m: int):
-    """The first-stop `exhaustive_sweep`, as (table, digraph, stats).
+    """The first-stop `exhaustive_sweep`, as (table, digraph, result).
 
     The table is the first witness in enumeration order, where structured
     witnesses sit early.  When the whole space holds none, returns (None,
-    None, stats), and the stats certify non-existence.  ``stats`` holds
-    the sweep's counts: ``examined`` (``tables_enumerated``), ``oriented``
-    (``oriented_count``) and ``max_aut_order_seen``, the exact largest
-    |Aut| over the oriented tables examined.  Raises as `exhaustive_sweep`
-    does, so every search it starts runs to a witness or to the end.
+    None, result), and the result is the NOT_EXISTS certificate.  Raises
+    as `exhaustive_sweep` does, so every search it starts runs to a witness
+    or to the end.
     """
     result = exhaustive_sweep(G, m)
-    stats = {"examined": result.tables_enumerated, "oriented": result.oriented_count,
-             "max_aut_order_seen": result.max_aut_order_seen}
     if not result.witnesses:
-        return None, None, stats
+        return None, None, result
     table = result.witnesses[0]
-    return table, build_mcayley(G, table), stats
+    return table, build_mcayley(G, table), result

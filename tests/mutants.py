@@ -47,6 +47,7 @@ SWEEP = "tests/test_sweep.py::"
 DIGRAPHS = "tests/test_digraphs.py::"
 CONSTRUCTIONS = "tests/test_constructions.py::"
 AUTOMORPHISMS = "tests/test_automorphisms.py::"
+CLI = "tests/test_cli.py::"
 
 MUTANTS = [
     # The move test of the sweep.
@@ -89,6 +90,20 @@ MUTANTS = [
            "3: (2, 5)}", "3: (2, 6)}",
            (CONSTRUCTIONS + "test_rigid_trivial_table_shape",
             CONSTRUCTIONS + "test_new_recipes_are_omsr")),
+    # The NOT_EXISTS certificate: the scan's own result, from dispatch to the report.
+    Mutant("all-failed-always", "omsr/sweep.py",
+           "        return not self.witnesses\n", "        return True\n",
+           (CONSTRUCTIONS + "test_certificate_is_the_scan_result",
+            SWEEP + "test_sweep_klein_m3_exists",
+            SWEEP + "test_sweep_trivial_boundary")),
+    Mutant("certificate-count-from-oriented", "omsr/sweep.py",
+           '"enumerated_count": self.tables_enumerated,', '"enumerated_count": self.oriented_count,',
+           (CONSTRUCTIONS + "test_certificate_is_the_scan_result",
+            CLI + "test_reproduce_24x10_dispatch_gate")),
+    Mutant("searched-witness-returns-scan-result", "omsr/constructions.py",
+           "    if table is None:\n        return result\n", "    return result\n",
+           (CONSTRUCTIONS + "test_certificate_is_the_scan_result",
+            CONSTRUCTIONS + "test_witness_cache_round_trip")),
     # Connection tables and their digraphs.
     Mutant("table-keeps-empty-cells", "omsr/digraphs.py",
            "            if cell:\n", "            if cell is not None:\n",
@@ -132,6 +147,10 @@ MUTANTS = [
     Mutant("translations-always-embed", "omsr/automorphisms.py",
            "embed = len(seeds) == len(translations)", "embed = True",
            (AUTOMORPHISMS + "test_translation_seed_check_detects_broken_translation",)),
+    Mutant("translations-rechecked-when-none-passed", "omsr/automorphisms.py",
+           "        if seeds is None:\n            seeds = [t for t in translations",
+           "        if True:\n            seeds = seeds or [t for t in translations",
+           (AUTOMORPHISMS + "test_certificate_needs_the_translations",)),
     Mutant("shared-cell-not-copied", "omsr/automorphisms.py",
            "cell = cells[c] = set(cell)", "cell = cells[c]",
            (AUTOMORPHISMS + "test_engine_matches_brute_force_random",

@@ -484,10 +484,15 @@ def test_closed_certificate_on_a_digraph_that_is_not_strongly_connected():
             fields["orbit_count"]) == (False, False, 3, 2)
 
 
-def test_certificate_needs_the_translations():
+def test_certificate_needs_the_translations(monkeypatch):
     # Two arcs of the Z48 m=5 recipe swap heads far from every block's first
     # vertex: the translations no longer keep the arcs, though the ball sizes
-    # and the quotient read at the first vertices stay as they were.
+    # and the quotient read at the first vertices stay as they were.  The
+    # engine is seeded with the empty list of translations that passed, so
+    # each translation is still checked once.
+    engine = importlib.import_module("omsr.automorphisms")
+    checked, is_aut = [], engine._is_automorphism
+    monkeypatch.setattr(engine, "_is_automorphism", lambda d, p: checked.append(p) or is_aut(d, p))
     G, pair = catalog_group("cyclic", [48])
     d = build_mcayley(G, recipe_table(G, pair, 5)[0])
     out = [list(nbrs) for nbrs in d.out_adj]
@@ -496,8 +501,11 @@ def test_certificate_needs_the_translations():
     out[u][1], out[v][1] = out[v][1], out[u][1]
     swapped = MCayleyDigraph(G, d.table, out)
     assert certificate(swapped) is None
+    del checked[:]
     report = is_omsr(swapped)
     assert (report.aut_order, report.translations_embed, report.omsr) == (1, False, False)
+    translations = G._memo[("translations", 5)]
+    assert [sum(p is t for p in checked) for t in translations] == [1] * len(translations)
 
 
 def test_networkx_agrees_on_closed_certificates():

@@ -19,7 +19,7 @@ from omsr.digraphs import (ConnectionTable, build_mcayley, is_k_regular, is_orie
 from omsr.errors import IsAbelian, NotAbelian, NotGenerating, OrderTooSmall
 from omsr.groups import (GeneratingPair, GroupElement, catalog_group, closure, element_order,
                          is_abelian, is_cyclic, normalize_generating_pair)
-from omsr.reports import ExceptionVerdict
+from omsr.sweep import SweepResult, exhaustive_sweep, find_witness
 from oracles import arc_count, arcs, distance2_out_set, grid_of, induced_subdigraph
 
 
@@ -353,10 +353,10 @@ def test_construct_klein_m2_exception(tmp_path, monkeypatch):
     monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
     G, pair = catalog_group("elementary_abelian_2", [2])
     verdict = construct_omsr(G, pair, 2)
-    assert isinstance(verdict, ExceptionVerdict)
+    assert isinstance(verdict, SweepResult)
     assert verdict.all_failed
-    assert verdict.enumerated_count > 0
-    data = json.loads(json.dumps(verdict.to_dict(), sort_keys=True))
+    assert verdict.tables_enumerated > 0
+    data = json.loads(json.dumps(verdict.certificate_dict(), sort_keys=True))
     assert set(data) >= {"group", "m", "enumerated_count", "all_failed",
                          "max_aut_order_seen"}
 
@@ -455,7 +455,7 @@ def test_bundled_witnesses_reverify():
 def test_report_from_exception():
     G, pair = catalog_group("cyclic", [2])
     verdict = construct_omsr(G, pair, 2)
-    assert isinstance(verdict, ExceptionVerdict)
+    assert isinstance(verdict, SweepResult)
     report = report_from_exception(G, 2, verdict)
     assert not report.omsr
     assert report.construction_kind == KIND_EXCEPTION
@@ -475,16 +475,42 @@ def test_exhausted_search_certificate_from_one_enumeration(tmp_path, monkeypatch
     monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
     G, pair = catalog_group("cyclic", [2])
     verdict = construct_omsr(G, pair, 3)
-    assert isinstance(verdict, ExceptionVerdict)
+    assert isinstance(verdict, SweepResult)
     assert len(calls) == 1
-    assert (verdict.enumerated_count, verdict.oriented_count,
+    assert (verdict.tables_enumerated, verdict.oriented_count,
             verdict.max_aut_order_seen) == (534, 10, 24)
-    assert verdict.to_dict()["oriented_count"] == 10
+    assert verdict.certificate_dict()["oriented_count"] == 10
     summary = report_from_exception(G, 3, verdict).summary()
     assert "534 tables, 10 oriented, max |Aut| seen 24" in summary
     # No table is oriented at m = 2, so max |Aut| 0 means "no digraph examined".
     empty = construct_omsr(G, pair, 2)
     assert (empty.oriented_count, empty.max_aut_order_seen) == (0, 0)
+
+
+def test_certificate_is_the_scan_result(tmp_path, monkeypatch):
+    # Each certified cell of the corpus comes back from dispatch as the
+    # scan's own result, and its certificate is the corpus row's.
+    monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
+    corpus = os.path.join(os.path.dirname(__file__), "data", "reproduce_24x10.json")
+    with open(corpus) as fh:
+        rows = [r for r in json.load(fh) if r["verdict"] == "NOT_EXISTS"]
+    assert len(rows) == 8
+    groups = {G.label: (G, pair) for G, pair in group_roster(24)}
+    for row in rows:
+        G, pair = groups[row["group"]]
+        result = construct_omsr(G, pair, row["m"])
+        assert isinstance(result, SweepResult), row
+        assert result.certificate_dict() == row["certificate"]
+        direct = exhaustive_sweep(G, row["m"])
+        assert (result.tables_enumerated, result.oriented_count, result.max_aut_order_seen) == \
+            (direct.tables_enumerated, direct.oriented_count, direct.max_aut_order_seen), row
+        assert (result.all_failed, result.verdict) == (True, "NOT_EXISTS")
+    K, pair = groups["Z2xZ2"]
+    gamma, report = construct_omsr(K, pair, 3)
+    assert report.omsr and report.construction_kind == KIND_SEARCH
+    table, _, result = find_witness(K, 3)
+    assert table == gamma.table
+    assert (result.all_failed, result.verdict) == (False, "EXISTS")
 
 
 def test_corrupt_cached_witness_is_skipped(tmp_path, monkeypatch):

@@ -234,18 +234,18 @@ def test_sweep_result_json():
 
 def test_find_witness_deterministic_and_verified():
     K, _ = catalog_group("elementary_abelian_2", [2])
-    t1, gamma1, stats1 = find_witness(K, 3)
+    t1, gamma1, result1 = find_witness(K, 3)
     t2, gamma2, _ = find_witness(K, 3)
     assert t1 == t2
     assert is_omsr(gamma1).omsr
-    assert stats1["examined"] >= stats1["oriented"] > 0
+    assert result1.tables_enumerated >= result1.oriented_count > 0
 
 
 def test_find_witness_exhaustion_returns_none():
     Z2, _ = catalog_group("cyclic", [2])
-    table, gamma, stats = find_witness(Z2, 3)
+    table, gamma, result = find_witness(Z2, 3)
     assert table is None and gamma is None
-    assert stats["examined"] > 0
+    assert result.tables_enumerated > 0
 
 
 def test_m_below_one_is_rejected():
@@ -263,8 +263,8 @@ def test_find_witness_pinned_stats():
     pins = {(Z1, 7): (800, 4), (Z2, 4): (223, 2), (Z2, 7): (8613, 128),
             (K, 3): (2199, 218)}
     for (G, m), want in pins.items():
-        table, gamma, stats = find_witness(G, m)
-        assert (stats["examined"], stats["oriented"]) == want, (G, m)
+        table, gamma, result = find_witness(G, m)
+        assert (result.tables_enumerated, result.oriented_count) == want, (G, m)
         assert is_omsr(gamma).omsr
         assert gamma.table == table
 
@@ -497,8 +497,9 @@ def test_first_stop_scan_matches_unpruned_oracle():
         got = (result.tables_enumerated, result.oriented_count, result.max_aut_order_seen,
                result.witnesses[0].to_text() if result.witnesses else None)
         assert got == want, (G, m)
-        table, gamma, stats = find_witness(G, m)
-        assert (stats["examined"], stats["oriented"], stats["max_aut_order_seen"]) == want[:3]
+        table, gamma, found = find_witness(G, m)
+        assert (found.tables_enumerated, found.oriented_count,
+                found.max_aut_order_seen) == want[:3]
         assert (table.to_text() if table else None) == want[3], (G, m)
         if table is not None:
             assert gamma.table == table
@@ -570,8 +571,9 @@ def test_prefix_skip_matches_full_walk():
         got = (result.tables_enumerated, result.oriented_count, result.max_aut_order_seen,
                result.witnesses[0].to_text() if result.witnesses else None)
         assert got == want, (G, m)
-        table, gamma, stats = find_witness(G, m)
-        assert (stats["examined"], stats["oriented"], stats["max_aut_order_seen"]) == want[:3]
+        table, gamma, found = find_witness(G, m)
+        assert (found.tables_enumerated, found.oriented_count,
+                found.max_aut_order_seen) == want[:3]
         assert (table.to_text() if table else None) == want[3], (G, m)
         if table is not None:
             assert gamma.table == table

@@ -24,14 +24,18 @@ structures*, 1977).  Every scan applies one rule, the cheap local test of
 isomorph-free generation (McKay, *Isomorph-free exhaustive generation*,
 J. Algorithms 1998): the engine runs only on a table that no single move
 sends to an earlier one, and the scan records its verdict, |Aut| = |G|.
-The walk also applies that test to each finished row prefix, under the
-moves that keep its rows in place, retrying only the moves that fixed the
-parent prefix, on the new row, and those new to the row: any other image
-differs in an earlier row.  Such a move maps the subtree of the
-prefix one-to-one onto that of an earlier prefix, so the subtree is
-counted, not walked: it holds no new |Aut|, as many oriented tables as the
-earlier one, read from a memo (`_PrefixMemo`), and as its witnesses one
-segment: the earlier subtree's, mapped back through the move's inverse.
+`_RankedMoves` codes each move as two tuples over the key's cells: the
+source cells, from `_block_code`, built once per (m, block permutation,
+converse) and shared by every group, and the rank maps, one map repeated
+over every cell unless the move is a gauge.  The walk also applies that
+test to each finished row prefix, under the moves that keep its rows in
+place, retrying only the moves that fixed the parent prefix, on the new
+row, and those new to the row: any other image differs in an earlier row.
+Such a move maps the subtree of the prefix one-to-one onto that of an
+earlier prefix, so the subtree is counted, not walked: it holds no new
+|Aut|, as many oriented tables as the earlier one, read from a memo
+(`_PrefixMemo`), and as its witnesses one segment: the earlier subtree's,
+mapped back through the move's inverse.
 A table with no earlier image lies in no skipped subtree, since the
 skipping move would give it one, so the engine runs on the same tables.
 
@@ -61,7 +65,7 @@ import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .automorphisms import VALENCY, automorphisms
 from .digraphs import ConnectionTable, build_mcayley
@@ -151,11 +155,13 @@ def count_tables(n: int, m: int) -> int:
     return _completions(n, 0, m, 0, 0, 0)
 
 
-def _cell_order(n: int) -> List[frozenset]:
+@functools.lru_cache(maxsize=None)
+def _cell_order(n: int) -> Tuple[frozenset, ...]:
     """Every cell value in the order `enumerate_tables` tries them: by size,
-    then as ``itertools.combinations``."""
-    return [frozenset(combo) for s in range(min(VALENCY, n) + 1)
-            for combo in itertools.combinations(range(n), s)]
+    then as ``itertools.combinations``; one tuple per order, shared by
+    every scan."""
+    return tuple([frozenset(combo) for s in range(min(VALENCY, n) + 1)
+                  for combo in itertools.combinations(range(n), s)])
 
 
 def enumerate_tables(G: Group, m: int,
@@ -267,6 +273,26 @@ def _table_moves(G: Group, m: int) -> list:
     return moves + [(ident, blocks, same, True)]
 
 
+_blocks = {}  # per (m, sigma, converse): its `_block_code`, shared by every group
+
+
+def _block_code(m: int, sigma: tuple, converse: bool) -> tuple:
+    """A move's block action on an m x m key, the same for every group,
+    gauge and automorphism, as ``(srcs, rows)``: each target cell's source
+    cell in row-major order, and each ``row`` such that the move keeps rows
+    0..row in place, none after the converse."""
+    key = m, sigma, converse
+    code = _blocks.get(key)
+    if code is None:
+        back = sorted(range(m), key=sigma.__getitem__)
+        srcs = tuple([j * m + i if converse else i * m + j
+                      for i, j in itertools.product(back, repeat=2)])
+        rows = () if converse else tuple([row for row in range(m - 1)
+                                          if max(sigma[:row + 1]) == row])
+        code = _blocks[key] = srcs, rows
+    return code
+
+
 class _RankedMoves:
     """The moves of `_table_moves` on rank-coded tables.
 
@@ -274,12 +300,14 @@ class _RankedMoves:
     `enumerate_tables` tries cells: by size, then as
     ``itertools.combinations``.  A table's key is the row-major tuple of its
     cell ranks, so keys compare exactly as enumeration positions do.  A
-    coded move lists, for each target cell in row-major order, its source
-    cell and the rank map of the cell-wise element map between them,
-    t -> alpha(h_j t h_i^-1), inverted after the converse.  Each rank map
-    is built once per element map, through a table from every ordering of a
-    cell's elements to its rank, and a move with a trivial gauge shares one
-    over all m^2 cells.
+    coded move is two tuples indexed by target cell in row-major order:
+    ``srcs``, each target cell's source cell, shared through `_block_code`
+    by every move with the same block permutation and converse flag; and
+    ``maps``, the rank map of the cell-wise element map between them,
+    t -> alpha(h_j t h_i^-1), inverted after the converse.  Each rank map is
+    built once per element map, through a table from every ordering of a
+    cell's elements to its rank; a move with a trivial gauge repeats one
+    over all m^2 cells, and only a gauge builds ``maps`` cell by cell.
     """
 
     def __init__(self, G: Group, m: int):
@@ -298,20 +326,22 @@ class _RankedMoves:
 
         moves = _table_moves(G, m)
         self.moves = []
-        for h, sigma, alpha, converse in moves:
-            fs = ([rank_map(x, y, alpha, converse) for x in h for y in h] if any(h)
-                  else [rank_map(0, 0, alpha, converse)] * (m * m))  # per source cell
-            back = sorted(range(m), key=sigma.__getitem__)
-            srcs = [j * m + i if converse else i * m + j
-                    for i, j in itertools.product(back, repeat=2)]
-            self.moves.append(tuple(zip(srcs, map(fs.__getitem__, srcs))))
+        # Per row: the indices of the moves that keep rows 0..row in place.
+        self._row_moves = [set() for _ in range(m - 1)]
+        for k, (h, sigma, alpha, converse) in enumerate(moves):
+            srcs, rows = _block_code(m, sigma, converse)
+            if any(h):
+                fs = [rank_map(x, y, alpha, converse) for x in h for y in h]  # per source cell
+                maps = tuple(map(fs.__getitem__, srcs))
+            else:
+                maps = (rank_map(0, 0, alpha, converse),) * (m * m)
+            self.moves.append((srcs, maps))
+            for row in rows:
+                self._row_moves[row].add(k)
         self.m = m
         self._inverses = [None] * len(moves)
-        # Per row: the indices of the moves that keep rows 0..row in place, and
-        # those new to the row with the cells to compare, from the row ``row`` moves to.
-        self._row_moves = [{k for k, (h, sigma, alpha, converse) in enumerate(moves)
-                            if not converse and max(sigma[:row + 1]) == row}
-                           for row in range(m - 1)]
+        # Per row: the moves new to the row, with the cells to compare, from
+        # the row ``row`` moves to.
         self._new = [[(k, [*range(a * m, row * m), *range(a * m), *range(row * m, row * m + m)])
                       for k in sorted(ks - self._row_moves[row - 1]) for a in [moves[k][1][row]]]
                      if row else [] for row, ks in enumerate(self._row_moves)]
@@ -324,26 +354,29 @@ class _RankedMoves:
 
     def inverse(self, k: int) -> tuple:
         """The code of the inverse of move ``k``, built on first use: source
-        and target cells swapped and rank maps inverted, since neither a
-        gauge nor an automorphism need be an involution."""
+        and target cells swapped and rank maps inverted, each distinct one
+        once, since neither a gauge nor an automorphism need be an
+        involution."""
         if self._inverses[k] is None:
-            inverse = [None] * len(self.moves[k])
-            for target, (src, f) in enumerate(self.moves[k]):
-                inverse[src] = (target, tuple(sorted(range(len(f)), key=f.__getitem__)))
-            self._inverses[k] = tuple(inverse)
+            srcs, maps = self.moves[k]
+            targets = sorted(range(len(srcs)), key=srcs.__getitem__)  # per source cell
+            back = {f: tuple(sorted(range(len(f)), key=f.__getitem__)) for f in set(maps)}
+            self._inverses[k] = tuple(targets), tuple([back[maps[t]] for t in targets])
         return self._inverses[k]
 
     def earlier_move(self, key) -> Optional[int]:
         """The index in ``moves`` of the first move whose image of the key is
         earlier in enumeration order, or None.  Each image is compared cell
         by cell, up to the first cell that differs."""
-        for k, code in enumerate(self.moves):
-            for target, (src, f) in zip(key, code):
-                r = f[key[src]]
+        for k, (srcs, maps) in enumerate(self.moves):
+            cell = 0  # indexed, not zipped: most moves stop at the first cells
+            for target in key:
+                r = maps[cell][key[srcs[cell]]]
                 if r != target:
                     if r < target:
                         return k
                     break
+                cell += 1
         return None
 
     def prefix_move(self, key, row: int, parent: Optional[list] = None) -> tuple:
@@ -360,10 +393,9 @@ class _RankedMoves:
                  else sorted([(k, range(lo, hi)) for k in parent if k in kept] + self._new[row]))
         fixers = []
         for k, cells in tries:
-            code = self.moves[k]
+            srcs, maps = self.moves[k]
             for cell in cells:
-                src, f = code[cell]
-                r, target = f[key[src]], key[cell]
+                r, target = maps[cell][key[srcs[cell]]], key[cell]
                 if r != target:
                     if r < target and cell >= lo:
                         return k, None
@@ -381,7 +413,8 @@ class _RankedMoves:
 def _image(code, key) -> tuple:
     """The image of a key, or of a prefix key under a move that keeps its
     rows in place, under a coded move."""
-    return tuple([f[key[src]] for src, f in code[:len(key)]])
+    srcs, maps = code
+    return tuple([f[key[src]] for src, f in zip(srcs[:len(key)], maps)])
 
 
 class _PrefixMemo:
@@ -433,10 +466,13 @@ class _PrefixMemo:
 class _Witnesses(Sequence):
     """A scan's witnesses in enumeration order, read-only: ``len`` is the
     count; the first read builds every key, each segment's mapped through
-    its move's inverse and sorted, and each read builds its tables."""
+    its move's inverse and sorted, and each read builds its tables.  With
+    no witness it keeps no moves, so a NOT_EXISTS certificate does not
+    keep its scan alive."""
 
     def __init__(self, memo: _PrefixMemo):
-        self._moves, self._parts, self._size = memo.moves, memo.parts, memo.size
+        self._moves = memo.moves if memo.size else None
+        self._parts, self._size = memo.parts, memo.size
         self._keys = None
 
     def _all_keys(self) -> list:
@@ -455,9 +491,10 @@ class _Witnesses(Sequence):
         return self._size
 
     def __getitem__(self, i):
+        keys = self._all_keys()[i]
         if isinstance(i, slice):
-            return [self._moves.table(key) for key in self._all_keys()[i]]
-        return self._moves.table(self._all_keys()[i])
+            return [self._moves.table(key) for key in keys]
+        return self._moves.table(keys)
 
     def __eq__(self, other):
         return list(self) == (list(other) if isinstance(other, _Witnesses) else other)

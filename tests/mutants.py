@@ -57,8 +57,12 @@ MUTANTS = [
            (SWEEP + "test_prefix_test_from_parent_fixers_matches_full_compare",
             SWEEP + "test_prefix_skip_matches_full_walk")),
     Mutant("converse-coded-as-plain", "omsr/sweep.py",
-           "srcs = [j * m + i if converse else i * m + j",
-           "srcs = [i * m + j if converse else i * m + j",
+           "srcs = tuple([j * m + i if converse else i * m + j",
+           "srcs = tuple([i * m + j if converse else i * m + j",
+           (SWEEP + "test_move_codes_match_frozenset_reference",
+            SWEEP + "test_table_moves_are_isomorphisms")),
+    Mutant("block-memo-keyed-without-converse", "omsr/sweep.py",
+           "    key = m, sigma, converse\n", "    key = m, sigma\n",
            (SWEEP + "test_move_codes_match_frozenset_reference",
             SWEEP + "test_table_moves_are_isomorphisms")),
     Mutant("parent-fixers-not-carried", "omsr/sweep.py",

@@ -1,11 +1,14 @@
 """Recipe tables, the dispatcher, exception certificates, witness caching."""
 
+import gc
 import itertools
 import json
 import os
+import weakref
 
 import pytest
 
+import omsr.sweep
 from omsr.automorphisms import automorphisms, is_omsr
 from omsr.cli import group_roster
 from omsr.constructions import (KIND_ABELIAN, KIND_CYCLIC, KIND_EXCEPTION, KIND_LIFT,
@@ -511,6 +514,29 @@ def test_certificate_is_the_scan_result(tmp_path, monkeypatch):
     table, _, result = find_witness(K, 3)
     assert table == gamma.table
     assert (result.all_failed, result.verdict) == (False, "EXISTS")
+
+
+def test_certificate_keeps_no_scan_alive(tmp_path, monkeypatch):
+    # A NOT_EXISTS certificate has no witness to read, so it holds none of
+    # its scan's moves, and its certificate reads as before.
+    monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
+    built = []
+
+    class Recorded(omsr.sweep._RankedMoves):
+        def __init__(self, G, m):
+            super().__init__(G, m)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(omsr.sweep, "_RankedMoves", Recorded)
+    G, pair = catalog_group("cyclic", [1])
+    result = construct_omsr(G, pair, 6)
+    assert isinstance(result, SweepResult) and len(built) == 1
+    gc.collect()  # the walk's recursive closure is a cycle that holds the scan's memo
+    assert built[0]() is None
+    assert result.certificate_dict() == {
+        "group": "Z1", "m": 6, "enumerated_count": 67950, "oriented_count": 570,
+        "all_failed": True, "max_aut_order_seen": 24}
+    assert len(result.witnesses) == 0 and list(result.witnesses) == []
 
 
 def test_corrupt_cached_witness_is_skipped(tmp_path, monkeypatch):

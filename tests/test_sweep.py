@@ -328,7 +328,7 @@ def key_of(G, sets):
 
 def move_images(ranked, key):
     """The key's image under each move of ``ranked``, in order."""
-    return [tuple([f[key[src]] for src, f in move]) for move in ranked.moves]
+    return [tuple([f[key[src]] for src, f in zip(srcs, maps)]) for srcs, maps in ranked.moves]
 
 
 def orbit(ranked, key):
@@ -659,8 +659,31 @@ def test_move_codes_match_frozenset_reference():
     for G, m in guard_cells():
         ranked = _RankedMoves(G, m)
         codes, rows = ranked_moves_reference(G, m)
-        assert ranked.moves == codes, (G, m)
+        assert [tuple(zip(srcs, maps)) for srcs, maps in ranked.moves] == codes, (G, m)
         assert ranked._row_moves == [set(ks) for ks in rows], (G, m)
+
+
+def test_block_memo_carries_no_group_state():
+    # The block sources are shared by every group and m: scanning the guard
+    # cells at m = 2..4 in roster order and then, from a cleared memo, in
+    # reverse order gives the same scans.
+    cells = [(G, m) for G, m in guard_cells() if 2 <= m <= 4]
+
+    def scan(G, m):
+        result = exhaustive_sweep(G, m)
+        first = result.witnesses[0].to_text() if result.witnesses else None
+        return (result.tables_enumerated, result.oriented_count, len(result.witnesses),
+                result.max_aut_order_seen, first)
+
+    omsr.sweep._blocks.clear()
+    forward = [scan(G, m) for G, m in cells]
+    omsr.sweep._blocks.clear()
+    backward = [scan(G, m) for G, m in reversed(cells)]
+    assert forward == backward[::-1]
+    assert any(w for _, _, w, _, _ in forward) and not all(w for _, _, w, _, _ in forward)
+    # Moves with the same block action share one source tuple across groups.
+    sources = [{id(srcs) for srcs, _ in _RankedMoves(G, 3).moves} for G in (cyclic(2), klein())]
+    assert sources[0] == sources[1] and len(sources[0]) == 10
 
 
 def test_prefix_test_from_parent_fixers_matches_full_compare(monkeypatch):

@@ -24,9 +24,8 @@ from .automorphisms import VALENCY, VERTEX_CAP, is_omsr
 from .digraphs import ConnectionTable, MCayleyDigraph, build_mcayley, parse_connection_table
 from .errors import (IsAbelian, NotAbelian, NotGenerating, OrderTooSmall,
                      ParseError, TooLarge, UnknownFamily)
-from .groups import (GeneratingPair, Group, GroupElement, _idx,
-                     element_order, find_generating_pair, generates,
-                     is_abelian, is_cyclic, normalize_generating_pair)
+from .groups import (GeneratingPair, Group, element_order, find_generating_pair,
+                     generates, is_abelian, is_cyclic, normalize_generating_pair)
 from .reports import VerificationReport
 from . import sweep as sweeplib
 
@@ -70,14 +69,12 @@ def _block_cycle_table(G: Group, m: int, gens, d0: int, d: int, c: int) -> Conne
 def cyclic_connection_table(G: Group, a, m: int) -> ConnectionTable:
     """Table for a cyclic group: generator on the diagonal corners, identity
     arcs chaining the blocks, the generator closing the cycle of blocks."""
-    a = _idx(a)
     return _block_cycle_table(G, m, (a,), a, G.inverse(a), a)
 
 
 def abelian_connection_table(G: Group, a, b, m: int) -> ConnectionTable:
     """Table for an abelian two-generated group: a, then ab on the diagonal,
     b closing the cycle of blocks, and a closing it at m = 2."""
-    a, b = _idx(a), _idx(b)
     if not is_abelian(G):
         raise NotAbelian(f"{G!r} is not abelian")
     return _block_cycle_table(G, m, (a, b), a, G.mul(a, b), a if m == 2 else b)
@@ -86,7 +83,6 @@ def abelian_connection_table(G: Group, a, b, m: int) -> ConnectionTable:
 def nonabelian_connection_table(G: Group, a, b, m: int) -> ConnectionTable:
     """Table for a non-abelian two-generated group: a on every diagonal,
     b closing the cycle of blocks."""
-    a, b = _idx(a), _idx(b)
     if is_abelian(G):
         raise IsAbelian(f"{G!r} is abelian")
     return _block_cycle_table(G, m, (a, b), a, a, b)
@@ -139,7 +135,7 @@ def spanning_tree_lift_table(G: Group, a, b, base: ConnectionTable) -> Connectio
                 seen.add(v)
                 queue.append(v)
                 tree.add(arc)
-    volts = dict(zip([arc for arc in arcs if arc not in tree], (_idx(a), _idx(b))))
+    volts = dict(zip([arc for arc in arcs if arc not in tree], (a, b)))
     return ConnectionTable(m, {arc: {volts.get(arc, 0)} for arc in arcs})
 
 
@@ -178,7 +174,7 @@ def recipe_table(G: Group, pair: Optional[GeneratingPair], m: int,
     if kind == "cyclic":
         a = pair.a
         if element_order(G, a) != G.order:
-            a = next((GroupElement(g) for g in G.elements()
+            a = next((g for g in G.elements()
                       if element_order(G, g) == G.order), a)
         return cyclic_connection_table(G, a, m), KIND_CYCLIC
     if pair.b is None:

@@ -7,8 +7,10 @@ non-empty cells.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import ParseError
-from .groups import Group, _idx
+from .groups import Group
 from .perms import Perm
 
 
@@ -30,7 +32,7 @@ class ConnectionTable:
                 raise ValueError(f"cell ({i}, {j}) out of range for m = {m}")
             # A frozenset of ints is kept, so tables built from shared cells share them.
             if type(cell) is not frozenset or not {int}.issuperset(map(type, cell)):
-                cell = frozenset(_idx(e) for e in cell)
+                cell = frozenset(map(operator.index, cell))
             if cell:
                 self.entries[(i, j)] = cell
 
@@ -172,7 +174,6 @@ def is_connected(d: Digraph) -> bool:
 
 def right_translation(G: Group, m: int, g) -> Perm:
     """Vertex permutation x_i -> (x*g)_i."""
-    g = _idx(g)
     n = G.order
     images = []
     for i in range(m):

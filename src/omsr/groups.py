@@ -9,6 +9,7 @@ by Light's test, at every order.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,19 +21,20 @@ from .errors import NotAGroup, NotGenerating, ParseError, TooLarge, UnknownFamil
 ORDER_CAP = 2000
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    index: int
+class GroupElement(int):
+    """A group element is its index, an int; only an integer makes one."""
+
+    __slots__ = ()
+    index = property(operator.index)
+
+    def __new__(cls, index):
+        return super().__new__(cls, operator.index(index))
 
 
 @dataclass(frozen=True)
 class GeneratingPair:
     a: GroupElement
     b: Optional[GroupElement] = None
-
-
-def _idx(x) -> int:
-    return x.index if isinstance(x, GroupElement) else int(x)
 
 
 class Group:
@@ -52,10 +54,10 @@ class Group:
         self._memo = {}
 
     def mul(self, x, y) -> int:
-        return self.mult[_idx(x)][_idx(y)]
+        return self.mult[x][y]
 
     def inverse(self, x) -> int:
-        return self.inv[_idx(x)]
+        return self.inv[x]
 
     def element(self, i: int) -> GroupElement:
         if not 0 <= i < self.order:
@@ -207,8 +209,8 @@ def group_from_permutation_generators(perms, label: str = ""):
 
 
 def element_order(G: Group, g) -> int:
-    g, mult = _idx(g), G.mult
-    k, x = 1, g
+    mult = G.mult
+    k, x = 1, mult[0][g]  # e * g, which refuses a g that is not an integer
     while x != 0:
         x = mult[x][g]
         k += 1
@@ -230,7 +232,7 @@ def is_cyclic(G: Group) -> bool:
 def closure(G: Group, gens) -> set:
     """Subgroup generated by the elements.  In a finite group it is the set
     of products of the generators alone, so no inverse is needed."""
-    return _span(G.mult, {_idx(g) for g in gens})
+    return _span(G.mult, set(gens))
 
 
 def generating_set(G: Group) -> list:
@@ -298,7 +300,6 @@ def normalize_generating_pair(G: Group, a, b):
     NotGenerating if {a,b} does not generate, or if every candidate first
     coordinate is an involution (which forces the Klein four-group).
     """
-    a, b = _idx(a), _idx(b)
     if not generates(G, (a, b)):
         raise NotGenerating(f"elements {a},{b} do not generate {G!r}")
     ab = G.mul(a, b)

@@ -239,7 +239,10 @@ def enumerate_tables(G: Group, m: int,
         have[c] += 1
         colrem[j] = c
 
-    yield from fill_cell(0, 0, VALENCY, m, 0)
+    try:
+        yield from fill_cell(0, 0, VALENCY, m, 0)
+    finally:
+        del fill_cell  # the recursive closure is a cycle: break it, done or closed early
 
 
 def _table_moves(G: Group, m: int) -> list:
@@ -414,7 +417,9 @@ def _image(code, key) -> tuple:
     """The image of a key, or of a prefix key under a move that keeps its
     rows in place, under a coded move."""
     srcs, maps = code
-    return tuple([f[key[src]] for src, f in zip(srcs[:len(key)], maps)])
+    if len(key) < len(srcs):
+        srcs = srcs[:len(key)]
+    return tuple([f[key[src]] for src, f in zip(srcs, maps)])
 
 
 class _PrefixMemo:
@@ -482,8 +487,9 @@ class _Witnesses(Sequence):
                 if k is None:
                     keys.append(part)
                 else:
-                    inverse = self._moves.inverse(k)
-                    keys.extend(sorted([_image(inverse, w) for w in keys[slice(*part)]]))
+                    pairs = tuple(zip(*self._moves.inverse(k)))
+                    keys.extend(sorted([tuple([f[w[src]] for src, f in pairs])
+                                        for w in keys[slice(*part)]]))
             self._keys, self._parts = keys, None
         return self._keys
 

@@ -65,6 +65,9 @@ MUTANTS = [
            "    key = m, sigma, converse\n", "    key = m, sigma\n",
            (SWEEP + "test_move_codes_match_frozenset_reference",
             SWEEP + "test_table_moves_are_isomorphisms")),
+    Mutant("earlier-move-never-found", "omsr/sweep.py",
+           "                        return k\n", "                        return None\n",
+           (SWEEP + "test_all_witness_sweep_engine_calls_pinned",)),
     Mutant("parent-fixers-not-carried", "omsr/sweep.py",
            "fixers.append(k)", "pass",
            (SWEEP + "test_prefix_test_from_parent_fixers_matches_full_compare",
@@ -82,6 +85,9 @@ MUTANTS = [
            "partner = cells[ranks[j * m + i]]", "partner = cells[ranks[j * m + i - 1]]",
            (SWEEP + "test_enumeration_matches_naive_oriented_tables",
             SWEEP + "test_enumeration_yields_unique_row_column_constrained_tables")),
+    Mutant("walk-keeps-its-closure-cycle", "omsr/sweep.py",
+           "        del fill_cell", "        pass",
+           (CONSTRUCTIONS + "test_certificate_keeps_no_scan_alive",)),
     Mutant("sweep-table-transposed", "omsr/sweep.py",
            "{divmod(k, m): cells[r]", "{divmod(k, m)[::-1]: cells[r]",
            (SWEEP + "test_first_stop_scan_matches_unpruned_oracle",
@@ -113,6 +119,9 @@ MUTANTS = [
            "            if cell:\n", "            if cell is not None:\n",
            (DIGRAPHS + "test_connection_table_keeps_int_frozensets",
             DIGRAPHS + "test_connection_table_keeps_nonempty_cells_in_row_major_order")),
+    Mutant("cells-read-through-int", "omsr/digraphs.py",
+           "frozenset(map(operator.index, cell))", "frozenset(map(int, cell))",
+           (DIGRAPHS + "test_group_elements_are_ints",)),
     Mutant("arcs-aimed-at-own-block", "omsr/digraphs.py",
            "out[i * n + g].append(j * n + row[g])", "out[i * n + g].append(i * n + row[g])",
            (DIGRAPHS + "test_arc_rule",

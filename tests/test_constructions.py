@@ -518,7 +518,9 @@ def test_certificate_is_the_scan_result(tmp_path, monkeypatch):
 
 def test_certificate_keeps_no_scan_alive(tmp_path, monkeypatch):
     # A NOT_EXISTS certificate has no witness to read, so it holds none of
-    # its scan's moves, and its certificate reads as before.
+    # its scan's moves, and its certificate reads as before.  Reference
+    # counting alone frees a scan, whether its walk ran to the end or was
+    # closed at the first witness: the collector stays off.
     monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
     built = []
 
@@ -529,10 +531,17 @@ def test_certificate_keeps_no_scan_alive(tmp_path, monkeypatch):
 
     monkeypatch.setattr(omsr.sweep, "_RankedMoves", Recorded)
     G, pair = catalog_group("cyclic", [1])
-    result = construct_omsr(G, pair, 6)
-    assert isinstance(result, SweepResult) and len(built) == 1
-    gc.collect()  # the walk's recursive closure is a cycle that holds the scan's memo
-    assert built[0]() is None
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = construct_omsr(G, pair, 6)
+        assert isinstance(result, SweepResult) and len(built) == 1
+        assert built[0]() is None
+        assert exhaustive_sweep(G, 7).witnesses  # first-stop, dropped at its witness
+        assert len(built) == 2 and built[1]() is None
+    finally:
+        if enabled:
+            gc.enable()
     assert result.certificate_dict() == {
         "group": "Z1", "m": 6, "enumerated_count": 67950, "oriented_count": 570,
         "all_failed": True, "max_aut_order_seen": 24}

@@ -9,7 +9,7 @@ from omsr.digraphs import (ConnectionTable, Digraph, build_mcayley, is_connected
                            is_oriented, oriented_table_criterion, parse_connection_table,
                            right_translation)
 from omsr.errors import ParseError
-from omsr.groups import GroupElement, catalog_group
+from omsr.groups import GroupElement, catalog_group, closure, element_order
 from omsr.perms import compose, is_bijection
 from oracles import (arc_count, arcs, cycles, distance2_out_set, entries_of, grid_of,
                      induced_subdigraph, strongly_connected)
@@ -31,11 +31,30 @@ def test_connection_table_keeps_int_frozensets():
     assert list(T.entries) == [(0, 1), (1, 0)]
     converted = ConnectionTable(1, {(0, 0): [GroupElement(1), 2]})
     assert converted.entries == {(0, 0): frozenset({1, 2})}
+    assert all(type(t) is int for t in converted.entries[(0, 0)])
     booled = ConnectionTable(1, {(0, 0): frozenset({True})})
     assert all(type(t) is int for t in booled.entries[(0, 0)])
     G, _ = catalog_group("cyclic", [3])
     with pytest.raises(ValueError):
         ConnectionTable(1, {(0, 0): frozenset({5})}).validate(G)
+
+
+def test_group_elements_are_ints():
+    # An element is its index: a GroupElement is an int, and a float or a
+    # string is no element, not even one that int() would read as one.
+    G, pair = catalog_group("cyclic", [5])
+    e = GroupElement(3)
+    assert isinstance(e, int) and e == e.index == 3 and type(e.index) is int
+    assert G.mul(e, pair.a) == G.mul(3, 1) == 4 and pair.a.index == 1
+    for bad in (1.9, 0.0, "2"):
+        for call in (lambda: ConnectionTable(1, {(0, 0): [bad]}),
+                     lambda: ConnectionTable(1, {(0, 0): frozenset({1, bad})}),
+                     lambda: G.mul(bad, 2), lambda: G.mul(2, bad),
+                     lambda: element_order(G, bad), lambda: closure(G, [1, bad]),
+                     lambda: cyclic_connection_table(G, bad, 2),
+                     lambda: GroupElement(bad)):
+            with pytest.raises(TypeError):
+                call()
 
 
 def test_connection_table_keeps_nonempty_cells_in_row_major_order():

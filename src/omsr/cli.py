@@ -6,12 +6,13 @@ order 2,000 (`groups.ORDER_CAP`) and |G| * m <= 16 for a sweep
 (`sweep.GUARD_PRODUCT`).
 
 Exit codes: 0 verified (either direction, certified); 1 verification
-failed, or stdout closed early (`| head`), which ends quietly; 2 input
-error, including a `--recipe` that does not apply to the group (too
-small an element order, or the wrong commutativity), since no digraph is
-verified; 3 size or feasibility cap exceeded, or out of memory (as an
-all-witness sweep that prints too many witnesses), which ends with one
-line on stderr instead of a traceback.
+failed, or stdout closed early (`| head`), which ends quietly; 3 out of
+memory (as an all-witness sweep that prints too many witnesses).  An
+error of the package exits with its class's ``exit_code``, defined in
+`errors.py` alone: 2 for an `InputError`, including a `--recipe` that
+does not apply to the group, since no digraph is verified; 3 for a
+`CapExceeded`; 1 for any other.  Each ends with one line on stderr
+instead of a traceback.
 """
 
 from __future__ import annotations
@@ -25,16 +26,16 @@ from typing import List, Optional, Tuple
 
 from . import sweep as sweeplib
 from .automorphisms import VALENCY
-from .constructions import RECIPES, construct_omsr, report_from_exception
-from .errors import (InfeasibleSweep, IsAbelian, NotAbelian, NotAGroup, NotGenerating,
-                     OmsrError, OrderTooSmall, ParseError, TooLarge, UnknownFamily)
+from .constructions import KIND_EXCEPTION, RECIPES, construct_omsr
+from .errors import CapExceeded, InputError, OmsrError, ParseError, UnknownFamily
 from .groups import GeneratingPair, Group, catalog_group, parse_group_spec
 from .reports import VerificationReport
 
 EXIT_OK = 0
 EXIT_FAILED = 1
-EXIT_INPUT = 2
-EXIT_CAP = 3
+EXIT_INPUT = InputError.exit_code
+EXIT_CAP = CapExceeded.exit_code
+_PREFIXES = {EXIT_FAILED: "error", EXIT_INPUT: "input error", EXIT_CAP: "cap exceeded"}
 
 
 def load_group(spec: str) -> Tuple[Group, Optional[GeneratingPair]]:
@@ -51,7 +52,7 @@ def load_group(spec: str) -> Tuple[Group, Optional[GeneratingPair]]:
     try:
         with open(spec) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read group spec {spec!r}: {exc}", 1)
     return parse_group_spec(text)
 
@@ -62,7 +63,9 @@ def verify_instance(G: Group, pair: Optional[GeneratingPair], m: int,
     its certified exception."""
     result = construct_omsr(G, pair, m, kind=recipe)
     if isinstance(result, sweeplib.SweepResult):
-        return report_from_exception(G, m, result)
+        return VerificationReport(group_label=G.label, m=m, group_order=G.order,
+                                  construction_kind=KIND_EXCEPTION, omsr=False,
+                                  certificate=result)
     return result[1]
 
 
@@ -148,7 +151,7 @@ def _check_json_path(path: Optional[str]) -> None:
         code = errno.EACCES
     else:
         return
-    raise ValueError(f"cannot write --json {path}: {os.strerror(code)}")
+    raise InputError(f"cannot write --json {path}: {os.strerror(code)}")
 
 
 def _emit_json(path: Optional[str], payload) -> None:
@@ -158,7 +161,7 @@ def _emit_json(path: Optional[str], payload) -> None:
                 json.dump(payload, fh, indent=2, sort_keys=True)
                 fh.write("\n")
         except OSError as exc:
-            raise ValueError(f"cannot write --json {path}: {exc.strerror or exc}") from exc
+            raise InputError(f"cannot write --json {path}: {exc.strerror or exc}") from exc
 
 
 def _report_exit(report: VerificationReport, json_path: Optional[str]) -> int:
@@ -191,9 +194,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     if args.max_order < 1:
-        raise ValueError(f"--max-order must be >= 1, got {args.max_order}")
+        raise InputError(f"--max-order must be >= 1, got {args.max_order}")
     if args.max_m < 2:
-        raise ValueError(f"--max-m must be >= 2, got {args.max_m}")
+        raise InputError(f"--max-m must be >= 2, got {args.max_m}")
     rows = reproduce_theorem(args.max_order, args.max_m)
     width = max(len(r["group"]) for r in rows)
     for r in rows:
@@ -257,19 +260,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         # interpreter exit has nowhere to fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAILED
-    except (ParseError, UnknownFamily, NotGenerating, NotAGroup, OrderTooSmall, IsAbelian,
-            NotAbelian, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (TooLarge, InfeasibleSweep) as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAP
     except MemoryError:
-        print("cap exceeded: out of memory", file=sys.stderr)
+        print(f"{_PREFIXES[EXIT_CAP]}: out of memory", file=sys.stderr)
         return EXIT_CAP
     except OmsrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+        print(f"{_PREFIXES[exc.exit_code]}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

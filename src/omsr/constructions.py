@@ -22,8 +22,8 @@ from typing import Optional, Tuple, Union
 
 from .automorphisms import VALENCY, VERTEX_CAP, is_omsr
 from .digraphs import ConnectionTable, MCayleyDigraph, build_mcayley, parse_connection_table
-from .errors import (IsAbelian, NotAbelian, NotGenerating, OrderTooSmall,
-                     ParseError, TooLarge, UnknownFamily)
+from .errors import (InputError, IsAbelian, NotAbelian, NotGenerating, OrderTooSmall,
+                     TooLarge, UnknownFamily)
 from .groups import (GeneratingPair, Group, element_order, find_generating_pair,
                      generates, is_abelian, is_cyclic, normalize_generating_pair)
 from .reports import VerificationReport
@@ -155,7 +155,7 @@ def recipe_table(G: Group, pair: Optional[GeneratingPair], m: int,
     with TooLarge before any table is built.
     """
     if m < 2:
-        raise ValueError("m must be at least 2")
+        raise InputError("m must be at least 2")
     if kind not in RECIPES:
         raise UnknownFamily(f"unknown recipe {kind!r}")
     if G.order * m > VERTEX_CAP:
@@ -221,7 +221,7 @@ def _load_cached_witness(G: Group, m: int, witness_dir: str):
     try:
         with open(path) as fh:
             table = parse_connection_table(fh.read())
-    except (OSError, ValueError, ParseError) as exc:
+    except (OSError, ValueError) as exc:  # a ParseError is a ValueError
         warnings.warn(f"skipping unreadable witness cache file {path}: {exc}")
         return None
     if table.m != m:
@@ -288,14 +288,3 @@ def construct_omsr(G: Group, pair: Optional[GeneratingPair], m: int, kind: str =
         if report.omsr or kind != "auto" or not sweeplib.feasibility_guard(G, m):
             return gamma, report
     return _searched_witness(G, m)
-
-
-def report_from_exception(G: Group, m: int, result: sweeplib.SweepResult) -> VerificationReport:
-    return VerificationReport(
-        group_label=G.label,
-        m=m,
-        group_order=G.order,
-        construction_kind=KIND_EXCEPTION,
-        omsr=False,
-        certificate=result,
-    )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 
 from .errors import ParseError
-from .groups import Group
+from .groups import Group, GroupElement
 from .perms import Perm
 
 
@@ -174,7 +174,7 @@ def is_connected(d: Digraph) -> bool:
 
 def right_translation(G: Group, m: int, g) -> Perm:
     """Vertex permutation x_i -> (x*g)_i."""
-    n = G.order
+    n, g = G.order, GroupElement(g)  # refuses a negative or non-integer g
     images = []
     for i in range(m):
         base = i * n

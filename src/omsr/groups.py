@@ -21,14 +21,22 @@ from .errors import NotAGroup, NotGenerating, ParseError, TooLarge, UnknownFamil
 ORDER_CAP = 2000
 
 
+def _index(x) -> int:
+    """An element index: an integer, refused when negative, which Python
+    would read from the end of a table."""
+    if operator.index(x) < 0:
+        raise IndexError(f"negative element index {x}")
+    return x
+
+
 class GroupElement(int):
-    """A group element is its index, an int; only an integer makes one."""
+    """A group element is its index, an int; only an integer >= 0 makes one."""
 
     __slots__ = ()
     index = property(operator.index)
 
     def __new__(cls, index):
-        return super().__new__(cls, operator.index(index))
+        return super().__new__(cls, _index(index))
 
 
 @dataclass(frozen=True)
@@ -54,10 +62,10 @@ class Group:
         self._memo = {}
 
     def mul(self, x, y) -> int:
-        return self.mult[x][y]
+        return self.mult[_index(x)][_index(y)]
 
     def inverse(self, x) -> int:
-        return self.inv[x]
+        return self.inv[_index(x)]
 
     def element(self, i: int) -> GroupElement:
         if not 0 <= i < self.order:
@@ -69,6 +77,11 @@ class Group:
 
     def __repr__(self):
         return f"Group({self.label}, order={self.order})"
+
+
+def _check_order(n: int) -> None:
+    if n > ORDER_CAP:
+        raise TooLarge(f"group order {n} exceeds cap {ORDER_CAP}")
 
 
 def _first_bad(ok: np.ndarray, what: str, order: np.ndarray) -> None:
@@ -125,11 +138,13 @@ def group_from_cayley_table(table, label: str = "") -> Group:
     """Validate a multiplication table and return the group.
 
     The table must be a square array of integers in [0, n).  The identity
-    is relabeled to index 0 if the input puts it elsewhere.  Raises NotAGroup
-    on a malformed table (ragged, non-integer, out of range) and on any axiom
+    is relabeled to index 0 if the input puts it elsewhere.  Raises TooLarge
+    for more than ORDER_CAP rows, before any entry is read; NotAGroup on a
+    malformed table (ragged, non-integer, out of range) and on any axiom
     violation; a failed associativity carries its witness (x, a, y).  Every
     index in a message or witness is that of the input table.
     """
+    _check_order(len(table))
     try:
         arr = np.asarray(table)
     except ValueError:
@@ -210,7 +225,7 @@ def group_from_permutation_generators(perms, label: str = ""):
 
 def element_order(G: Group, g) -> int:
     mult = G.mult
-    k, x = 1, mult[0][g]  # e * g, which refuses a g that is not an integer
+    k, x = 1, mult[0][_index(g)]  # e * g
     while x != 0:
         x = mult[x][g]
         k += 1
@@ -232,7 +247,7 @@ def is_cyclic(G: Group) -> bool:
 def closure(G: Group, gens) -> set:
     """Subgroup generated by the elements.  In a finite group it is the set
     of products of the generators alone, so no inverse is needed."""
-    return _span(G.mult, set(gens))
+    return _span(G.mult, set(map(_index, gens)))
 
 
 def generating_set(G: Group) -> list:
@@ -328,8 +343,7 @@ def _table_from_mul(n, mul):
     """The n x n multiplication table, refused past ORDER_CAP before any
     entry is computed; ``mul`` gets the row and column indices as numpy
     arrays that broadcast to the table."""
-    if n > ORDER_CAP:
-        raise TooLarge(f"group order {n} exceeds cap {ORDER_CAP}")
+    _check_order(n)
     x = np.arange(n, dtype=np.int32)
     return mul(x[:, None], x)
 
@@ -439,7 +453,7 @@ def catalog_group(name: str, params):
     if name not in _FAMILIES:
         raise UnknownFamily(f"unknown family {name!r}; known: {sorted(_FAMILIES)}")
     builder, arity = _FAMILIES[name]
-    params = [int(p) for p in (params if isinstance(params, (list, tuple)) else [params])]
+    params = list(map(operator.index, params if isinstance(params, (list, tuple)) else [params]))
     if len(params) != arity:
         raise UnknownFamily(f"family {name!r} takes {arity} parameter(s), got {len(params)}")
     if any(p < 1 for p in params):
@@ -489,6 +503,7 @@ def parse_group_spec(text: str):
             n = int(hdr.split(":", 1)[1])
         except ValueError:
             raise ParseError("n must be an integer", hdr_no, hdr.index(":") + 2)
+        _check_order(n)
         rows = rest[1:]
         if len(rows) != n:
             raise ParseError(f"expected {n} table rows, got {len(rows)}", hdr_no)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # sweep imports automorphisms, which imports this module
@@ -46,22 +46,9 @@ class VerificationReport:
                                  "when the translations embed")
 
     def to_dict(self) -> dict:
-        out = {
-            "group_label": self.group_label,
-            "m": self.m,
-            "group_order": self.group_order,
-            "construction_kind": self.construction_kind,
-            "omsr": self.omsr,
-            "oriented": self.oriented,
-            "regular2": self.regular2,
-            "connected": self.connected,
-            "aut_order": self.aut_order,
-            "stabilizer_order": self.stabilizer_order,
-            "orbit_count": self.orbit_count,
-            "translations_embed": self.translations_embed,
-            "runtime_ms": round(self.runtime_ms, 3),
-        }
-        if self.certificate is not None:
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["runtime_ms"] = round(self.runtime_ms, 3)
+        if out.pop("certificate") is not None:
             out["certificate"] = self.certificate.certificate_dict()
         return out
 

@@ -69,7 +69,7 @@ from typing import Iterator, Optional, Tuple
 
 from .automorphisms import VALENCY, automorphisms
 from .digraphs import ConnectionTable, build_mcayley
-from .errors import InfeasibleSweep
+from .errors import InfeasibleSweep, InputError
 from .groups import Group, automorphism_generators, generating_set
 
 GUARD_PRODUCT = 16
@@ -276,24 +276,19 @@ def _table_moves(G: Group, m: int) -> list:
     return moves + [(ident, blocks, same, True)]
 
 
-_blocks = {}  # per (m, sigma, converse): its `_block_code`, shared by every group
-
-
+@functools.cache
 def _block_code(m: int, sigma: tuple, converse: bool) -> tuple:
     """A move's block action on an m x m key, the same for every group,
     gauge and automorphism, as ``(srcs, rows)``: each target cell's source
     cell in row-major order, and each ``row`` such that the move keeps rows
-    0..row in place, none after the converse."""
-    key = m, sigma, converse
-    code = _blocks.get(key)
-    if code is None:
-        back = sorted(range(m), key=sigma.__getitem__)
-        srcs = tuple([j * m + i if converse else i * m + j
-                      for i, j in itertools.product(back, repeat=2)])
-        rows = () if converse else tuple([row for row in range(m - 1)
-                                          if max(sigma[:row + 1]) == row])
-        code = _blocks[key] = srcs, rows
-    return code
+    0..row in place, none after the converse.  Built once per (m, sigma,
+    converse) and shared by every group."""
+    back = sorted(range(m), key=sigma.__getitem__)
+    srcs = tuple([j * m + i if converse else i * m + j
+                  for i, j in itertools.product(back, repeat=2)])
+    rows = () if converse else tuple([row for row in range(m - 1)
+                                      if max(sigma[:row + 1]) == row])
+    return srcs, rows
 
 
 class _RankedMoves:
@@ -520,13 +515,13 @@ def exhaustive_sweep(G: Group, m: int, all_witnesses: bool = False) -> SweepResu
     ``tables_enumerated`` is the position of the table the scan stopped
     at, or the number of constrained tables when it ran to the end, so a
     NOT_EXISTS verdict reflects the full enumeration; ``oriented_count``
-    and ``max_aut_order_seen`` cover the same tables.  Raises ValueError
+    and ``max_aut_order_seen`` cover the same tables.  Raises InputError
     for m < 1 (no table has that shape, so an empty scan would read as
     NOT_EXISTS), then InfeasibleSweep past `feasibility_guard`.
     """
     start = time.perf_counter()
     if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+        raise InputError(f"m must be >= 1, got {m}")
     if not feasibility_guard(G, m):
         raise InfeasibleSweep(f"|G|*m = {G.order * m} exceeds guard {GUARD_PRODUCT}")
     moves = _RankedMoves(G, m)

@@ -62,7 +62,9 @@ MUTANTS = [
            (SWEEP + "test_move_codes_match_frozenset_reference",
             SWEEP + "test_table_moves_are_isomorphisms")),
     Mutant("block-memo-keyed-without-converse", "omsr/sweep.py",
-           "    key = m, sigma, converse\n", "    key = m, sigma\n",
+           "@functools.cache\ndef _block_code(",
+           "@(lambda code: lambda m, sigma, converse, memo={}:\n"
+           "  memo.setdefault((m, sigma), code(m, sigma, converse)))\ndef _block_code(",
            (SWEEP + "test_move_codes_match_frozenset_reference",
             SWEEP + "test_table_moves_are_isomorphisms")),
     Mutant("earlier-move-never-found", "omsr/sweep.py",
@@ -119,6 +121,9 @@ MUTANTS = [
            "            if cell:\n", "            if cell is not None:\n",
            (DIGRAPHS + "test_connection_table_keeps_int_frozensets",
             DIGRAPHS + "test_connection_table_keeps_nonempty_cells_in_row_major_order")),
+    Mutant("closure-reads-negative-index", "omsr/groups.py",
+           "set(map(_index, gens))", "set(gens)",
+           (DIGRAPHS + "test_group_elements_are_ints",)),
     Mutant("cells-read-through-int", "omsr/digraphs.py",
            "frozenset(map(operator.index, cell))", "frozenset(map(int, cell))",
            (DIGRAPHS + "test_group_elements_are_ints",)),
@@ -137,6 +142,18 @@ MUTANTS = [
            "\n            and (balanced or _reachable([(d.in_adj,)] * d.n, 0) == d.n)", "",
            (DIGRAPHS + "test_is_connected_examples",
             AUTOMORPHISMS + "test_is_omsr_checks_match_predicates")),
+    # The exit-code contract and the report's JSON.
+    Mutant("input-error-exit-code-changed", "omsr/errors.py",
+           "    exit_code = 2\n", "    exit_code = 1\n",
+           (CLI + "test_exit_code_comes_from_the_error_class",)),
+    Mutant("main-returns-fixed-code", "omsr/cli.py",
+           "        return exc.exit_code", "        return EXIT_INPUT",
+           (CLI + "test_exit_code_comes_from_the_error_class",
+            CLI + "test_main_budget_exit")),
+    Mutant("report-json-drops-certificate", "omsr/reports.py",
+           '            out["certificate"] = self.certificate.certificate_dict()\n',
+           "            pass\n",
+           (CONSTRUCTIONS + "test_report_from_exception",)),
     # The engine.
     Mutant("arc-test-reads-own-row", "omsr/automorphisms.py",
            "        image = out_adj[p[u]]\n", "        image = out_adj[u]\n",

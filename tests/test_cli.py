@@ -19,7 +19,9 @@ from omsr.cli import (EXIT_CAP, EXIT_FAILED, EXIT_INPUT, EXIT_OK, group_roster,
 from omsr.constructions import (cyclic_connection_table, nonabelian_connection_table,
                                 recipe_table)
 from omsr.digraphs import ConnectionTable, build_mcayley
-from omsr.errors import TooLarge, UnknownFamily
+from omsr.errors import (CapExceeded, InfeasibleSweep, InputError, IsAbelian, NotAbelian,
+                         NotAGroup, NotGenerating, OmsrError, OrderTooSmall, ParseError,
+                         TooLarge, UnknownFamily)
 from omsr.groups import catalog_group, normalize_generating_pair
 from omsr.sweep import GUARD_PRODUCT
 
@@ -319,11 +321,73 @@ def test_main_spec_that_is_not_a_group_is_input_error(tmp_path, capsys):
     assert err == "input error: row 2 is not a permutation (Latin square violated)\n", err
 
 
+def every_error_class(cls=OmsrError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from every_error_class(sub)
+
+
+def test_exit_code_comes_from_the_error_class(monkeypatch, capsys):
+    # Every error of the package exits with its class's code and one
+    # stderr line under the documented prefix: 2 "input error", 3 "cap
+    # exceeded", 1 "error".  A new error class must be placed here.
+    codes = {InputError: 2, ParseError: 2, UnknownFamily: 2, NotGenerating: 2, NotAGroup: 2,
+             OrderTooSmall: 2, IsAbelian: 2, NotAbelian: 2,
+             CapExceeded: 3, TooLarge: 3, InfeasibleSweep: 3, OmsrError: 1}
+    prefixes = {1: "error", 2: "input error", 3: "cap exceeded"}
+    assert set(every_error_class()) == set(codes)
+    for cls, code in codes.items():
+        assert cls.exit_code == code, cls
+        assert issubclass(cls, ValueError) == (code == EXIT_INPUT), cls
+        exc = cls("refused", 3) if cls is ParseError else cls("refused")
+
+        def command(args):
+            raise exc
+
+        monkeypatch.setattr(omsr.cli, "_cmd_simple", command)
+        assert main(["simple", "--name", "Z3", "--m", "2"]) == code, cls
+        assert capsys.readouterr() == ("", f"{prefixes[code]}: {exc}\n"), cls
+
+
+def test_plain_value_error_is_not_an_input_error(monkeypatch, capsys):
+    # A ValueError that is not an InputError is a fault of the program:
+    # it propagates with its traceback, not printed as the user's input error.
+    def command(args):
+        raise ValueError("omsr flag inconsistent with its defining conjunction")
+
+    monkeypatch.setattr(omsr.cli, "_cmd_verify", command)
+    with pytest.raises(ValueError, match="omsr flag inconsistent"):
+        main(["verify", "--group", "catalog:cyclic:3", "--m", "2"])
+    assert capsys.readouterr() == ("", "")
+
+
+def test_main_binary_spec_is_input_error(tmp_path, capsys):
+    spec = tmp_path / "binary.spec"
+    spec.write_bytes(b"\x7fELF\x02\x01\x01\x00\xff\xfe kind: table\n")
+    with pytest.raises(ParseError, match="cannot read group spec") as info:
+        load_group(str(spec))
+    assert info.value.line == 1 and str(spec) in str(info.value)
+    assert main(["verify", "--group", str(spec), "--m", "2"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: line 1, col 1: cannot read group spec {str(spec)!r}: "), err
+    assert "can't decode byte 0xff" in err and err.count("\n") == 1, err
+
+
+def test_main_table_spec_past_the_order_cap(tmp_path, capsys):
+    # The 'n:' line is refused before the rows are counted or read.
+    spec = tmp_path / "big.spec"
+    spec.write_text("kind: table\nn: 2100\n")
+    assert main(["verify", "--group", str(spec), "--m", "2"]) == EXIT_CAP
+    assert capsys.readouterr() == ("", "cap exceeded: group order 2100 exceeds cap 2000\n")
+
+
 def test_main_sweep_negative_m_is_input_error(capsys):
     code = main(["sweep", "--group", "catalog:cyclic:3", "--m", "-1"])
     assert code == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "m must be" in err, err
+    assert main(["sweep", "--group", "catalog:cyclic:1", "--m", "0"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "input error: m must be >= 1, got 0\n"
 
 
 def test_main_reproduce_rejects_empty_ranges(capsys):

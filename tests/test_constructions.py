@@ -10,12 +10,12 @@ import pytest
 
 import omsr.sweep
 from omsr.automorphisms import automorphisms, is_omsr
-from omsr.cli import group_roster
+from omsr.cli import group_roster, verify_instance
 from omsr.constructions import (KIND_ABELIAN, KIND_CYCLIC, KIND_EXCEPTION, KIND_LIFT,
                                 KIND_NONABELIAN, KIND_RIGID_TRIVIAL, KIND_SEARCH,
                                 abelian_connection_table, circulant_table,
                                 construct_omsr, cyclic_connection_table, nonabelian_connection_table,
-                                recipe_table, report_from_exception, rigid_trivial_table,
+                                recipe_table, rigid_trivial_table,
                                 spanning_tree_lift_table)
 from omsr.digraphs import (ConnectionTable, build_mcayley, is_k_regular, is_oriented,
                            parse_connection_table)
@@ -456,13 +456,16 @@ def test_bundled_witnesses_reverify():
 
 
 def test_report_from_exception():
+    # verify_instance reports a certified exception with its certificate,
+    # which the report's JSON carries.
     G, pair = catalog_group("cyclic", [2])
     verdict = construct_omsr(G, pair, 2)
     assert isinstance(verdict, SweepResult)
-    report = report_from_exception(G, 2, verdict)
+    report = verify_instance(G, pair, 2)
     assert not report.omsr
     assert report.construction_kind == KIND_EXCEPTION
     assert report.certificate is not None
+    assert report.to_dict()["certificate"] == verdict.certificate_dict()
 
 
 def test_exhausted_search_certificate_from_one_enumeration(tmp_path, monkeypatch):
@@ -483,7 +486,7 @@ def test_exhausted_search_certificate_from_one_enumeration(tmp_path, monkeypatch
     assert (verdict.tables_enumerated, verdict.oriented_count,
             verdict.max_aut_order_seen) == (534, 10, 24)
     assert verdict.certificate_dict()["oriented_count"] == 10
-    summary = report_from_exception(G, 3, verdict).summary()
+    summary = verify_instance(G, pair, 3).summary()
     assert "534 tables, 10 oriented, max |Aut| seen 24" in summary
     # No table is oriented at m = 2, so max |Aut| 0 means "no digraph examined".
     empty = construct_omsr(G, pair, 2)

@@ -9,7 +9,8 @@ from omsr.digraphs import (ConnectionTable, Digraph, build_mcayley, is_connected
                            is_oriented, oriented_table_criterion, parse_connection_table,
                            right_translation)
 from omsr.errors import ParseError
-from omsr.groups import GroupElement, catalog_group, closure, element_order
+from omsr.groups import (GroupElement, catalog_group, closure, element_order, generates,
+                         normalize_generating_pair)
 from omsr.perms import compose, is_bijection
 from oracles import (arc_count, arcs, cycles, distance2_out_set, entries_of, grid_of,
                      induced_subdigraph, strongly_connected)
@@ -55,6 +56,20 @@ def test_group_elements_are_ints():
                      lambda: GroupElement(bad)):
             with pytest.raises(TypeError):
                 call()
+    # A negative index is refused, as one past the order is, not read from
+    # the end of a table.
+    for bad in (-1, -G.order):
+        for call in (lambda: GroupElement(bad), lambda: G.mul(bad, 2), lambda: G.mul(2, bad),
+                     lambda: G.inverse(bad), lambda: element_order(G, bad),
+                     lambda: closure(G, [bad]), lambda: closure(G, [1, bad]),
+                     lambda: generates(G, [bad]),
+                     lambda: normalize_generating_pair(G, bad, 1),
+                     lambda: cyclic_connection_table(G, bad, 2),
+                     lambda: right_translation(G, 2, bad)):
+            with pytest.raises(IndexError):
+                call()
+    with pytest.raises(IndexError):
+        G.mul(G.order, 0)
 
 
 def test_connection_table_keeps_nonempty_cells_in_row_major_order():

@@ -151,6 +151,28 @@ def test_catalog_refuses_by_exact_order_before_building(monkeypatch):
             catalog_group(name, [param])
 
 
+def test_catalog_parameters_are_integers():
+    # A parameter is read through operator.index, as an element is: 2.5
+    # builds no Z2 and "3" no Z3.
+    for bad in (2.5, "3"):
+        with pytest.raises(TypeError):
+            catalog_group("cyclic", [bad])
+    assert catalog_group("cyclic", [np.int64(3)])[0].order == 3
+    assert catalog_group("cyclic", 3)[0].order == 3
+
+
+def test_cayley_table_refused_past_the_order_cap_before_any_entry():
+    # These rows are no table at all, so the cap is checked before any
+    # entry is read.
+    with pytest.raises(TooLarge, match=f"group order {ORDER_CAP + 1} exceeds cap 2000"):
+        group_from_cayley_table([None] * (ORDER_CAP + 1))
+    with pytest.raises(TooLarge, match="group order 2100 exceeds cap 2000"):
+        group_from_cayley_table(np.zeros((2100, 2100), dtype=np.int8))
+    # A table spec is refused by its 'n:' line, before its rows are counted.
+    with pytest.raises(TooLarge, match="group order 2100 exceeds cap 2000"):
+        parse_group_spec("kind: table\nn: 2100\n0\n")
+
+
 def test_element_order_examples():
     G, pair = catalog_group("cyclic", [5])
     assert element_order(G, 0) == 1

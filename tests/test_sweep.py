@@ -675,9 +675,9 @@ def test_block_memo_carries_no_group_state():
         return (result.tables_enumerated, result.oriented_count, len(result.witnesses),
                 result.max_aut_order_seen, first)
 
-    omsr.sweep._blocks.clear()
+    omsr.sweep._block_code.cache_clear()
     forward = [scan(G, m) for G, m in cells]
-    omsr.sweep._blocks.clear()
+    omsr.sweep._block_code.cache_clear()
     backward = [scan(G, m) for G, m in reversed(cells)]
     assert forward == backward[::-1]
     assert any(w for _, _, w, _, _ in forward) and not all(w for _, _, w, _, _ in forward)

@@ -21,6 +21,7 @@ import argparse
 import errno
 import json
 import os
+import re
 import sys
 from typing import List, Optional, Tuple
 
@@ -28,7 +29,7 @@ from . import sweep as sweeplib
 from .automorphisms import VALENCY
 from .constructions import KIND_EXCEPTION, RECIPES, construct_omsr
 from .errors import CapExceeded, InputError, OmsrError, ParseError, UnknownFamily
-from .groups import GeneratingPair, Group, catalog_group, parse_group_spec
+from .groups import GeneratingPair, Group, catalog_from_tokens, catalog_group, parse_group_spec
 from .reports import VerificationReport
 
 EXIT_OK = 0
@@ -39,16 +40,11 @@ _PREFIXES = {EXIT_FAILED: "error", EXIT_INPUT: "input error", EXIT_CAP: "cap exc
 
 
 def load_group(spec: str) -> Tuple[Group, Optional[GeneratingPair]]:
-    """Resolve 'catalog:name:params...' or a group-spec file path."""
+    """Resolve 'catalog:name:params...' or a group-spec file path (README, "Group specs")."""
     if spec.startswith("catalog:"):
-        parts = spec.split(":")[1:]
-        if not parts or not parts[0]:
-            raise UnknownFamily("catalog spec needs a family name")
-        try:
-            params = [int(p) for p in parts[1:]]
-        except ValueError:
-            raise UnknownFamily(f"catalog parameters must be integers: {spec!r}")
-        return catalog_group(parts[0], params)
+        (_, name), *params = [(match.start(1) + 1, match.group(1))
+                              for match in re.finditer(r":([^:]*)", spec)]
+        return catalog_from_tokens(name, params, 1)
     try:
         with open(spec) as fh:
             text = fh.read()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import operator
 
-from .errors import ParseError
+from .errors import ParseError, content_lines, header_int, read_int, tokens
 from .groups import Group, GroupElement
 from .perms import Perm
 
@@ -60,32 +60,19 @@ class ConnectionTable:
 
 
 def parse_connection_table(text: str) -> ConnectionTable:
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
-    content = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
-    if not content or not content[0][1].startswith("m:"):
-        raise ParseError("expected leading 'm: <int>' line", content[0][0] if content else 1)
-    hdr_no, hdr = content[0]
-    try:
-        m = int(hdr.split(":", 1)[1])
-    except ValueError:
-        raise ParseError("m must be an integer", hdr_no, hdr.index(":") + 2)
+    """Parse the text of `ConnectionTable.to_text`: an ``m: <int>`` line,
+    then one ``T i j : e1 e2 ...`` line per cell (README, "Group specs")."""
+    content = content_lines(text)
+    m = header_int(content, "m", 1)
     entries = {}
     for no, ln in content[1:]:
         head, sep, body = ln.partition(":")
-        toks = head.split()
-        if len(toks) != 3 or toks[0] != "T" or not sep:
+        toks = tokens(head)
+        if len(toks) != 3 or toks[0][1] != "T" or not sep:
             raise ParseError("expected 'T i j : e1 e2 ...'", no)
-        try:
-            i, j = int(toks[1]), int(toks[2])
-        except ValueError:
-            raise ParseError("block indices must be integers", no, 3)
-        if not (0 <= i < m and 0 <= j < m):
-            raise ParseError(f"block index ({i},{j}) out of range for m={m}", no)
-        try:
-            elems = [int(t) for t in body.split()]
-        except ValueError:
-            raise ParseError("element indices must be integers", no, ln.index(":") + 2)
-        entries[(i, j)] = set(entries.get((i, j), set())) | set(elems)
+        i, j = (read_int(tok, no, col, "block index", m) for col, tok in toks[1:])
+        elems = {read_int(tok, no, col, "element") for col, tok in tokens(body, len(head) + 1)}
+        entries[(i, j)] = entries.get((i, j), set()) | elems
     return ConnectionTable(m, entries)
 
 

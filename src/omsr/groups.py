@@ -16,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from . import perms as permlib
-from .errors import NotAGroup, NotGenerating, ParseError, TooLarge, UnknownFamily
+from .errors import (NotAGroup, NotGenerating, ParseError, TooLarge, UnknownFamily, content_lines,
+                     header_int, read_int, tokens)
 
 ORDER_CAP = 2000
 
@@ -411,7 +412,7 @@ def _symmetric(k: int):
     if not 2 <= k <= 5:
         raise UnknownFamily("symmetric supports 2 <= n <= 5")
     cycle = tuple(list(range(1, k)) + [0])
-    swap = permlib.from_cycle_string("(0 1)", degree=k)
+    swap = permlib.from_cycle_string("(0 1)")
     G, gens = group_from_permutation_generators([cycle, swap], label=f"S{k}")
     return G, GeneratingPair(gens[0], gens[1])
 
@@ -419,7 +420,7 @@ def _symmetric(k: int):
 def _alternating(k: int):
     if not 3 <= k <= 5:
         raise UnknownFamily("alternating supports 3 <= n <= 5")
-    three = permlib.from_cycle_string("(0 1 2)", degree=k)
+    three = permlib.from_cycle_string("(0 1 2)")
     if k % 2 == 1:
         big = tuple(list(range(1, k)) + [0])          # k-cycle, even
     else:
@@ -463,76 +464,60 @@ def catalog_group(name: str, params):
 
 # --- group-spec text format --------------------------------------------------
 
+def catalog_from_tokens(name: str, params, line: int):
+    """The catalog group of a family name and its parameters as (column,
+    token) pairs on a line, read from `catalog:` strings and specs alike."""
+    return catalog_group(name, [read_int(tok, line, col, "parameter") for col, tok in params])
+
+
 def parse_group_spec(text: str):
-    """Parse the one-group-per-file text format.
+    """Parse the one-group-per-file text format (README, "Group specs").
 
     Returns (Group, GeneratingPair or None).  Kinds: catalog, table, perms.
     """
-    lines = text.splitlines()
-    stripped = [(i + 1, ln.strip()) for i, ln in enumerate(lines)]
-    content = [(no, ln) for no, ln in stripped if ln and not ln.startswith("#")]
+    content = content_lines(text)
     if not content:
         raise ParseError("empty group spec", 1)
-    no, first = content[0]
-    if not first.startswith("kind:"):
+    (no, first), rest = content[0], content[1:]
+    key, sep, kind = first.partition(":")
+    if key.strip() != "kind" or not sep:
         raise ParseError("expected 'kind: catalog|table|perms'", no)
-    kind = first.split(":", 1)[1].strip()
-    rest = content[1:]
+    kind = kind.strip()
 
     if kind == "catalog":
         fields = {}
-        for no, ln in rest:
-            if ":" not in ln:
-                raise ParseError("expected 'key: value'", no)
-            key, val = (part.strip() for part in ln.split(":", 1))
-            fields[key] = (no, val)
+        for line, ln in rest:
+            field, sep, value = ln.partition(":")
+            if not sep:
+                raise ParseError("expected 'key: value'", line)
+            fields[field.strip()] = (line, value, len(field) + 1)
         if "name" not in fields:
-            raise ParseError("catalog spec needs a 'name:' line", content[0][0])
-        name = fields["name"][1]
-        try:
-            params = [int(p) for p in fields.get("params", (0, ""))[1].split()]
-        except ValueError:
-            raise ParseError("params must be integers", fields["params"][0])
-        return catalog_group(name, params)
+            raise ParseError("catalog spec needs a 'name:' line", no)
+        line, params, start = fields.get("params", (no, "", 0))
+        return catalog_from_tokens(fields["name"][1].strip(), tokens(params, start), line)
 
     if kind == "table":
-        if not rest or not rest[0][1].startswith("n:"):
-            raise ParseError("table spec needs an 'n:' line", no + 1)
-        hdr_no, hdr = rest[0]
-        try:
-            n = int(hdr.split(":", 1)[1])
-        except ValueError:
-            raise ParseError("n must be an integer", hdr_no, hdr.index(":") + 2)
+        n = header_int(rest, "n", no + 1)
         _check_order(n)
         rows = rest[1:]
         if len(rows) != n:
-            raise ParseError(f"expected {n} table rows, got {len(rows)}", hdr_no)
+            raise ParseError(f"expected {n} table rows, got {len(rows)}", rest[0][0])
         table = []
-        for row_no, ln in rows:
-            toks = ln.split()
+        for line, ln in rows:
+            toks = tokens(ln)
             if len(toks) != n:
-                raise ParseError(f"expected {n} entries, got {len(toks)}", row_no)
-            row = []
-            for j, tok in enumerate(toks):
-                try:
-                    v = int(tok)
-                except ValueError:
-                    raise ParseError(f"bad entry {tok!r}", row_no, ln.index(tok) + 1)
-                if not 0 <= v < n:
-                    raise ParseError(f"entry {v} out of range [0,{n})", row_no, ln.index(tok) + 1)
-                row.append(v)
-            table.append(row)
+                raise ParseError(f"expected {n} entries, got {len(toks)}", line)
+            table.append([read_int(tok, line, col, "entry", n) for col, tok in toks])
         return group_from_cayley_table(table), None
 
     if kind == "perms":
-        parsed = [permlib.from_cycle_string(ln, line=no) for no, ln in rest]
-        if not parsed:
+        if not rest:
             raise ParseError("perms spec needs at least one permutation line", no)
-        G, gens = group_from_permutation_generators(parsed)
-        if len(gens) == 1:
-            return G, GeneratingPair(gens[0])
-        if len(gens) == 2:
-            return G, GeneratingPair(gens[0], gens[1])
-        return G, None
+        # Act on the named points alone, so a large point costs nothing; the
+        # closure only composes and compares, so the table does not change.
+        lines = [permlib.parse_cycles(ln, line) for line, ln in rest]
+        points = sorted({x for cycles in lines for cycle in cycles for x in cycle})
+        G, gens = group_from_permutation_generators([permlib.from_cycles(c, points) for c in lines])
+        return G, GeneratingPair(*gens) if len(gens) <= 2 else None
 
-    raise ParseError(f"unknown kind {kind!r}", no, first.index(":") + 2)
+    raise ParseError(f"unknown kind {kind!r}", no, first.index(kind, len(key)) + 1)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
-from .errors import ParseError
+from .errors import ParseError, read_int, tokens
 
 Perm = tuple
 
@@ -35,51 +35,45 @@ def is_bijection(p: Sequence[int]) -> bool:
     return sorted(p) == list(range(n))
 
 
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
-
-
-def from_cycle_string(text: str, degree: int | None = None, line: int = 1) -> Perm:
-    """Parse cycle notation like ``(0 1 2)(3 4)``.
-
-    The degree defaults to one past the largest point mentioned.
-    """
-    stripped = text.strip()
-    if stripped in ("", "()"):
-        return identity(degree or 0)
-    pos = 0
-    parsed = []
-    for match in _CYCLE_RE.finditer(stripped):
-        between = stripped[pos:match.start()]
+def parse_cycles(text: str, line: int = 1) -> list:
+    """The cycles of cycle notation like ``(0 1 2)(3 4)`` as lists of points,
+    each an integer >= 0 named once (README, "Group specs")."""
+    cycles, seen, pos = [], set(), 0
+    for match in re.finditer(r"\(([^()]*)\)", text):
+        between = text[pos:match.start()]
         if between.strip():
             raise ParseError(f"unexpected text {between.strip()!r}", line, pos + 1)
-        body = match.group(1).replace(",", " ").split()
-        try:
-            points = [int(tok) for tok in body]
-        except ValueError:
-            raise ParseError(f"bad cycle entry in {match.group(0)!r}", line, match.start() + 1)
-        if any(x < 0 for x in points):
-            raise ParseError("negative point in cycle", line, match.start() + 1)
-        if len(set(points)) != len(points):
-            raise ParseError(f"repeated point in cycle {match.group(0)!r}", line, match.start() + 1)
-        parsed.append(points)
-        pos = match.end()
-    if stripped[pos:].strip():
-        raise ParseError(f"unexpected trailing text {stripped[pos:].strip()!r}", line, pos + 1)
-    top = max((max(c) for c in parsed if c), default=-1)
-    n = degree if degree is not None else top + 1
-    if top >= n:
-        raise ParseError(f"point {top} out of range for degree {n}", line)
-    images = list(range(n))
-    for cyc in parsed:
-        for i, x in enumerate(cyc):
-            images[x] = cyc[(i + 1) % len(cyc)]
-    seen = set()
-    for cyc in parsed:
-        for x in cyc:
+        cycle = []
+        for col, tok in tokens(match.group(1).replace(",", " "), match.start(1)):
+            x = read_int(tok, line, col, "point")
+            if x < 0:
+                raise ParseError("negative point in cycle", line, col)
             if x in seen:
-                raise ParseError(f"point {x} appears in two cycles", line)
+                raise ParseError(f"point {x} named twice", line, col)
             seen.add(x)
+            cycle.append(x)
+        cycles.append(cycle)
+        pos = match.end()
+    if text[pos:].strip():
+        raise ParseError(f"unexpected trailing text {text[pos:].strip()!r}", line, pos + 1)
+    return cycles
+
+
+def from_cycles(cycles, points) -> Perm:
+    """The permutation with these cycles of the sorted points, numbered from 0."""
+    rank = {x: i for i, x in enumerate(points)}
+    images = list(range(len(rank)))
+    for cycle in cycles:
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            images[rank[x]] = rank[y]
     return tuple(images)
+
+
+def from_cycle_string(text: str) -> Perm:
+    """Parse cycle notation like ``(0 1 2)(3 4)`` as a permutation of the
+    points from 0 to the largest one named."""
+    cycles = parse_cycles(text)
+    return from_cycles(cycles, range(1 + max((x for cycle in cycles for x in cycle), default=-1)))
 
 
 def pad(p: Sequence[int], n: int) -> Perm:

@@ -48,6 +48,7 @@ DIGRAPHS = "tests/test_digraphs.py::"
 CONSTRUCTIONS = "tests/test_constructions.py::"
 AUTOMORPHISMS = "tests/test_automorphisms.py::"
 CLI = "tests/test_cli.py::"
+READERS = "tests/test_readers.py::"
 
 MUTANTS = [
     # The move test of the sweep.
@@ -142,6 +143,21 @@ MUTANTS = [
            "\n            and (balanced or _reachable([(d.in_adj,)] * d.n, 0) == d.n)", "",
            (DIGRAPHS + "test_is_connected_examples",
             AUTOMORPHISMS + "test_is_omsr_checks_match_predicates")),
+    # The text readers shared by every input format.
+    Mutant("content-lines-keep-comments", "omsr/errors.py",
+           '            if ln.strip() and not ln.lstrip().startswith("#")]',
+           "            if ln.strip()]",
+           (READERS + "test_comment_and_blank_lines_are_skipped",
+            READERS + "test_malformed_input[perms-bad-line]")),
+    Mutant("token-error-at-first-column", "omsr/errors.py",
+           'raise ParseError(f"bad {what} {token!r}", line, col)',
+           'raise ParseError(f"bad {what} {token!r}", line)',
+           (READERS + "test_malformed_input[connection-table-bad-block-index]",
+            READERS + "test_malformed_input[catalog-string-bad-parameter]")),
+    Mutant("repeated-point-not-refused", "omsr/perms.py",
+           "            if x in seen:\n", "            if False:\n",
+           (READERS + "test_malformed_input[cycles-point-repeated-in-cycle]",
+            READERS + "test_malformed_input[cycles-point-in-two-cycles]")),
     # The exit-code contract and the report's JSON.
     Mutant("input-error-exit-code-changed", "omsr/errors.py",
            "    exit_code = 2\n", "    exit_code = 1\n",

@@ -1,7 +1,7 @@
 """Constructing m-Cayley digraphs over finite groups and certifying
 oriented m-semiregular representations (OmSR) of valency two."""
 
-from .automorphisms import PermutationGroup, automorphisms, is_omsr, stabilizer
+from .automorphisms import PermutationGroup, automorphisms, is_omsr, stabilizer, verify_table
 from .constructions import (abelian_connection_table, circulant_table, construct_omsr,
                             cyclic_connection_table, nonabelian_connection_table,
                             recipe_table, rigid_trivial_table, spanning_tree_lift_table)
@@ -16,7 +16,7 @@ from .reports import VerificationReport
 from .sweep import SweepResult, exhaustive_sweep, find_witness
 
 __all__ = [
-    "PermutationGroup", "automorphisms", "is_omsr", "stabilizer",
+    "PermutationGroup", "automorphisms", "is_omsr", "stabilizer", "verify_table",
     "abelian_connection_table", "circulant_table", "construct_omsr",
     "cyclic_connection_table", "nonabelian_connection_table", "recipe_table",
     "rigid_trivial_table", "spanning_tree_lift_table",

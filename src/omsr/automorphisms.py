@@ -27,18 +27,8 @@ for those refinements and little else: the translations are built once per
 its cell sets, and a probe starts from a copy of its level's dict, O(cells),
 copying a set only when it splits it.  Only generators and |Aut| are kept.
 
-`is_omsr` first tries a certificate that shows Aut = R(G) without a search
-(as in McConnell et al., Certifying algorithms, 2011); the engine decides
-only where it does not close.  Once the translations pass, R(G) <= Aut, so:
-(1) the in- and out-ball sizes, radius <= 3 and grown from each frontier,
-at a block's first vertex are an invariant constant on its block; (2)
-refined by `_refine` on the m-block quotient, each step keyed on invariant
-data, they colour the blocks so that every automorphism keeps each colour
-class; (3) if block 0 is a class alone, it is the orbit of b = vertex 0;
-(4) an automorphism fixing a vertex fixes its out- (in-) neighbours when
-their colours differ, so if a search from b along such arcs reaches every
-vertex, |Aut| = |G| * 1.  The orbits are then the blocks, and a regular
-digraph, searched along and against arcs, is strongly connected.
+The engine decides a verdict only where `certificate.certify` does not
+close; `verify_table` builds the digraph of a table only then.
 """
 
 from __future__ import annotations
@@ -50,10 +40,11 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from . import perms as permlib
-from .digraphs import (Digraph, MCayleyDigraph, _reachable, is_connected, is_k_regular,
-                       is_oriented, right_translation)
+from .certificate import certify
+from .digraphs import (ConnectionTable, Digraph, MCayleyDigraph, build_mcayley, is_connected,
+                       is_k_regular, is_oriented, oriented_table_criterion, right_translation)
 from .errors import TooLarge
-from .groups import generating_set
+from .groups import Group, generating_set
 from .reports import VerificationReport
 
 # The valency the paper studies: `is_omsr` requires in- and out-degree
@@ -236,42 +227,6 @@ def _translations(d: MCayleyDigraph) -> list:
     return G._memo[key]
 
 
-def _rigid_blocks(d: MCayleyDigraph, seeds) -> Optional[PermutationGroup]:
-    """R(G), with order |G|, when the certificate of the module docstring
-    closes on d, else None; ``seeds`` are the translations that passed."""
-    if len(seeds) < len(_translations(d)):
-        return None
-    n, m, adjs = d.group.order, d.m, (d.out_adj, d.in_adj)
-
-    def balls(adj, v):
-        ball, frontier = {v}, [v]
-        for _ in range(3):
-            grown = []
-            for u in frontier:
-                for w in adj[u]:
-                    if w not in ball:
-                        ball.add(w)
-                        grown.append(w)
-            frontier = grown
-            yield len(ball)
-
-    # Steps 1 and 2 at the first vertex of each block i: the quotient's arcs
-    # i -> j are that vertex's arcs into block j.  Then step 3.
-    keys = [[list(balls(adj, i * n)) for adj in adjs] for i in range(m)]
-    quotient = [[[w // n for w in adj[i * n]] for i in range(m)] for adj in adjs]
-    colors = list(map(sorted(keys).index, keys))
-    colors = _refine(*quotient, colors, set(colors))[0]
-    if colors.count(colors[0]) > 1:
-        return None
-    # Step 4: a fixed vertex of block i fixes its out- (in-) neighbours when
-    # those differ in colour, so the search follows follow[i] in block i.
-    follow = [[adj for adj, q in zip(adjs, quotient)
-               if len({colors[j] for j in q[i]}) == len(q[i])] for i in range(m)]
-    if _reachable([f for f in follow for _ in range(n)], 0) < d.n:
-        return None
-    return PermutationGroup(d.n, list(seeds), n, translations_embed=True)
-
-
 def _aut_elements(d: Digraph, seeds=None):
     """(generators, |Aut|, translations_embed) by the search in the module
     docstring; translations_embed is None unless d is an m-Cayley digraph.
@@ -377,21 +332,35 @@ def orbit_count(A: PermutationGroup) -> int:
     return len(permlib.orbit_partition(A.generators, A.degree))
 
 
+def _first_vertex_table(gamma: MCayleyDigraph) -> ConnectionTable:
+    """The table of gamma's arcs at each block's first vertex (e, i), which
+    is gamma's own table once every translation passes."""
+    n, entries = gamma.group.order, {}
+    for i in range(gamma.m):
+        for w in gamma.out_adj[i * n]:
+            entries.setdefault((i, w // n), set()).add(w % n)
+    return ConnectionTable(gamma.m, entries)
+
+
 def is_omsr(gamma: MCayleyDigraph, construction_kind: str = "custom") -> VerificationReport:
     """Verdict on the m-Cayley digraph of G: oriented, regular of valency
     `VALENCY` = 2, and |Aut| = |G|, with G and m read from ``gamma``.
 
     |Aut| = |G| suffices for Aut = R(G) because the right translations
     always embed; the report confirms the embedding from the translations,
-    checked once.  A closed certificate (module docstring) also gives the
-    orbits, and connectivity if gamma is regular; else the engine decides.
+    checked once.  Once they all pass, a closed `certify` on the table read
+    at the first vertices gives Aut = R(G), its orbits, the m blocks, and
+    connectivity if gamma is regular; else the engine decides.
     """
     G = gamma.group
     start = time.perf_counter()
     oriented, regular = is_oriented(gamma), is_k_regular(gamma, VALENCY)
-    seeds = [t for t in _translations(gamma) if _is_automorphism(gamma, t)]
-    closed = gamma.n <= VERTEX_CAP and _rigid_blocks(gamma, seeds)
-    A = closed or automorphisms(gamma, seeds)
+    translations = _translations(gamma)
+    seeds = [t for t in translations if _is_automorphism(gamma, t)]
+    closed = (len(seeds) == len(translations) and gamma.n <= VERTEX_CAP
+              and certify(G, _first_vertex_table(gamma)))
+    A = (PermutationGroup(gamma.n, seeds, G.order, translations_embed=True) if closed
+         else automorphisms(gamma, seeds))
     connected = bool(closed and regular) or is_connected(gamma)
     orbits = ([range(i * G.order, (i + 1) * G.order) for i in range(gamma.m)] if closed
               else permlib.orbit_partition(A.generators, A.degree))
@@ -404,3 +373,27 @@ def is_omsr(gamma: MCayleyDigraph, construction_kind: str = "custom") -> Verific
         aut_order=A.order, stabilizer_order=A.order // len(orbits[0]),
         orbit_count=len(orbits), translations_embed=A.translations_embed,
         runtime_ms=elapsed)
+
+
+def verify_table(G: Group, T: ConnectionTable, construction_kind: str = "custom"
+                 ) -> VerificationReport:
+    """`is_omsr`'s report on the digraph of T over G, which is built only
+    where T does not settle it: T is 2-regular when each block row and
+    column holds `VALENCY` elements, and then a closed `certify` gives
+    Aut = R(G), the m blocks as orbits and strong connectivity.
+    Orientation is `oriented_table_criterion`."""
+    start = time.perf_counter()
+    T.validate(G)
+    sums = [0] * (2 * T.m)
+    for (i, j), cell in T.entries.items():
+        sums[i] += len(cell)
+        sums[T.m + j] += len(cell)
+    if sums != [VALENCY] * (2 * T.m) or not certify(G, T):
+        return is_omsr(build_mcayley(G, T), construction_kind)
+    oriented = oriented_table_criterion(G, T)
+    return VerificationReport(
+        group_label=G.label, m=T.m, group_order=G.order,
+        construction_kind=construction_kind, omsr=oriented,
+        oriented=oriented, regular2=True, connected=True,
+        aut_order=G.order, stabilizer_order=1, orbit_count=T.m, translations_embed=True,
+        runtime_ms=(time.perf_counter() - start) * 1000.0)

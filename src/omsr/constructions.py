@@ -6,11 +6,11 @@ recipes, all three one block-cycle shape that checks its own
 preconditions; a closed rigid table for Z1 at m >= 7; and at m >= 5 the
 circulant C_m(1, 2) lifted to Z2 and the Klein four-group.  No recipe
 searches.  `construct_omsr`, the one path from (G, m) to a verdict,
-verifies the recipe digraph.  Under "auto", where no recipe applies
+verifies the recipe table.  Under "auto", where no recipe applies
 (inside the sweep's feasibility guard), or inside the guard its digraph
 is not an OmSR, the witness search decides: a searched witness, or a
 NOT_EXISTS certificate from its exhausted scan.  Otherwise the recipe
-digraph is the answer, verified or not.
+table is the answer, verified or not.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import tempfile
 import warnings
 from typing import Optional, Tuple, Union
 
-from .automorphisms import VALENCY, VERTEX_CAP, is_omsr
-from .digraphs import ConnectionTable, MCayleyDigraph, build_mcayley, parse_connection_table
+from .automorphisms import VALENCY, VERTEX_CAP, verify_table
+from .digraphs import ConnectionTable, parse_connection_table
 from .errors import (InputError, IsAbelian, NotAbelian, NotGenerating, OrderTooSmall,
                      TooLarge, UnknownFamily)
 from .groups import (GeneratingPair, Group, element_order, find_generating_pair,
@@ -254,37 +254,36 @@ def _searched_witness(G: Group, m: int):
     witness_dir = default_witness_dir()
     cached = _load_cached_witness(G, m, witness_dir)
     if cached is not None:
-        gamma = build_mcayley(G, cached)
-        report = is_omsr(gamma, construction_kind=KIND_SEARCH)
+        report = verify_table(G, cached, KIND_SEARCH)
         if report.omsr:
-            return gamma, report
-    table, gamma, result = sweeplib.find_witness(G, m)
+            return cached, report
+    table, _, result = sweeplib.find_witness(G, m)
     if table is None:
         return result
-    report = is_omsr(gamma, construction_kind=KIND_SEARCH)
+    report = verify_table(G, table, KIND_SEARCH)
     _store_witness(G, m, witness_dir, table)
-    return gamma, report
+    return table, report
 
 
 def construct_omsr(G: Group, pair: Optional[GeneratingPair], m: int, kind: str = "auto"
-                   ) -> Union[Tuple[MCayleyDigraph, VerificationReport], sweeplib.SweepResult]:
-    """Dispatch: a verified witness digraph, or a certified exception.
+                   ) -> Union[Tuple[ConnectionTable, VerificationReport], sweeplib.SweepResult]:
+    """Dispatch: a witness table with its report, or a certified exception.
 
-    Verifies the digraph of `recipe_table` for ``kind``.  Under "auto",
-    where no recipe applies (Z1 below m = 7, Z2 and the Klein four-group
-    below m = 5) or, inside the sweep's feasibility guard, its digraph is
-    not an OmSR, the witness search decides, with the witness cache in
-    `default_witness_dir`.  Its exhausted scan certifies the exceptions,
-    the trivial group with m <= 6, Z2 with m <= 3 and the Klein four-group
-    with m = 2, and its `SweepResult` comes back as the certificate.  An
-    explicit kind, or a digraph past the guard, comes back with its report
-    whatever the verdict.
+    Verifies the table of `recipe_table` for ``kind`` by `verify_table`,
+    which builds its digraph only where the certificate does not close.
+    Under "auto", where no recipe applies (Z1 below m = 7, Z2 and the Klein
+    four-group below m = 5) or, inside the sweep's feasibility guard, its
+    digraph is not an OmSR, the witness search decides, with the witness
+    cache in `default_witness_dir`.  Its exhausted scan certifies the
+    exceptions, the trivial group with m <= 6, Z2 with m <= 3 and the Klein
+    four-group with m = 2, and its `SweepResult` comes back as the
+    certificate.  An explicit kind, or a table past the guard, comes back
+    with its report whatever the verdict.
     """
     recipe = recipe_table(G, pair, m, kind)
     if recipe is not None:
         table, recipe_kind = recipe
-        gamma = build_mcayley(G, table)
-        report = is_omsr(gamma, construction_kind=recipe_kind)
+        report = verify_table(G, table, recipe_kind)
         if report.omsr or kind != "auto" or not sweeplib.feasibility_guard(G, m):
-            return gamma, report
+            return table, report
     return _searched_witness(G, m)

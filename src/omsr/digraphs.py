@@ -135,16 +135,15 @@ def is_k_regular(d: Digraph, k: int) -> bool:
     return list(map(len, d.out_adj)) == list(map(len, d.in_adj)) == [k] * d.n
 
 
-def _reachable(follow, start: int) -> int:
-    """The number of vertices reached from start along adj[u], adj in follow[u]."""
-    seen, reached = [False] * len(follow), [start]
-    seen[start] = True
+def _reachable(adj) -> int:
+    """The number of vertices reached from vertex 0 along the lists of adj."""
+    seen, reached = [False] * len(adj), [0]
+    seen[0] = True
     for u in reached:
-        for adj in follow[u]:
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    reached.append(v)
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                reached.append(v)
     return len(reached)
 
 
@@ -155,8 +154,8 @@ def is_connected(d: Digraph) -> bool:
     if d.n == 0:
         return False
     balanced = list(map(len, d.out_adj)) == list(map(len, d.in_adj))
-    return (_reachable([(d.out_adj,)] * d.n, 0) == d.n
-            and (balanced or _reachable([(d.in_adj,)] * d.n, 0) == d.n))
+    return (_reachable(d.out_adj) == d.n
+            and (balanced or _reachable(d.in_adj) == d.n))
 
 
 def right_translation(G: Group, m: int, g) -> Perm:

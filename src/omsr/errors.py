@@ -81,23 +81,25 @@ def tokens(text: str, start: int = 0) -> list:
 
 
 def read_int(token: str, line: int, col: int, what: str, bound: int | None = None) -> int:
-    """The token as an int, in [0, bound) when a bound is given, or a
-    ParseError at the token's own position."""
-    try:
-        value = int(token)
-    except ValueError:
-        raise ParseError(f"bad {what} {token!r}", line, col) from None
+    """The token, an optional ``-`` and ASCII digits, as an int, in
+    [0, bound) when a bound is given, or a ParseError at its own position."""
+    if not re.fullmatch(r"-?[0-9]+", token):
+        raise ParseError(f"bad {what} {token!r}", line, col)
+    value = int(token)
     if bound is not None and not 0 <= value < bound:
         raise ParseError(f"{what} {value} out of range [0,{bound})", line, col)
     return value
 
 
 def header_int(lines: list, key: str, line: int) -> int:
-    """The integer of the first (number, line) pair, which must read
-    ``<key>: <int>``; ``line`` is reported when there is none."""
+    """The positive integer of the first (number, line) pair, which must
+    read ``<key>: <int>``; ``line`` is reported when there is none."""
     no, text = lines[0] if lines else (line, "")
     name, sep, value = text.partition(":")
     if name.strip() != key or not sep:
         raise ParseError(f"expected '{key}: <int>'", no)
     col = len(name) + 2 + len(value) - len(value.lstrip())
-    return read_int(value.strip(), no, col, f"{key} value")
+    number = read_int(value.strip(), no, col, f"{key} value")
+    if number < 1:
+        raise ParseError(f"{key} value {number} is not positive", no, col)
+    return number

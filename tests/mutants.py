@@ -140,7 +140,7 @@ MUTANTS = [
            (DIGRAPHS + "test_is_oriented_examples",
             DIGRAPHS + "test_oriented_agrees_with_table_criterion")),
     Mutant("connected-without-reverse-search", "omsr/digraphs.py",
-           "\n            and (balanced or _reachable([(d.in_adj,)] * d.n, 0) == d.n)", "",
+           "\n            and (balanced or _reachable(d.in_adj) == d.n)", "",
            (DIGRAPHS + "test_is_connected_examples",
             AUTOMORPHISMS + "test_is_omsr_checks_match_predicates")),
     # The text readers shared by every input format.
@@ -154,6 +154,13 @@ MUTANTS = [
            'raise ParseError(f"bad {what} {token!r}", line)',
            (READERS + "test_malformed_input[connection-table-bad-block-index]",
             READERS + "test_malformed_input[catalog-string-bad-parameter]")),
+    Mutant("int-token-takes-a-plus-sign", "omsr/errors.py",
+           'r"-?[0-9]+"', 'r"[-+]?[0-9]+"',
+           (READERS + "test_malformed_input[catalog-string-plus-sign]",)),
+    Mutant("header-int-without-lower-bound", "omsr/errors.py",
+           "    if number < 1:\n", "    if False:\n",
+           (READERS + "test_malformed_input[connection-table-m-zero]",
+            READERS + "test_malformed_input[table-n-zero]")),
     Mutant("repeated-point-not-refused", "omsr/perms.py",
            "            if x in seen:\n", "            if False:\n",
            (READERS + "test_malformed_input[cycles-point-repeated-in-cycle]",
@@ -201,28 +208,51 @@ MUTANTS = [
            "cell = cells[c] = set(cell)", "cell = cells[c]",
            (AUTOMORPHISMS + "test_engine_matches_brute_force_random",
             AUTOMORPHISMS + "test_relabel_conjugation_invariance")),
-    # The rigid-block certificate of `is_omsr`.
+    # The certificate of `certificate.certify`, read off the table and the group.
     Mutant("certificate-skips-translation-check", "omsr/automorphisms.py",
-           "    if len(seeds) < len(_translations(d)):\n        return None\n",
-           "",
+           "closed = (len(seeds) == len(translations) and gamma.n", "closed = (gamma.n",
            (AUTOMORPHISMS + "test_certificate_needs_the_translations",)),
-    Mutant("certificate-follows-same-colour-out-arcs", "omsr/automorphisms.py",
-           "if len({colors[j] for j in q[i]}) == len(q[i])]",
-           "if adj is d.out_adj or len({colors[j] for j in q[i]}) == len(q[i])]",
+    Mutant("certificate-follows-same-colour-out-arcs", "omsr/certificate.py",
+           "for adj in adjs if len({colors[j] for _, j in adj[i]}) == len(adj[i])",
+           "for adj in adjs if adj is out or len({colors[j] for _, j in adj[i]}) == len(adj[i])",
            (AUTOMORPHISMS + "test_certificate_never_closes_where_the_engine_finds_more",)),
-    Mutant("certificate-block-0-not-alone", "omsr/automorphisms.py",
-           "    if colors.count(colors[0]) > 1:\n        return None\n", "",
+    Mutant("certificate-block-0-not-alone", "omsr/certificate.py",
+           "    if colors.count(colors[0]) > 1:\n        return False\n", "",
+           (AUTOMORPHISMS + "test_certificate_never_closes_where_the_engine_finds_more",
+            AUTOMORPHISMS + "test_certificate_needs_block_0_alone")),
+    Mutant("certificate-accepts-partial-search", "omsr/certificate.py",
+           "    if len(voltage) < m:\n", "    if len(voltage) < m // 2:\n",
            (AUTOMORPHISMS + "test_certificate_never_closes_where_the_engine_finds_more",)),
-    Mutant("certificate-accepts-partial-search", "omsr/automorphisms.py",
-           "for _ in range(n)], 0) < d.n:", "for _ in range(n)], 0) < d.n // 2:",
+    Mutant("certificate-ball-word-dropped", "omsr/certificate.py",
+           "for t, k in adj[j]} - ball", "for t, k in adj[j][1:]} - ball",
+           (AUTOMORPHISMS + "test_certificate_agrees_with_engine_on_recipe_corpus",)),
+    Mutant("certificate-last-block-alone-for-block-0", "omsr/certificate.py",
+           "colors.count(colors[0]) > 1", "colors.count(colors[-1]) > 1",
+           (AUTOMORPHISMS + "test_certificate_needs_block_0_alone",)),
+    Mutant("certificate-refinement-merges-directions", "omsr/certificate.py",
+           "counts.setdefault(u, [0] * len(adjs))[k] += 1",
+           "counts.setdefault(u, [0] * len(adjs))[0] += 1",
+           (AUTOMORPHISMS + "test_certificate_refinement_matches_signature_rounds",)),
+    Mutant("certificate-refinement-drops-a-splitter", "omsr/certificate.py",
+           "            if skip is not None and skip is not cell:\n                queue.add(c)\n",
+           "",
+           (AUTOMORPHISMS + "test_certificate_refinement_matches_signature_rounds",)),
+    Mutant("certificate-generation-test-skipped", "omsr/certificate.py",
+           "    return len(closure(G, schreier)) == G.order\n", "    return True\n",
            (AUTOMORPHISMS + "test_certificate_never_closes_where_the_engine_finds_more",)),
-    # What `is_omsr` reads off a closed certificate.
+    # What `is_omsr` and `verify_table` read off a closed certificate.
     Mutant("connected-without-regularity", "omsr/automorphisms.py",
            "bool(closed and regular)", "bool(closed)",
            (AUTOMORPHISMS + "test_closed_certificate_on_a_digraph_that_is_not_strongly_connected",)),
     Mutant("block-orbits-without-closed-certificate", "omsr/automorphisms.py",
            "for i in range(gamma.m)] if closed", "for i in range(gamma.m)] if A",
            (AUTOMORPHISMS + "test_certificate_never_closes_where_the_engine_finds_more",)),
+    Mutant("table-regularity-not-read", "omsr/automorphisms.py",
+           "if sums != [VALENCY] * (2 * T.m) or not certify(G, T):", "if not certify(G, T):",
+           (AUTOMORPHISMS + "test_table_verdict_agrees_with_is_omsr",)),
+    Mutant("table-orientation-without-criterion", "omsr/automorphisms.py",
+           "oriented = oriented_table_criterion(G, T)", "oriented = True",
+           (AUTOMORPHISMS + "test_table_verdict_agrees_with_is_omsr",)),
 ]
 
 

@@ -10,8 +10,9 @@ import bisect
 import collections
 import itertools
 
-from omsr.automorphisms import (_closure_elements, _is_automorphism, _refine, _rigid_blocks,
-                                _translations, automorphisms)
+from omsr.automorphisms import (PermutationGroup, _closure_elements, _first_vertex_table,
+                                _is_automorphism, _refine, _translations, automorphisms)
+from omsr.certificate import certify
 from omsr.digraphs import Digraph, is_connected, is_k_regular, is_oriented
 from omsr.errors import TooLarge
 from omsr.perms import orbit_partition
@@ -118,9 +119,13 @@ def elements(A):
 
 
 def certificate(d):
-    """`is_omsr`'s rigid-block certificate on the m-Cayley digraph d, given
-    the translations that pass: R(G) when it closes, else None."""
-    return _rigid_blocks(d, [t for t in _translations(d) if _is_automorphism(d, t)])
+    """`is_omsr`'s certificate on the m-Cayley digraph d: R(G), generated by
+    the translations, when they all pass and `certify` closes on the table
+    read at each block's first vertex, else None."""
+    seeds = [t for t in _translations(d) if _is_automorphism(d, t)]
+    if len(seeds) == len(_translations(d)) and certify(d.group, _first_vertex_table(d)):
+        return PermutationGroup(d.n, seeds, d.group.order, translations_embed=True)
+    return None
 
 
 def report_fields(d, construction_kind="custom") -> dict:

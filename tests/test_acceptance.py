@@ -74,9 +74,10 @@ def test_criterion_2_abelian_suite():
     for params in ([3, 3], [2, 4], [3, 6], [4, 4]):
         G, pair = catalog_group("cyclic_product", params)
         for m in range(2, 6):
-            # The dispatcher builds the abelian two-generator recipe
-            # digraph for every cell.  No cell is searched.
-            d, _ = construct_omsr(G, pair, m)
+            # The dispatcher picks the abelian two-generator recipe table
+            # for every cell.  No cell is searched.
+            table, _ = construct_omsr(G, pair, m)
+            d = build_mcayley(G, table)
             order = automorphisms(d).order
             if order != G.order:
                 failures.append((G.label, m, order))

@@ -1,14 +1,19 @@
 """Automorphism engine: refinement, search, oracle agreement, OmSR verdicts."""
 
+import ast
+import collections
 import hashlib
 import importlib
+import inspect
 import itertools
 import random
 
 import pytest
 
+import omsr.certificate
 from omsr.automorphisms import (VERTEX_CAP, _individualize, _refine, aut_order_bounded,
-                                automorphisms, is_omsr, orbit_count, stabilizer)
+                                automorphisms, is_omsr, orbit_count, stabilizer, verify_table)
+from omsr.certificate import certify
 from omsr.cli import group_roster
 from omsr.constructions import (cyclic_connection_table, nonabelian_connection_table,
                                 recipe_table)
@@ -382,8 +387,9 @@ def report_without_runtime(d):
 
 def test_is_omsr_closes_large_recipes_without_individualizing(monkeypatch):
     # The three 240-vertex recipe digraphs are verified by the certificate:
-    # no individualization, and one refinement, on the m-block quotient.
-    # Connectivity and the orbits come from the certificate too.
+    # no individualization, and no engine refinement, since `certify`
+    # refines the m-block quotient itself.  Connectivity and the orbits come
+    # from the certificate too.
     engine = importlib.import_module("omsr.automorphisms")
     individualized, refined, recomputed = [], [], []
     original, refine_ = engine._individualize, engine._refine
@@ -400,7 +406,7 @@ def test_is_omsr_closes_large_recipes_without_individualizing(monkeypatch):
         assert (report.omsr, report.aut_order, report.stabilizer_order, report.orbit_count,
                 report.translations_embed) == (True, G.order, 1, m, True)
     assert individualized == recomputed == []
-    assert refined == [5, 5, 4]
+    assert refined == []
 
 
 def test_is_omsr_falls_back_to_the_engine_with_the_same_report(monkeypatch):
@@ -506,6 +512,83 @@ def test_certificate_needs_the_translations(monkeypatch):
     assert (report.aut_order, report.translations_embed, report.omsr) == (1, False, False)
     translations = G._memo[("translations", 5)]
     assert [sum(p is t for p in checked) for t in translations] == [1] * len(translations)
+
+
+def certificate_random_tables():
+    """(G, T) for the 591 random tables of
+    `test_certificate_never_closes_where_the_engine_finds_more`, drawn alike."""
+    rng = random.Random(3232)
+    pool = [("cyclic", [k]) for k in (1, 2, 3, 4, 6, 12)]
+    pool += [("elementary_abelian_2", [2]), ("symmetric", [3]), ("dicyclic", [2])]
+    for _ in range(600):
+        G, _ = catalog_group(*rng.choice(pool))
+        m = rng.randint(1, 6)
+        if G.order * m >= 2:
+            yield G, random_valency2_table(G, m, rng)
+
+
+def test_table_verdict_agrees_with_is_omsr():
+    # Where T is 2-regular and the certificate closes, verify_table writes
+    # the report from T and G alone; it is is_omsr's on the built digraph,
+    # field for field, on every recipe cell of group_roster(60) at
+    # m = 2..13, on random valency-two tables, some of them not oriented,
+    # and on random tables of any valency.
+    rng = random.Random(2525)
+    cases = [(G, made[0]) for G, pair in group_roster(60) for m in range(2, 14)
+             if G.order * m <= VERTEX_CAP and (made := recipe_table(G, pair, m))]
+    cases += certificate_random_tables()
+    for family, params in (("cyclic", [1]), ("cyclic", [3]), ("symmetric", [3])):
+        G, _ = catalog_group(family, params)
+        cases += [(G, random_table(G, m, rng)) for m in range(1, 5) for _ in range(25)]
+    closed = collections.Counter()
+    for G, T in cases:
+        fields = verify_table(G, T, "kind").to_dict()
+        want = is_omsr(build_mcayley(G, T), "kind").to_dict()
+        del fields["runtime_ms"], want["runtime_ms"]
+        assert fields == want, (G.label, T.to_text())
+        if certify(G, T):
+            closed[fields["regular2"], fields["oriented"]] += 1
+    assert len(cases) == 1427 + 591 + 300
+    assert closed == {(True, True): 1426 + 56, (True, False): 182, (False, True): 30,
+                      (False, False): 73}
+
+
+def test_table_verdict_builds_a_digraph_only_where_the_certificate_fails(monkeypatch):
+    # Of these recipe tables only Z3 m=2 reaches the engine.
+    engine = importlib.import_module("omsr.automorphisms")
+    built = []
+    monkeypatch.setattr(engine, "build_mcayley", lambda G, T: built.append(T) or build_mcayley(G, T))
+    for family, params, m in (("cyclic", [48], 5), ("cyclic_product", [6, 8], 5),
+                              ("alternating", [5], 4), ("cyclic", [3], 2)):
+        G, pair = catalog_group(family, params)
+        report = verify_table(G, recipe_table(G, pair, m)[0])
+        assert (report.omsr, report.aut_order, report.orbit_count) == (True, G.order, m)
+    assert [T.m for T in built] == [2]
+
+
+def test_certificate_needs_block_0_alone():
+    # Over Z3, blocks 0 and 1 are swapped by an automorphism, and block 2,
+    # with the only diagonal cell, is a colour class alone.  From block 0
+    # the followed arcs reach every block, and the closed walk 0 -> 1 -> 0
+    # has voltage 2, which generates Z3: only step 3 refuses the table.
+    G, _ = catalog_group("cyclic", [3])
+    T = ConnectionTable(3, {(0, 1): [1], (1, 0): [1], (0, 2): [0], (1, 2): [0],
+                            (2, 0): [0], (2, 1): [0], (2, 2): [1]})
+    assert not certify(G, T)
+    assert automorphisms(build_mcayley(G, T)).order == 2 * G.order
+
+
+def test_certificate_imports_neither_engine_nor_sweep():
+    # The certificate checks a verdict without trusting the search behind it.
+    tree = ast.parse(inspect.getsource(omsr.certificate))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    assert "groups" in names and not names & {"automorphisms", "sweep"}
 
 
 def test_networkx_agrees_on_closed_certificates():
@@ -614,7 +697,7 @@ def test_is_omsr_checks_match_predicates():
     # 0 -> 1 and a loop at 1: vertex 0 reaches everything, but nothing
     # reaches it, and the in- and out-degrees differ.
     d = build_mcayley(Z1, ConnectionTable(2, {(0, 1): [0], (1, 1): [0]}))
-    assert _reachable([(d.out_adj,)] * d.n, 0) == d.n
+    assert _reachable(d.out_adj) == d.n
     assert check(Z1, d.table) == (False, False, False)
     # Two copies of the oriented Cay(Z5, {1, 2}): 2-regular, not connected.
     Z5, _ = catalog_group("cyclic", [5])
@@ -699,6 +782,23 @@ def test_refine_matches_signature_rounds():
         for _ in range(3):
             labels = [rng.choice((-1, 0, 5)) for _ in range(d.n)]
             assert refine(d, labels) == signature_rounds(d, first_occurrence(labels))
+
+
+def test_certificate_refinement_matches_signature_rounds():
+    # certify refines its block quotient, a digraph with repeated arcs, by
+    # its own splitter queue: the result is the plain rounds' partition, on
+    # the quotients of random tables and on the digraphs of oracle_cases.
+    rng = random.Random(2526)
+    cases = list(oracle_cases(rng))
+    for G, T in itertools.islice(certificate_random_tables(), 100):
+        cases.append(Digraph(T.m, [[j for (k, j), cell in T.entries.items() if k == i
+                                    for _ in cell] for i in range(T.m)]))
+    for d in cases:
+        adjs = [[[(0, w) for w in nbrs] for nbrs in adj] for adj in (d.out_adj, d.in_adj)]
+        for _ in range(3):
+            labels = first_occurrence([rng.choice((0, 1, 5)) for _ in range(d.n)])
+            assert first_occurrence(omsr.certificate._refine(list(labels), adjs)) == \
+                signature_rounds(d, labels)
 
 
 def test_uniform_coloring_is_equitable_on_degree_regular_digraphs():

@@ -207,7 +207,7 @@ def test_construct_klein_m7_lift(tmp_path, monkeypatch):
     # searches nor writes the cache.
     monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
     K, pair = catalog_group("elementary_abelian_2", [2])
-    gamma, report = construct_omsr(K, pair, 7)
+    _, report = construct_omsr(K, pair, 7)
     assert report.construction_kind == KIND_LIFT
     assert report.omsr and report.aut_order == 4
     assert not list(tmp_path.iterdir())
@@ -223,7 +223,7 @@ def test_construct_small_groups_past_search_budget(tmp_path, monkeypatch, m):
                                  (("cyclic", [2]), KIND_LIFT),
                                  (("elementary_abelian_2", [2]), KIND_LIFT)]:
         G, pair = catalog_group(name, params)
-        gamma, report = construct_omsr(G, pair, m)
+        _, report = construct_omsr(G, pair, m)
         assert report.omsr and report.connected and report.aut_order == G.order
         assert report.construction_kind == kind
     assert not list(tmp_path.iterdir())
@@ -367,15 +367,15 @@ def test_construct_klein_m2_exception(tmp_path, monkeypatch):
 def test_construct_trivial_m7_witness(tmp_path, monkeypatch):
     monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
     G, pair = catalog_group("cyclic", [1])
-    gamma, report = construct_omsr(G, pair, 7)
+    table, report = construct_omsr(G, pair, 7)
     assert report.omsr and report.aut_order == 1
     assert report.construction_kind == KIND_RIGID_TRIVIAL
-    assert gamma.table == rigid_trivial_table(7)
+    assert table == rigid_trivial_table(7)
 
 
 def test_construct_s3_m4():
     G, pair = catalog_group("symmetric", [3])
-    gamma, report = construct_omsr(G, pair, 4)
+    _, report = construct_omsr(G, pair, 4)
     assert report.omsr and report.aut_order == 6
     assert report.construction_kind == KIND_NONABELIAN
 
@@ -409,25 +409,25 @@ def test_recipe_rejected_inside_guard_searches_under_auto_only(tmp_path, monkeyp
     monkeypatch.setattr(constructions, "recipe_table", rejected_for_z3_m3)
     monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
     G, pair = catalog_group("cyclic", [3])
-    gamma, report = construct_omsr(G, pair, 3)
+    table, report = construct_omsr(G, pair, 3)
     assert (report.construction_kind, report.omsr, report.aut_order) == (KIND_SEARCH, True, 3)
-    assert gamma.table != rejected
-    gamma, report = construct_omsr(G, pair, 3, kind="cyclic")
+    assert table != rejected
+    table, report = construct_omsr(G, pair, 3, kind="cyclic")
     assert (report.construction_kind, report.omsr, report.aut_order) == (KIND_CYCLIC, False, 18)
-    assert gamma.table == rejected
+    assert table == rejected
 
 
 def test_witness_cache_round_trip(tmp_path, monkeypatch):
     monkeypatch.setenv("OMSR_WITNESS_DIR", str(tmp_path))
     G, pair = catalog_group("elementary_abelian_2", [2])
-    gamma1, report1 = construct_omsr(G, pair, 3)
+    table1, report1 = construct_omsr(G, pair, 3)
     assert report1.omsr
     files = list(tmp_path.glob("*.table"))
     assert len(files) == 1
     # Second call reuses the cached table and still verifies from scratch.
-    gamma2, report2 = construct_omsr(G, pair, 3)
+    table2, report2 = construct_omsr(G, pair, 3)
     assert report2.omsr
-    assert gamma2.table == gamma1.table
+    assert table2 == table1
 
 
 def test_bundled_witnesses_reverify():
@@ -512,10 +512,10 @@ def test_certificate_is_the_scan_result(tmp_path, monkeypatch):
             (direct.tables_enumerated, direct.oriented_count, direct.max_aut_order_seen), row
         assert (result.all_failed, result.verdict) == (True, "NOT_EXISTS")
     K, pair = groups["Z2xZ2"]
-    gamma, report = construct_omsr(K, pair, 3)
+    witness, report = construct_omsr(K, pair, 3)
     assert report.omsr and report.construction_kind == KIND_SEARCH
     table, _, result = find_witness(K, 3)
-    assert table == gamma.table
+    assert table == witness
     assert (result.all_failed, result.verdict) == (False, "EXISTS")
 
 
@@ -558,10 +558,10 @@ def test_corrupt_cached_witness_is_skipped(tmp_path, monkeypatch):
     path = tmp_path / os.path.basename(_witness_path(G, 3, str(tmp_path)))
     path.write_text("m: 3\nT 0 0 : 1\nT 0 1")  # cut off mid-write
     with pytest.warns(UserWarning, match="unreadable witness cache file"):
-        gamma, report = construct_omsr(G, pair, 3)
+        table, report = construct_omsr(G, pair, 3)
     assert report.omsr and report.construction_kind == KIND_SEARCH
     # The search rewrote the file with the witness it found.
-    assert parse_connection_table(path.read_text()) == gamma.table
+    assert parse_connection_table(path.read_text()) == table
 
 
 def test_store_witness_replaces_atomically(tmp_path, monkeypatch):

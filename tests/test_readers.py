@@ -61,6 +61,12 @@ MALFORMED = {
                                       "unknown family 'nope'"),
     "catalog-string-bad-parameter": ("group", "catalog:cyclic:x", ParseError, 1, 16,
                                      "bad parameter 'x'"),
+    "catalog-string-underscore-in-parameter": ("group", "catalog:cyclic:1_0", ParseError, 1, 16,
+                                               "bad parameter '1_0'"),
+    "catalog-string-plus-sign": ("group", "catalog:cyclic:+3", ParseError, 1, 16,
+                                 "bad parameter '+3'"),
+    "catalog-string-non-ascii-digit": ("group", "catalog:cyclic:\u0663", ParseError, 1, 16,
+                                       "bad parameter '\u0663'"),
     "catalog-string-empty-parameter": ("group", "catalog:cyclic_product:3:", ParseError, 1, 26,
                                        "bad parameter ''"),
     "group-file-missing": ("group", "/does/not/exist.txt", ParseError, 1, 1,
@@ -69,6 +75,10 @@ MALFORMED = {
     "connection-table-without-m": ("table", "# cache\nT 0 0 : 1\n", ParseError, 2, 1,
                                    "expected 'm: <int>'"),
     "connection-table-bad-m": ("table", "m: x\n", ParseError, 1, 4, "bad m value 'x'"),
+    "connection-table-m-zero": ("table", "m: 0\n", ParseError, 1, 4, "m value 0 is not positive"),
+    "connection-table-m-negative": ("table", "# cache\nm:  -3\n", ParseError, 2, 5,
+                                    "m value -3 is not positive"),
+    "table-n-zero": ("spec", "kind: table\nn: 0\n", ParseError, 2, 4, "n value 0 is not positive"),
     "connection-table-bad-row": ("table", "m: 2\nT 0 : 1\n", ParseError, 2, 1,
                                  "expected 'T i j : e1 e2 ...'"),
     "connection-table-row-without-colon": ("table", "m: 2\nT 0 1 1\n", ParseError, 2, 1,

@@ -352,27 +352,29 @@ def is_omsr(gamma: MCayleyDigraph, construction_kind: str = "custom") -> Verific
     at the first vertices gives Aut = R(G), its orbits, the m blocks, and
     connectivity if gamma is regular; else the engine decides.
     """
+    return _report(gamma, construction_kind, certify(gamma.group, _first_vertex_table(gamma)))
+
+
+def _report(gamma: MCayleyDigraph, construction_kind: str, certified: bool) -> VerificationReport:
+    """`is_omsr`'s report, ``certified`` being `certify` on gamma's table."""
     G = gamma.group
     start = time.perf_counter()
     oriented, regular = is_oriented(gamma), is_k_regular(gamma, VALENCY)
     translations = _translations(gamma)
     seeds = [t for t in translations if _is_automorphism(gamma, t)]
-    closed = (len(seeds) == len(translations) and gamma.n <= VERTEX_CAP
-              and certify(G, _first_vertex_table(gamma)))
+    closed = len(seeds) == len(translations) and gamma.n <= VERTEX_CAP and certified
     A = (PermutationGroup(gamma.n, seeds, G.order, translations_embed=True) if closed
          else automorphisms(gamma, seeds))
     connected = bool(closed and regular) or is_connected(gamma)
     orbits = ([range(i * G.order, (i + 1) * G.order) for i in range(gamma.m)] if closed
               else permlib.orbit_partition(A.generators, A.degree))
-    verdict = bool(oriented and regular and A.order == G.order)
-    elapsed = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
         group_label=G.label, m=gamma.m, group_order=G.order,
-        construction_kind=construction_kind, omsr=verdict,
+        construction_kind=construction_kind, omsr=bool(oriented and regular and A.order == G.order),
         oriented=oriented, regular2=regular, connected=connected,
         aut_order=A.order, stabilizer_order=A.order // len(orbits[0]),
         orbit_count=len(orbits), translations_embed=A.translations_embed,
-        runtime_ms=elapsed)
+        runtime_ms=(time.perf_counter() - start) * 1000.0)
 
 
 def verify_table(G: Group, T: ConnectionTable, construction_kind: str = "custom"
@@ -381,15 +383,15 @@ def verify_table(G: Group, T: ConnectionTable, construction_kind: str = "custom"
     where T does not settle it: T is 2-regular when each block row and
     column holds `VALENCY` elements, and then a closed `certify` gives
     Aut = R(G), the m blocks as orbits and strong connectivity.
-    Orientation is `oriented_table_criterion`."""
+    Orientation is `oriented_table_criterion`; `certify` runs once."""
     start = time.perf_counter()
     T.validate(G)
     sums = [0] * (2 * T.m)
     for (i, j), cell in T.entries.items():
         sums[i] += len(cell)
         sums[T.m + j] += len(cell)
-    if sums != [VALENCY] * (2 * T.m) or not certify(G, T):
-        return is_omsr(build_mcayley(G, T), construction_kind)
+    if not (closed := certify(G, T)) or sums != [VALENCY] * (2 * T.m):
+        return _report(build_mcayley(G, T), construction_kind, closed)
     oriented = oriented_table_criterion(G, T)
     return VerificationReport(
         group_label=G.label, m=T.m, group_order=G.order,

@@ -3,10 +3,11 @@ Certifying algorithms, 2011): Aut = R(G) for the m-Cayley digraph of a
 table T over G, read off T and G alone, with nothing from the engine or
 the sweep.  The arcs (x, i) -> (t x, j), t in T[i][j], commute with right
 multiplication, so R(G) <= Aut, and four steps give |Aut| = |G|.  (1) The
-in- and out-ball sizes, radius <= 3, at (e, i) are constant on block i.
-(2) Refined on the m-block quotient, with an arc i -> j per entry of
-T[i][j], they colour the blocks so that every automorphism keeps each
-class.  (3) If block 0 is a class alone, it is the orbit of b = (e, 0).
+in- and out-ball sizes, radius <= 3, at (e, i), grown by breadth-first
+layers, are constant on block i.  (2) Refined on the m-block quotient, with
+an arc i -> j per entry of T[i][j], until no class splits or every block
+has its own colour, they colour the blocks so that every automorphism keeps
+each class.  (3) If block 0 is a class alone, it is the orbit of b = (e, 0).
 (4) An automorphism fixing a vertex fixes its out- (in-) neighbours when
 their colours differ.  A walk from b along such arcs, with voltage t along
 an arc of T[i][j] and t^-1 against one, reaches (w, j), w its voltage; so
@@ -17,8 +18,6 @@ digraph, searched along and against arcs, is strongly connected.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .groups import Group, closure
 
@@ -39,13 +38,14 @@ def _refine(colors: list, adjs) -> list:
     """The coarsest refinement of the block colours in which the blocks of a
     class have, in each of ``adjs``, as many arcs to each class, by a
     splitter queue that leaves out one largest fragment of each split class
-    not itself queued (Hopcroft's smaller half).  ``colors``, of any
-    hashable values, is recoloured in place, each new class with a new int."""
+    not itself queued (Hopcroft's smaller half), and stops at a discrete
+    colouring.  ``colors``, of hashable values, is recoloured in place with
+    a new int for each new class."""
     classes = {}
     for i, c in enumerate(colors):
         classes.setdefault(c, set()).add(i)
     queue, fresh = set(classes), len(colors)
-    while queue:
+    while queue and len(classes) < len(colors):
         s, counts, hits = queue.pop(), {}, {}
         for k, adj in enumerate(adjs):
             for w in classes[s]:
@@ -72,6 +72,26 @@ def _refine(colors: list, adjs) -> list:
     return colors
 
 
+def _ball_sizes(G: Group, adjs) -> list:
+    """Step 1: per block i, the sizes of the balls of radius 1, 2, 3 at (e, i)
+    in each of ``adjs``; a (product, block) pair is seen as product * m + block."""
+    m, mult, keys = len(adjs[0]), G.mult, []
+    for i in range(m):
+        keys.append(key := [])
+        for adj in adjs:
+            seen, layer = {i}, [(0, i)]
+            for _ in range(3):
+                last, layer = layer, []
+                for x, j in last:
+                    for t, k in adj[j]:
+                        y = mult[t][x]
+                        if (code := y * m + k) not in seen:
+                            seen.add(code)
+                            layer.append((y, k))
+                key.append(len(seen))
+    return list(map(tuple, keys))
+
+
 def certify(G: Group, T) -> bool:
     """Whether the certificate of the module docstring closes on the
     digraph of the table T over G."""
@@ -81,14 +101,7 @@ def certify(G: Group, T) -> bool:
         for t in cell:
             out[i].append((t, j))
             into[j].append((inv[t], i))
-    keys = [[] for _ in range(m)]
-    for i, adj in itertools.product(range(m), adjs):  # step 1: balls of (product, block) pairs
-        ball = frontier = {(0, i)}
-        for _ in range(3):
-            frontier = {(mult[t][x], k) for x, j in frontier for t, k in adj[j]} - ball
-            ball = ball | frontier
-            keys[i].append(len(ball))
-    colors = _refine(list(map(tuple, keys)), adjs)  # step 2, then step 3
+    colors = _refine(_ball_sizes(G, adjs), adjs)  # steps 1 and 2, then step 3
     if colors.count(colors[0]) > 1:
         return False
     # Step 4: a fixed vertex of block i fixes the heads of follow[i].

@@ -7,7 +7,9 @@ Each mutant names a file under src/, an exact old text that occurs there
 once, the text that replaces it, and the test ids that must each fail with
 it.  For each mutant the script copies src/ to a temporary directory,
 applies the edit there and runs pytest on only those ids, with the copy
-first on PYTHONPATH, one process at a time.  It exits 1 when a mutant
+first on PYTHONPATH; min(2, cpu count) worker processes take the mutants
+in turn, each pytest run under its own time and memory limits, and the
+results are printed in list order.  It exits 1 when a mutant
 survives (one of its tests passes) or is stale (its old text is not found
 exactly once, or a test id no longer exists); a run that times out or
 fails to import counts as a kill.  A change that moves mutated code
@@ -19,6 +21,7 @@ pytest does not collect this file (it is not named test_*.py).
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import resource
 import shutil
@@ -210,7 +213,7 @@ MUTANTS = [
             AUTOMORPHISMS + "test_relabel_conjugation_invariance")),
     # The certificate of `certificate.certify`, read off the table and the group.
     Mutant("certificate-skips-translation-check", "omsr/automorphisms.py",
-           "closed = (len(seeds) == len(translations) and gamma.n", "closed = (gamma.n",
+           "closed = len(seeds) == len(translations) and gamma.n", "closed = gamma.n",
            (AUTOMORPHISMS + "test_certificate_needs_the_translations",)),
     Mutant("certificate-follows-same-colour-out-arcs", "omsr/certificate.py",
            "for adj in adjs if len({colors[j] for _, j in adj[i]}) == len(adj[i])",
@@ -224,8 +227,13 @@ MUTANTS = [
            "    if len(voltage) < m:\n", "    if len(voltage) < m // 2:\n",
            (AUTOMORPHISMS + "test_certificate_never_closes_where_the_engine_finds_more",)),
     Mutant("certificate-ball-word-dropped", "omsr/certificate.py",
-           "for t, k in adj[j]} - ball", "for t, k in adj[j][1:]} - ball",
-           (AUTOMORPHISMS + "test_certificate_agrees_with_engine_on_recipe_corpus",)),
+           "for t, k in adj[j]:", "for t, k in adj[j][1:]:",
+           (AUTOMORPHISMS + "test_certificate_agrees_with_engine_on_recipe_corpus",
+            AUTOMORPHISMS + "test_certificate_ball_sizes_match_sets_of_pairs")),
+    Mutant("certificate-ball-code-collides", "omsr/certificate.py",
+           "y * m + k", "y + k",
+           (AUTOMORPHISMS + "test_certificate_ball_sizes_match_sets_of_pairs",
+            AUTOMORPHISMS + "test_certificate_agrees_with_engine_on_recipe_corpus")),
     Mutant("certificate-last-block-alone-for-block-0", "omsr/certificate.py",
            "colors.count(colors[0]) > 1", "colors.count(colors[-1]) > 1",
            (AUTOMORPHISMS + "test_certificate_needs_block_0_alone",)),
@@ -237,6 +245,10 @@ MUTANTS = [
            "            if skip is not None and skip is not cell:\n                queue.add(c)\n",
            "",
            (AUTOMORPHISMS + "test_certificate_refinement_matches_signature_rounds",)),
+    Mutant("certificate-refinement-stops-early", "omsr/certificate.py",
+           "len(classes) < len(colors)", "len(classes) < len(colors) - 1",
+           (AUTOMORPHISMS + "test_certificate_refinement_stops_on_a_discrete_colouring",
+            AUTOMORPHISMS + "test_certificate_refinement_matches_signature_rounds")),
     Mutant("certificate-generation-test-skipped", "omsr/certificate.py",
            "    return len(closure(G, schreier)) == G.order\n", "    return True\n",
            (AUTOMORPHISMS + "test_certificate_never_closes_where_the_engine_finds_more",)),
@@ -248,8 +260,12 @@ MUTANTS = [
            "for i in range(gamma.m)] if closed", "for i in range(gamma.m)] if A",
            (AUTOMORPHISMS + "test_certificate_never_closes_where_the_engine_finds_more",)),
     Mutant("table-regularity-not-read", "omsr/automorphisms.py",
-           "if sums != [VALENCY] * (2 * T.m) or not certify(G, T):", "if not certify(G, T):",
+           " or sums != [VALENCY] * (2 * T.m):", ":",
            (AUTOMORPHISMS + "test_table_verdict_agrees_with_is_omsr",)),
+    Mutant("table-fallback-certifies-again", "omsr/automorphisms.py",
+           "_report(build_mcayley(G, T), construction_kind, closed)",
+           "is_omsr(build_mcayley(G, T), construction_kind)",
+           (AUTOMORPHISMS + "test_table_verdict_certifies_once_where_the_engine_decides",)),
     Mutant("table-orientation-without-criterion", "omsr/automorphisms.py",
            "oriented = oriented_table_criterion(G, T)", "oriented = True",
            (AUTOMORPHISMS + "test_table_verdict_agrees_with_is_omsr",)),
@@ -292,6 +308,12 @@ def run(mutant: Mutant) -> str:
     return f"survived: {', '.join(passed)} passed"
 
 
+def timed_run(mutant: Mutant) -> tuple:
+    """`run`'s outcome and its wall time in seconds."""
+    start = time.perf_counter()
+    return run(mutant), time.perf_counter() - start
+
+
 def main(argv) -> int:
     chosen = [m for m in MUTANTS if not argv or m.name in argv]
     unknown = set(argv) - {m.name for m in MUTANTS}
@@ -308,13 +330,13 @@ def main(argv) -> int:
         if not where.startswith(str(src)):
             print(f"omsr imports from {where or 'nowhere'}, not from the copy", file=sys.stderr)
             return 2
-    bad = 0
-    for mutant in chosen:
-        start = time.perf_counter()
-        outcome = run(mutant)
-        bad += outcome.split()[0] != "killed"
-        print(f"{mutant.name}: {outcome} ({time.perf_counter() - start:.1f} s)", flush=True)
-    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    bad, start = 0, time.perf_counter()
+    with concurrent.futures.ProcessPoolExecutor(min(2, os.cpu_count() or 1)) as pool:
+        for mutant, (outcome, seconds) in zip(chosen, pool.map(timed_run, chosen)):
+            bad += outcome.split()[0] != "killed"
+            print(f"{mutant.name}: {outcome} ({seconds:.1f} s)", flush=True)
+    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed "
+          f"in {time.perf_counter() - start:.1f} s")
     return 1 if bad else 0
 
 

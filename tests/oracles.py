@@ -128,6 +128,32 @@ def certificate(d):
     return None
 
 
+def quotient_arcs(G, T):
+    """certify's arcs of the m-block quotient: for each block i, out[i] with
+    a (t, j) per t in T[i][j], and into[j] with a (t^-1, i)."""
+    out, into = [[] for _ in range(T.m)], [[] for _ in range(T.m)]
+    for (i, j), cell in T.entries.items():
+        for t in cell:
+            out[i].append((t, j))
+            into[j].append((G.inv[t], i))
+    return [out, into]
+
+
+def ball_sizes_reference(G, adjs):
+    """Step 1 of `certify` as sets of (product, block) pairs: per block i,
+    the sizes of the balls of radius 1, 2, 3 at (e, i) in each of ``adjs``,
+    each ball the last one joined with its frontier."""
+    m = len(adjs[0])
+    keys = [[] for _ in range(m)]
+    for i, adj in itertools.product(range(m), adjs):
+        ball = frontier = {(0, i)}
+        for _ in range(3):
+            frontier = {(G.mult[t][x], k) for x, j in frontier for t, k in adj[j]} - ball
+            ball = ball | frontier
+            keys[i].append(len(ball))
+    return list(map(tuple, keys))
+
+
 def report_fields(d, construction_kind="custom") -> dict:
     """Every field of `is_omsr(d).to_dict()` but runtime_ms, computed as
     before a closed certificate gave connectivity and the orbits: by

@@ -23,8 +23,9 @@ from omsr.errors import TooLarge
 from omsr.groups import catalog_group, group_from_cayley_table, normalize_generating_pair
 from omsr.perms import compose, inverse, orbit_partition
 from omsr.sweep import _RankedMoves, enumerate_tables, exhaustive_sweep
-from oracles import (arcs, brute_force_automorphisms, certificate, elements, first_occurrence,
-                     k_regular, oriented, refine, report_fields, strongly_connected)
+from oracles import (arcs, ball_sizes_reference, brute_force_automorphisms, certificate, elements,
+                     first_occurrence, k_regular, oriented, quotient_arcs, refine, report_fields,
+                     strongly_connected)
 
 
 def directed_cycle(n):
@@ -576,6 +577,66 @@ def test_certificate_needs_block_0_alone():
                             (2, 0): [0], (2, 1): [0], (2, 2): [1]})
     assert not certify(G, T)
     assert automorphisms(build_mcayley(G, T)).order == 2 * G.order
+
+
+def test_table_verdict_certifies_once_where_the_engine_decides(monkeypatch):
+    # Z3 m=2 falls back to the engine: the built digraph's report reuses
+    # verify_table's answer from certify instead of running it again.
+    engine = importlib.import_module("omsr.automorphisms")
+    calls = []
+    monkeypatch.setattr(engine, "certify", lambda G, T: calls.append(T) or certify(G, T))
+    G, pair = catalog_group("cyclic", [3])
+    report = verify_table(G, recipe_table(G, pair, 2)[0])
+    assert (report.omsr, report.aut_order, report.orbit_count) == (True, 3, 2)
+    assert len(calls) == 1
+
+
+def test_certificate_ball_sizes_match_sets_of_pairs():
+    # Step 1 codes a (product, block) pair as product * m + block: its ball
+    # sizes are those of the sets of pairs, on every recipe cell of
+    # group_roster(24) at m = 2..13 and on random tables of any valency,
+    # many with repeated quotient arcs (a cell of two or three elements)
+    # or with loops (the identity in a diagonal cell).
+    rng = random.Random(4343)
+    cases = [(G, made[0]) for G, pair in group_roster(24) for m in range(2, 14)
+             if (made := recipe_table(G, pair, m))]
+    pool = [("cyclic", [k]) for k in (2, 3, 4, 6)]
+    pool += [("elementary_abelian_2", [2]), ("symmetric", [3]), ("dicyclic", [2])]
+    for _ in range(500):
+        G, _ = catalog_group(*rng.choice(pool))
+        cases.append((G, random_table(G, rng.randint(1, 6), rng, max_cell=3)))
+    assert len(cases) == 589 + 500
+    for G, T in cases:
+        adjs = quotient_arcs(G, T)
+        assert omsr.certificate._ball_sizes(G, adjs) == ball_sizes_reference(G, adjs), \
+            (G.label, T.to_text())
+    drawn = [T for _, T in cases[-500:]]
+    shapes = collections.Counter()
+    for T in drawn:
+        shapes["not 2-regular"] += any(sum(len(T.entries.get((i, j), ())) for j in range(T.m)) != 2
+                                       for i in range(T.m))
+        shapes["repeated arcs"] += any(len(cell) > 1 for cell in T.entries.values())
+        shapes["loops"] += any(0 in T.entries.get((i, i), ()) for i in range(T.m))
+    assert min(shapes.values()) >= 300, shapes
+
+
+def test_certificate_refinement_stops_on_a_discrete_colouring():
+    # Once every block has its own colour no class can split, and no
+    # splitter is popped: no block's arcs are read, and the colours are
+    # returned as they came.  One class short of that, a pair still splits:
+    # on the path 0 -> 1 -> 2, block 1's in-arc comes from block 0's class.
+    read = []
+
+    class Arcs:
+        def __getitem__(self, block):
+            read.append(block)
+            return []
+
+    colors = [(3, 1), (1, 2), (2, 2)]
+    assert omsr.certificate._refine(colors, [Arcs(), Arcs()]) == [(3, 1), (1, 2), (2, 2)]
+    assert read == []
+    out, into = [[(0, 1)], [(0, 2)], []], [[], [(0, 0)], [(0, 1)]]
+    assert len(set(omsr.certificate._refine([0, 1, 1], [out, into]))) == 3
 
 
 def test_certificate_imports_neither_engine_nor_sweep():

@@ -27,8 +27,10 @@ for those refinements and little else: the translations are built once per
 its cell sets, and a probe starts from a copy of its level's dict, O(cells),
 copying a set only when it splits it.  Only generators and |Aut| are kept.
 
-The engine decides a verdict only where `certificate.certify` does not
-close; `verify_table` builds the digraph of a table only then.
+`is_omsr` decides a digraph by this search alone.  `verify_table` decides
+a table by `certificate.certify`, which reads only the table and G, and
+builds the digraph for the search only where T is not 2-regular or the
+certificate does not close.
 """
 
 from __future__ import annotations
@@ -227,10 +229,9 @@ def _translations(d: MCayleyDigraph) -> list:
     return G._memo[key]
 
 
-def _aut_elements(d: Digraph, seeds=None):
+def _aut_elements(d: Digraph):
     """(generators, |Aut|, translations_embed) by the search in the module
-    docstring; translations_embed is None unless d is an m-Cayley digraph.
-    ``seeds`` are its translations that pass, or None if not yet checked."""
+    docstring; translations_embed is None unless d is an m-Cayley digraph."""
     out_adj, in_adj, n = d.out_adj, d.in_adj, d.n
     # On a degree-regular digraph the uniform partition is equitable as it
     # is; traces[0] is never a probe's reference.
@@ -267,14 +268,12 @@ def _aut_elements(d: Digraph, seeds=None):
         found = (probe(level + 1, c2, cells, w) for w in sorted(cells[target]))
         return next((g for g in found if g is not None), None)
 
-    embed = None
+    embed, seeds = None, []
     if isinstance(d, MCayleyDigraph):
         # R(G) embeds exactly when all the translations pass.
         translations = _translations(d)
-        if seeds is None:
-            seeds = [t for t in translations if _is_automorphism(d, t)]
+        seeds = [t for t in translations if _is_automorphism(d, t)]
         embed = len(seeds) == len(translations)
-    seeds = seeds or []
 
     gens, order = [], 1
     for level in reversed(range(len(base))):
@@ -296,12 +295,12 @@ def _aut_elements(d: Digraph, seeds=None):
     return seeds + gens, order, embed
 
 
-def automorphisms(d: Digraph, seeds=None) -> PermutationGroup:
+def automorphisms(d: Digraph) -> PermutationGroup:
     """Full automorphism group by individualize-refine backtracking, for
-    digraphs of at most `VERTEX_CAP` vertices; ``seeds`` as for `_aut_elements`."""
+    digraphs of at most `VERTEX_CAP` vertices."""
     if d.n > VERTEX_CAP:
         raise TooLarge(f"{d.n} vertices exceeds cap {VERTEX_CAP}")
-    gens, order, embed = _aut_elements(d, seeds)
+    gens, order, embed = _aut_elements(d)
     return PermutationGroup(degree=d.n, generators=gens, order=order,
                             translations_embed=embed)
 
@@ -332,46 +331,23 @@ def orbit_count(A: PermutationGroup) -> int:
     return len(permlib.orbit_partition(A.generators, A.degree))
 
 
-def _first_vertex_table(gamma: MCayleyDigraph) -> ConnectionTable:
-    """The table of gamma's arcs at each block's first vertex (e, i), which
-    is gamma's own table once every translation passes."""
-    n, entries = gamma.group.order, {}
-    for i in range(gamma.m):
-        for w in gamma.out_adj[i * n]:
-            entries.setdefault((i, w // n), set()).add(w % n)
-    return ConnectionTable(gamma.m, entries)
-
-
 def is_omsr(gamma: MCayleyDigraph, construction_kind: str = "custom") -> VerificationReport:
     """Verdict on the m-Cayley digraph of G: oriented, regular of valency
-    `VALENCY` = 2, and |Aut| = |G|, with G and m read from ``gamma``.
+    `VALENCY` = 2, and |Aut| = |G|, with G and m read from ``gamma``, by the
+    digraph predicates and `automorphisms`.
 
     |Aut| = |G| suffices for Aut = R(G) because the right translations
-    always embed; the report confirms the embedding from the translations,
-    checked once.  Once they all pass, a closed `certify` on the table read
-    at the first vertices gives Aut = R(G), its orbits, the m blocks, and
-    connectivity if gamma is regular; else the engine decides.
+    always embed; the report confirms the embedding from the translations.
     """
-    return _report(gamma, construction_kind, certify(gamma.group, _first_vertex_table(gamma)))
-
-
-def _report(gamma: MCayleyDigraph, construction_kind: str, certified: bool) -> VerificationReport:
-    """`is_omsr`'s report, ``certified`` being `certify` on gamma's table."""
     G = gamma.group
     start = time.perf_counter()
     oriented, regular = is_oriented(gamma), is_k_regular(gamma, VALENCY)
-    translations = _translations(gamma)
-    seeds = [t for t in translations if _is_automorphism(gamma, t)]
-    closed = len(seeds) == len(translations) and gamma.n <= VERTEX_CAP and certified
-    A = (PermutationGroup(gamma.n, seeds, G.order, translations_embed=True) if closed
-         else automorphisms(gamma, seeds))
-    connected = bool(closed and regular) or is_connected(gamma)
-    orbits = ([range(i * G.order, (i + 1) * G.order) for i in range(gamma.m)] if closed
-              else permlib.orbit_partition(A.generators, A.degree))
+    A = automorphisms(gamma)
+    orbits = permlib.orbit_partition(A.generators, A.degree)
     return VerificationReport(
         group_label=G.label, m=gamma.m, group_order=G.order,
         construction_kind=construction_kind, omsr=bool(oriented and regular and A.order == G.order),
-        oriented=oriented, regular2=regular, connected=connected,
+        oriented=oriented, regular2=regular, connected=is_connected(gamma),
         aut_order=A.order, stabilizer_order=A.order // len(orbits[0]),
         orbit_count=len(orbits), translations_embed=A.translations_embed,
         runtime_ms=(time.perf_counter() - start) * 1000.0)
@@ -382,16 +358,17 @@ def verify_table(G: Group, T: ConnectionTable, construction_kind: str = "custom"
     """`is_omsr`'s report on the digraph of T over G, which is built only
     where T does not settle it: T is 2-regular when each block row and
     column holds `VALENCY` elements, and then a closed `certify` gives
-    Aut = R(G), the m blocks as orbits and strong connectivity.
-    Orientation is `oriented_table_criterion`; `certify` runs once."""
+    Aut = R(G), the m blocks as orbits and strong connectivity, and
+    `oriented_table_criterion` the orientation."""
     start = time.perf_counter()
     T.validate(G)
     sums = [0] * (2 * T.m)
     for (i, j), cell in T.entries.items():
         sums[i] += len(cell)
         sums[T.m + j] += len(cell)
-    if not (closed := certify(G, T)) or sums != [VALENCY] * (2 * T.m):
-        return _report(build_mcayley(G, T), construction_kind, closed)
+    regular = sums == [VALENCY] * (2 * T.m)
+    if not (regular and certify(G, T)):
+        return is_omsr(build_mcayley(G, T), construction_kind)
     oriented = oriented_table_criterion(G, T)
     return VerificationReport(
         group_label=G.label, m=T.m, group_order=G.order,

@@ -48,11 +48,11 @@ def _block_cycle_table(G: Group, m: int, gens, d0: int, d: int, c: int) -> Conne
     diagonal cell and d in the others, the identity on the superdiagonal,
     and c in the corner (m - 1, 0) that closes the cycle of blocks.
 
-    Raises ValueError for m < 2, NotGenerating unless ``gens`` generate G,
+    Raises InputError for m < 2, NotGenerating unless ``gens`` generate G,
     and OrderTooSmall for a diagonal word of order at most 2 (a loop or a
     digon) or c = e (at m = 2, a digon with the superdiagonal)."""
     if m < 2:
-        raise ValueError("m must be at least 2")
+        raise InputError("m must be at least 2")
     if not generates(G, gens):
         raise NotGenerating(f"elements {', '.join(map(str, gens))} do not generate {G!r}")
     if min(element_order(G, d0), element_order(G, d)) < 3:
@@ -93,7 +93,7 @@ def circulant_table(m: int) -> ConnectionTable:
     (mod m): oriented and 2-regular for m >= 5, the base that
     `spanning_tree_lift_table` lifts to Z2 and the Klein four-group."""
     if m < LIFT_MIN_M:
-        raise ValueError(f"the circulant C_m(1, 2) is oriented only for m >= {LIFT_MIN_M}")
+        raise InputError(f"the circulant C_m(1, 2) is oriented only for m >= {LIFT_MIN_M}")
     return ConnectionTable(m, {(i, (i + d) % m): {0} for i in range(m) for d in (1, 2)})
 
 
@@ -107,7 +107,7 @@ def rigid_trivial_table(m: int) -> ConnectionTable:
     networkx agrees for m = 7..60.  No such table exists for m <= 6.
     """
     if m < RIGID_MIN_M:
-        raise ValueError(f"the rigid trivial-group table needs m >= {RIGID_MIN_M}")
+        raise InputError(f"the rigid trivial-group table needs m >= {RIGID_MIN_M}")
     rows = {0: (2, 3), 1: (3, 4), 2: (1, 4), 3: (2, 5)}
     return ConnectionTable(m, {(i, j): {0} for i in range(m)
                                for j in rows.get(i, ((i + 1) % m, (i + 2) % m))})
@@ -257,7 +257,7 @@ def _searched_witness(G: Group, m: int):
         report = verify_table(G, cached, KIND_SEARCH)
         if report.omsr:
             return cached, report
-    table, _, result = sweeplib.find_witness(G, m)
+    table, result = sweeplib.find_witness(G, m)
     if table is None:
         return result
     report = verify_table(G, table, KIND_SEARCH)

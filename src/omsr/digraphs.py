@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import operator
 
-from .errors import ParseError, content_lines, header_int, read_int, tokens
+from .errors import InputError, ParseError, content_lines, header_int, read_int, tokens
 from .groups import Group, GroupElement
 from .perms import Perm
 
@@ -24,12 +24,12 @@ class ConnectionTable:
 
     def __init__(self, m: int, entries: dict):
         if m < 1:
-            raise ValueError("m must be positive")
+            raise InputError("m must be positive")
         self.m = m
         self.entries = {}
         for (i, j), cell in sorted(entries.items()):
             if not (0 <= i < m and 0 <= j < m):
-                raise ValueError(f"cell ({i}, {j}) out of range for m = {m}")
+                raise InputError(f"cell ({i}, {j}) out of range for m = {m}")
             # A frozenset of ints is kept, so tables built from shared cells share them.
             if type(cell) is not frozenset or not {int}.issuperset(map(type, cell)):
                 cell = frozenset(map(operator.index, cell))
@@ -40,7 +40,7 @@ class ConnectionTable:
         for (i, j), cell in self.entries.items():
             for t in cell:
                 if not 0 <= t < G.order:
-                    raise ValueError(f"T[{i}][{j}] entry {t} not an element of {G!r}")
+                    raise InputError(f"T[{i}][{j}] entry {t} not an element of {G!r}")
 
     def to_text(self) -> str:
         lines = [f"m: {self.m}"]
@@ -93,15 +93,15 @@ class Digraph:
 
 
 class MCayleyDigraph(Digraph):
-    """Digraph over G x Z_m built from a connection table."""
+    """Digraph over G x Z_m, as `build_mcayley` builds it from a connection
+    table; only its arcs are kept."""
 
-    __slots__ = ("group", "m", "table")
+    __slots__ = ("group", "m")
 
-    def __init__(self, group: Group, table: ConnectionTable, out_adj):
-        super().__init__(group.order * table.m, out_adj)
+    def __init__(self, group: Group, m: int, out_adj):
+        super().__init__(group.order * m, out_adj)
         self.group = group
-        self.m = table.m
-        self.table = table
+        self.m = m
 
 
 def build_mcayley(G: Group, T: ConnectionTable) -> MCayleyDigraph:
@@ -115,7 +115,7 @@ def build_mcayley(G: Group, T: ConnectionTable) -> MCayleyDigraph:
             row = G.mult[t]
             for g in range(n):
                 out[i * n + g].append(j * n + row[g])
-    return MCayleyDigraph(G, T, out)
+    return MCayleyDigraph(G, m, out)
 
 
 def is_oriented(d: Digraph) -> bool:

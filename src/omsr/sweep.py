@@ -557,16 +557,13 @@ def exhaustive_sweep(G: Group, m: int, all_witnesses: bool = False) -> SweepResu
 
 
 def find_witness(G: Group, m: int):
-    """The first-stop `exhaustive_sweep`, as (table, digraph, result).
+    """The first-stop `exhaustive_sweep`, as (table, result).
 
     The table is the first witness in enumeration order, where structured
     witnesses sit early.  When the whole space holds none, returns (None,
-    None, result), and the result is the NOT_EXISTS certificate.  Raises
-    as `exhaustive_sweep` does, so every search it starts runs to a witness
+    result), and the result is the NOT_EXISTS certificate.  Raises as
+    `exhaustive_sweep` does, so every search it starts runs to a witness
     or to the end.
     """
     result = exhaustive_sweep(G, m)
-    if not result.witnesses:
-        return None, None, result
-    table = result.witnesses[0]
-    return table, build_mcayley(G, table), result
+    return (result.witnesses[0] if result.witnesses else None), result

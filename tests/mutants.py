@@ -50,6 +50,13 @@ SWEEP = "tests/test_sweep.py::"
 DIGRAPHS = "tests/test_digraphs.py::"
 CONSTRUCTIONS = "tests/test_constructions.py::"
 AUTOMORPHISMS = "tests/test_automorphisms.py::"
+# In `_aut_elements`: the translations checked once, those that pass seeding the search.
+PASSED = "[t for t in translations if _is_automorphism(d, t)]"
+SEEDS = f"        seeds = {PASSED}\n"
+# In `is_omsr`: the table of gamma's arcs at each block's first vertex.
+FIRST_VERTEX_TABLE = ("ConnectionTable(gamma.m, {(i, j): {w % G.order for w in"
+                      " gamma.out_adj[i * G.order] if w // G.order == j}"
+                      " for i in range(gamma.m) for j in range(gamma.m)})")
 CLI = "tests/test_cli.py::"
 READERS = "tests/test_readers.py::"
 
@@ -204,17 +211,17 @@ MUTANTS = [
            "embed = len(seeds) == len(translations)", "embed = True",
            (AUTOMORPHISMS + "test_translation_seed_check_detects_broken_translation",)),
     Mutant("translations-rechecked-when-none-passed", "omsr/automorphisms.py",
-           "        if seeds is None:\n            seeds = [t for t in translations",
-           "        if True:\n            seeds = seeds or [t for t in translations",
+           SEEDS, f"        seeds = {PASSED} or {PASSED}\n",
+           (AUTOMORPHISMS + "test_certificate_needs_the_translations",)),
+    # R(G) is taken for Aut only where every translation passes.
+    Mutant("certificate-skips-translation-check", "omsr/automorphisms.py",
+           SEEDS, "        seeds = list(translations)\n",
            (AUTOMORPHISMS + "test_certificate_needs_the_translations",)),
     Mutant("shared-cell-not-copied", "omsr/automorphisms.py",
            "cell = cells[c] = set(cell)", "cell = cells[c]",
            (AUTOMORPHISMS + "test_engine_matches_brute_force_random",
             AUTOMORPHISMS + "test_relabel_conjugation_invariance")),
     # The certificate of `certificate.certify`, read off the table and the group.
-    Mutant("certificate-skips-translation-check", "omsr/automorphisms.py",
-           "closed = len(seeds) == len(translations) and gamma.n", "closed = gamma.n",
-           (AUTOMORPHISMS + "test_certificate_needs_the_translations",)),
     Mutant("certificate-follows-same-colour-out-arcs", "omsr/certificate.py",
            "for adj in adjs if len({colors[j] for _, j in adj[i]}) == len(adj[i])",
            "for adj in adjs if adj is out or len({colors[j] for _, j in adj[i]}) == len(adj[i])",
@@ -252,20 +259,28 @@ MUTANTS = [
     Mutant("certificate-generation-test-skipped", "omsr/certificate.py",
            "    return len(closure(G, schreier)) == G.order\n", "    return True\n",
            (AUTOMORPHISMS + "test_certificate_never_closes_where_the_engine_finds_more",)),
-    # What `is_omsr` and `verify_table` read off a closed certificate.
+    # What `verify_table` reads off a closed certificate, and `is_omsr`'s
+    # engine-only verdict.
     Mutant("connected-without-regularity", "omsr/automorphisms.py",
-           "bool(closed and regular)", "bool(closed)",
+           "if not (regular and certify(G, T)):", "if not certify(G, T):",
            (AUTOMORPHISMS + "test_closed_certificate_on_a_digraph_that_is_not_strongly_connected",)),
-    Mutant("block-orbits-without-closed-certificate", "omsr/automorphisms.py",
-           "for i in range(gamma.m)] if closed", "for i in range(gamma.m)] if A",
-           (AUTOMORPHISMS + "test_certificate_never_closes_where_the_engine_finds_more",)),
     Mutant("table-regularity-not-read", "omsr/automorphisms.py",
-           " or sums != [VALENCY] * (2 * T.m):", ":",
+           "regular = sums == [VALENCY] * (2 * T.m)", "regular = sums[:T.m] == [VALENCY] * T.m",
            (AUTOMORPHISMS + "test_table_verdict_agrees_with_is_omsr",)),
+    Mutant("block-orbits-without-closed-certificate", "omsr/automorphisms.py",
+           "    orbits = permlib.orbit_partition(A.generators, A.degree)\n",
+           "    orbits = [range(i * G.order, (i + 1) * G.order) for i in range(gamma.m)]\n",
+           (AUTOMORPHISMS + "test_certificate_never_closes_where_the_engine_finds_more",)),
     Mutant("table-fallback-certifies-again", "omsr/automorphisms.py",
-           "_report(build_mcayley(G, T), construction_kind, closed)",
-           "is_omsr(build_mcayley(G, T), construction_kind)",
+           "    A = automorphisms(gamma)\n",
+           "    A = automorphisms(gamma)\n    certify(G, " + FIRST_VERTEX_TABLE + ")\n",
            (AUTOMORPHISMS + "test_table_verdict_certifies_once_where_the_engine_decides",)),
+    Mutant("is-omsr-certifies-instead-of-searching", "omsr/automorphisms.py",
+           "    A = automorphisms(gamma)\n",
+           "    A = (PermutationGroup(gamma.n, _translations(gamma), G.order, True)\n"
+           "         if certify(G, " + FIRST_VERTEX_TABLE + ") else automorphisms(gamma))\n",
+           (AUTOMORPHISMS + "test_certificate_needs_the_translations",
+            AUTOMORPHISMS + "test_is_omsr_never_certifies")),
     Mutant("table-orientation-without-criterion", "omsr/automorphisms.py",
            "oriented = oriented_table_criterion(G, T)", "oriented = True",
            (AUTOMORPHISMS + "test_table_verdict_agrees_with_is_omsr",)),

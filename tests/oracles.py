@@ -10,10 +10,10 @@ import bisect
 import collections
 import itertools
 
-from omsr.automorphisms import (PermutationGroup, _closure_elements, _first_vertex_table,
-                                _is_automorphism, _refine, _translations, automorphisms)
+from omsr.automorphisms import (PermutationGroup, _closure_elements, _is_automorphism, _refine,
+                                _translations, automorphisms)
 from omsr.certificate import certify
-from omsr.digraphs import Digraph, is_connected, is_k_regular, is_oriented
+from omsr.digraphs import ConnectionTable, Digraph, is_connected, is_k_regular, is_oriented
 from omsr.errors import TooLarge
 from omsr.perms import orbit_partition
 from omsr.sweep import _cell_order, _table_moves
@@ -118,12 +118,22 @@ def elements(A):
     return found
 
 
+def first_vertex_table(d) -> ConnectionTable:
+    """The table of the m-Cayley digraph d's arcs at each block's first
+    vertex (e, i), which is d's own table once every translation passes."""
+    n, entries = d.group.order, {}
+    for i in range(d.m):
+        for w in d.out_adj[i * n]:
+            entries.setdefault((i, w // n), set()).add(w % n)
+    return ConnectionTable(d.m, entries)
+
+
 def certificate(d):
-    """`is_omsr`'s certificate on the m-Cayley digraph d: R(G), generated by
-    the translations, when they all pass and `certify` closes on the table
-    read at each block's first vertex, else None."""
+    """The rigid-block certificate on the m-Cayley digraph d: R(G),
+    generated by the translations, when they all pass and `certify` closes
+    on `first_vertex_table(d)`, else None."""
     seeds = [t for t in _translations(d) if _is_automorphism(d, t)]
-    if len(seeds) == len(_translations(d)) and certify(d.group, _first_vertex_table(d)):
+    if len(seeds) == len(_translations(d)) and certify(d.group, first_vertex_table(d)):
         return PermutationGroup(d.n, seeds, d.group.order, translations_embed=True)
     return None
 
@@ -155,10 +165,9 @@ def ball_sizes_reference(G, adjs):
 
 
 def report_fields(d, construction_kind="custom") -> dict:
-    """Every field of `is_omsr(d).to_dict()` but runtime_ms, computed as
-    before a closed certificate gave connectivity and the orbits: by
-    `is_connected`, and from the orbits of the certificate's generators, or
-    the engine's where it does not close."""
+    """Every field of `is_omsr(d).to_dict()` but runtime_ms, computed
+    apart from it: connectivity by `is_connected`, and the orbits from the
+    certificate's generators, or the engine's where it does not close."""
     G, A = d.group, certificate(d) or automorphisms(d)
     orbits = orbit_partition(A.generators, A.degree)
     oriented, regular = is_oriented(d), is_k_regular(d, 2)

@@ -24,8 +24,8 @@ from omsr.groups import catalog_group, group_from_cayley_table, normalize_genera
 from omsr.perms import compose, inverse, orbit_partition
 from omsr.sweep import _RankedMoves, enumerate_tables, exhaustive_sweep
 from oracles import (arcs, ball_sizes_reference, brute_force_automorphisms, certificate, elements,
-                     first_occurrence, k_regular, oriented, quotient_arcs, refine, report_fields,
-                     strongly_connected)
+                     first_occurrence, first_vertex_table, k_regular, oriented, quotient_arcs,
+                     refine, report_fields, strongly_connected)
 
 
 def directed_cycle(n):
@@ -112,9 +112,9 @@ def test_brute_force_trivial_witness_m7():
     from omsr.groups import Group
     from omsr.sweep import find_witness
     Z1 = Group(mult=((0,),), inv=(0,), label="Z1")
-    table, gamma, _ = find_witness(Z1, 7)
+    table, _ = find_witness(Z1, 7)
     assert table is not None
-    assert len(brute_force_automorphisms(gamma)) == 1
+    assert len(brute_force_automorphisms(build_mcayley(Z1, table))) == 1
 
 
 def test_engine_matches_brute_force_random():
@@ -223,7 +223,7 @@ def test_translation_seed_check_detects_broken_translation():
         out[4 + x].append(x ^ 1)
     out[0].append(6)
     out[1].append(7)
-    d = MCayleyDigraph(K, ConnectionTable(2, {(0, 1): [0], (1, 0): [1]}), out)
+    d = MCayleyDigraph(K, 2, out)
     A = automorphisms(d)
     assert A.translations_embed is False
     auts = brute_force_automorphisms(d)
@@ -338,7 +338,7 @@ def test_verify_costs_at_most_2m_individualizations(monkeypatch):
     monkeypatch.setattr(engine, "_individualize", counting)
     G, pair = catalog_group("cyclic", [48])
     d = build_mcayley(G, cyclic_connection_table(G, pair.a, 5))
-    # The engine itself; `is_omsr` closes this digraph without it.
+    # The engine itself; `verify_table` closes this table without it.
     A = automorphisms(d)
     assert A.order == 48 and A.translations_embed and orbit_count(A) == 5
     assert len(calls) <= 2 * 5
@@ -365,7 +365,7 @@ def test_verify_refines_only_individualizations(monkeypatch):
     assert len(calls) == 5
 
 
-# --- the rigid-block certificate of is_omsr ----------------------------------
+# --- the rigid-block certificate of verify_table ----------------------------
 
 def recipe_corpus(max_order=24):
     """(label, m, digraph) for every recipe digraph of group_roster(max_order)
@@ -386,8 +386,8 @@ def report_without_runtime(d):
     return fields
 
 
-def test_is_omsr_closes_large_recipes_without_individualizing(monkeypatch):
-    # The three 240-vertex recipe digraphs are verified by the certificate:
+def test_verify_table_closes_large_recipes_without_individualizing(monkeypatch):
+    # The three 240-vertex recipe tables are verified by the certificate:
     # no individualization, and no engine refinement, since `certify`
     # refines the m-block quotient itself.  Connectivity and the orbits come
     # from the certificate too.
@@ -403,18 +403,38 @@ def test_is_omsr_closes_large_recipes_without_individualizing(monkeypatch):
     for family, params, m in (("cyclic", [48], 5), ("cyclic_product", [6, 8], 5),
                               ("alternating", [5], 4)):
         G, pair = catalog_group(family, params)
-        report = is_omsr(build_mcayley(G, recipe_table(G, pair, m)[0]))
+        report = verify_table(G, recipe_table(G, pair, m)[0])
         assert (report.omsr, report.aut_order, report.stabilizer_order, report.orbit_count,
                 report.translations_embed) == (True, G.order, 1, m, True)
     assert individualized == recomputed == []
     assert refined == []
 
 
+def test_is_omsr_never_certifies(monkeypatch):
+    # is_omsr decides a digraph by the engine alone: with `certify` made to
+    # raise, it gives the engine's report on the three 240-vertex recipe
+    # digraphs, where the certificate closes, and on Z3 m=2, where it does not.
+    engine = importlib.import_module("omsr.automorphisms")
+
+    def refuse(G, T):
+        raise AssertionError("is_omsr ran certify")
+
+    monkeypatch.setattr(engine, "certify", refuse)
+    for family, params, m in (("cyclic", [48], 5), ("cyclic_product", [6, 8], 5),
+                              ("alternating", [5], 4), ("cyclic", [3], 2)):
+        G, pair = catalog_group(family, params)
+        d = build_mcayley(G, recipe_table(G, pair, m)[0])
+        fields = report_without_runtime(d)
+        assert fields == report_fields(d), (G.label, m)
+        assert (fields["omsr"], fields["aut_order"], fields["stabilizer_order"],
+                fields["orbit_count"], fields["translations_embed"]) == (True, G.order, 1, m, True)
+
+
 def test_is_omsr_falls_back_to_the_engine_with_the_same_report(monkeypatch):
     # Z3 m=2: both blocks have the same ball sizes and the quotient does not
-    # split them, so the engine decides and the report is the one it gave
-    # before the certificate.  The engine is seeded with the translations
-    # is_omsr checked for the certificate, so each is checked once.
+    # split them, so the certificate does not close, and is_omsr's report,
+    # the engine's, is the one it gave before the certificate.  Each
+    # translation is checked once.
     engine = importlib.import_module("omsr.automorphisms")
     individualized, checked = [], []
     original, is_aut = engine._individualize, engine._is_automorphism
@@ -479,13 +499,16 @@ def test_certificate_never_closes_where_the_engine_finds_more():
 def test_closed_certificate_on_a_digraph_that_is_not_strongly_connected():
     # Z3 = <a>, m = 2, T[0][0] = {a}, T[0][1] = {e}, T[1][1] = {a}: block 0
     # has out-degree 2 and block 1 in-degree 2, and no arc leaves block 1.
-    # The certificate closes, its search going against the arcs 0 -> 1, so
-    # connectivity is not read off it.
+    # The certificate closes, its search going against the arcs 0 -> 1, but
+    # T is not 2-regular, so verify_table leaves the table to the engine and
+    # does not read connectivity off the certificate.
     G, pair = catalog_group("cyclic", [3])
-    d = build_mcayley(G, ConnectionTable(2, {(0, 0): [pair.a], (0, 1): [0], (1, 1): [pair.a]}))
-    assert certificate(d) is not None
+    T = ConnectionTable(2, {(0, 0): [pair.a], (0, 1): [0], (1, 1): [pair.a]})
+    d = build_mcayley(G, T)
+    assert certify(G, T)
     assert not k_regular(d, 2) and not strongly_connected(d)
-    fields = report_without_runtime(d)
+    fields = verify_table(G, T).to_dict()
+    del fields["runtime_ms"]
     assert fields == report_fields(d)
     assert (fields["connected"], fields["regular2"], fields["aut_order"],
             fields["orbit_count"]) == (False, False, 3, 2)
@@ -494,9 +517,9 @@ def test_closed_certificate_on_a_digraph_that_is_not_strongly_connected():
 def test_certificate_needs_the_translations(monkeypatch):
     # Two arcs of the Z48 m=5 recipe swap heads far from every block's first
     # vertex: the translations no longer keep the arcs, though the ball sizes
-    # and the quotient read at the first vertices stay as they were.  The
-    # engine is seeded with the empty list of translations that passed, so
-    # each translation is still checked once.
+    # and the quotient read at the first vertices stay as they were, and
+    # certify closes on that table.  is_omsr reports what the engine finds,
+    # and none of the translations pass, each checked once.
     engine = importlib.import_module("omsr.automorphisms")
     checked, is_aut = [], engine._is_automorphism
     monkeypatch.setattr(engine, "_is_automorphism", lambda d, p: checked.append(p) or is_aut(d, p))
@@ -506,8 +529,8 @@ def test_certificate_needs_the_translations(monkeypatch):
     u, v = 2 * 48 + 24, 2 * 48 + 25
     assert (out[u][1] // 48, out[v][1] // 48) == (3, 3)
     out[u][1], out[v][1] = out[v][1], out[u][1]
-    swapped = MCayleyDigraph(G, d.table, out)
-    assert certificate(swapped) is None
+    swapped = MCayleyDigraph(G, 5, out)
+    assert certify(G, first_vertex_table(swapped)) and certificate(swapped) is None
     del checked[:]
     report = is_omsr(swapped)
     assert (report.aut_order, report.translations_embed, report.omsr) == (1, False, False)
@@ -580,8 +603,8 @@ def test_certificate_needs_block_0_alone():
 
 
 def test_table_verdict_certifies_once_where_the_engine_decides(monkeypatch):
-    # Z3 m=2 falls back to the engine: the built digraph's report reuses
-    # verify_table's answer from certify instead of running it again.
+    # Z3 m=2 falls back to the engine: is_omsr on the built digraph does
+    # not run certify again.
     engine = importlib.import_module("omsr.automorphisms")
     calls = []
     monkeypatch.setattr(engine, "certify", lambda G, T: calls.append(T) or certify(G, T))
@@ -757,9 +780,10 @@ def test_is_omsr_checks_match_predicates():
     Z1, _ = catalog_group("cyclic", [1])
     # 0 -> 1 and a loop at 1: vertex 0 reaches everything, but nothing
     # reaches it, and the in- and out-degrees differ.
-    d = build_mcayley(Z1, ConnectionTable(2, {(0, 1): [0], (1, 1): [0]}))
+    T = ConnectionTable(2, {(0, 1): [0], (1, 1): [0]})
+    d = build_mcayley(Z1, T)
     assert _reachable(d.out_adj) == d.n
-    assert check(Z1, d.table) == (False, False, False)
+    assert check(Z1, T) == (False, False, False)
     # Two copies of the oriented Cay(Z5, {1, 2}): 2-regular, not connected.
     Z5, _ = catalog_group("cyclic", [5])
     assert check(Z5, ConnectionTable(2, {(0, 0): [1, 2], (1, 1): [1, 2]})) == \
@@ -988,7 +1012,7 @@ def test_out_list_order_changes_no_output():
                      for m in (2, 3, 4, 5) for _ in range(4)]
     reordered = 0
     for d in digraphs:
-        flipped = MCayleyDigraph(d.group, d.table, [nbrs[::-1] for nbrs in d.out_adj])
+        flipped = MCayleyDigraph(d.group, d.m, [nbrs[::-1] for nbrs in d.out_adj])
         reordered += flipped.out_adj != d.out_adj
         assert flipped.in_adj == d.in_adj
         A, B = automorphisms(d), automorphisms(flipped)

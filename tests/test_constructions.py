@@ -19,7 +19,7 @@ from omsr.constructions import (KIND_ABELIAN, KIND_CYCLIC, KIND_EXCEPTION, KIND_
                                 spanning_tree_lift_table)
 from omsr.digraphs import (ConnectionTable, build_mcayley, is_k_regular, is_oriented,
                            parse_connection_table)
-from omsr.errors import IsAbelian, NotAbelian, NotGenerating, OrderTooSmall
+from omsr.errors import InputError, IsAbelian, NotAbelian, NotGenerating, OrderTooSmall
 from omsr.groups import (GeneratingPair, GroupElement, catalog_group, closure, element_order,
                          is_abelian, is_cyclic, normalize_generating_pair)
 from omsr.sweep import SweepResult, exhaustive_sweep, find_witness
@@ -60,6 +60,13 @@ def test_cyclic_table_guards():
     sq = Z4.mul(p4.a, p4.a)
     with pytest.raises(NotGenerating):
         cyclic_connection_table(Z4, sq, 2)
+    # Too small an m is the caller's input refused, as in every recipe below.
+    with pytest.raises(InputError, match="m must be at least 2"):
+        cyclic_connection_table(Z4, p4.a, 1)
+    with pytest.raises(InputError, match="oriented only for m >= 5"):
+        circulant_table(4)
+    with pytest.raises(InputError, match="needs m >= 7"):
+        rigid_trivial_table(6)
 
 
 # --- abelian recipe ----------------------------------------------------------
@@ -514,7 +521,7 @@ def test_certificate_is_the_scan_result(tmp_path, monkeypatch):
     K, pair = groups["Z2xZ2"]
     witness, report = construct_omsr(K, pair, 3)
     assert report.omsr and report.construction_kind == KIND_SEARCH
-    table, _, result = find_witness(K, 3)
+    table, result = find_witness(K, 3)
     assert table == witness
     assert (result.all_failed, result.verdict) == (False, "EXISTS")
 

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
+from omsr.automorphisms import verify_table
 from omsr.constructions import cyclic_connection_table, nonabelian_connection_table
 from omsr.digraphs import (ConnectionTable, Digraph, build_mcayley, is_connected, is_k_regular,
                            is_oriented, oriented_table_criterion, parse_connection_table,
                            right_translation)
-from omsr.errors import ParseError
+from omsr.errors import InputError, ParseError
 from omsr.groups import (GroupElement, catalog_group, closure, element_order, generates,
                          normalize_generating_pair)
 from omsr.perms import compose, is_bijection
@@ -87,6 +88,14 @@ def test_connection_table_rejects_cell_out_of_range():
                 ConnectionTable(m, {cell: value})
     with pytest.raises(ValueError, match="positive"):
         ConnectionTable(0, {})
+    # Each is the caller's input refused, an InputError (exit code 2), and
+    # so is an entry outside G, also where `verify_table` meets it.
+    Z3, _ = catalog_group("cyclic", [3])
+    for refused in (lambda: ConnectionTable(2, {(2, 0): {0}}), lambda: ConnectionTable(0, {}),
+                    lambda: ConnectionTable(1, {(0, 0): {5}}).validate(Z3),
+                    lambda: verify_table(Z3, ConnectionTable(1, {(0, 0): {5}}))):
+        with pytest.raises(InputError):
+            refused()
 
 
 def test_build_trivial():

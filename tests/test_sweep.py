@@ -234,17 +234,17 @@ def test_sweep_result_json():
 
 def test_find_witness_deterministic_and_verified():
     K, _ = catalog_group("elementary_abelian_2", [2])
-    t1, gamma1, result1 = find_witness(K, 3)
-    t2, gamma2, _ = find_witness(K, 3)
+    t1, result1 = find_witness(K, 3)
+    t2, _ = find_witness(K, 3)
     assert t1 == t2
-    assert is_omsr(gamma1).omsr
+    assert is_omsr(build_mcayley(K, t1)).omsr
     assert result1.tables_enumerated >= result1.oriented_count > 0
 
 
 def test_find_witness_exhaustion_returns_none():
     Z2, _ = catalog_group("cyclic", [2])
-    table, gamma, result = find_witness(Z2, 3)
-    assert table is None and gamma is None
+    table, result = find_witness(Z2, 3)
+    assert table is None
     assert result.tables_enumerated > 0
 
 
@@ -263,10 +263,9 @@ def test_find_witness_pinned_stats():
     pins = {(Z1, 7): (800, 4), (Z2, 4): (223, 2), (Z2, 7): (8613, 128),
             (K, 3): (2199, 218)}
     for (G, m), want in pins.items():
-        table, gamma, result = find_witness(G, m)
+        table, result = find_witness(G, m)
         assert (result.tables_enumerated, result.oriented_count) == want, (G, m)
-        assert is_omsr(gamma).omsr
-        assert gamma.table == table
+        assert is_omsr(build_mcayley(G, table)).omsr
 
 
 def test_find_witness_past_guard_raises(monkeypatch):
@@ -497,12 +496,11 @@ def test_first_stop_scan_matches_unpruned_oracle():
         got = (result.tables_enumerated, result.oriented_count, result.max_aut_order_seen,
                result.witnesses[0].to_text() if result.witnesses else None)
         assert got == want, (G, m)
-        table, gamma, found = find_witness(G, m)
+        table, found = find_witness(G, m)
         assert (found.tables_enumerated, found.oriented_count,
                 found.max_aut_order_seen) == want[:3]
         assert (table.to_text() if table else None) == want[3], (G, m)
         if table is not None:
-            assert gamma.table == table
             # An all-witness scan lists its witnesses in the same order.
             assert exhaustive_sweep(G, m, all_witnesses=True).witnesses[0] == table, (G, m)
 
@@ -571,12 +569,10 @@ def test_prefix_skip_matches_full_walk():
         got = (result.tables_enumerated, result.oriented_count, result.max_aut_order_seen,
                result.witnesses[0].to_text() if result.witnesses else None)
         assert got == want, (G, m)
-        table, gamma, found = find_witness(G, m)
+        table, found = find_witness(G, m)
         assert (found.tables_enumerated, found.oriented_count,
                 found.max_aut_order_seen) == want[:3]
         assert (table.to_text() if table else None) == want[3], (G, m)
-        if table is not None:
-            assert gamma.table == table
 
 
 def test_prefix_skip_walked_tables_pinned(monkeypatch):
